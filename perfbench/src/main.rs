@@ -6,15 +6,23 @@
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- --self-test
 //! ```
 //!
-//! One run generates the workload's inputs from `--seed`, times the
-//! set-up, computes the scalar-kernel oracle, makes one warm-up call
-//! and then calls the pipeline until `--seconds` have passed (at least
-//! [`MIN_CALLS`] times). Every call's output is checked against the
-//! oracle. Generation, oracle and checks stay outside every timed
-//! region. The last line of standard output is one JSON object:
-//! with `--trace 0` it carries the end-to-end metrics, with
-//! `--trace 1` the per-layer metrics of a separate traced run, whose
-//! spans are also written as a Chrome trace under `perfbench/out/`.
+//! A workload is a set of independent instances (see
+//! `workloads.rs`). One run generates them from `--seed`, computes
+//! the scalar-kernel oracle, times the set-up, makes one warm-up pass
+//! and then makes timed passes over every instance until `--seconds`
+//! have passed (at least [`MIN_PASSES`]). Every call's output is
+//! checked against the oracle. Generation, oracle and checks stay
+//! outside every timed region. The last line of standard output is
+//! one JSON object: with `--trace 0` it carries the end-to-end
+//! metrics, with `--trace 1` the per-layer metrics of traced passes,
+//! whose spans are also written as a Chrome trace under
+//! `perfbench/out/`.
+//!
+//! `wall_s` sums, over the instances, each instance's fastest timed
+//! call. A host shared with other tenants slows this code by up to
+//! 1.8× in spells of milliseconds to seconds; the fastest of many
+//! short calls rejects those spells, where a median or a mean follows
+//! the share of the run they cover.
 
 mod spans;
 mod workloads;
@@ -25,30 +33,41 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use workloads::{
-    elba_config, ipu_system, ooc_config, pastis_config, Bench, Calibration, ElbaHifi, IpuOffload,
-    Metrics, OocMetaclust, PastisFamilies, Scale, IPU_X, OOC_X,
+    elba_config, ipu_system, ooc_config, pastis_config, Bench, ElbaHifi, IpuOffload, Metrics,
+    OocMetaclust, PastisFamilies, Scale, IPU_X, OOC_X,
 };
 use xdrop_bench::alloc::{self, TrackingAllocator};
-use xdrop_core::alphabet::Alphabet;
+use xdrop_core::aligner::AlignerKind;
 use xdrop_core::batched::SweepBackend;
+use xdrop_core::extension::{Backend, Extender, ExtenderPool};
 use xdrop_core::kernel::{host_simd, KernelKind};
 use xdrop_core::scoring::{Blosum62, MatchMismatch};
+use xdrop_core::xdrop2::BandPolicy;
+use xdrop_core::XDropParams;
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 /// Seed the benchmark is tuned and reported on.
-const DEFAULT_SEED: u64 = 1;
+pub(crate) const DEFAULT_SEED: u64 = 1;
 /// Seed kept aside to check a claimed gain on inputs the change was
 /// not written against.
-const HELD_OUT_SEED: u64 = 7_919;
+pub(crate) const HELD_OUT_SEED: u64 = 7_919;
 
-/// Timed calls made even when `--seconds` is already used up.
-const MIN_CALLS: usize = 3;
-/// Set-ups timed before the warm-up call and after every timed call;
-/// `setup_s` is the median of all of them. Spreading them over the
-/// run keeps a short slow spell of the host from setting the figure.
+/// Timed passes made even when `--seconds` is already used up.
+const MIN_PASSES: usize = 3;
+/// Set-up samples timed before the warm-up pass and after every
+/// timed pass; `setup_s` is the fastest of them, for the reason
+/// `wall_s` keeps fastest calls. Across processes the median sample
+/// moved by ±14% with the host's load, the fastest by ±3%.
 const SETUP_BLOCK: usize = 40;
+/// Host threads of `ipu-offload`. One: a call's few comparisons
+/// leave a second worker little to do, and a call on two threads is
+/// fast only while both vCPUs are free of the other tenants' load, so
+/// its fastest call is further from the host's quiet speed.
+const IPU_THREADS: usize = 1;
+/// Set-ups per `setup_s` sample.
+const SETUP_REPS: usize = 100;
 
 const WORKLOADS: [&str; 4] = [
     "elba-hifi",
@@ -138,7 +157,9 @@ fn median(v: &mut [f64]) -> f64 {
     }
 }
 
-/// The dispatch labels of the run header.
+/// The dispatch labels of the run header. Resolving them is part of
+/// the set-up: the first call detects the host and caches the
+/// kernel and sweep backend.
 fn resolve_dispatch() -> (&'static str, &'static str, &'static str) {
     (
         host_simd(),
@@ -147,15 +168,24 @@ fn resolve_dispatch() -> (&'static str, &'static str, &'static str) {
     )
 }
 
-/// Times `n` set-ups of a workload into `times`. A set-up builds the
-/// configuration and the scorer, then makes the first extension of a
-/// fixed calibration pair, which resolves kernel and sweep dispatch
-/// and sizes the extender's workspaces.
-fn time_setups<C>(setup: &mut impl FnMut() -> C, n: usize, times: &mut Vec<f64>) {
+/// The extender an alignment stage builds for threshold `x`.
+fn extender(x: i32, aligner: AlignerKind) -> Extender {
+    Extender::new(
+        XDropParams::new(x),
+        Backend::for_kind(aligner, x, BandPolicy::Grow(256)),
+    )
+}
+
+/// Times `n` samples of a workload's set-up, lowering `best` to the
+/// fastest. A set-up takes well under a microsecond, so one sample
+/// is the mean of [`SETUP_REPS`] consecutive set-ups.
+fn time_setups<C>(setup: &mut impl FnMut() -> C, n: usize, best: &mut f64) {
     for _ in 0..n {
         let t = Instant::now();
-        black_box(setup());
-        times.push(t.elapsed().as_secs_f64());
+        for _ in 0..SETUP_REPS {
+            black_box(setup());
+        }
+        *best = best.min(t.elapsed().as_secs_f64() / SETUP_REPS as f64);
     }
 }
 
@@ -164,13 +194,13 @@ fn nproc() -> usize {
 }
 
 /// Prints the run header: labels, not metrics.
-fn header(a: &Args, threads: usize, comparisons: u64, cells: u64) {
+fn header(a: &Args, threads: usize, instances: usize, comparisons: u64, cells: u64) {
     let (simd, kernel, sweep) = resolve_dispatch();
     println!(
         "{{\"header\": {{\"workload\": \"{}\", \"seed\": {}, \"scale\": \"{:?}\", \
          \"host_simd\": \"{simd}\", \"nproc\": {}, \"kernel\": \"{kernel}\", \
-         \"sweep\": \"{sweep}\", \"threads\": {threads}, \"comparisons\": {comparisons}, \"cells\": {cells}, \
-         \"trace\": {}}}}}",
+         \"sweep\": \"{sweep}\", \"threads\": {threads}, \"instances\": {instances}, \
+         \"comparisons\": {comparisons}, \"cells\": {cells}, \"trace\": {}}}}}",
         a.workload,
         a.seed,
         a.scale,
@@ -193,93 +223,111 @@ fn timed_call<B: Bench>(b: &B, tr: &mut Tracer) -> (Result<B::Output, String>, f
     (out, wall, peak)
 }
 
-/// Checks one call's output; an `Err` counts as one failed operation.
-fn gate<B: Bench>(b: &mut B, out: &Result<B::Output, String>, failed: &mut u64) {
+/// Failed operations of one call; an `Err` counts as one.
+fn gate<B: Bench>(b: &B, out: &Result<B::Output, String>) -> u64 {
     match out {
-        Ok(o) => *failed += b.check(o),
+        Ok(o) => b.check(o),
         Err(e) => {
             eprintln!("call failed: {e}");
-            *failed += 1;
+            1
         }
     }
 }
 
 /// The measurement loop of one workload.
-fn measure<B: Bench, C>(mut b: B, mut setup: impl FnMut() -> C, a: &Args) -> Report {
-    header(a, b.threads(), b.comparisons(), b.cells());
+fn measure<B: Bench, C>(bs: Vec<B>, mut setup: impl FnMut() -> C, a: &Args) -> Report {
+    let per_pass: u64 = bs.iter().map(B::comparisons).sum();
+    let cells = bs.iter().map(B::cells).sum();
+    header(a, bs[0].threads(), bs.len(), per_pass, cells);
     let (mut attempted, mut failed) = (0u64, 0u64);
     let budget = Duration::from_secs_f64(a.seconds);
-    let mut setups = Vec::new();
-    time_setups(&mut setup, SETUP_BLOCK, &mut setups);
+    let mut setup_s = f64::INFINITY;
+    time_setups(&mut setup, SETUP_BLOCK, &mut setup_s);
 
+    // The warm-up pass: checked, not timed; it gives output_quality.
     let mut off = Tracer::new(false);
-    let (warm, _, _) = timed_call(&b, &mut off);
-    attempted += b.comparisons();
-    gate(&mut b, &warm, &mut failed);
-    let quality = warm.as_ref().map_or(0.0, |o| b.quality(o));
-    drop(warm);
+    let mut quality = 0.0;
+    for b in &bs {
+        let (out, _, _) = timed_call(b, &mut off);
+        failed += gate(b, &out);
+        quality += out.as_ref().map_or(0.0, |o| b.quality(o));
+    }
+    attempted += per_pass;
+    quality /= bs.len() as f64;
 
-    let mut walls = Vec::new();
-    let mut peaks = Vec::new();
+    let mut fastest = vec![f64::INFINITY; bs.len()];
+    let mut peaks = vec![0.0f64; bs.len()];
+    let mut pass_walls = Vec::new();
     let mut on = Tracer::new(true);
     let mut layer_samples: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     let start = Instant::now();
-    let mut calls = 0usize;
-    while calls < MIN_CALLS || start.elapsed() < budget {
-        calls += 1;
-        // The traced run alternates untraced and traced calls, so
-        // the tracing overhead is measured under the same conditions.
-        let (out, wall, peak) = timed_call(&b, &mut off);
-        attempted += b.comparisons();
-        gate(&mut b, &out, &mut failed);
-        walls.push(wall);
-        peaks.push(peak);
-        drop(out);
-        time_setups(&mut setup, SETUP_BLOCK, &mut setups);
+    while pass_walls.len() < MIN_PASSES || start.elapsed() < budget {
+        let mut pass_wall = 0.0;
+        for ((b, best), high) in bs.iter().zip(&mut fastest).zip(&mut peaks) {
+            let (out, wall, peak) = timed_call(b, &mut off);
+            failed += gate(b, &out);
+            *best = best.min(wall);
+            *high = high.max(peak);
+            pass_wall += wall;
+        }
+        attempted += per_pass;
+        pass_walls.push(pass_wall);
+        time_setups(&mut setup, SETUP_BLOCK, &mut setup_s);
         if !a.trace {
             continue;
         }
+        // The traced run alternates untraced and traced passes, so
+        // the tracing overhead is measured under the same conditions.
         on.begin_iteration();
-        let out = on.span("iteration", |t| b.call(b.prepare(), t));
-        attempted += b.comparisons();
-        gate(&mut b, &out, &mut failed);
-        if let Ok(o) = &out {
-            let mut m = on.counts().clone();
-            b.layers(o, &on, &mut m);
-            let iteration = on.dur("iteration") - on.probe_dur();
-            m.insert("trace.wall_s", iteration);
-            m.insert(
-                "trace.unaccounted_share",
-                1.0 - on.child_dur("iteration") / iteration,
-            );
-            for (k, v) in m {
-                layer_samples.entry(k).or_default().push(v);
+        for b in &bs {
+            let input = b.prepare();
+            let out = on.span("iteration", |t| b.call(input, t));
+            failed += gate(b, &out);
+            if let Ok(o) = &out {
+                b.record(o, &mut on);
             }
+        }
+        attempted += per_pass;
+        let mut m = on.counts().clone();
+        B::layers(&on, &mut m);
+        let traced = on.dur("iteration") - on.probe_dur();
+        m.insert("trace.wall_s", traced);
+        m.insert(
+            "trace.unaccounted_share",
+            1.0 - on.child_dur("iteration") / traced,
+        );
+        for (k, v) in m {
+            layer_samples.entry(k).or_default().push(v);
         }
     }
 
     let mut metrics = Metrics::new();
-    let wall_s = median(&mut walls);
+    let wall_s: f64 = fastest.iter().sum();
+    let passes = pass_walls.len();
     if a.trace {
         for (name, _) in PER_LAYER {
             let v = layer_samples.get_mut(name).map_or(0.0, |v| median(v));
             metrics.insert(name, v);
         }
-        metrics.insert("trace.untraced_wall_s", wall_s);
-        metrics.insert("trace.overhead_s", metrics["trace.wall_s"] - wall_s);
+        let untraced = median(&mut pass_walls);
+        metrics.insert("trace.untraced_wall_s", untraced);
+        metrics.insert("trace.overhead_s", metrics["trace.wall_s"] - untraced);
         write_trace(&on, a);
     } else {
         metrics.insert("wall_s", wall_s);
-        metrics.insert("setup_s", median(&mut setups));
-        metrics.insert("peak_heap_mib", median(&mut peaks));
+        metrics.insert("setup_s", setup_s);
+        metrics.insert("peak_heap_mib", peaks.iter().sum::<f64>() / bs.len() as f64);
         metrics.insert("output_quality", quality);
     }
     eprintln!(
-        "{}: {} timed calls, wall_s median {:.4}: {:.3?}",
+        "{}: {} instances, {} timed passes ({} calls); wall_s (sum of fastest calls) {:.4}, \
+         median pass {:.4}",
         a.workload,
-        walls.len(),
+        bs.len(),
+        passes,
+        passes * bs.len(),
         wall_s,
-        walls
+        median(&mut pass_walls)
     );
     Report {
         attempted,
@@ -298,48 +346,67 @@ fn write_trace(tr: &Tracer, a: &Args) {
     }
 }
 
-/// Generates the workload, times its set-up and measures it.
+/// Generates the workload and measures it. A timed set-up builds
+/// what the workload's first call needs from the library: its
+/// configuration, scorer and extender (or extender pool and
+/// `IpuSystem`), and the kernel and sweep dispatch. Generation is
+/// not part of it.
 fn run(a: &Args) -> Result<Report, String> {
-    let threads = nproc().min(2);
-    let cal = Calibration::new();
-    let dna = MatchMismatch::dna_default;
     match a.workload.as_str() {
         "elba-hifi" => {
             let setup = || {
-                let cfg = elba_config(a.scale);
-                cal.first_extension(Alphabet::Dna, &dna(), cfg.x);
-                cfg
+                let cfg = elba_config();
+                let ext = extender(cfg.x, cfg.aligner);
+                (cfg, MatchMismatch::dna_default(), resolve_dispatch(), ext)
             };
-            Ok(measure(ElbaHifi::new(setup(), a.seed)?, setup, a))
+            let (cfg, ..) = setup();
+            Ok(measure(
+                ElbaHifi::instances(cfg, a.scale, a.seed)?,
+                setup,
+                a,
+            ))
         }
         "pastis-families" => {
             let setup = || {
-                let cfg = pastis_config(a.scale);
-                cal.first_extension(Alphabet::Protein, &Blosum62::new(cfg.gap), cfg.x);
-                cfg
+                let cfg = pastis_config();
+                let ext = extender(cfg.x, cfg.aligner);
+                (cfg, Blosum62::new(cfg.gap), resolve_dispatch(), ext)
             };
-            Ok(measure(PastisFamilies::new(setup(), a.seed)?, setup, a))
+            let (cfg, ..) = setup();
+            Ok(measure(
+                PastisFamilies::instances(cfg, a.scale, a.seed)?,
+                setup,
+                a,
+            ))
         }
         "ipu-offload" => {
             let setup = || {
-                let sys = ipu_system(threads);
-                cal.first_extension(Alphabet::Dna, &dna(), IPU_X);
-                sys
+                let sys = ipu_system(IPU_THREADS);
+                let pool = ExtenderPool::new(
+                    XDropParams::new(IPU_X),
+                    Backend::for_kind(sys.aligner, IPU_X, sys.policy),
+                );
+                (sys, MatchMismatch::dna_default(), resolve_dispatch(), pool)
             };
+            let (sys, ..) = setup();
             Ok(measure(
-                IpuOffload::new(setup(), a.scale, a.seed)?,
+                IpuOffload::instances(sys, a.scale, a.seed)?,
                 setup,
                 a,
             ))
         }
         "ooc-metaclust" => {
             let setup = || {
-                let cfg = ooc_config();
-                cal.first_extension(Alphabet::Protein, &Blosum62::new(-2), OOC_X);
-                cfg
+                let (cfg, spec) = ooc_config();
+                let pool = ExtenderPool::new(
+                    XDropParams::new(OOC_X),
+                    Backend::for_kind(cfg.exec.aligner, OOC_X, cfg.exec.policy),
+                );
+                ((cfg, spec), Blosum62::new(-2), resolve_dispatch(), pool)
             };
+            let (cfg, ..) = setup();
             Ok(measure(
-                OocMetaclust::new(setup(), a.scale, a.seed)?,
+                OocMetaclust::instances(cfg, a.scale, a.seed)?,
                 setup,
                 a,
             ))
@@ -464,19 +531,18 @@ fn self_test() -> Result<(), String> {
             }
         }
     }
-    gate_trips(ElbaHifi::new(elba_config(Scale::Tiny), DEFAULT_SEED)?)?;
-    gate_trips(PastisFamilies::new(
-        pastis_config(Scale::Tiny),
-        DEFAULT_SEED,
-    )?)?;
-    gate_trips(IpuOffload::new(ipu_system(1), Scale::Tiny, DEFAULT_SEED)?)?;
-    gate_trips(OocMetaclust::new(ooc_config(), Scale::Tiny, DEFAULT_SEED)?)?;
+    let (tiny, seed) = (Scale::Tiny, DEFAULT_SEED);
+    gate_trips(ElbaHifi::instances(elba_config(), tiny, seed)?)?;
+    gate_trips(PastisFamilies::instances(pastis_config(), tiny, seed)?)?;
+    gate_trips(IpuOffload::instances(ipu_system(1), tiny, seed)?)?;
+    gate_trips(OocMetaclust::instances(ooc_config(), tiny, seed)?)?;
     Ok(())
 }
 
 /// The gate passes a clean output and fails it once one score is
 /// corrupted.
-fn gate_trips<B: Bench>(mut b: B) -> Result<(), String> {
+fn gate_trips<B: Bench>(bs: Vec<B>) -> Result<(), String> {
+    let b = &bs[0];
     let mut out = b.call(b.prepare(), &mut Tracer::new(false))?;
     if b.check(&out) != 0 {
         return Err("clean output failed the gate".into());

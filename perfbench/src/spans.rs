@@ -92,11 +92,28 @@ impl Tracer {
         self.enabled.then(|| self.record(name, true, f))
     }
 
-    /// Records a count for the current iteration.
+    pub fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Adds `value` to a count of the current iteration.
     pub fn count(&mut self, name: &'static str, value: f64) {
         if self.enabled {
-            self.counts.insert(name, value);
+            *self.counts.entry(name).or_default() += value;
         }
+    }
+
+    /// Raises a count of the current iteration to at least `value`.
+    pub fn count_max(&mut self, name: &'static str, value: f64) {
+        if self.enabled {
+            let c = self.counts.entry(name).or_default();
+            *c = c.max(value);
+        }
+    }
+
+    /// A count of the current iteration (0 when not recorded).
+    pub fn get(&self, name: &str) -> f64 {
+        self.counts.get(name).copied().unwrap_or(0.0)
     }
 
     pub fn counts(&self) -> &BTreeMap<&'static str, f64> {

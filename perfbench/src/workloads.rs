@@ -1,6 +1,13 @@
 //! The four benchmark workloads.
 //!
-//! Each workload owns its generated inputs and its oracle. Both are
+//! A workload is a set of independent *instances*, each drawn from
+//! `--seed` with the library's own generators. One pipeline call
+//! processes one instance; a *pass* calls every instance once. Many
+//! small instances keep the work of a pass nearly the same from seed
+//! to seed, and short calls let the timing keep each instance's
+//! fastest call (see `main.rs`).
+//!
+//! Each instance owns its generated inputs and its oracle. Both are
 //! built before any timing starts; a pipeline call receives only the
 //! generated inputs. The oracle aligns every comparison with the
 //! kernel pinned to [`KernelKind::Scalar`] through
@@ -14,16 +21,14 @@ use ipu_sim::spec::IpuSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqdata::fasta::{read_fasta, records_to_seqset, write_fasta, Record};
-use seqdata::gen::{mutate, mutate_mapped, random_seq};
-use seqdata::reads::{overlap_workload, LowComplexity, SimulatedReads};
+use seqdata::reads::{overlap_workload, simulate_reads, LowComplexity, SimulatedReads};
 use seqdata::{Dataset, DatasetKind, MutationProfile, ReadSimParams};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use xdrop_core::aligner::AlignerKind;
 use xdrop_core::alphabet::Alphabet;
-use xdrop_core::extension::{Backend, ExtendOutcome, Extender, SeedMatch};
+use xdrop_core::extension::{Backend, ExtendOutcome, Extender};
 use xdrop_core::kernel::KernelKind;
 use xdrop_core::scoring::{Blosum62, MatchMismatch, Scorer};
 use xdrop_core::stats::AlignStats;
@@ -41,20 +46,37 @@ use xdrop_pipelines::pastis::{
     generate_families, run_pastis_from_workload, PastisConfig, PastisRun,
 };
 
-/// Per-iteration layer metrics, by name.
+/// Per-pass layer metrics, by name.
 pub type Metrics = BTreeMap<&'static str, f64>;
 
 const MIB: f64 = (1u64 << 20) as f64;
 
 /// Input size: `Full` is what the benchmark measures; `Tiny` keeps
-/// the self-test and smoke check to a few seconds.
+/// the self-test and smoke check to a few seconds. Both use the same
+/// instance size; `Tiny` has two instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     Full,
     Tiny,
 }
 
-/// One workload: generated inputs, configuration and oracle.
+impl Scale {
+    /// Instances of a workload that has `full` of them at full scale.
+    fn instances(self, full: usize) -> usize {
+        match self {
+            Scale::Full => full,
+            Scale::Tiny => 2,
+        }
+    }
+}
+
+/// The per-instance seeds of a workload: drawn from `--seed`.
+fn instance_seeds(seed: u64, n: usize) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).map(|_| rng.gen()).collect()
+}
+
+/// One workload instance: generated inputs, configuration and oracle.
 pub trait Bench {
     /// What one call consumes (prepared outside the timed region).
     type Input;
@@ -74,14 +96,16 @@ pub trait Bench {
     fn call(&self, input: Self::Input, tr: &mut Tracer) -> Result<Self::Output, String>;
     /// Compares a call's output with the oracle; returns the number
     /// of failed operations.
-    fn check(&mut self, out: &Self::Output) -> u64;
+    fn check(&self, out: &Self::Output) -> u64;
     /// Corrupts one score of an output (gate self-test).
     fn corrupt(out: &mut Self::Output);
-    /// The workload's output-quality figure (higher is better).
+    /// The instance's output-quality figure (higher is better).
     fn quality(&self, out: &Self::Output) -> f64;
-    /// Per-layer metrics of one traced call, beyond the counts the
-    /// call recorded in `tr`.
-    fn layers(&self, out: &Self::Output, tr: &Tracer, m: &mut Metrics);
+    /// Adds the counts of one traced call's output to the pass.
+    fn record(&self, out: &Self::Output, tr: &mut Tracer);
+    /// Per-layer metrics of one traced pass, from the spans and
+    /// counts its calls recorded.
+    fn layers(tr: &Tracer, m: &mut Metrics);
 }
 
 /// Scalar-kernel reference alignments of one workload.
@@ -172,19 +196,15 @@ fn align_counts(w: &Workload, stats: impl Iterator<Item = AlignStats>, tr: &mut 
     }
     tr.count("align.cells", cells as f64);
     tr.count("align.theoretical_cells", w.theoretical_cells() as f64);
-    tr.count("align.max_delta_w", dw as f64);
-    tr.count("align.workspace_bytes", wb as f64);
+    tr.count_max("align.max_delta_w", dw as f64);
+    tr.count_max("align.workspace_bytes", wb as f64);
 }
 
 /// Alignment-layer metrics from the recorded counts and `align.s`.
 fn align_layer(tr: &Tracer, align_s: f64, m: &mut Metrics) {
     m.insert("align.s", align_s);
-    let cells = tr.counts().get("align.cells").copied().unwrap_or(0.0);
-    let theo = tr
-        .counts()
-        .get("align.theoretical_cells")
-        .copied()
-        .unwrap_or(0.0);
+    let cells = tr.get("align.cells");
+    let theo = tr.get("align.theoretical_cells");
     if align_s > 0.0 {
         m.insert("align.gcups", cells / align_s / 1e9);
     }
@@ -214,225 +234,6 @@ fn overlap_layer(tr: &Tracer, m: &mut Metrics) {
     m.insert("overlap.spgemm_s", total - kmer);
 }
 
-/// A fixed seed pair per alphabet, independent of `--seed`, that the
-/// set-up extends once: the first extension resolves the kernel and
-/// sweep dispatch and sizes the extender's band workspaces.
-pub struct Calibration {
-    dna: (Vec<u8>, Vec<u8>),
-    protein: (Vec<u8>, Vec<u8>),
-}
-
-/// Seed length and position of the calibration pairs.
-const CAL_K: usize = 17;
-const CAL_LEN: usize = 2_000;
-
-impl Calibration {
-    pub fn new() -> Self {
-        let mut rng = StdRng::seed_from_u64(0xCA11_B8A7);
-        let mid = CAL_LEN / 2;
-        let mut pair = |alphabet| {
-            let h = random_seq(&mut rng, alphabet, CAL_LEN);
-            let profile = MutationProfile::uniform_mismatch(0.05);
-            let v = mutate(&mut rng, &h, alphabet, profile, Some((mid, mid + CAL_K)));
-            (h, v)
-        };
-        Self {
-            dna: pair(Alphabet::Dna),
-            protein: pair(Alphabet::Protein),
-        }
-    }
-
-    /// Builds an extender for threshold `x` and extends the pair of
-    /// `alphabet` once under `scorer`.
-    pub fn first_extension<S: Scorer>(&self, alphabet: Alphabet, scorer: &S, x: i32) -> i32 {
-        let (h, v) = match alphabet {
-            Alphabet::Dna => &self.dna,
-            _ => &self.protein,
-        };
-        let mut ext = Extender::new(
-            XDropParams::new(x),
-            Backend::for_kind(AlignerKind::XDrop2, x, BandPolicy::Grow(256)),
-        );
-        let seed = SeedMatch::new(CAL_LEN / 2, CAL_LEN / 2, CAL_K);
-        ext.extend(h, v, seed, scorer)
-            .expect("calibration seed lies inside both sequences")
-            .score
-    }
-}
-
-/// Standard normal quantile (Acklam's rational approximation,
-/// relative error below 1.2e-9).
-fn normal_quantile(u: f64) -> f64 {
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    let u = u.clamp(1e-12, 1.0 - 1e-12);
-    let tail = |q: f64| {
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    if u < 0.024_25 {
-        tail((-2.0 * u.ln()).sqrt())
-    } else if u > 1.0 - 0.024_25 {
-        -tail((-2.0 * (1.0 - u).ln()).sqrt())
-    } else {
-        let q = u - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    }
-}
-
-/// `seqdata::reads::random_genome` with a fixed number of
-/// low-complexity features: `array_rate × len` tandem arrays and
-/// `repeat_rate × len` dispersed repeats, at evenly spaced positions,
-/// with motif lengths, array lengths and repeat lengths drawn from
-/// shuffled strata of their ranges. Uniform draws leave a ~80 kb
-/// genome with a Poisson handful of arrays, and the false pairs that
-/// run into them carried half the alignment work, so the work of one
-/// call swung by a sixth from seed to seed.
-fn stratified_genome(rng: &mut StdRng, len: usize, lc: LowComplexity) -> Vec<u8> {
-    let arrays = (lc.array_rate * len as f64).round() as usize;
-    let repeats = (lc.repeat_rate * len as f64).round() as usize;
-    let pick = |(lo, hi): (usize, usize), u: f64| lo + (u * (hi - lo + 1) as f64) as usize;
-    let (motifs, array_lens, repeat_lens) = (
-        strata(arrays, rng),
-        strata(arrays, rng),
-        strata(repeats, rng),
-    );
-    // (position, feature index): arrays are features `0..arrays`,
-    // repeats the rest; each kind is evenly spread over the genome.
-    let mut spread = |n: usize| -> Vec<usize> {
-        (0..n)
-            .map(|i| ((i as f64 + rng.gen::<f64>()) / n as f64 * len as f64) as usize)
-            .collect()
-    };
-    let (at_arrays, at_repeats) = (spread(arrays), spread(repeats));
-    let mut features: Vec<(usize, usize)> = at_arrays
-        .into_iter()
-        .zip(0..)
-        .chain(at_repeats.into_iter().zip(arrays..))
-        .collect();
-    features.sort_unstable();
-    let mut g: Vec<u8> = Vec::with_capacity(len + lc.array_len.1 + lc.repeat_len.1);
-    let diverge = |rng: &mut StdRng, base: u8| {
-        if rng.gen_bool(0.02) {
-            rng.gen_range(0..4)
-        } else {
-            base
-        }
-    };
-    for (pos, f) in features {
-        while g.len() < pos {
-            g.push(rng.gen_range(0..4));
-        }
-        if f < arrays {
-            let motif = random_seq(
-                rng,
-                Alphabet::Dna,
-                pick(lc.motif_len, motifs[f]).min(lc.motif_len.1),
-            );
-            for i in 0..pick(lc.array_len, array_lens[f]).min(lc.array_len.1) {
-                let b = diverge(rng, motif[i % motif.len()]);
-                g.push(b);
-            }
-        } else {
-            let rep_len = pick(lc.repeat_len, repeat_lens[f - arrays])
-                .min(lc.repeat_len.1)
-                .min(g.len() / 2);
-            if rep_len == 0 {
-                continue;
-            }
-            let src = rng.gen_range(0..g.len() - rep_len);
-            for i in src..src + rep_len {
-                let b = diverge(rng, g[i]);
-                g.push(b);
-            }
-        }
-    }
-    while g.len() < len {
-        g.push(rng.gen_range(0..4));
-    }
-    g.truncate(len);
-    g
-}
-
-/// `seqdata::reads::simulate_reads` with stratified sampling. Read
-/// lengths are the log-normal's quantiles at `(i + u) / n`, one draw
-/// per stratum, and the `j`-th read starts in the `j`-th of `n` equal
-/// slices of the genome. The strata are laid along the genome in
-/// golden-ratio order from a random offset, so every stretch of the
-/// genome, and every prefix a comparison cap keeps, sees the whole
-/// length profile. Every seed then gets the same length profile and
-/// an even coverage, so the work of one call varies little from seed
-/// to seed. The seed still draws the genome, the offset, each length
-/// and start within its stratum, and the sequencing errors.
-fn stratified_reads(rng: &mut StdRng, p: &ReadSimParams) -> SimulatedReads {
-    let genome = match p.low_complexity {
-        Some(lc) => stratified_genome(rng, p.genome_len, lc),
-        None => random_seq(rng, Alphabet::Dna, p.genome_len),
-    };
-    let n = ((p.coverage * p.genome_len as f64) / p.read_len_mean).ceil() as usize;
-    let mu = p.read_len_mean.ln() - p.read_len_sigma * p.read_len_sigma / 2.0;
-    let lens: Vec<usize> = (0..n)
-        .map(|i| {
-            let u = (i as f64 + rng.gen::<f64>()) / n as f64;
-            let len = (mu + p.read_len_sigma * normal_quantile(u)).exp() as usize;
-            len.clamp(p.min_read_len, p.max_read_len).min(p.genome_len)
-        })
-        .collect();
-    let offset: f64 = rng.gen();
-    let golden = |j: usize| (j as f64 * 0.618_033_988_749_895 + offset).fract();
-    let mut by_golden: Vec<usize> = (0..n).collect();
-    by_golden.sort_by(|&a, &b| golden(a).total_cmp(&golden(b)));
-    let mut stratum = vec![0; n];
-    for (rank, &j) in by_golden.iter().enumerate() {
-        stratum[j] = rank;
-    }
-    let (mut reads, mut intervals, mut maps) = (Vec::new(), Vec::new(), Vec::new());
-    for (j, &i) in stratum.iter().enumerate() {
-        let len = lens[i];
-        let slack = (p.genome_len - len) as f64;
-        let start = ((j as f64 + rng.gen::<f64>()) / n as f64 * slack) as usize;
-        let (read, map) = mutate_mapped(rng, &genome[start..start + len], Alphabet::Dna, p.errors);
-        reads.push(read);
-        intervals.push((start, start + len));
-        maps.push(map);
-    }
-    SimulatedReads {
-        genome,
-        reads,
-        intervals,
-        maps,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // elba-hifi
 // ---------------------------------------------------------------------------
@@ -444,24 +245,86 @@ pub struct ElbaHifi {
     sim: SimulatedReads,
     oracle: Oracle,
     accepted: Vec<usize>,
-    contigs: Option<u64>,
+    /// Digest of the reference run's contigs and string-graph edges.
+    /// `None`, which fails every call, when the reference run
+    /// disagrees with the oracle or the instance set with its
+    /// committed digest.
+    reference: Option<u64>,
 }
 
-/// ELBA configuration at `scale` (set-up work).
-pub fn elba_config(scale: Scale) -> ElbaConfig {
+/// Instances of `elba-hifi` at full scale.
+const ELBA_INSTANCES: usize = 40;
+
+/// ELBA configuration (set-up work): the library's HiFi-like read
+/// simulation on a 3 kb genome at 5×, 800 b mean reads.
+pub fn elba_config() -> ElbaConfig {
     let mut cfg = ElbaConfig::small();
-    if scale == Scale::Tiny {
-        cfg.read_sim.genome_len = 20_000;
-        cfg.read_sim.read_len_mean = 3_000.0;
-        cfg.read_sim.min_overlap = 500;
-    }
+    cfg.read_sim.genome_len = 3_000;
+    cfg.read_sim.coverage = 5.0;
+    cfg.read_sim.read_len_mean = 800.0;
+    cfg.read_sim.min_overlap = 200;
     cfg
 }
 
+/// Committed digests of the reference contigs and edges of a whole
+/// `elba-hifi` instance set, by scale and seed: the default seed and
+/// the held-out seed. A change to the assembly that the score checks
+/// cannot see shows here.
+const ELBA_DIGESTS: [(Scale, u64, u64); 4] = [
+    (Scale::Full, crate::DEFAULT_SEED, 0xc033_2cd8_3b73_2b56),
+    (Scale::Full, crate::HELD_OUT_SEED, 0x4bf1_6c2a_eaaa_47b2),
+    (Scale::Tiny, crate::DEFAULT_SEED, 0xa600_4d4f_6482_7ccb),
+    (Scale::Tiny, crate::HELD_OUT_SEED, 0xb224_67c7_ec37_0d32),
+];
+
+/// Digest of an ELBA run's contigs and string-graph edges.
+fn elba_digest(run: &ElbaRun) -> u64 {
+    let edges: Vec<u8> = run
+        .edges
+        .iter()
+        .flat_map(|e| {
+            [e.from, e.to, e.ext_start as u32, e.score as u32]
+                .into_iter()
+                .flat_map(u32::to_le_bytes)
+        })
+        .collect();
+    digest(
+        run.contigs
+            .iter()
+            .map(Vec::as_slice)
+            .chain(std::iter::once(edges.as_slice())),
+    )
+}
+
 impl ElbaHifi {
-    pub fn new(cfg: ElbaConfig, seed: u64) -> Result<Self, String> {
+    /// The instance set of `seed` at `scale`.
+    pub fn instances(cfg: ElbaConfig, scale: Scale, seed: u64) -> Result<Vec<Self>, String> {
+        let mut set = instance_seeds(seed, scale.instances(ELBA_INSTANCES))
+            .into_iter()
+            .map(|s| Self::new(cfg, s))
+            .collect::<Result<Vec<_>, _>>()?;
+        let refs: Vec<[u8; 8]> = set
+            .iter()
+            .map(|b| b.reference.unwrap_or_default().to_le_bytes())
+            .collect();
+        let whole = digest(refs.iter().map(|r| &r[..]));
+        let committed = ELBA_DIGESTS
+            .iter()
+            .find(|(sc, sd, _)| *sc == scale && *sd == seed);
+        if let Some(&(_, _, d)) = committed {
+            if d != whole {
+                eprintln!("elba-hifi: contig digest {whole:#x} differs from the committed {d:#x}");
+                for b in &mut set {
+                    b.reference = None;
+                }
+            }
+        }
+        Ok(set)
+    }
+
+    fn new(cfg: ElbaConfig, seed: u64) -> Result<Self, String> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let sim = stratified_reads(&mut rng, &cfg.read_sim);
+        let sim = simulate_reads(&mut rng, &cfg.read_sim);
         let records: Vec<Record> = sim
             .reads
             .iter()
@@ -486,7 +349,7 @@ impl ElbaHifi {
             &MatchMismatch::dna_default(),
         )?;
         // ELBA's acceptance rule, applied to the scalar alignments.
-        let accepted = outs
+        let accepted: Vec<usize> = outs
             .iter()
             .enumerate()
             .filter(|(_, o)| {
@@ -495,17 +358,25 @@ impl ElbaHifi {
             })
             .map(|(i, _)| i)
             .collect();
+        let oracle = Oracle {
+            comparisons: w.comparisons.clone(),
+            scores: outs.iter().map(|o| o.score).collect(),
+            stats: outs.iter().map(ExtendOutcome::stats).collect(),
+        };
+        // The reference run: the graph stage on the same inputs,
+        // outside every timed region. It counts only once its scores
+        // and accepted set match the scalar oracle.
+        let run = run_elba_from_workload(sim.clone(), w, &cfg);
+        let reference = (mismatches(&oracle, &run.workload.comparisons, &run.scores) == 0
+            && run.accepted == accepted)
+            .then(|| elba_digest(&run));
         Ok(Self {
             cfg,
             fasta,
             sim,
-            oracle: Oracle {
-                comparisons: w.comparisons,
-                scores: outs.iter().map(|o| o.score).collect(),
-                stats: outs.iter().map(ExtendOutcome::stats).collect(),
-            },
+            oracle,
             accepted,
-            contigs: None,
+            reference,
         })
     }
 }
@@ -536,6 +407,7 @@ impl Bench for ElbaHifi {
             records_to_seqset(&records, Alphabet::Dna).map_err(|e| e.to_string())
         })?;
         tr.count("fasta.records", seqs.len() as f64);
+        tr.count("fasta.bytes", self.fasta.len() as f64);
         let w = traced_overlaps(&seqs, &self.cfg.overlap, tr);
         let probe = tr.probe("align", |_| {
             align_all(
@@ -551,21 +423,15 @@ impl Bench for ElbaHifi {
         Ok(tr.span("elba", |_| run_elba_from_workload(sim, w, &self.cfg)))
     }
 
-    fn check(&mut self, run: &ElbaRun) -> u64 {
+    fn check(&self, run: &ElbaRun) -> u64 {
         let n = self.comparisons();
         let bad = mismatches(&self.oracle, &run.workload.comparisons, &run.scores);
         if bad > 0 {
             return bad;
         }
-        let mut failed = u64::from(run.accepted != self.accepted);
-        if failed == 0 {
-            // The graph stage is deterministic in its inputs, which
-            // were just checked against the oracle: the first call's
-            // contigs are the reference for every later call.
-            let d = digest(run.contigs.iter().map(Vec::as_slice));
-            failed += u64::from(*self.contigs.get_or_insert(d) != d);
-        }
-        failed.min(n)
+        let failed = u64::from(run.accepted != self.accepted)
+            + u64::from(self.reference != Some(elba_digest(run)));
+        failed.min(n.max(1))
     }
 
     fn corrupt(run: &mut ElbaRun) {
@@ -576,18 +442,21 @@ impl Bench for ElbaHifi {
         (run.assembled_bases() as f64 / self.sim.genome.len() as f64).min(1.0)
     }
 
-    fn layers(&self, run: &ElbaRun, tr: &Tracer, m: &mut Metrics) {
+    fn record(&self, run: &ElbaRun, tr: &mut Tracer) {
+        tr.count("elba.edges", run.edges.len() as f64);
+        tr.count("elba.contigs", run.contigs.len() as f64);
+    }
+
+    fn layers(tr: &Tracer, m: &mut Metrics) {
         let parse = tr.dur("fasta.parse");
         m.insert("fasta.parse_s", parse);
         if parse > 0.0 {
-            m.insert("fasta.mib_per_s", self.fasta.len() as f64 / MIB / parse);
+            m.insert("fasta.mib_per_s", tr.get("fasta.bytes") / MIB / parse);
         }
         overlap_layer(tr, m);
         let align = tr.dur("align");
         align_layer(tr, align, m);
         m.insert("elba.graph_s", tr.dur("elba") - align);
-        m.insert("elba.edges", run.edges.len() as f64);
-        m.insert("elba.contigs", run.contigs.len() as f64);
     }
 }
 
@@ -605,12 +474,12 @@ pub struct PastisFamilies {
     clusters: u64,
 }
 
-/// PASTIS configuration at `scale` (set-up work).
-pub fn pastis_config(scale: Scale) -> PastisConfig {
-    PastisConfig::small(match scale {
-        Scale::Full => 4_000,
-        Scale::Tiny => 200,
-    })
+/// Instances of `pastis-families` at full scale.
+const PASTIS_INSTANCES: usize = 40;
+
+/// PASTIS configuration (set-up work): 32 proteins per instance.
+pub fn pastis_config() -> PastisConfig {
+    PastisConfig::small(32)
 }
 
 /// Canonical digest of a clustering: members ascending, clusters by
@@ -656,7 +525,15 @@ fn components(n: usize, comparisons: &[Comparison], accepted: &[usize]) -> Vec<V
 }
 
 impl PastisFamilies {
-    pub fn new(cfg: PastisConfig, seed: u64) -> Result<Self, String> {
+    /// The instance set of `seed` at `scale`.
+    pub fn instances(cfg: PastisConfig, scale: Scale, seed: u64) -> Result<Vec<Self>, String> {
+        instance_seeds(seed, scale.instances(PASTIS_INSTANCES))
+            .into_iter()
+            .map(|s| Self::new(cfg, s))
+            .collect()
+    }
+
+    fn new(cfg: PastisConfig, seed: u64) -> Result<Self, String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let (seqs, families) = generate_families(&mut rng, &cfg);
         let w = detect_overlaps(&seqs, &cfg.overlap);
@@ -733,14 +610,14 @@ impl Bench for PastisFamilies {
         }))
     }
 
-    fn check(&mut self, run: &PastisRun) -> u64 {
+    fn check(&self, run: &PastisRun) -> u64 {
         let bad = mismatches(&self.oracle, &run.seqs_workload.comparisons, &run.scores);
         if bad > 0 {
             return bad;
         }
         let failed = u64::from(run.accepted != self.accepted)
             + u64::from(cluster_digest(run.clusters.clone()) != self.clusters);
-        failed.min(self.comparisons())
+        failed.min(self.comparisons().max(1))
     }
 
     fn corrupt(run: &mut PastisRun) {
@@ -757,13 +634,16 @@ impl Bench for PastisFamilies {
         }
     }
 
-    fn layers(&self, run: &PastisRun, tr: &Tracer, m: &mut Metrics) {
+    fn record(&self, run: &PastisRun, tr: &mut Tracer) {
+        tr.count("pastis.accepted", run.accepted.len() as f64);
+        tr.count("pastis.clusters", run.clusters.len() as f64);
+    }
+
+    fn layers(tr: &Tracer, m: &mut Metrics) {
         overlap_layer(tr, m);
         let align = tr.dur("align");
         align_layer(tr, align, m);
         m.insert("pastis.cluster_s", tr.dur("pastis") - align);
-        m.insert("pastis.accepted", run.accepted.len() as f64);
-        m.insert("pastis.clusters", run.clusters.len() as f64);
     }
 }
 
@@ -792,11 +672,17 @@ pub fn ipu_system(threads: usize) -> IpuSystem {
     sys
 }
 
-/// Ecoli100 read simulation (the shape of `DatasetKind::Ecoli100` at
-/// its bench scale) and comparison cap.
-fn ecoli100_params(scale: Scale) -> (ReadSimParams, usize) {
-    let p = ReadSimParams {
-        genome_len: (4_600_000.0 * 0.1 * 0.18) as usize,
+/// Instances of `ipu-offload` at full scale.
+const IPU_INSTANCES: usize = 25;
+/// Comparisons per `ipu-offload` instance.
+const IPU_COMPARISONS: usize = 8;
+
+/// Ecoli100 read simulation: the shape of `DatasetKind::Ecoli100`
+/// (7.3 kb mean reads at 100×, a low-complexity genome, 20% false
+/// seed matches) on a 15 kb genome per instance.
+fn ecoli100_params() -> ReadSimParams {
+    ReadSimParams {
+        genome_len: 15_000,
         coverage: 100.0,
         read_len_mean: 7_300.0,
         read_len_sigma: 0.75,
@@ -807,89 +693,7 @@ fn ecoli100_params(scale: Scale) -> (ReadSimParams, usize) {
         seed_k: 17,
         low_complexity: Some(LowComplexity::genomic()),
         false_pair_rate: 0.20,
-    };
-    match scale {
-        Scale::Full => (p, 4_600),
-        Scale::Tiny => (
-            ReadSimParams {
-                genome_len: 20_000,
-                coverage: 20.0,
-                ..p
-            },
-            200,
-        ),
     }
-}
-
-/// Shuffles `v` (Fisher-Yates).
-fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
-    for i in (1..v.len()).rev() {
-        v.swap(i, rng.gen_range(0..=i));
-    }
-}
-
-/// `n` stratified uniforms `(i + u) / n` in shuffled order.
-fn strata(n: usize, rng: &mut StdRng) -> Vec<f64> {
-    let mut v: Vec<f64> = (0..n)
-        .map(|i| (i as f64 + rng.gen::<f64>()) / n as f64)
-        .collect();
-    shuffle(&mut v, rng);
-    v
-}
-
-/// `seqdata::reads::overlap_workload` with its false seed matches
-/// drawn by Latin-hypercube sampling. The true overlaps are the
-/// library's; the false pairs (reads that do not overlap on the
-/// genome, seeded at arbitrary positions) take both reads from
-/// shuffled length strata and both seed positions from shuffled
-/// position strata, so the share of false pairs on long reads, the
-/// costliest extensions of the workload, does not move with the seed.
-fn ecoli100_workload(
-    rng: &mut StdRng,
-    sim: &SimulatedReads,
-    p: &ReadSimParams,
-    cap: usize,
-) -> Workload {
-    let rate = p.false_pair_rate;
-    let true_only = ReadSimParams {
-        false_pair_rate: 0.0,
-        ..*p
-    };
-    let true_cap = ((cap as f64) * (1.0 - rate)).ceil() as usize;
-    let mut w = overlap_workload(rng, sim, &true_only, Some(true_cap));
-    let true_count = w.comparisons.len();
-    let want = (((true_count as f64) * rate / (1.0 - rate)) as usize).min(cap - true_count);
-    let mut by_len: Vec<usize> = (0..sim.reads.len()).collect();
-    by_len.sort_by_key(|&r| (sim.reads[r].len(), r));
-    let n = by_len.len();
-    let (ua, ub, sa, sb) = (
-        strata(want, rng),
-        strata(want, rng),
-        strata(want, rng),
-        strata(want, rng),
-    );
-    let k = p.seed_k;
-    for i in 0..want {
-        let a = by_len[(ua[i] * n as f64) as usize];
-        let (a_lo, a_hi) = sim.intervals[a];
-        // The first read from b's stratum upward that does not
-        // overlap a.
-        let start = (ub[i] * n as f64) as usize;
-        let b = (start..start + n).map(|j| by_len[j % n]).find(|&b| {
-            let (b_lo, b_hi) = sim.intervals[b];
-            b != a && (b_hi <= a_lo || a_hi <= b_lo)
-        });
-        let Some(b) = b else { continue };
-        let (la, lb) = (sim.reads[a].len(), sim.reads[b].len());
-        let seed = SeedMatch::new(
-            (sa[i] * (la - k) as f64) as usize,
-            (sb[i] * (lb - k) as f64) as usize,
-            k,
-        );
-        w.comparisons
-            .push(Comparison::new(a as u32, b as u32, seed));
-    }
-    w
 }
 
 /// The pipeline configuration `IpuSystem::align` builds, with the
@@ -909,11 +713,19 @@ fn scalar_pipeline(sys: &IpuSystem, x: i32) -> PipelineConfig {
 }
 
 impl IpuOffload {
-    pub fn new(sys: IpuSystem, scale: Scale, seed: u64) -> Result<Self, String> {
-        let (p, cap) = ecoli100_params(scale);
+    /// The instance set of `seed` at `scale`.
+    pub fn instances(sys: IpuSystem, scale: Scale, seed: u64) -> Result<Vec<Self>, String> {
+        instance_seeds(seed, scale.instances(IPU_INSTANCES))
+            .into_iter()
+            .map(|s| Self::new(sys, s))
+            .collect()
+    }
+
+    fn new(sys: IpuSystem, seed: u64) -> Result<Self, String> {
+        let p = ecoli100_params();
         let mut rng = StdRng::seed_from_u64(seed);
-        let sim = stratified_reads(&mut rng, &p);
-        let w = ecoli100_workload(&mut rng, &sim, &p, cap);
+        let sim = simulate_reads(&mut rng, &p);
+        let w = overlap_workload(&mut rng, &sim, &p, Some(IPU_COMPARISONS));
         let truth = w
             .comparisons
             .iter()
@@ -974,6 +786,7 @@ fn plan_and_replay(
     tr.count("partition.s", timings.partition_s);
     tr.count("plan.s", timings.plan_s);
     tr.count("plan.batches", batches.len() as f64);
+    tr.count("calls", 1.0);
     let opts = ClusterOptions {
         host_threads: cfg.exec.host_threads,
         collect_trace: false,
@@ -1016,16 +829,23 @@ fn plan_and_replay(
 }
 
 /// Device-layer metrics from the probe spans and counts.
-fn device_layers(tr: &Tracer, wall_s: f64, threads: usize, m: &mut Metrics) {
+fn device_layers(tr: &Tracer, wall_s: f64, m: &mut Metrics) {
     let exec = tr.dur("exec");
     align_layer(tr, exec, m);
     m.insert("exec.s", exec);
-    m.insert("exec.threads", threads as f64);
     let cluster = tr.dur("cluster");
     m.insert("cluster.s", cluster);
-    let c = tr.counts();
-    let staged = exec + c["partition.s"] + c["plan.s"] + cluster;
+    let staged = exec + tr.get("partition.s") + tr.get("plan.s") + cluster;
     m.insert("pipeline.overlap_share", 1.0 - wall_s / staged);
+    // Busy shares and reuse are means over the pass's calls.
+    let calls = tr.get("calls").max(1.0);
+    for name in [
+        "cluster.link_busy",
+        "cluster.device_busy",
+        "plan.reuse_factor",
+    ] {
+        m.insert(name, tr.get(name) / calls);
+    }
 }
 
 /// Pair F1 of true overlaps against the pairs `accept` keeps.
@@ -1078,10 +898,10 @@ impl Bench for IpuOffload {
         })
     }
 
-    fn check(&mut self, r: &SystemReport) -> u64 {
+    fn check(&self, r: &SystemReport) -> u64 {
         let failed =
             result_mismatches(&self.oracle, &r.results) + u64::from(r.seconds != self.modeled_s);
-        failed.min(self.comparisons())
+        failed.min(self.comparisons().max(1))
     }
 
     fn corrupt(r: &mut SystemReport) {
@@ -1099,9 +919,13 @@ impl Bench for IpuOffload {
         )
     }
 
-    fn layers(&self, r: &SystemReport, tr: &Tracer, m: &mut Metrics) {
-        device_layers(tr, tr.dur("ipu.align"), self.sys.host_threads, m);
-        m.insert("cluster.modeled_device_s", r.seconds);
+    fn record(&self, r: &SystemReport, tr: &mut Tracer) {
+        tr.count("cluster.modeled_device_s", r.seconds);
+        tr.count_max("exec.threads", self.sys.host_threads as f64);
+    }
+
+    fn layers(tr: &Tracer, m: &mut Metrics) {
+        device_layers(tr, tr.dur("ipu.align"), m);
     }
 }
 
@@ -1125,8 +949,12 @@ pub struct OocMetaclust {
     modeled_s: f64,
 }
 
+/// Instances of `ooc-metaclust` at full scale.
+const OOC_INSTANCES: usize = 30;
+/// Proteins per `ooc-metaclust` instance.
+const OOC_PROTEINS: f64 = 50.0;
 /// Comparisons per generation window.
-const OOC_WINDOW: usize = 256;
+const OOC_WINDOW: usize = 16;
 /// Windows buffered ahead of the executing one.
 const OOC_IN_FLIGHT: usize = 2;
 
@@ -1140,14 +968,6 @@ pub fn ooc_config() -> (PipelineConfig, IpuSpec) {
         .with_host_threads(1);
     cfg.devices = 16;
     (cfg, IpuSpec::bow())
-}
-
-fn metaclust(scale: Scale, seed: u64) -> Dataset {
-    let s = match scale {
-        Scale::Full => 8_000.0 / 500_000.0,
-        Scale::Tiny => 400.0 / 500_000.0,
-    };
-    Dataset::new(DatasetKind::Metaclust500k, s).with_seed(seed)
 }
 
 /// The lazy window source, timing the producer's generation work.
@@ -1176,12 +996,20 @@ impl<I: Iterator<Item = seqdata::Window>> Iterator for TimedWindows<I> {
 }
 
 impl OocMetaclust {
-    pub fn new(
-        (cfg, spec): (PipelineConfig, IpuSpec),
+    /// The instance set of `seed` at `scale`.
+    pub fn instances(
+        cfg: (PipelineConfig, IpuSpec),
         scale: Scale,
         seed: u64,
-    ) -> Result<Self, String> {
-        let ds = metaclust(scale, seed);
+    ) -> Result<Vec<Self>, String> {
+        instance_seeds(seed, scale.instances(OOC_INSTANCES))
+            .into_iter()
+            .map(|s| Self::new(cfg, s))
+            .collect()
+    }
+
+    fn new((cfg, spec): (PipelineConfig, IpuSpec), seed: u64) -> Result<Self, String> {
+        let ds = Dataset::new(DatasetKind::Metaclust500k, OOC_PROTEINS / 500_000.0).with_seed(seed);
         let skeleton = ds.meta().into_skeleton();
         let full = ds.generate();
         let mut oracle_cfg = cfg;
@@ -1209,27 +1037,30 @@ impl OocMetaclust {
         })
     }
 
-    /// Executor probe over a fresh window stream, then the planner
-    /// and cluster probes over the skeleton.
+    /// Executor probe over the instance's windows, generated before
+    /// the probe starts, then the planner and cluster probes over the
+    /// skeleton.
     fn probes(&self, tr: &mut Tracer) -> Result<(), String> {
+        if !tr.enabled() {
+            return Ok(());
+        }
         let scorer = Blosum62::new(-2);
         let upc = 2;
-        let run = tr.probe("exec", |_| -> Result<Vec<WorkUnit>, String> {
-            let mut units = vec![WorkUnit::default(); self.skeleton.comparisons.len() * upc];
-            for win in self.ds.windows(OOC_WINDOW) {
-                let out = execute_workload(&win.workload, &scorer, &self.cfg.exec)
-                    .map_err(|e| e.to_string())?;
-                for (slot, mut u) in out.units.into_iter().enumerate() {
-                    u.cmp += win.cmp_base as u32;
-                    units[win.cmp_base * upc + slot] = u;
+        let windows: Vec<seqdata::Window> = self.ds.windows(OOC_WINDOW).collect();
+        let units = tr
+            .probe("exec", |_| -> Result<Vec<WorkUnit>, String> {
+                let mut units = vec![WorkUnit::default(); self.skeleton.comparisons.len() * upc];
+                for win in &windows {
+                    let out = execute_workload(&win.workload, &scorer, &self.cfg.exec)
+                        .map_err(|e| e.to_string())?;
+                    for (slot, mut u) in out.units.into_iter().enumerate() {
+                        u.cmp += win.cmp_base as u32;
+                        units[win.cmp_base * upc + slot] = u;
+                    }
                 }
-            }
-            Ok(units)
-        });
-        let Some(units) = run else {
-            return Ok(());
-        };
-        let units = units?;
+                Ok(units)
+            })
+            .expect("probes run when tracing")?;
         let stats = (0..self.skeleton.comparisons.len()).map(|ci| {
             let mut s = units[ci * upc].stats;
             s.merge(&units[ci * upc + 1].stats);
@@ -1292,10 +1123,10 @@ impl Bench for OocMetaclust {
         })
     }
 
-    fn check(&mut self, r: &OocRun) -> u64 {
+    fn check(&self, r: &OocRun) -> u64 {
         let failed = result_mismatches(&self.oracle, &r.out.exec.results)
             + u64::from(r.out.report.total_seconds != self.modeled_s);
-        failed.min(self.comparisons())
+        failed.min(self.comparisons().max(1))
     }
 
     fn corrupt(r: &mut OocRun) {
@@ -1317,15 +1148,19 @@ impl Bench for OocMetaclust {
         hits as f64 / self.min_lens.len().max(1) as f64
     }
 
-    fn layers(&self, r: &OocRun, tr: &Tracer, m: &mut Metrics) {
-        device_layers(tr, tr.dur("ooc.run"), self.cfg.exec.host_threads, m);
-        m.insert("cluster.modeled_device_s", r.out.report.total_seconds);
-        m.insert("ooc.windows", r.windows as f64);
-        m.insert("ooc.source_s", r.source_s);
+    fn record(&self, r: &OocRun, tr: &mut Tracer) {
+        tr.count("cluster.modeled_device_s", r.out.report.total_seconds);
+        tr.count_max("exec.threads", self.cfg.exec.host_threads as f64);
+        tr.count("ooc.windows", r.windows as f64);
+        tr.count("ooc.source_s", r.source_s);
         let seqs = &self.skeleton.seqs;
         let payload: u64 = (0..seqs.len() as SeqId)
             .map(|id| seqs.seq_len(id) as u64)
             .sum();
-        m.insert("ooc.in_core_payload_mib", payload as f64 / MIB);
+        tr.count_max("ooc.in_core_payload_mib", payload as f64 / MIB);
+    }
+
+    fn layers(tr: &Tracer, m: &mut Metrics) {
+        device_layers(tr, tr.dur("ooc.run"), m);
     }
 }
