@@ -20,7 +20,7 @@
 //!   sweep-backends  print the fused-sweep register backends this
 //!              host supports, one per line (CI loops over them
 //!              with XDROP_SWEEP forced to each)
-//!   e2e        host pipeline: streaming vs barriered wall-clock
+//!   e2e        host pipeline: pooled vs static-chunk reference
 //!   faults     fault recovery: fault-free vs one device lost
 //!   scaling    fleet scaling: windowed out-of-core pipeline,
 //!              4-512 devices with host-link contention
@@ -477,7 +477,7 @@ fn run_one(name: &str, args: &Args) {
         }
         "e2e" => {
             let rows = e2e::run(args.scale, args.iters);
-            println!("End-to-end host pipeline: streaming vs barriered reference");
+            println!("End-to-end host pipeline: run_pipeline vs static-chunk reference");
             print!("{}", e2e::render(&rows));
             exp::save_json("e2e", &rows);
             if args.bench_json {

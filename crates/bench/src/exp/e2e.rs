@@ -2,11 +2,13 @@
 //!
 //! Unlike every figure experiment (which reports *modeled* IPU time),
 //! this one measures real host wall-clock for the whole Workload →
-//! ClusterReport pipeline: the barriered four-phase reference versus
-//! the streaming work-stealing pipeline, at 1/2/4/8 host threads, on
-//! a Figure-7-style workload. Both produce bit-identical reports —
+//! ClusterReport pipeline: the static-chunk reference
+//! (`run_pipeline_reference`) versus `run_pipeline`, whose stages run
+//! on work-stealing pools, at 1/2/4/8 host threads, on a
+//! Figure-7-style workload. Both produce bit-identical reports —
 //! asserted on every iteration — so the only thing that differs is
-//! how long the host takes.
+//! how long the host takes. The `run_pipeline` rows keep the
+//! `"streaming"` label of the row schema.
 //!
 //! Reproduce with:
 //!
@@ -25,7 +27,8 @@ use xdrop_partition::plan::PlanConfig;
 /// One measured (pipeline × thread-count) cell.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct E2eRow {
-    /// `"reference"` (barriered phases) or `"streaming"`.
+    /// `"reference"` (`run_pipeline_reference`) or `"streaming"`
+    /// (`run_pipeline`).
     pub pipeline: String,
     /// Host threads the pipeline was asked to use.
     pub threads: usize,
@@ -57,11 +60,10 @@ fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-fn config(threads: usize, streaming: bool) -> PipelineConfig {
+fn config(threads: usize) -> PipelineConfig {
     let mut cfg = PipelineConfig::new(15);
     cfg.exec.host_threads = threads;
     cfg.plan = PlanConfig::partitioned(512).with_min_batches(16);
-    cfg.streaming = streaming;
     cfg
 }
 
@@ -79,14 +81,13 @@ pub fn run(scale: f64, iters: usize) -> Vec<E2eRow> {
 
     let mut rows = Vec::new();
     for &threads in &THREAD_COUNTS {
-        let oracle = run_pipeline_reference(&w, &sc, &spec, &config(threads, false))
-            .expect("grow policy never fails");
+        let cfg = config(threads);
+        let oracle = run_pipeline_reference(&w, &sc, &spec, &cfg).expect("grow policy never fails");
         let mut best = [f64::INFINITY; 2];
         for _ in 0..iters {
-            for (slot, streaming) in [false, true].into_iter().enumerate() {
-                let cfg = config(threads, streaming);
+            for (slot, pooled) in [false, true].into_iter().enumerate() {
                 let t0 = Instant::now();
-                let out = if streaming {
+                let out = if pooled {
                     run_pipeline(&w, &sc, &spec, &cfg)
                 } else {
                     run_pipeline_reference(&w, &sc, &spec, &cfg)

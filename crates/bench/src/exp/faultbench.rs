@@ -1,7 +1,7 @@
 //! `experiments faults` — fault-injection recovery overhead.
 //!
 //! Measures what losing a device mid-run costs on a Figure-7-style
-//! workload: the fault-free streaming pipeline versus the same
+//! workload: the fault-free pipeline versus the same
 //! pipeline with one device killed halfway through the fault-free
 //! modeled makespan. Both scenarios must produce bit-identical
 //! alignment results and per-batch reports — asserted on every
@@ -73,7 +73,6 @@ fn config() -> PipelineConfig {
     cfg.exec.host_threads = 4;
     cfg.plan = PlanConfig::partitioned(512).with_min_batches(16);
     cfg.devices = FAULT_DEVICES;
-    cfg.streaming = true;
     cfg
 }
 

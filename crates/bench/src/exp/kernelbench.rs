@@ -70,7 +70,7 @@ pub struct BenchFile {
     /// The command that regenerates the end-to-end section.
     pub e2e_command: String,
     /// End-to-end host-pipeline measurements (`experiments e2e`):
-    /// reference vs streaming wall-clock at 1/2/4/8 threads.
+    /// reference vs `run_pipeline` wall-clock at 1/2/4/8 threads.
     pub e2e: Vec<super::e2e::E2eRow>,
     /// The command that regenerates the partition section.
     pub partition_command: String,

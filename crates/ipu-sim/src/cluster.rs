@@ -107,14 +107,13 @@ impl ClusterReport {
 /// timing.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOptions {
-    /// Threads of the host-side pool that runs the batch kernels.
-    /// `0` means "auto" ([`std::thread::available_parallelism`]).
-    /// The schedule (and every report field) is bit-identical for
-    /// any value; the resolved count is logged in the trace metadata
-    /// (`cat == "meta"`). The kernels themselves also honor
-    /// `XDropParams::kernel` (scalar / chunked / SIMD) — like the
-    /// thread count, that only moves host wall-clock, never the
-    /// modeled time.
+    /// Threads of the host-side pool that replays the batches'
+    /// modeled tile schedules (no alignment kernel runs here: the
+    /// units arrive already aligned). `0` means "auto"
+    /// ([`std::thread::available_parallelism`]). The schedule (and
+    /// every report field) is bit-identical for any value; the
+    /// resolved count is logged in the trace metadata
+    /// (`cat == "meta"`).
     pub host_threads: usize,
     /// Record a Chrome-trace timeline of the run.
     pub collect_trace: bool,

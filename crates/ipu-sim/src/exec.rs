@@ -11,6 +11,7 @@
 use crate::pool::{resolve_threads, IndexQueue, SharedSlots};
 use crossbeam::thread;
 use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use xdrop_core::aligner::AlignerKind;
 use xdrop_core::batched::{self, BatchTask, TaskView};
@@ -27,9 +28,9 @@ use xdrop_core::XDropParams;
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// X-Drop parameters. The embedded [`XDropParams::kernel`]
-    /// choice (scalar / chunked / SIMD) only changes host wall-clock
-    /// while replaying the kernels — all kernels are bit-identical,
-    /// so modeled time and every reported statistic are unaffected.
+    /// choice (scalar / chunked / SIMD / batched) only changes host
+    /// wall-clock — all kernels are bit-identical, so modeled time
+    /// and every reported statistic are unaffected.
     pub params: XDropParams,
     /// Band policy for the memory-restricted kernel.
     pub policy: BandPolicy,
@@ -133,7 +134,7 @@ impl ExecOutput {
 /// This is the per-task body of every execution path — serial,
 /// static-chunk reference, and the work-stealing pool — so the unit
 /// contents cannot depend on which path (or thread) ran the task.
-pub fn align_comparison<S: Scorer>(
+fn align_comparison<S: Scorer>(
     w: &Workload,
     ext: &mut Extender,
     scorer: &S,
@@ -193,7 +194,7 @@ pub fn align_comparison<S: Scorer>(
 /// graph-partitioned planner) read only `cmp` and `est_complexity`,
 /// so planning over these placeholders yields exactly the batches
 /// planning over the aligned units would — which is what lets the
-/// streaming pipeline plan *while* alignment is still running.
+/// out-of-core pipeline plan from a lengths-only skeleton.
 pub fn planning_units(w: &Workload, lr_split: bool) -> Vec<WorkUnit> {
     let mut units = Vec::with_capacity(w.comparisons.len() * if lr_split { 2 } else { 1 });
     for (ci, c) in w.comparisons.iter().enumerate() {
@@ -234,7 +235,7 @@ pub fn planning_units(w: &Workload, lr_split: bool) -> Vec<WorkUnit> {
 /// the same claim instead of idling, so oversizing the claim raises
 /// lane occupancy. 4× keeps the per-claim task spread inside one LPT
 /// run (similar costs) while leaving ~3 refill waves per slot.
-pub const REFILL_CLAIM_FACTOR: usize = 4;
+const REFILL_CLAIM_FACTOR: usize = 4;
 
 /// How many comparisons each queue claim should hand one worker:
 /// [`REFILL_CLAIM_FACTOR`] × the batched kernel's hardware lane width
@@ -242,7 +243,7 @@ pub const REFILL_CLAIM_FACTOR: usize = 4;
 /// and, because claims are consecutive runs of the LPT order, its
 /// comparisons already have similar cost), 1 for the per-comparison
 /// kernels.
-pub fn claim_grain(cfg: &ExecConfig) -> usize {
+fn claim_grain(cfg: &ExecConfig) -> usize {
     if cfg.params.kernel == KernelKind::Batched && cfg.aligner == AlignerKind::XDrop2 {
         batched::lane_width() * REFILL_CLAIM_FACTOR
     } else {
@@ -254,7 +255,7 @@ pub fn claim_grain(cfg: &ExecConfig) -> usize {
 
 /// What aligning one comparison yields: its result plus the one or
 /// two work units it produces (see [`align_comparison`]).
-pub type ComparisonOutcome = Result<(UnitResult, WorkUnit, Option<WorkUnit>)>;
+type ComparisonOutcome = Result<(UnitResult, WorkUnit, Option<WorkUnit>)>;
 
 /// Batched analogue of [`align_comparison`] over a whole claim: the
 /// left and right extensions of every claimed comparison become tasks
@@ -264,7 +265,7 @@ pub type ComparisonOutcome = Result<(UnitResult, WorkUnit, Option<WorkUnit>)>;
 /// [`align_comparison`] produces for that comparison alone — seed
 /// validation first, then the left extension's error takes precedence
 /// over the right's, exactly like `Extender::extend`'s early returns.
-pub fn align_comparisons_batched<S: Scorer>(
+fn align_comparisons_batched<S: Scorer>(
     w: &Workload,
     scorer: &S,
     cfg: &ExecConfig,
@@ -404,7 +405,7 @@ fn exec_range<S: Scorer + Sync>(
 /// static contiguous chunks, one fresh [`Extender`] per chunk.
 /// Retained verbatim as the differential oracle for
 /// [`execute_workload`] — and as the baseline the `experiments e2e`
-/// benchmark measures the streaming pipeline against.
+/// benchmark measures the pooled pipeline against.
 pub fn execute_workload_reference<S: Scorer + Sync>(
     w: &Workload,
     scorer: &S,
@@ -448,22 +449,16 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
 /// tiebreak. Claim order only affects host wall-clock — results land
 /// in per-index slots — so any permutation is legal; LPT bounds the
 /// tail imbalance by a single comparison.
-pub fn lpt_order(w: &Workload) -> Vec<u32> {
+fn lpt_order(w: &Workload) -> Vec<u32> {
     let mut order: Vec<u32> = (0..w.comparisons.len() as u32).collect();
     order.sort_unstable_by_key(|&ci| (Reverse(w.complexity(&w.comparisons[ci as usize])), ci));
     order
 }
 
-/// Picks the lowest-index failure so the reported error does not
-/// depend on thread interleaving.
-pub(crate) fn min_index_error(mut errors: Vec<(u32, AlignError)>) -> Option<AlignError> {
-    errors.sort_unstable_by_key(|(ci, _)| *ci);
-    errors.into_iter().next().map(|(_, e)| e)
-}
-
 /// Aligns every comparison of `w` and returns the schedulable units
 /// plus per-comparison results. Deterministic regardless of
-/// `cfg.host_threads`.
+/// `cfg.host_threads`, errors included: a failing run reports the
+/// smallest failing comparison index, as the serial pass does.
 ///
 /// Multi-threaded runs use a work-stealing pool: comparisons are
 /// claimed one at a time in [`lpt_order`] from an [`IndexQueue`] and
@@ -471,7 +466,10 @@ pub(crate) fn min_index_error(mut errors: Vec<(u32, AlignError)>) -> Option<Alig
 /// output is identical to the serial pass for any thread count and
 /// any claim interleaving. Each worker checks out one extender from
 /// an [`ExtenderPool`] for its whole lifetime, instead of the
-/// per-chunk rebuild the reference executor pays.
+/// per-chunk rebuild the reference executor pays. After a failure,
+/// workers skip every comparison above the smallest failing index
+/// seen so far, but still align the ones below it, since any of
+/// those may fail too.
 pub fn execute_workload<S: Scorer + Sync>(
     w: &Workload,
     scorer: &S,
@@ -493,19 +491,36 @@ pub fn execute_workload<S: Scorer + Sync>(
     let units = SharedSlots::new(n * upc, WorkUnit::default());
     let results = SharedSlots::new(n, UnitResult::default());
     let extenders = ExtenderPool::new(cfg.params, cfg.backend());
-    let errors: Mutex<Vec<(u32, AlignError)>> = Mutex::new(Vec::new());
+    // The smallest failing comparison index so far (`u32::MAX` while
+    // none has failed) and its error. `first_err` only lets workers
+    // skip comparisons that cannot be the smallest failure, so
+    // `Relaxed` suffices: a stale read costs one needless alignment,
+    // and the error itself is chosen under the mutex.
+    let first_err = AtomicU32::new(u32::MAX);
+    let error: Mutex<Option<(u32, AlignError)>> = Mutex::new(None);
+    let fail = |ci: u32, e: AlignError| {
+        first_err.fetch_min(ci, Ordering::Relaxed);
+        let mut slot = error.lock().expect("error slot poisoned");
+        if slot.as_ref().is_none_or(|(at, _)| ci < *at) {
+            *slot = Some((ci, e));
+        }
+    };
     thread::scope(|s| {
         for _ in 0..threads {
-            let (queue, units, results, extenders, errors) =
-                (&queue, &units, &results, &extenders, &errors);
+            let (queue, units, results, extenders, first_err, fail) =
+                (&queue, &units, &results, &extenders, &first_err, &fail);
             s.spawn(move |_| {
                 if grain > 1 {
                     // Batched kernel: claim a lane-width run of the
                     // LPT order at a time and align the whole run in
                     // one batch call, so comparisons of similar cost
                     // share lane groups.
+                    let mut live = Vec::with_capacity(grain);
                     while let Some(claim) = queue.claim(grain) {
-                        for (ci, outcome) in align_comparisons_batched(w, scorer, cfg, claim) {
+                        let bound = first_err.load(Ordering::Relaxed);
+                        live.clear();
+                        live.extend(claim.iter().filter(|&&ci| ci < bound));
+                        for (ci, outcome) in align_comparisons_batched(w, scorer, cfg, &live) {
                             match outcome {
                                 // SAFETY: same single-writer argument
                                 // as the per-comparison loop below.
@@ -516,10 +531,7 @@ pub fn execute_workload<S: Scorer + Sync>(
                                         units.write(ci as usize * upc + 1, u1);
                                     }
                                 },
-                                Err(e) => {
-                                    queue.cancel();
-                                    errors.lock().expect("error log poisoned").push((ci, e));
-                                }
+                                Err(e) => fail(ci, e),
                             }
                         }
                     }
@@ -528,6 +540,9 @@ pub fn execute_workload<S: Scorer + Sync>(
                 let mut ext = extenders.checkout();
                 while let Some(claim) = queue.claim(1) {
                     for &ci in claim {
+                        if ci >= first_err.load(Ordering::Relaxed) {
+                            continue;
+                        }
                         match align_comparison(w, &mut ext, scorer, cfg, ci as usize) {
                             // SAFETY: `ci` is claimed by exactly one
                             // worker, so each slot is written once;
@@ -540,10 +555,7 @@ pub fn execute_workload<S: Scorer + Sync>(
                                     units.write(ci as usize * upc + 1, u1);
                                 }
                             },
-                            Err(e) => {
-                                queue.cancel();
-                                errors.lock().expect("error log poisoned").push((ci, e));
-                            }
+                            Err(e) => fail(ci, e),
                         }
                     }
                 }
@@ -551,7 +563,7 @@ pub fn execute_workload<S: Scorer + Sync>(
         }
     })
     .expect("scope");
-    if let Some(e) = min_index_error(errors.into_inner().expect("error log poisoned")) {
+    if let Some((_, e)) = error.into_inner().expect("error slot poisoned") {
         return Err(e);
     }
     Ok(ExecOutput {
@@ -719,6 +731,35 @@ mod tests {
             err,
             xdrop_core::error::AlignError::BandExceeded { .. }
         ));
+    }
+
+    #[test]
+    fn pool_blames_the_smallest_failing_comparison() {
+        // Comparisons 5 and 30 carry out-of-bounds seeds, whose
+        // errors name different coordinates. Comparison 30 is the
+        // largest, so LPT order claims it first; the pool must still
+        // report comparison 5, as the serial pass does.
+        let mut w = small_workload();
+        let h = w.seqs.push(vec![0; 2_000]);
+        let v = w.seqs.push(vec![0; 2_000]);
+        w.comparisons[30] = Comparison::new(h, v, SeedMatch::new(5_000, 5_000, 17));
+        w.comparisons[5].seed = SeedMatch::new(10_000, 10_000, 17);
+        assert_eq!(lpt_order(&w)[0], 30);
+        let sc = MatchMismatch::dna_default();
+        let want = AlignError::SeedOutOfBounds {
+            seed: (10_000, 10_000),
+            lens: (500, 500),
+        };
+        for kernel in [KernelKind::Scalar, KernelKind::Batched] {
+            let mut c = cfg(true);
+            c.params = c.params.with_kernel(kernel);
+            for threads in [1usize, 2, 3, 8] {
+                c.host_threads = threads;
+                let got = execute_workload(&w, &sc, &c).unwrap_err();
+                assert_eq!(got, want, "{kernel:?} t={threads}");
+            }
+            assert_eq!(execute_workload_reference(&w, &sc, &c).unwrap_err(), want);
+        }
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Deterministic work-stealing primitives for the host-side
 //! execution pipeline.
 //!
-//! The paper's whole §4.4 point is that preprocessing, transfer and
-//! compute *overlap*; the host-side reproduction must therefore run
-//! its own stages (kernel execution, batch replay, scheduling)
-//! without full-phase barriers — while keeping every modeled output
-//! bit-identical for any thread count. These primitives make that
-//! determinism structural rather than accidental:
+//! The pipeline's parallel stages (kernel execution, batch replay)
+//! must keep every modeled output bit-identical for any thread
+//! count. These primitives make that determinism structural rather
+//! than accidental:
 //!
 //! * [`IndexQueue`] — tasks are *claimed* from a fixed order
 //!   permutation via one atomic cursor. Which thread claims which
@@ -14,8 +12,6 @@
 //! * [`SharedSlots`] — results land in pre-sized slots keyed by the
 //!   task index, so output order is independent of thread count and
 //!   claim interleaving.
-//! * [`ReadyQueue`] — a blocking handoff queue for work that becomes
-//!   runnable dynamically (batches whose inputs just finished).
 //!
 //! X-Drop work is quadratically skewed (`est_complexity` spans
 //! orders of magnitude, §4.2) and the *actual* runtime is unknowable
@@ -26,9 +22,7 @@
 //! the paper makes for its on-tile work stealing (§4.1.3).
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Resolves a requested host thread count: `0` means "auto" — use
 /// [`std::thread::available_parallelism`] (falling back to 1 when
@@ -82,7 +76,7 @@ impl IndexQueue {
     /// cost-sorted (LPT) order a `grain > 1` claim hands one worker a
     /// run of similar-cost indices — the batched kernel relies on
     /// this to fill its lane groups with comparisons that retire
-    /// together ([`crate::exec::claim_grain`]). Only the final claim
+    /// together. Only the final claim
     /// can be shorter than `grain`.
     pub fn claim(&self, grain: usize) -> Option<&[u32]> {
         if self.cancelled.load(Ordering::Relaxed) {
@@ -118,18 +112,18 @@ impl IndexQueue {
 ///
 /// Synchronization discipline (the caller's obligation): a slot must
 /// be written by at most one thread (guaranteed when indices come
-/// from an [`IndexQueue`] claim), and reads must be separated from
-/// writes by a happens-before edge — a channel send/receive, a mutex
-/// handoff, or joining the writer threads.
+/// from an [`IndexQueue`] claim). Slots are read only through
+/// [`SharedSlots::into_vec`], which takes ownership and so comes
+/// after the writer threads are joined.
 #[derive(Debug)]
 pub struct SharedSlots<T> {
     slots: Vec<UnsafeCell<T>>,
 }
 
-// SAFETY: `SharedSlots` hands out raw per-index access; the
-// exactly-once write and happens-before obligations are documented
-// on the unsafe methods, so sharing the container itself is sound
-// for any Send payload.
+// SAFETY: `SharedSlots` hands out raw per-index writes; the
+// single-writer obligation is documented on the unsafe method, and
+// reads need ownership, so sharing the container itself is sound for
+// any Send payload.
 unsafe impl<T: Send> Sync for SharedSlots<T> {}
 
 impl<T: Copy + Send> SharedSlots<T> {
@@ -154,25 +148,10 @@ impl<T: Copy + Send> SharedSlots<T> {
     ///
     /// # Safety
     ///
-    /// No other thread may be writing slot `i` concurrently, and no
-    /// thread may read it without a happens-before edge after this
-    /// write. Claiming `i` from an [`IndexQueue`] and publishing
-    /// through a channel or mutex satisfies both.
+    /// No other thread may be writing slot `i` concurrently.
+    /// Claiming `i` from an [`IndexQueue`] guarantees that.
     pub unsafe fn write(&self, i: usize, value: T) {
         *self.slots[i].get() = value;
-    }
-
-    /// Views the slots as a plain slice.
-    ///
-    /// # Safety
-    ///
-    /// Every element the caller reads through the returned slice
-    /// must have had its last write synchronized-before this call
-    /// (elements still holding the fill value are always fine).
-    pub unsafe fn as_slice(&self) -> &[T] {
-        // SAFETY: UnsafeCell<T> has the same layout as T; the
-        // data-race-freedom obligation is forwarded to the caller.
-        std::slice::from_raw_parts(self.slots.as_ptr() as *const T, self.slots.len())
     }
 
     /// Consumes the container into the assembled result vector.
@@ -180,77 +159,6 @@ impl<T: Copy + Send> SharedSlots<T> {
     /// been joined for the caller to own it again.
     pub fn into_vec(self) -> Vec<T> {
         self.slots.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
-/// A blocking queue of dynamically-ready task indices (batches whose
-/// last input comparison just finished aligning).
-///
-/// Producers push, consumers block in [`ReadyQueue::pop`] until an
-/// index arrives or the queue is closed. Closing wakes all waiters
-/// and discards anything still queued — used both for normal
-/// completion (everything already consumed) and error aborts.
-#[derive(Debug, Default)]
-pub struct ReadyQueue {
-    state: Mutex<ReadyState>,
-    cond: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct ReadyState {
-    queue: VecDeque<u32>,
-    closed: bool,
-}
-
-impl ReadyQueue {
-    /// An open, empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues `index` and wakes one waiter. Pushes after
-    /// [`ReadyQueue::close`] are discarded.
-    pub fn push(&self, index: u32) {
-        let mut st = self.state.lock().expect("ready queue poisoned");
-        if !st.closed {
-            st.queue.push_back(index);
-            self.cond.notify_one();
-        }
-    }
-
-    /// Blocks until an index is available (`Some`) or the queue is
-    /// closed (`None`).
-    pub fn pop(&self) -> Option<u32> {
-        let mut st = self.state.lock().expect("ready queue poisoned");
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                return Some(v);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.cond.wait(st).expect("ready queue poisoned");
-        }
-    }
-
-    /// Closes the queue: discards pending indices and wakes every
-    /// blocked consumer. Used for normal completion and for error
-    /// aborts — including the fault-injected pipeline, which closes
-    /// the queue the moment the cluster scheduler reports an
-    /// unrecoverable [`ClusterError`](crate::fault::ClusterError).
-    pub fn close(&self) {
-        let mut st = self.state.lock().expect("ready queue poisoned");
-        st.closed = true;
-        st.queue.clear();
-        self.cond.notify_all();
-    }
-
-    /// Whether [`ReadyQueue::close`] was called. Producers can use
-    /// this to stop generating work early during an abort; it is
-    /// advisory only ([`ReadyQueue::push`] already discards after
-    /// close).
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("ready queue poisoned").closed
     }
 }
 
@@ -339,42 +247,5 @@ mod tests {
         .expect("scope");
         let v = slots.into_vec();
         assert!(v.iter().enumerate().all(|(i, &x)| x == i as u64 * 10));
-    }
-
-    #[test]
-    fn ready_queue_blocks_until_push_and_drains_on_close() {
-        let q = ReadyQueue::new();
-        crossbeam::thread::scope(|s| {
-            let h = s.spawn(|_| {
-                let mut got = Vec::new();
-                while let Some(v) = q.pop() {
-                    got.push(v);
-                }
-                got
-            });
-            q.push(7);
-            q.push(9);
-            // Give the consumer a chance to drain, then close.
-            while !q.state.lock().unwrap().queue.is_empty() {
-                std::thread::yield_now();
-            }
-            q.close();
-            assert_eq!(h.join().unwrap(), vec![7, 9]);
-        })
-        .expect("scope");
-        // Closed queue: pushes are discarded, pops return None.
-        assert!(q.is_closed());
-        q.push(1);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ready_queue_reports_closed_state() {
-        let q = ReadyQueue::new();
-        assert!(!q.is_closed());
-        q.push(3);
-        assert!(!q.is_closed());
-        q.close();
-        assert!(q.is_closed());
     }
 }

@@ -115,7 +115,6 @@ impl IpuSystem {
             flags: self.flags,
             cost: self.cost,
             collect_trace: false,
-            streaming: true,
         };
         let out = run_pipeline(w, scorer, &self.spec, &cfg)?;
         let theoretical = w.theoretical_cells();

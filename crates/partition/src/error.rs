@@ -4,10 +4,11 @@
 //! not fit a tile by itself; on a library boundary that is a denial
 //! of service, not a diagnostic. [`PartitionError`] carries the
 //! offending comparison index — always the *smallest* such index,
-//! matching the exec layer's `min_index_error` convention, so the
+//! matching the executor's smallest-failing-index convention, so the
 //! report is deterministic for any thread count — and
 //! [`PipelineError`] unifies it with the kernel-side
-//! [`AlignError`] on the pipeline's public result type.
+//! [`AlignError`], the cluster's [`ClusterError`] and the out-of-core
+//! [`WindowStreamError`] on the pipeline's public result type.
 
 use ipu_sim::fault::ClusterError;
 use xdrop_core::error::AlignError;
@@ -48,19 +49,63 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
+/// How an out-of-core window stream failed to tile the skeleton's
+/// comparison list `0..total` in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowStreamError {
+    /// A window started at comparison `found` where `expected` was
+    /// next: windows were skipped or arrived out of order when
+    /// `found > expected`, and overlap (or repeat) when
+    /// `found < expected`.
+    Misplaced {
+        /// The comparison index the next window had to start at.
+        expected: usize,
+        /// Where the window actually started.
+        found: usize,
+    },
+    /// The windows covered `covered` comparisons but the skeleton
+    /// has `total`: the stream ended early or ran past the end.
+    WrongTotal {
+        /// Comparisons covered so far (the whole stream when short).
+        covered: usize,
+        /// The skeleton's comparison count.
+        total: usize,
+    },
+}
+
+impl std::fmt::Display for WindowStreamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WindowStreamError::Misplaced { expected, found } => write!(
+                f,
+                "window starts at comparison {found}, expected {expected}"
+            ),
+            WindowStreamError::WrongTotal { covered, total } => write!(
+                f,
+                "windows cover {covered} comparisons, the skeleton has {total}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for WindowStreamError {}
+
 /// Errors surfaced by the host pipeline: a kernel refused an
-/// alignment, the planner could not place a comparison, or the
-/// modeled cluster could not complete a batch under an injected
-/// fault plan.
+/// alignment, an out-of-core window stream was malformed, the
+/// planner could not place a comparison, or the modeled cluster
+/// could not complete a batch under an injected fault plan.
 ///
-/// When more than one kind of failure occurs in a run, the priority
-/// is fixed — plan error, then smallest-index alignment error, then
-/// cluster error — so the surfaced variant never depends on thread
-/// interleaving.
+/// When more than one kind of failure occurs in a run, the first
+/// stage to fail wins — alignment (or, out of core, the window
+/// stream, in stream order), then planning, then the cluster — so
+/// the surfaced error never depends on thread interleaving or on
+/// which entry point ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     /// An alignment kernel failed (smallest comparison index wins).
     Align(AlignError),
+    /// The out-of-core window stream did not tile the skeleton.
+    Window(WindowStreamError),
     /// The partitioner failed (smallest comparison index wins).
     Partition(PartitionError),
     /// The fault-injected cluster lost every device or exhausted a
@@ -73,6 +118,7 @@ impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PipelineError::Align(e) => write!(f, "alignment failed: {e}"),
+            PipelineError::Window(e) => write!(f, "malformed window stream: {e}"),
             PipelineError::Partition(e) => write!(f, "partitioning failed: {e}"),
             PipelineError::Cluster(e) => write!(f, "cluster execution failed: {e}"),
         }
@@ -84,6 +130,12 @@ impl std::error::Error for PipelineError {}
 impl From<AlignError> for PipelineError {
     fn from(e: AlignError) -> Self {
         PipelineError::Align(e)
+    }
+}
+
+impl From<WindowStreamError> for PipelineError {
+    fn from(e: WindowStreamError) -> Self {
+        PipelineError::Window(e)
     }
 }
 

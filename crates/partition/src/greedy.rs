@@ -49,9 +49,10 @@ impl Builder {
 
 /// Checks that every comparison fits an otherwise empty tile: its
 /// two sequences, one seed/output entry, and the thread workspaces.
-/// Returns the *smallest* offending comparison index (the exec
-/// layer's `min_index_error` convention), so the diagnostic is
-/// deterministic however the walk itself is parallelized.
+/// Returns the *smallest* offending comparison index (the
+/// executor's convention for alignment errors too), so the
+/// diagnostic is deterministic however the walk itself is
+/// parallelized.
 pub(crate) fn comparison_fit_error(
     w: &Workload,
     budget_bytes: usize,

@@ -21,9 +21,9 @@
 //!   thread count, single shard == serial oracle.
 //! * [`plan`] — turns partitions (or the naive layout) into
 //!   [`ipu_sim::Batch`]es and reports reuse statistics.
-//! * [`pipeline`] — the streaming work-stealing host pipeline that
-//!   overlaps align → plan → replay → schedule (§4.4), bit-identical
-//!   to the barriered phases.
+//! * [`pipeline`] — the host pipeline: align → plan → replay →
+//!   schedule, each stage on a work-stealing pool, bit-identical to
+//!   the static-chunk reference for any thread count.
 //! * [`outofcore`] — the windowed out-of-core pipeline: streamed
 //!   graph build + component stitching, skeleton planning, and
 //!   bounded-residency window execution, bit-identical to the
@@ -40,7 +40,7 @@ pub mod plan;
 pub mod shard;
 
 pub use driver::{IpuSystem, SystemReport};
-pub use error::{PartitionError, PipelineError};
+pub use error::{PartitionError, PipelineError, WindowStreamError};
 pub use graph::ComparisonGraph;
 pub use greedy::{greedy_partitions, greedy_partitions_with_load_cap, Partition};
 pub use outofcore::{

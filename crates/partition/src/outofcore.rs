@@ -41,15 +41,14 @@
 //! (comparisons, lengths, work units) — the latter is ~25× smaller
 //! per comparison than the payloads it replaces (see DESIGN.md §13).
 
-use crate::error::{PartitionError, PipelineError};
+use crate::error::{PartitionError, PipelineError, WindowStreamError};
 use crate::graph::ComparisonGraph;
 use crate::greedy::{comparison_fit_error, Partition};
-use crate::pipeline::{annotate_host_phases, PipelineConfig, PipelineOutput};
+use crate::pipeline::{replay_and_assemble, PipelineConfig, PipelineOutput};
 use crate::plan::plan_batches_timed;
 use crate::shard::{
     finalize_reps, union_comparisons, walk_shards, DEFAULT_SHARD_COUNT, SHARD_MIN_COMPARISONS,
 };
-use ipu_sim::cluster::{run_cluster_faulty, ClusterOptions};
 use ipu_sim::exec::{execute_workload, planning_units, ExecOutput, UnitResult, WorkUnit};
 use ipu_sim::fault::FaultPlan;
 use ipu_sim::spec::IpuSpec;
@@ -287,12 +286,16 @@ pub fn sharded_partitions_windowed(
 /// producer iterator yields them (at most `in_flight` windows
 /// buffered ahead of the one executing), and the reconstructed
 /// global units feed the unchanged cluster model. Every output field
-/// is bit-identical to [`crate::pipeline::run_pipeline`] on the
-/// in-core workload the windows concatenate to.
+/// — and, when the run fails, the error — is identical to
+/// [`crate::pipeline::run_pipeline`] on the in-core workload the
+/// windows concatenate to.
 ///
 /// `skeleton` must cover the same sequences and comparisons as the
 /// window stream ([`xdrop_core::workload::Workload::skeleton`];
-/// a full resident workload works too — only metadata is read).
+/// a full resident workload works too — only metadata is read). The
+/// windows must tile the skeleton's comparisons in order; a gap, an
+/// overlap or a wrong total is a [`PipelineError::Window`], surfaced
+/// in stream order alongside the alignment errors.
 pub fn run_pipeline_out_of_core<S, I>(
     skeleton: &Workload,
     windows: I,
@@ -309,9 +312,12 @@ where
     let upc = if cfg.exec.lr_split { 2 } else { 1 };
 
     // Plan from metadata alone — identical batches to the in-core
-    // plan (planning_units reads lengths and seeds only).
+    // plan (planning_units reads lengths and seeds only). Planning
+    // first lets the planning units go before any payload arrives; a
+    // plan error still waits for execution, which fails first in
+    // stage order.
     let punits = planning_units(skeleton, cfg.exec.lr_split);
-    let (batches, timings) = plan_batches_timed(skeleton, &punits, spec, &cfg.plan)?;
+    let planned = plan_batches_timed(skeleton, &punits, spec, &cfg.plan);
     drop(punits);
 
     // Execute windows in order; generation runs ahead on a producer
@@ -330,62 +336,76 @@ where
                 }
             }
         });
-        for win in rx.iter() {
+        // Windows run in order, so the first failing window holds
+        // the globally smallest failing comparison — the same one the
+        // in-core executor blames. The loop owns the receiver, so
+        // breaking out of it unblocks the producer.
+        for win in rx {
             let wn = win.workload.comparisons.len();
-            debug_assert_eq!(win.cmp_base, seen, "windows must arrive in order");
+            if let Err(e) = check_window(win.cmp_base, wn, seen, n) {
+                exec_err = Some(e.into());
+                break;
+            }
             match execute_workload(&win.workload, scorer, &cfg.exec) {
                 Ok(out) => {
-                    for (local, r) in out.results.into_iter().enumerate() {
-                        results[win.cmp_base + local] = r;
-                    }
+                    results[seen..seen + wn].copy_from_slice(&out.results);
                     for (slot, mut u) in out.units.into_iter().enumerate() {
-                        u.cmp += win.cmp_base as u32;
-                        units[win.cmp_base * upc + slot] = u;
+                        u.cmp += seen as u32;
+                        units[seen * upc + slot] = u;
                     }
                 }
                 Err(e) => {
-                    // Windows run in order, so the first failing
-                    // window holds the globally smallest failing
-                    // comparison — the same one the in-core executor
-                    // blames. Dropping the receiver unblocks the
-                    // producer.
                     exec_err = Some(e.into());
                     break;
                 }
             }
             seen += wn;
         }
-        drop(rx);
     })
     .expect("scope");
     if let Some(e) = exec_err {
         return Err(e);
     }
     if seen != n {
-        panic!("window stream yielded {seen} comparisons, skeleton has {n}");
+        return Err(WindowStreamError::WrongTotal {
+            covered: seen,
+            total: n,
+        }
+        .into());
     }
-
-    let (report, mut trace) = run_cluster_faulty(
-        &units,
-        &batches,
-        cfg.devices,
-        spec,
-        &cfg.flags,
-        &cfg.cost,
-        &ClusterOptions {
-            host_threads: cfg.exec.host_threads,
-            collect_trace: cfg.collect_trace,
-            streaming: true,
-        },
-        &FaultPlan::none(),
-    )?;
-    annotate_host_phases(&mut trace, &timings);
-    Ok(PipelineOutput {
-        exec: ExecOutput { units, results },
+    let (batches, timings) = planned?;
+    replay_and_assemble(
+        ExecOutput { units, results },
         batches,
-        report,
-        trace,
-    })
+        &timings,
+        spec,
+        cfg,
+        true,
+        &FaultPlan::none(),
+    )
+}
+
+/// Checks that a window of `len` comparisons starting at `cmp_base`
+/// continues a stream that has covered `0..seen` of `total`.
+fn check_window(
+    cmp_base: usize,
+    len: usize,
+    seen: usize,
+    total: usize,
+) -> Result<(), WindowStreamError> {
+    if cmp_base != seen {
+        return Err(WindowStreamError::Misplaced {
+            expected: seen,
+            found: cmp_base,
+        });
+    }
+    if seen + len > total {
+        return Err(WindowStreamError::WrongTotal {
+            covered: seen + len,
+            total,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Chaos-conformance harness for the fault-injected cluster: for any
 //! small workload, any *recoverable* seeded `FaultPlan`, and any host
-//! thread count / streaming mode, the pipeline must reproduce the
-//! fault-free run's alignment results, units, batches, and per-batch
-//! device reports bit-for-bit — faults may only move the modeled
-//! timeline and the recovery counters, and those counters must be
-//! *exact* against the injected plan. Unrecoverable plans must return
-//! the typed `ClusterError` naming the smallest batch index that
-//! could not complete, identically for every thread count.
+//! thread count, the pipeline must reproduce the fault-free run's
+//! alignment results, units, batches, and per-batch device reports
+//! bit-for-bit — faults may only move the modeled timeline and the
+//! recovery counters, and those counters must be *exact* against the
+//! injected plan; the timeline itself must match the faulty reference.
+//! Unrecoverable plans must return the typed `ClusterError` naming the
+//! smallest batch index that could not complete, identically for
+//! every thread count and for the reference.
 
 use proptest::prelude::*;
 use xdrop_ipu::core::alphabet::Alphabet;
@@ -15,7 +16,8 @@ use xdrop_ipu::core::scoring::MatchMismatch;
 use xdrop_ipu::core::workload::{Comparison, Workload};
 use xdrop_ipu::core::xdrop2::BandPolicy;
 use xdrop_ipu::partition::pipeline::{
-    run_pipeline_faulty, run_pipeline_reference, PipelineConfig, PipelineOutput,
+    run_pipeline_faulty, run_pipeline_reference, run_pipeline_reference_faulty, PipelineConfig,
+    PipelineOutput,
 };
 use xdrop_ipu::partition::plan::PlanConfig;
 use xdrop_ipu::partition::PipelineError;
@@ -62,14 +64,13 @@ fn small_spec() -> IpuSpec {
     spec
 }
 
-fn config(threads: usize, streaming: bool, devices: usize) -> PipelineConfig {
+fn config(threads: usize, devices: usize) -> PipelineConfig {
     let mut cfg = PipelineConfig::new(15);
     cfg.exec.policy = BandPolicy::Grow(64);
     cfg.exec.host_threads = threads;
     cfg.plan = PlanConfig::partitioned(64).with_min_batches(4);
     cfg.devices = devices;
     cfg.collect_trace = true;
-    cfg.streaming = streaming;
     cfg
 }
 
@@ -143,7 +144,7 @@ proptest! {
         let sc = MatchMismatch::dna_default();
         let spec = small_spec();
         let clean =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, false, devices)).expect("clean");
+            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("clean");
         let nb = clean.batches.len();
         // min_batches(4) and devices < 4 guarantee nb >= devices, so
         // every dead-on-arrival device is observed (and counted)
@@ -164,73 +165,61 @@ proptest! {
         let (expected_recovery, extra_bytes) = expected_recovery_seconds(&plan, &clean, &spec);
         let dead: Vec<u32> = plan.deaths.iter().map(|d| d.device).collect();
 
-        let mut first: Option<PipelineOutput> = None;
+        // The faulty reference is the oracle for the modeled
+        // timeline under this plan (modeled spans; the meta record
+        // tracks the resolved pool size).
+        let oracle = run_pipeline_reference_faulty(&w, &sc, &spec, &config(1, devices), &plan)
+            .expect("recoverable plan must complete");
         for threads in [1usize, 4, 8] {
-            for streaming in [false, true] {
-                let out = run_pipeline_faulty(
-                    &w, &sc, &spec, &config(threads, streaming, devices), &plan,
-                )
+            let out = run_pipeline_faulty(&w, &sc, &spec, &config(threads, devices), &plan)
                 .expect("recoverable plan must complete");
-                // Headline claim: everything the workload computes is
-                // bit-identical to the fault-free run.
-                prop_assert_eq!(&out.exec.units, &clean.exec.units, "t={} s={}", threads, streaming);
-                prop_assert_eq!(
-                    &out.exec.results, &clean.exec.results,
-                    "t={} s={}", threads, streaming
+            // Headline claim: everything the workload computes is
+            // bit-identical to the fault-free run.
+            prop_assert_eq!(&out.exec.units, &clean.exec.units, "t={}", threads);
+            prop_assert_eq!(&out.exec.results, &clean.exec.results, "t={}", threads);
+            prop_assert_eq!(&out.batches, &clean.batches, "t={}", threads);
+            prop_assert_eq!(
+                &out.report.batch_reports, &clean.report.batch_reports,
+                "t={}", threads
+            );
+            // Recovery counters exact against the injected plan.
+            prop_assert_eq!(out.report.retries, plan.expected_retries(nb));
+            prop_assert_eq!(out.report.requeues, 0u64, "immediate deaths never bind");
+            prop_assert_eq!(
+                out.report.devices_lost,
+                plan.distinct_dead_devices(devices) as u64
+            );
+            prop_assert_eq!(
+                out.report.recovery_seconds.to_bits(),
+                expected_recovery.to_bits(),
+                "recovery {} vs expected {}",
+                out.report.recovery_seconds, expected_recovery
+            );
+            prop_assert_eq!(
+                out.report.host_bytes,
+                clean.report.host_bytes + extra_bytes
+            );
+            // Assignment invariants after recovery: a device dead at
+            // t = 0 never fetches or computes anything, and the fault
+            // track records each retirement once.
+            let tr = out.trace.as_ref().expect("trace requested");
+            for &d in &dead {
+                prop_assert!(
+                    !tr.traceEvents.iter().any(|e| {
+                        e.pid == d + 1 && (e.cat == "fetch" || e.cat == "compute")
+                    }),
+                    "dead device {} was assigned work", d
                 );
-                prop_assert_eq!(&out.batches, &clean.batches, "t={} s={}", threads, streaming);
-                prop_assert_eq!(
-                    &out.report.batch_reports, &clean.report.batch_reports,
-                    "t={} s={}", threads, streaming
-                );
-                // Recovery counters exact against the injected plan.
-                prop_assert_eq!(out.report.retries, plan.expected_retries(nb));
-                prop_assert_eq!(out.report.requeues, 0u64, "immediate deaths never bind");
-                prop_assert_eq!(
-                    out.report.devices_lost,
-                    plan.distinct_dead_devices(devices) as u64
-                );
-                prop_assert_eq!(
-                    out.report.recovery_seconds.to_bits(),
-                    expected_recovery.to_bits(),
-                    "recovery {} vs expected {}",
-                    out.report.recovery_seconds, expected_recovery
-                );
-                prop_assert_eq!(
-                    out.report.host_bytes,
-                    clean.report.host_bytes + extra_bytes
-                );
-                // Assignment invariants after recovery: a device dead
-                // at t = 0 never fetches or computes anything, and
-                // the fault track records each retirement once.
-                let tr = out.trace.as_ref().expect("trace requested");
-                for &d in &dead {
-                    prop_assert!(
-                        !tr.traceEvents.iter().any(|e| {
-                            e.pid == d + 1 && (e.cat == "fetch" || e.cat == "compute")
-                        }),
-                        "dead device {} was assigned work", d
-                    );
-                }
-                let deaths = tr
-                    .events_in("fault")
-                    .filter(|e| e.name.starts_with("death"))
-                    .count() as u64;
-                prop_assert_eq!(deaths, out.report.devices_lost);
-                // Bit-identical across every thread count and both
-                // streaming modes (modeled spans; the meta record
-                // tracks the resolved pool size).
-                match &first {
-                    None => first = Some(out),
-                    Some(f) => {
-                        prop_assert_eq!(&out.report, &f.report, "t={} s={}", threads, streaming);
-                        prop_assert_eq!(
-                            spans(&out.trace), spans(&f.trace),
-                            "t={} s={}", threads, streaming
-                        );
-                    }
-                }
             }
+            let deaths = tr
+                .events_in("fault")
+                .filter(|e| e.name.starts_with("death"))
+                .count() as u64;
+            prop_assert_eq!(deaths, out.report.devices_lost);
+            // Bit-identical to the faulty reference at every thread
+            // count.
+            prop_assert_eq!(&out.report, &oracle.report, "t={}", threads);
+            prop_assert_eq!(spans(&out.trace), spans(&oracle.trace), "t={}", threads);
         }
     }
 
@@ -246,7 +235,7 @@ proptest! {
         let spec = small_spec();
         let devices = 2;
         let clean =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, false, devices)).expect("clean");
+            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("clean");
         let nb = clean.batches.len() as u32;
         prop_assert!(nb > offset);
         // Two batches exceed the cap; the smaller index must be the
@@ -260,21 +249,17 @@ proptest! {
         ];
         prop_assert!(!plan.is_recoverable(devices));
         let blamed = plan.first_unrecoverable_batch(nb as usize).expect("unrecoverable");
+        let want = PipelineError::Cluster(ClusterError::RetriesExhausted {
+            batch: blamed,
+            attempts: plan.max_retries + 1,
+        });
+        let err = run_pipeline_reference_faulty(&w, &sc, &spec, &config(1, devices), &plan)
+            .expect_err("plan exceeds the retry cap");
+        prop_assert_eq!(&err, &want, "reference");
         for threads in [1usize, 4, 8] {
-            for streaming in [false, true] {
-                let err = run_pipeline_faulty(
-                    &w, &sc, &spec, &config(threads, streaming, devices), &plan,
-                )
+            let err = run_pipeline_faulty(&w, &sc, &spec, &config(threads, devices), &plan)
                 .expect_err("plan exceeds the retry cap");
-                prop_assert_eq!(
-                    err,
-                    PipelineError::Cluster(ClusterError::RetriesExhausted {
-                        batch: blamed,
-                        attempts: plan.max_retries + 1,
-                    }),
-                    "t={} s={}", threads, streaming
-                );
-            }
+            prop_assert_eq!(&err, &want, "t={}", threads);
         }
         // Killing every device at t = 0 is the other terminal state:
         // batch 0 is the smallest batch left unservable.
@@ -286,10 +271,8 @@ proptest! {
         };
         prop_assert!(!doomed.is_recoverable(devices));
         for threads in [1usize, 8] {
-            let err = run_pipeline_faulty(
-                &w, &sc, &spec, &config(threads, true, devices), &doomed,
-            )
-            .expect_err("no devices");
+            let err = run_pipeline_faulty(&w, &sc, &spec, &config(threads, devices), &doomed)
+                .expect_err("no devices");
             prop_assert_eq!(
                 err,
                 PipelineError::Cluster(ClusterError::AllDevicesLost { batch: 0 }),

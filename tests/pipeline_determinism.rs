@@ -1,10 +1,9 @@
-//! Differential proptest for the streaming host pipeline: for any
-//! small workload, any host thread count, and streaming on or off,
-//! the pipeline's entire output — `ExecOutput`, the planned batches,
-//! and every field of the `ClusterReport`, including the recorded
-//! Chrome trace — must be bit-identical to the barriered four-phase
-//! reference. Host threading and stage overlap are wall-clock
-//! optimizations only; they must never change a modeled bit.
+//! Differential proptest for the host pipeline: for any small
+//! workload and any host thread count, the pipeline's entire output —
+//! `ExecOutput`, the planned batches, and every field of the
+//! `ClusterReport`, including the recorded Chrome trace — must be
+//! bit-identical to the static-chunk reference. Host threading is a
+//! wall-clock optimization only; it must never change a modeled bit.
 
 use proptest::prelude::*;
 use xdrop_ipu::core::alphabet::Alphabet;
@@ -43,14 +42,13 @@ fn workload(n: usize, seed: u64, err_pct: u64) -> Workload {
     w
 }
 
-fn config(threads: usize, streaming: bool, devices: usize) -> PipelineConfig {
+fn config(threads: usize, devices: usize) -> PipelineConfig {
     let mut cfg = PipelineConfig::new(15);
     cfg.exec.policy = BandPolicy::Grow(64);
     cfg.exec.host_threads = threads;
     cfg.plan = PlanConfig::partitioned(64).with_min_batches(4);
     cfg.devices = devices;
     cfg.collect_trace = true;
-    cfg.streaming = streaming;
     cfg
 }
 
@@ -74,7 +72,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The batched inter-sequence kernel is a wall-clock optimization
-    /// too: the streaming pipeline under `KernelKind::Batched` (where
+    /// too: the pipeline under `KernelKind::Batched` (where
     /// workers claim lane-width runs of the LPT order and align them
     /// in one batch call) produces results, batches, report, and
     /// trace bit-identical to the scalar barriered reference for any
@@ -91,10 +89,10 @@ proptest! {
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
         let oracle =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, false, devices)).expect("grow");
+            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("grow");
         let oracle_spans = spans(&oracle.trace);
         for threads in [1usize, 3, 8] {
-            let mut cfg = config(threads, true, devices);
+            let mut cfg = config(threads, devices);
             cfg.exec.params = cfg.exec.params.with_kernel(KernelKind::Batched);
             let out = run_pipeline(&w, &sc, &spec, &cfg).expect("grow");
             prop_assert_eq!(
@@ -125,33 +123,21 @@ proptest! {
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
         let oracle =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, false, devices)).expect("grow");
+            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("grow");
         let oracle_spans = spans(&oracle.trace);
         for threads in [1usize, 3, 8] {
-            for streaming in [false, true] {
-                let out = run_pipeline(&w, &sc, &spec, &config(threads, streaming, devices))
-                    .expect("grow");
-                prop_assert_eq!(
-                    &out.exec.units, &oracle.exec.units,
-                    "units: threads {} streaming {}", threads, streaming
-                );
-                prop_assert_eq!(
-                    &out.exec.results, &oracle.exec.results,
-                    "results: threads {} streaming {}", threads, streaming
-                );
-                prop_assert_eq!(
-                    &out.batches, &oracle.batches,
-                    "batches: threads {} streaming {}", threads, streaming
-                );
-                prop_assert_eq!(
-                    &out.report, &oracle.report,
-                    "report: threads {} streaming {}", threads, streaming
-                );
-                prop_assert_eq!(
-                    spans(&out.trace), oracle_spans.clone(),
-                    "trace: threads {} streaming {}", threads, streaming
-                );
-            }
+            let out = run_pipeline(&w, &sc, &spec, &config(threads, devices)).expect("grow");
+            prop_assert_eq!(&out.exec.units, &oracle.exec.units, "units: threads {}", threads);
+            prop_assert_eq!(
+                &out.exec.results, &oracle.exec.results,
+                "results: threads {}", threads
+            );
+            prop_assert_eq!(&out.batches, &oracle.batches, "batches: threads {}", threads);
+            prop_assert_eq!(&out.report, &oracle.report, "report: threads {}", threads);
+            prop_assert_eq!(
+                spans(&out.trace), oracle_spans.clone(),
+                "trace: threads {}", threads
+            );
         }
     }
 }
