@@ -1,5 +1,6 @@
 //! Criterion A/B of the antidiagonal kernel implementations
-//! (`Scalar` vs `Chunked` vs `Simd`) on DNA workloads.
+//! (`Scalar` vs `Simd` vs `Batched`, the latter as a batch of one) on
+//! DNA workloads.
 //!
 //! Two axes: steady band width (pinned with `BandPolicy::Saturate`
 //! on identical sequences and a huge X, so every kernel sweeps

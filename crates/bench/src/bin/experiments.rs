@@ -15,7 +15,7 @@
 //!   partition  §4.3     batch counts and sequence reuse
 //!   elba       §6.3.1   ELBA alignment phase CPU/GPU/IPUs
 //!   pastis     §6.3.2   PASTIS alignment step CPU vs IPU
-//!   bench      host-kernel A/B (scalar/chunked/simd/batched)
+//!   bench      host-kernel A/B (scalar/simd/batched)
 //!              plus the batched lanes x dispersion sweep
 //!   sweep-backends  print the fused-sweep register backends this
 //!              host supports, one per line (CI loops over them

@@ -238,11 +238,10 @@ pub fn run(scale: f64, iters: usize) -> Vec<BatchedRow> {
             let lanes = 16usize;
             for &b in &batched::SweepBackend::supported() {
                 let (_, report) =
-                    batched::align_batch_with_backend(&tasks, &sc, params, policy, lanes, true, b);
+                    batched::align_batch_with_backend(&tasks, &sc, params, policy, lanes, b);
                 let seconds_batched = time_batch(iters, || {
-                    let (o, _) = batched::align_batch_with_backend(
-                        &tasks, &sc, params, policy, lanes, true, b,
-                    );
+                    let (o, _) =
+                        batched::align_batch_with_backend(&tasks, &sc, params, policy, lanes, b);
                     std::hint::black_box(&o);
                 });
                 backend_rows.push(BatchedRow {

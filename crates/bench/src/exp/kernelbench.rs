@@ -29,7 +29,7 @@ use xdrop_core::XDropParams;
 /// One measured (kernel × configuration) cell.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Row {
-    /// Kernel name (`scalar` / `chunked` / `simd` / `batched`).
+    /// Kernel name (`scalar` / `simd` / `batched`).
     pub kernel: String,
     /// Benchmark configuration label.
     pub config: String,
@@ -57,7 +57,7 @@ pub struct BenchFile {
     pub schema: String,
     /// The exact command that regenerates the kernel rows.
     pub command: String,
-    /// What `KernelKind::detect()` picked on the producing host.
+    /// What `KernelKind::auto()` picked on the producing host.
     pub detected_kernel: String,
     /// The widest SIMD capability `kernel::host_simd()` detected on
     /// the producing host (`"avx512bw"`, `"avx2"`, `"sse4.1"`,
@@ -96,274 +96,6 @@ pub struct BenchFile {
     /// without host-link contention, produced through the windowed
     /// out-of-core pipeline.
     pub scaling: super::fleetscale::ScalingSection,
-}
-
-/// The batched-row shape of schema v6, before the fused sweep grew
-/// explicit per-backend dispatch and the rows a `sweep_backend`
-/// column. Parsed only to recognize a v6 file; the rows measured the
-/// row-granular SSE2-only dispatch kernel and are dropped on upgrade
-/// so the documented command regenerates per-backend rows.
-#[derive(Debug, Clone, serde::Deserialize)]
-#[allow(dead_code)]
-struct LegacyBatchedRowV6 {
-    config: String,
-    lanes: usize,
-    dispersion_pct: u32,
-    len: usize,
-    comparisons: usize,
-    cells: u64,
-    seconds_scalar: f64,
-    seconds_batched: f64,
-    speedup_vs_scalar: f64,
-    reruns: u64,
-    occupancy: f64,
-    staged_bytes_per_cell: f64,
-    refills: u64,
-    rounds: u64,
-    hw_lanes: usize,
-    host_cores: usize,
-    avx2: bool,
-}
-
-/// The v6 on-disk shape: same sections as v7, but no top-level
-/// `host_simd` capability field and batched rows without the
-/// `sweep_backend` column (the vendored serde has no
-/// `#[serde(default)]`, so the missing fields fail the v7 parse).
-/// The stale batched rows are dropped on upgrade — an empty section
-/// forces regeneration via the documented command — while every
-/// other section is preserved; `host_simd` is stamped from the
-/// current host's detection, which is the host any regeneration runs
-/// on.
-#[derive(Debug, Clone, serde::Deserialize)]
-struct LegacyBenchFileV6 {
-    #[allow(dead_code)]
-    schema: String,
-    command: String,
-    detected_kernel: String,
-    rows: Vec<Row>,
-    e2e_command: String,
-    e2e: Vec<super::e2e::E2eRow>,
-    partition_command: String,
-    partition: Vec<super::partbench::PartitionBenchRow>,
-    faults_command: String,
-    faults: Vec<super::faultbench::FaultBenchRow>,
-    batched_command: String,
-    #[allow(dead_code)]
-    batched: Vec<LegacyBatchedRowV6>,
-    scaling_command: String,
-    scaling: super::fleetscale::ScalingSection,
-}
-
-impl From<LegacyBenchFileV6> for BenchFile {
-    fn from(v6: LegacyBenchFileV6) -> Self {
-        BenchFile {
-            schema: SCHEMA.to_string(),
-            command: v6.command,
-            detected_kernel: v6.detected_kernel,
-            host_simd: kernel::host_simd().to_string(),
-            rows: v6.rows,
-            e2e_command: v6.e2e_command,
-            e2e: v6.e2e,
-            partition_command: v6.partition_command,
-            partition: v6.partition,
-            faults_command: v6.faults_command,
-            faults: v6.faults,
-            batched_command: v6.batched_command,
-            batched: Vec::new(),
-            scaling_command: v6.scaling_command,
-            scaling: v6.scaling,
-        }
-    }
-}
-
-/// The batched-row shape of schema v5, before the persistent-staging
-/// kernel's occupancy/staging counters were added. Parsed only to
-/// recognize a v5 file; the rows themselves measured a kernel that no
-/// longer exists and are dropped on upgrade.
-#[derive(Debug, Clone, serde::Deserialize)]
-#[allow(dead_code)]
-struct LegacyBatchedRowV5 {
-    config: String,
-    lanes: usize,
-    dispersion_pct: u32,
-    len: usize,
-    comparisons: usize,
-    cells: u64,
-    seconds_scalar: f64,
-    seconds_batched: f64,
-    speedup_vs_scalar: f64,
-    reruns: u64,
-    hw_lanes: usize,
-    host_cores: usize,
-    avx2: bool,
-}
-
-/// The v5 on-disk shape: same sections as v6, but its `batched` rows
-/// predate the occupancy/staging counters of the persistent-staging
-/// kernel (the vendored serde has no `#[serde(default)]`, so the
-/// missing fields fail the v6 parse). The stale batched rows are
-/// dropped on upgrade — an empty section forces regeneration via the
-/// documented command — while every other section is preserved.
-#[derive(Debug, Clone, serde::Deserialize)]
-struct LegacyBenchFileV5 {
-    #[allow(dead_code)]
-    schema: String,
-    command: String,
-    detected_kernel: String,
-    rows: Vec<Row>,
-    e2e_command: String,
-    e2e: Vec<super::e2e::E2eRow>,
-    partition_command: String,
-    partition: Vec<super::partbench::PartitionBenchRow>,
-    faults_command: String,
-    faults: Vec<super::faultbench::FaultBenchRow>,
-    batched_command: String,
-    #[allow(dead_code)]
-    batched: Vec<LegacyBatchedRowV5>,
-    scaling_command: String,
-    scaling: super::fleetscale::ScalingSection,
-}
-
-impl From<LegacyBenchFileV5> for BenchFile {
-    fn from(v5: LegacyBenchFileV5) -> Self {
-        BenchFile {
-            schema: SCHEMA.to_string(),
-            command: v5.command,
-            detected_kernel: v5.detected_kernel,
-            host_simd: kernel::host_simd().to_string(),
-            rows: v5.rows,
-            e2e_command: v5.e2e_command,
-            e2e: v5.e2e,
-            partition_command: v5.partition_command,
-            partition: v5.partition,
-            faults_command: v5.faults_command,
-            faults: v5.faults,
-            batched_command: v5.batched_command,
-            batched: Vec::new(),
-            scaling_command: v5.scaling_command,
-            scaling: v5.scaling,
-        }
-    }
-}
-
-/// The v4 on-disk shape, kept so a baseline written before the
-/// fleet-scaling section existed still parses (the vendored serde
-/// has no `#[serde(default)]`, so missing fields fail the v5 parse)
-/// and can be upgraded in place instead of silently discarded.
-#[derive(Debug, Clone, serde::Deserialize)]
-struct LegacyBenchFileV4 {
-    #[allow(dead_code)]
-    schema: String,
-    command: String,
-    detected_kernel: String,
-    rows: Vec<Row>,
-    e2e_command: String,
-    e2e: Vec<super::e2e::E2eRow>,
-    partition_command: String,
-    partition: Vec<super::partbench::PartitionBenchRow>,
-    faults_command: String,
-    faults: Vec<super::faultbench::FaultBenchRow>,
-    batched_command: String,
-    #[allow(dead_code)]
-    batched: Vec<LegacyBatchedRowV5>,
-}
-
-impl From<LegacyBenchFileV4> for BenchFile {
-    fn from(v4: LegacyBenchFileV4) -> Self {
-        BenchFile {
-            schema: SCHEMA.to_string(),
-            command: v4.command,
-            detected_kernel: v4.detected_kernel,
-            host_simd: kernel::host_simd().to_string(),
-            rows: v4.rows,
-            e2e_command: v4.e2e_command,
-            e2e: v4.e2e,
-            partition_command: v4.partition_command,
-            partition: v4.partition,
-            faults_command: v4.faults_command,
-            faults: v4.faults,
-            batched_command: v4.batched_command,
-            batched: Vec::new(),
-            scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
-            scaling: super::fleetscale::ScalingSection::default(),
-        }
-    }
-}
-
-/// The v3 on-disk shape, kept for the same upgrade-in-place reason
-/// (v3 predates the batched and scaling sections).
-#[derive(Debug, Clone, serde::Deserialize)]
-struct LegacyBenchFileV3 {
-    #[allow(dead_code)]
-    schema: String,
-    command: String,
-    detected_kernel: String,
-    rows: Vec<Row>,
-    e2e_command: String,
-    e2e: Vec<super::e2e::E2eRow>,
-    partition_command: String,
-    partition: Vec<super::partbench::PartitionBenchRow>,
-    faults_command: String,
-    faults: Vec<super::faultbench::FaultBenchRow>,
-}
-
-impl From<LegacyBenchFileV3> for BenchFile {
-    fn from(v3: LegacyBenchFileV3) -> Self {
-        BenchFile {
-            schema: SCHEMA.to_string(),
-            command: v3.command,
-            detected_kernel: v3.detected_kernel,
-            host_simd: kernel::host_simd().to_string(),
-            rows: v3.rows,
-            e2e_command: v3.e2e_command,
-            e2e: v3.e2e,
-            partition_command: v3.partition_command,
-            partition: v3.partition,
-            faults_command: v3.faults_command,
-            faults: v3.faults,
-            batched_command: super::batchbench::BATCHED_REPRO_COMMAND.to_string(),
-            batched: Vec::new(),
-            scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
-            scaling: super::fleetscale::ScalingSection::default(),
-        }
-    }
-}
-
-/// The v2 on-disk shape, kept for the same upgrade-in-place reason
-/// (v2 predates both the faults and the batched sections).
-#[derive(Debug, Clone, serde::Deserialize)]
-struct LegacyBenchFileV2 {
-    #[allow(dead_code)]
-    schema: String,
-    command: String,
-    detected_kernel: String,
-    rows: Vec<Row>,
-    e2e_command: String,
-    e2e: Vec<super::e2e::E2eRow>,
-    partition_command: String,
-    partition: Vec<super::partbench::PartitionBenchRow>,
-}
-
-impl From<LegacyBenchFileV2> for BenchFile {
-    fn from(v2: LegacyBenchFileV2) -> Self {
-        BenchFile {
-            schema: SCHEMA.to_string(),
-            command: v2.command,
-            detected_kernel: v2.detected_kernel,
-            host_simd: kernel::host_simd().to_string(),
-            rows: v2.rows,
-            e2e_command: v2.e2e_command,
-            e2e: v2.e2e,
-            partition_command: v2.partition_command,
-            partition: v2.partition,
-            faults_command: super::faultbench::FAULTS_REPRO_COMMAND.to_string(),
-            faults: Vec::new(),
-            batched_command: super::batchbench::BATCHED_REPRO_COMMAND.to_string(),
-            batched: Vec::new(),
-            scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
-            scaling: super::fleetscale::ScalingSection::default(),
-        }
-    }
 }
 
 fn pair(len: usize, err: f64) -> (Vec<u8>, Vec<u8>) {
@@ -526,38 +258,11 @@ fn bench_json_path() -> std::path::PathBuf {
 }
 
 /// The committed baseline, if present and parseable at the current
-/// schema — or at the legacy v2 shape, which is upgraded with an
-/// empty faults section. Used to preserve the sections the caller is
-/// *not* regenerating.
+/// schema. Used to preserve the sections the caller is *not*
+/// regenerating.
 fn read_existing() -> Option<BenchFile> {
     let text = std::fs::read_to_string(bench_json_path()).ok()?;
-    serde_json::from_str::<BenchFile>(&text)
-        .ok()
-        .or_else(|| {
-            serde_json::from_str::<LegacyBenchFileV6>(&text)
-                .ok()
-                .map(BenchFile::from)
-        })
-        .or_else(|| {
-            serde_json::from_str::<LegacyBenchFileV5>(&text)
-                .ok()
-                .map(BenchFile::from)
-        })
-        .or_else(|| {
-            serde_json::from_str::<LegacyBenchFileV4>(&text)
-                .ok()
-                .map(BenchFile::from)
-        })
-        .or_else(|| {
-            serde_json::from_str::<LegacyBenchFileV3>(&text)
-                .ok()
-                .map(BenchFile::from)
-        })
-        .or_else(|| {
-            serde_json::from_str::<LegacyBenchFileV2>(&text)
-                .ok()
-                .map(BenchFile::from)
-        })
+    serde_json::from_str(&text).ok()
 }
 
 fn write_file(file: &BenchFile) -> std::io::Result<std::path::PathBuf> {
@@ -568,15 +273,13 @@ fn write_file(file: &BenchFile) -> std::io::Result<std::path::PathBuf> {
     Ok(path.canonicalize().unwrap_or(path))
 }
 
-/// A freshly-tagged file holding the committed sections (or empty
-/// ones when no parseable baseline exists). Always stamped with the
-/// current [`SCHEMA`], so regenerating any one section upgrades a
-/// legacy file in place.
+/// A file holding the committed sections (or empty ones when no
+/// baseline parses at the current [`SCHEMA`]).
 fn base_file() -> BenchFile {
     let mut file = read_existing().unwrap_or_else(|| BenchFile {
         schema: SCHEMA.to_string(),
         command: REPRO_COMMAND.to_string(),
-        detected_kernel: KernelKind::detect().name().to_string(),
+        detected_kernel: KernelKind::auto().name().to_string(),
         host_simd: kernel::host_simd().to_string(),
         rows: Vec::new(),
         e2e_command: super::e2e::E2E_REPRO_COMMAND.to_string(),
@@ -602,7 +305,7 @@ fn base_file() -> BenchFile {
 /// sections.
 pub fn write_bench_json(rows: &[Row]) -> std::io::Result<std::path::PathBuf> {
     let mut file = base_file();
-    file.detected_kernel = KernelKind::detect().name().to_string();
+    file.detected_kernel = KernelKind::auto().name().to_string();
     file.rows = rows.to_vec();
     write_file(&file)
 }

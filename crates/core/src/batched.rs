@@ -203,8 +203,8 @@ pub struct BatchTask<'a> {
 }
 
 /// What the batched kernel did with a batch — lane configuration,
-/// bucketing, occupancy/staging counters, and how many lanes left the
-/// `i16` fast path.
+/// occupancy/staging counters, and how many lanes left the `i16` fast
+/// path.
 ///
 /// The occupancy and staging counters are *observations*, never
 /// inputs: no per-task value depends on them, which is why extending
@@ -216,11 +216,6 @@ pub struct BatchReport {
     /// Register backend the fused sweep ran at ([`SweepBackend`];
     /// results are backend-independent, only wall-clock moves).
     pub sweep_backend: SweepBackend,
-    /// Nominal length-bucket count, `⌈tasks / lanes⌉` — the number of
-    /// lane groups the pre-refill kernel would have executed (kept
-    /// for report compatibility; with mid-flight refill the engine
-    /// runs one continuous pack).
-    pub buckets: usize,
     /// Lanes that overflowed the `i16` guard band and were re-run
     /// through the scalar `i32` reference.
     pub reruns: usize,
@@ -244,31 +239,13 @@ pub struct BatchReport {
     /// [`BatchReport::staged_bytes_per_cell`].
     pub staged_bytes: u64,
     /// Mid-flight slot refills: lanes entered while the pack was
-    /// already live (0 in no-refill mode, where slots only refill
-    /// after the whole pack drains).
+    /// already live.
     pub refills: usize,
     /// Tasks whose sequences were materialized into forward/reverse
     /// copies — exactly once per task entering the `i16` path; rerun
     /// and fallback paths run on the original views and never
     /// re-materialize.
     pub materializations: usize,
-    /// Nanoseconds in the per-round prologue (interval geometry and
-    /// band policy; 0 unless the `batch-profile` feature is enabled).
-    /// Profiling laps the clock inside the burst loop, so enabling
-    /// the feature costs real time — the split stays meaningful, the
-    /// total does not.
-    pub prologue_ns: u64,
-    /// Nanoseconds staging persistent lane state — refill-time
-    /// sequence materialization and row resets, plus arena growth (0
-    /// unless profiled). There is no per-round staging to attribute.
-    pub stage_ns: u64,
-    /// Nanoseconds in the fused sweep (substitution compare + DP +
-    /// cutoff + reductions; 0 unless profiled).
-    pub sweep_ns: u64,
-    /// Nanoseconds in the positional scans, stats bookkeeping, and
-    /// lane finalization including overflow reruns (0 unless
-    /// profiled).
-    pub reduce_ns: u64,
 }
 
 impl BatchReport {
@@ -558,50 +535,27 @@ pub fn align_batch_with_lanes<S: Scorer>(
     policy: BandPolicy,
     lanes: usize,
 ) -> (Vec<Result<AlignOutput>>, BatchReport) {
-    align_batch_with_opts(tasks, scorer, params, policy, lanes, true)
-}
-
-/// [`align_batch_with_lanes`] with mid-flight refill switchable.
-///
-/// `refill = true` (the default everywhere) refills a vacated lane
-/// slot from the pending queue at the top of the next round.
-/// `refill = false` only admits tasks when the whole pack has drained
-/// — reproducing the strict length-bucket groups of the pre-refill
-/// kernel. Both modes produce bit-identical per-task outcomes (each
-/// lane's computation is a pure function of its own task); the switch
-/// exists so tests can prove exactly that.
-pub fn align_batch_with_opts<S: Scorer>(
-    tasks: &[BatchTask<'_>],
-    scorer: &S,
-    params: XDropParams,
-    policy: BandPolicy,
-    lanes: usize,
-    refill: bool,
-) -> (Vec<Result<AlignOutput>>, BatchReport) {
     align_batch_with_backend(
         tasks,
         scorer,
         params,
         policy,
         lanes,
-        refill,
         SweepBackend::resolved(),
     )
 }
 
-/// [`align_batch_with_opts`] with the fused-sweep register backend
+/// [`align_batch_with_lanes`] with the fused-sweep register backend
 /// pinned explicitly (differential tests and per-backend bench rows;
 /// results never depend on the backend, only wall-clock does). A
 /// backend the host cannot execute is clamped to the widest supported
 /// one at or below it — the report records what actually ran.
-#[allow(clippy::too_many_arguments)]
 pub fn align_batch_with_backend<S: Scorer>(
     tasks: &[BatchTask<'_>],
     scorer: &S,
     params: XDropParams,
     policy: BandPolicy,
     lanes: usize,
-    refill: bool,
     backend: SweepBackend,
 ) -> (Vec<Result<AlignOutput>>, BatchReport) {
     let lanes = lanes.max(1);
@@ -614,7 +568,6 @@ pub fn align_batch_with_backend<S: Scorer>(
     let mut out: Vec<Option<Result<AlignOutput>>> = (0..tasks.len()).map(|_| None).collect();
     match eligible(scorer) {
         Some(mm) => {
-            report.buckets = tasks.len().div_ceil(lanes);
             let order = task_order(tasks);
             run_engine(
                 tasks,
@@ -623,7 +576,6 @@ pub fn align_batch_with_backend<S: Scorer>(
                 params,
                 policy,
                 lanes,
-                refill,
                 backend,
                 &mut out,
                 &mut report,
@@ -756,50 +708,6 @@ impl Lane {
 /// of [`AlignStats::work_bytes`] demands the reference's accounting.
 const CELL_BYTES: usize = std::mem::size_of::<i32>();
 
-/// Per-phase wall-clock accumulation for [`BatchReport`], compiled to
-/// nothing unless the `batch-profile` cargo feature is on (the fast
-/// path must not pay two `Instant::now` calls per phase by default).
-#[cfg(feature = "batch-profile")]
-struct PhaseTimer {
-    last: std::time::Instant,
-}
-
-#[cfg(feature = "batch-profile")]
-impl PhaseTimer {
-    #[inline(always)]
-    fn start() -> Self {
-        PhaseTimer {
-            last: std::time::Instant::now(),
-        }
-    }
-
-    /// Nanoseconds since the previous lap (or start).
-    #[inline(always)]
-    fn lap(&mut self) -> u64 {
-        let now = std::time::Instant::now();
-        let ns = now.duration_since(self.last).as_nanos() as u64;
-        self.last = now;
-        ns
-    }
-}
-
-/// Profiling disabled: a zero-sized no-op timer.
-#[cfg(not(feature = "batch-profile"))]
-struct PhaseTimer;
-
-#[cfg(not(feature = "batch-profile"))]
-impl PhaseTimer {
-    #[inline(always)]
-    fn start() -> Self {
-        PhaseTimer
-    }
-
-    #[inline(always)]
-    fn lap(&mut self) -> u64 {
-        0
-    }
-}
-
 /// Doubles (at least) the arena row pitch, preserving every occupied
 /// lane's three rows. Unoccupied rows and the grown tails are reset
 /// to the `−∞` sentinel.
@@ -852,7 +760,6 @@ fn run_engine(
     params: XDropParams,
     policy: BandPolicy,
     k: usize,
-    refill: bool,
     backend: SweepBackend,
     out: &mut [Option<Result<AlignOutput>>],
     report: &mut BatchReport,
@@ -876,36 +783,29 @@ fn run_engine(
     let mut next = 0usize;
 
     loop {
-        let mut timer = PhaseTimer::start();
-
-        // ---- Refill: admit pending tasks into vacated slots. In
-        // no-refill mode only a fully drained pack admits (strict
-        // length buckets, as before this engine existed).
+        // ---- Refill: admit pending tasks into vacated slots.
         if next < order.len() {
             let pack_live = slots.iter().any(Option::is_some);
-            if refill || !pack_live {
-                for (s, slot) in slots.iter_mut().enumerate() {
-                    if slot.is_none() && next < order.len() {
-                        let t = order[next];
-                        next += 1;
-                        let lane = Lane::enter(t, &tasks[t], delta_b);
-                        let rb = s * stride;
-                        for p in planes.iter_mut() {
-                            p[rb..rb + stride].fill(NEG_INF16);
-                        }
-                        // Seed cell H[0][0] = 0 in plane 0, slot 1.
-                        planes[0][rb + 1] = 0;
-                        report.materializations += 1;
-                        report.staged_bytes += (lane.m + lane.n) as u64 + 3 * 2 * stride as u64;
-                        if pack_live {
-                            report.refills += 1;
-                        }
-                        *slot = Some(lane);
+            for (s, slot) in slots.iter_mut().enumerate() {
+                if slot.is_none() && next < order.len() {
+                    let t = order[next];
+                    next += 1;
+                    let lane = Lane::enter(t, &tasks[t], delta_b);
+                    let rb = s * stride;
+                    for p in planes.iter_mut() {
+                        p[rb..rb + stride].fill(NEG_INF16);
                     }
+                    // Seed cell H[0][0] = 0 in plane 0, slot 1.
+                    planes[0][rb + 1] = 0;
+                    report.materializations += 1;
+                    report.staged_bytes += (lane.m + lane.n) as u64 + 3 * 2 * stride as u64;
+                    if pack_live {
+                        report.refills += 1;
+                    }
+                    *slot = Some(lane);
                 }
             }
         }
-        report.stage_ns += timer.lap();
         if slots.iter().all(Option::is_none) {
             break;
         }
@@ -938,14 +838,12 @@ fn run_engine(
         // that terminated earlier leaves its slot idle for the rest of
         // the iteration (the occupancy denominator sees that).
         report.rounds += max_exec;
-        timer.lap(); // burst time is attributed inside `lane_burst`
 
         // A lane's band outgrew the row pitch (Grow policy): re-pitch
         // the arena, then let the paused lane re-run its prologue.
         if need_stride > stride {
             grow_arena(&mut planes, &slots, k, &mut stride, need_stride, report);
         }
-        report.stage_ns += timer.lap();
 
         // ---- Compact: finalize terminated lanes and vacate their
         // slots for the next iteration's refill.
@@ -970,7 +868,6 @@ fn run_engine(
                 LaneState::Active => unreachable!("finished lanes are not active"),
             });
         }
-        report.reduce_ns += timer.lap();
     }
 }
 
@@ -1762,7 +1659,6 @@ fn lane_burst_impl(
     let gap16 = mm.gap_penalty as i16;
     let (mat16, mis16) = (mm.match_score as i16, mm.mismatch_score as i16);
     let mut exec = 0u64;
-    let mut timer = PhaseTimer::start();
     for _ in 0..BURST_ROUNDS {
         // ---- Prologue: candidate interval and band policy on
         // locals; nothing commits before the arena-pitch check.
@@ -1823,7 +1719,6 @@ fn lane_burst_impl(
         }
         lane.d = d;
         exec += 1;
-        report.prologue_ns += timer.lap();
 
         // ---- Fused sweep: one branch-free saturating pass whose
         // operands are index-shifted views of the rows written in
@@ -1872,7 +1767,6 @@ fn lane_burst_impl(
         lane.bases[cur] = cand_lo;
         lane.widths[cur] = width;
         report.lane_cells += width as u64;
-        report.sweep_ns += timer.lap();
 
         // ---- Reduce: stats bookkeeping on the sweep's fused
         // reductions plus one short argmax scan over the just-written
@@ -1912,7 +1806,6 @@ fn lane_burst_impl(
         }
         lane.stats.delta_w = lane.stats.delta_w.max(hi_w - lo_w + 1);
         lane.t_best = lane.t_best.max(smax);
-        report.reduce_ns += timer.lap();
     }
     exec
 }
@@ -1924,66 +1817,6 @@ mod tests {
 
     fn sc() -> MatchMismatch {
         MatchMismatch::dna_default()
-    }
-
-    /// Phase-profile harness: `cargo test -p xdrop-core --release \
-    /// --features batch-profile phase_profile -- --ignored --nocapture`
-    /// prints the per-phase nanosecond split over a bench-shaped pool.
-    #[test]
-    #[ignore = "profiling harness, run manually with --features batch-profile"]
-    fn phase_profile() {
-        let mut state = 0x243f_6a88_85a3_08d3_u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let pool: Vec<(Vec<u8>, Vec<u8>)> = (0..64)
-            .map(|_| {
-                let len = 1900 + (rng() % 200) as usize;
-                let h: Vec<u8> = (0..len).map(|_| (rng() % 4) as u8).collect();
-                let v: Vec<u8> = h
-                    .iter()
-                    .map(|&b| if rng() % 20 == 0 { (b + 1) % 4 } else { b })
-                    .collect();
-                (h, v)
-            })
-            .collect();
-        let tasks: Vec<BatchTask<'_>> = pool
-            .iter()
-            .map(|(h, v)| BatchTask {
-                h: TaskView::Fwd(h),
-                v: TaskView::Fwd(v),
-            })
-            .collect();
-        let params = XDropParams::new(50);
-        let policy = BandPolicy::Grow(64);
-        let mut best = BatchReport::default();
-        let mut best_ns = u64::MAX;
-        for _ in 0..20 {
-            let t0 = std::time::Instant::now();
-            let (o, report) = align_batch_with_lanes(&tasks, &sc(), params, policy, 8);
-            let total = t0.elapsed().as_nanos() as u64;
-            std::hint::black_box(&o);
-            if total < best_ns {
-                best_ns = total;
-                best = report;
-            }
-        }
-        let phases = best.prologue_ns + best.stage_ns + best.sweep_ns + best.reduce_ns;
-        println!(
-            "total {best_ns} ns | prologue {} stage {} sweep {} reduce {} (sum {phases}) \
-             | rounds {} lane_rounds {} lane_cells {} cells/lane-round {:.1}",
-            best.prologue_ns,
-            best.stage_ns,
-            best.sweep_ns,
-            best.reduce_ns,
-            best.rounds,
-            best.lane_rounds,
-            best.lane_cells,
-            best.lane_cells as f64 / best.lane_rounds.max(1) as f64,
-        );
     }
 
     fn assert_batch_matches_scalar(
@@ -1999,10 +1832,6 @@ mod tests {
             let reference = scalar_task(t, scorer, params, policy);
             assert_eq!(&reference, g, "lane vs scalar, lanes={lanes}");
         }
-        // Refill timing must never leak into results: the strict
-        // no-refill bucket mode is the same batch, bit for bit.
-        let (bucketed, _) = align_batch_with_opts(tasks, scorer, params, policy, lanes, false);
-        assert_eq!(got, bucketed, "refill vs no-refill, lanes={lanes}");
         report
     }
 
@@ -2038,7 +1867,6 @@ mod tests {
                 let report =
                     assert_batch_matches_scalar(&tasks, &sc(), XDropParams::new(12), policy, lanes);
                 assert_eq!(report.lanes, lanes);
-                assert_eq!(report.buckets, tasks.len().div_ceil(lanes));
                 assert_eq!(report.fallbacks, 0);
             }
         }
@@ -2109,7 +1937,6 @@ mod tests {
             8,
         );
         assert_eq!(report.fallbacks, tasks.len());
-        assert_eq!(report.buckets, 0);
         assert_eq!(report.materializations, 0, "fallbacks never materialize");
         // Oversized score steps likewise.
         let big = MatchMismatch::new(MAX_STEP + 1, -1, -1);
@@ -2178,7 +2005,7 @@ mod tests {
 
     #[test]
     fn bucketing_is_deterministic_and_by_length() {
-        // 5 tasks, lane width 2: longest two share a bucket, etc.
+        // 5 tasks, lane width 2: the longest two enter first, etc.
         let s: Vec<u8> = (0..64).map(|i| (i % 4) as u8).collect();
         let lens = [60usize, 8, 32, 8, 50];
         let tasks: Vec<BatchTask<'_>> = lens
@@ -2195,7 +2022,6 @@ mod tests {
             BandPolicy::Grow(4),
             2,
         );
-        assert_eq!(report.buckets, 3);
         assert_eq!(report.reruns, 0);
         // Descending length, equal lengths in submission order.
         assert_eq!(task_order(&tasks), vec![0, 4, 2, 1, 3]);
@@ -2292,18 +2118,6 @@ mod tests {
             spc < 7.0,
             "persistent staging must beat the 14 B/cell operand-copy kernel, got {spc}"
         );
-        // Same batch, no refill: identical results were asserted in
-        // other tests; here the occupancy penalty must be visible.
-        let (_, strict) = align_batch_with_opts(
-            &tasks,
-            &sc(),
-            XDropParams::new(20),
-            BandPolicy::Grow(8),
-            2,
-            false,
-        );
-        assert_eq!(strict.refills, 0);
-        assert!(strict.occupancy() < occ);
     }
 
     #[test]

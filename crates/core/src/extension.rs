@@ -10,7 +10,9 @@
 //! (§4.1.1).
 
 use crate::aligner::{self, AlignerKind};
+use crate::batched::{self, BatchTask, TaskView};
 use crate::error::{AlignError, Result};
+use crate::kernel::KernelKind;
 use crate::ksw2::Ksw2Params;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, Rev};
@@ -161,6 +163,30 @@ impl Extender {
         self.params
     }
 
+    /// The band policy of the batched lane kernel, when this extender
+    /// batches: [`KernelKind::Batched`] over the two-antidiagonal
+    /// backend (the lane kernel implements that engine only), under
+    /// the backend's own policy — the caller's for `XDrop2`, LOGAN's
+    /// saturating window for `LoganBand`.
+    fn batch_policy(&self) -> Option<BandPolicy> {
+        match self.backend {
+            Backend::TwoDiag(policy) if self.params.kernel == KernelKind::Batched => Some(policy),
+            _ => None,
+        }
+    }
+
+    /// How many seeds one [`Extender::extend_batch`] call should take:
+    /// [`REFILL_CLAIM_FACTOR`] × the lane width when this extender
+    /// batches, 1 otherwise (where [`Extender::extend`] per seed is
+    /// the whole story).
+    pub fn grain(&self) -> usize {
+        if self.batch_policy().is_some() {
+            batched::lane_width() * REFILL_CLAIM_FACTOR
+        } else {
+            1
+        }
+    }
+
     /// Extends `seed` on `h` × `v` in both directions.
     pub fn extend<S: Scorer>(
         &mut self,
@@ -237,20 +263,66 @@ impl Extender {
         let seed_score = self
             .backend
             .seed_score(self.params.x, h_seed, v_seed, scorer);
-        Ok(ExtendOutcome {
-            score: left.result.best_score + seed_score + right.result.best_score,
-            seed_score,
-            left,
-            right,
-            h_span: (
-                seed.h_pos - left.result.end_h,
-                seed.h_pos + seed.k + right.result.end_h,
-            ),
-            v_span: (
-                seed.v_pos - left.result.end_v,
-                seed.v_pos + seed.k + right.result.end_v,
-            ),
-        })
+        Ok(outcome(seed, seed_score, left, right))
+    }
+
+    /// Extends every `(h, v, seed)` job; outcome `i` is exactly what
+    /// [`Extender::extend`] returns for job `i`, errors included (an
+    /// invalid seed first, then the left extension's error before the
+    /// right's).
+    ///
+    /// When this extender batches (see [`Extender::grain`]), the left
+    /// and right extensions of every job with a valid seed become
+    /// tasks of one [`batched::align_batch`] call, so up to
+    /// `2 × jobs.len()` alignments share the lane groups; otherwise
+    /// the jobs run one [`Extender::extend`] at a time.
+    pub fn extend_batch<S: Scorer>(
+        &mut self,
+        jobs: &[(&[u8], &[u8], SeedMatch)],
+        scorer: &S,
+    ) -> Vec<Result<ExtendOutcome>> {
+        let Some(policy) = self.batch_policy() else {
+            return jobs
+                .iter()
+                .map(|&(h, v, seed)| self.extend(h, v, seed, scorer))
+                .collect();
+        };
+        // Task layout: a job with a valid seed contributes two
+        // consecutive tasks (left, right) at its recorded base index.
+        let mut tasks = Vec::with_capacity(2 * jobs.len());
+        let bases: Vec<Result<usize>> = jobs
+            .iter()
+            .map(|&(h, v, seed)| {
+                seed.validate(h.len(), v.len())?;
+                let (h_left, _, h_right) = split3(h, seed.h_pos, seed.k);
+                let (v_left, _, v_right) = split3(v, seed.v_pos, seed.k);
+                tasks.push(BatchTask {
+                    h: TaskView::Rev(h_left),
+                    v: TaskView::Rev(v_left),
+                });
+                tasks.push(BatchTask {
+                    h: TaskView::Fwd(h_right),
+                    v: TaskView::Fwd(v_right),
+                });
+                Ok(tasks.len() - 2)
+            })
+            .collect();
+        let (outs, _) = batched::align_batch(&tasks, scorer, self.params, policy);
+        jobs.iter()
+            .zip(bases)
+            .map(|(&(h, v, seed), base)| {
+                let base = base?;
+                let left = outs[base].clone()?;
+                let right = outs[base + 1].clone()?;
+                let seed_score = self.backend.seed_score(
+                    self.params.x,
+                    &h[seed.h_pos..seed.h_pos + seed.k],
+                    &v[seed.v_pos..seed.v_pos + seed.k],
+                    scorer,
+                );
+                Ok(outcome(seed, seed_score, left, right))
+            })
+            .collect()
     }
 
     /// Extends a single direction only — used by the LR-splitting
@@ -337,6 +409,39 @@ pub enum Side {
 fn split3(s: &[u8], pos: usize, k: usize) -> (&[u8], &[u8], &[u8]) {
     (&s[..pos], &s[pos..pos + k], &s[pos + k..])
 }
+
+/// Assembles a seed's outcome from its scored seed and both sides.
+fn outcome(
+    seed: SeedMatch,
+    seed_score: i32,
+    left: AlignOutput,
+    right: AlignOutput,
+) -> ExtendOutcome {
+    ExtendOutcome {
+        score: left.result.best_score + seed_score + right.result.best_score,
+        seed_score,
+        left,
+        right,
+        h_span: (
+            seed.h_pos - left.result.end_h,
+            seed.h_pos + seed.k + right.result.end_h,
+        ),
+        v_span: (
+            seed.v_pos - left.result.end_v,
+            seed.v_pos + seed.k + right.result.end_v,
+        ),
+    }
+}
+
+/// How many seeds a batching [`Extender`]'s claim spans, as a
+/// multiple of the lane width. The batched kernel's mid-flight refill
+/// turns the surplus beyond one lane group into a pending queue: a
+/// lane that X-Drop retires early is refilled from the same claim
+/// instead of idling, so oversizing the claim raises lane occupancy.
+/// 4× keeps a claim's cost spread small when the caller hands out
+/// claims in descending-cost order, while leaving ~3 refill waves per
+/// slot.
+const REFILL_CLAIM_FACTOR: usize = 4;
 
 /// A shared checkout pool of [`Extender`]s for host-side thread
 /// pools.
@@ -572,6 +677,44 @@ mod tests {
         assert_eq!(pool.idle(), 2);
         let _e = pool.checkout();
         assert_eq!(pool.idle(), 1);
+    }
+
+    #[test]
+    fn extend_batch_matches_extend_per_job() {
+        // An out-of-bounds seed in the middle of the batch fails that
+        // job alone; its neighbours (whose left and right sides share
+        // the batch with it) still equal `extend`, errors included
+        // under a band too tight for `Exact`.
+        let h = encode_dna(b"ACGTACGTAAGGTACGTACGTACGTTTGGACGTACGTACGTAAGG");
+        let v = encode_dna(b"ACGTACGAAAGGTACGTACGTACTTTTGGACGAACGTACCTAAGG");
+        let jobs: Vec<(&[u8], &[u8], SeedMatch)> = vec![
+            (&h, &v, SeedMatch::new(12, 12, 8)),
+            (&h, &h, SeedMatch::new(0, 0, 4)),
+            (&h, &v, SeedMatch::new(100, 12, 8)),
+            (&v, &h, SeedMatch::new(30, 30, 6)),
+            (&h[..20], &v, SeedMatch::new(16, 16, 4)),
+        ];
+        let cases = [
+            (AlignerKind::XDrop2, KernelKind::Batched, true),
+            (AlignerKind::LoganBand, KernelKind::Batched, true),
+            (AlignerKind::XDrop3, KernelKind::Batched, false),
+            (AlignerKind::XDrop2, KernelKind::Simd, false),
+            (AlignerKind::Affine, KernelKind::Scalar, false),
+        ];
+        for (kind, kernel, batches) in cases {
+            for policy in [BandPolicy::Grow(8), BandPolicy::Exact(2)] {
+                let p = XDropParams::new(10).with_kernel(kernel);
+                let mut e = Extender::new(p, Backend::for_kind(kind, 10, policy));
+                assert_eq!(e.grain() > 1, batches, "{kind:?} {kernel:?}");
+                let got = e.extend_batch(&jobs, &sc());
+                assert_eq!(got.len(), jobs.len());
+                assert!(matches!(got[2], Err(AlignError::SeedOutOfBounds { .. })));
+                for (i, (&(h, v, seed), got)) in jobs.iter().zip(got).enumerate() {
+                    let want = e.extend(h, v, seed, &sc());
+                    assert_eq!(got, want, "{kind:?} {kernel:?} {policy:?} job {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //!    candidate interval (the cells whose three neighbours are all
 //!    stored: a contiguous range, because each guard is an interval)
 //!    in fixed-width [`CHUNK`]-cell slices with no per-cell guards.
-//!    The few boundary cells keep the scalar per-cell path. The
-//!    [`KernelKind::Chunked`] sweep is plain Rust written for the
-//!    autovectorizer; [`KernelKind::Simd`] issues explicit SSE4.1 (or
-//!    NEON) `std::arch` intrinsics for the `i32` match/mismatch
-//!    (DNA) case, turning the scoring into a vector
-//!    compare-and-select instead of a gather.
+//!    The few boundary cells keep the scalar per-cell path.
+//!    [`KernelKind::Simd`] issues explicit SSE4.1 (or NEON)
+//!    `std::arch` intrinsics for the `i32` match/mismatch (DNA) case,
+//!    turning the scoring into a vector compare-and-select instead of
+//!    a gather; every other case (and a host without those ISAs)
+//!    takes the type-generic chunk loop written for the
+//!    autovectorizer.
 //! 3. **Cutoff** — apply the X-Drop threshold and fold the liveness
 //!    reductions (band bounds, per-diagonal best, global best) chunk
 //!    at a time: a per-chunk max-reduction decides whether the
@@ -60,16 +61,15 @@ use crate::scoring::{MatchMismatch, Scorer};
 use crate::seqview::SeqView;
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
 use crate::xdrop2::{self, BandPolicy, DiagMeta, Workspace};
-use crate::{XDropParams, NEG_INF};
+use crate::XDropParams;
 
 /// Fixed chunk width (cells) of the lane-parallel sweeps.
 pub const CHUNK: usize = 16;
 
-/// Environment variable forcing the kernel choice, overriding
-/// hardware detection: `scalar`, `chunked`, `simd`, `batched`, or
-/// `auto`. Unknown values fall back to detection with a one-time
-/// stderr warning. Intended for tests and for A/B runs of the bench
-/// harness.
+/// Environment variable forcing the kernel choice: `scalar`, `simd`,
+/// `batched`, or `auto` (= `simd`). Unknown values fall back to
+/// `simd` with a one-time stderr warning. Intended for tests and for
+/// A/B runs of the bench harness.
 pub const KERNEL_ENV: &str = "XDROP_KERNEL";
 
 /// Which antidiagonal inner-loop implementation to run.
@@ -80,20 +80,19 @@ pub enum KernelKind {
     /// The reference per-cell loop of
     /// [`crate::xdrop2::align_views_ty`].
     Scalar,
-    /// Branch-free fixed-width chunks over contiguous slices, written
-    /// for the autovectorizer; works for every score type and scorer.
-    Chunked,
-    /// Explicit `std::arch` SSE4.1/NEON lanes for the `i32`
-    /// match/mismatch (DNA) case; every other configuration falls
-    /// back to the `Chunked` sweep per sub-kernel.
+    /// Branch-free fixed-width chunks over contiguous slices, with
+    /// explicit `std::arch` SSE4.1/NEON lanes for the `i32`
+    /// match/mismatch (DNA) case where the host has them (detected at
+    /// runtime); every other configuration takes the type-generic
+    /// chunk loop, written for the autovectorizer.
     Simd,
     /// Inter-sequence batching ([`crate::batched`]): 8–32 independent
     /// alignments share each vector register in `i16` lanes, with
     /// length bucketing and an overflow-rerun safety net. Selected
-    /// explicitly (never by [`KernelKind::detect`]) because its
-    /// payoff comes from the slice-of-comparisons entry points in the
-    /// executor; through the single-comparison API it runs a batch of
-    /// one.
+    /// explicitly (never by [`KernelKind::auto`]) because its payoff
+    /// comes from [`crate::extension::Extender::extend_batch`], which
+    /// the executor hands whole claims of comparisons; through the
+    /// single-comparison API it runs a batch of one.
     Batched,
 }
 
@@ -172,48 +171,29 @@ pub(crate) fn warn_unknown_env(once: &std::sync::Once, var: &str, value: &str, f
 
 impl KernelKind {
     /// Every kernel, scalar first (bench/report ordering).
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::Scalar,
-        KernelKind::Chunked,
-        KernelKind::Simd,
-        KernelKind::Batched,
-    ];
+    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Batched];
 
-    /// Stable lower-case name (`scalar` / `chunked` / `simd` /
-    /// `batched`).
+    /// Stable lower-case name (`scalar` / `simd` / `batched`).
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Chunked => "chunked",
             KernelKind::Simd => "simd",
             KernelKind::Batched => "batched",
         }
     }
 
-    /// Parses a kernel name as accepted by [`KERNEL_ENV`]; `auto`
-    /// resolves through hardware detection.
+    /// Parses a kernel name as accepted by [`KERNEL_ENV`]; `auto` is
+    /// `simd`, which detects its intrinsics at runtime.
     pub fn parse(s: &str) -> Option<KernelKind> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelKind::Scalar),
-            "chunked" => Some(KernelKind::Chunked),
-            "simd" => Some(KernelKind::Simd),
+            "simd" | "auto" => Some(KernelKind::Simd),
             "batched" => Some(KernelKind::Batched),
-            "auto" => Some(KernelKind::detect()),
             _ => None,
         }
     }
 
-    /// Hardware detection: `Simd` where SSE4.1 (x86-64) or NEON
-    /// (aarch64) is available at runtime, `Chunked` otherwise.
-    pub fn detect() -> KernelKind {
-        if simd_available() {
-            KernelKind::Simd
-        } else {
-            KernelKind::Chunked
-        }
-    }
-
-    /// [`KernelKind::detect`] unless [`KERNEL_ENV`] forces a kernel.
+    /// [`KernelKind::Simd`] unless [`KERNEL_ENV`] forces a kernel.
     ///
     /// The environment variable is read **once per process** and the
     /// resolution cached (same discipline as
@@ -237,23 +217,22 @@ impl KernelKind {
 
     /// Pure form of [`KernelKind::resolve_env`]: resolves an override
     /// value as if `XDROP_KERNEL` held it (`None` = unset). An
-    /// unrecognized value resolves through detection but warns loudly
-    /// (once per process) instead of silently ignoring the override.
+    /// unrecognized value resolves to `Simd` but warns loudly (once
+    /// per process) instead of silently ignoring the override.
     pub fn resolve_env_value(value: Option<&str>) -> KernelKind {
         static WARNED: std::sync::Once = std::sync::Once::new();
         match value {
             Some(v) => KernelKind::parse(v).unwrap_or_else(|| {
-                let detected = KernelKind::detect();
-                warn_unknown_env(&WARNED, KERNEL_ENV, v, detected.name());
-                detected
+                warn_unknown_env(&WARNED, KERNEL_ENV, v, KernelKind::Simd.name());
+                KernelKind::Simd
             }),
-            None => KernelKind::detect(),
+            None => KernelKind::Simd,
         }
     }
 }
 
 /// Runs the selected kernel. `Scalar` routes to the reference
-/// implementation unchanged; `Chunked`/`Simd` run the three-phase
+/// implementation unchanged; `Simd` runs the three-phase
 /// lane-parallel loop.
 pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     kind: KernelKind,
@@ -266,21 +245,14 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 ) -> Result<AlignOutput> {
     match kind {
         KernelKind::Scalar => xdrop2::align_views_ty(h, v, scorer, params, policy, ws),
-        KernelKind::Chunked | KernelKind::Simd => {
-            let explicit_simd = kind == KernelKind::Simd && simd_available();
-            lane_parallel(h, v, scorer, params, policy, ws, explicit_simd)
-        }
+        KernelKind::Simd => lane_parallel(h, v, scorer, params, policy, ws, simd_available()),
         KernelKind::Batched => {
             // The inter-sequence kernel's natural entry point is
             // `crate::batched::align_batch` over a *slice* of tasks
-            // (the executor hands it whole claims); through the
-            // single-comparison API it runs a batch of one. It owns
-            // per-lane i16 buffers with fresh-workspace semantics and
-            // therefore ignores `ws` — under `BandPolicy::Grow` its
-            // reported `work_bytes` match the scalar reference on a
-            // *fresh* workspace (a reused pre-grown workspace would
-            // legitimately report more; every other field is
-            // workspace-independent).
+            // (`Extender::extend_batch` hands it whole claims);
+            // through the single-comparison API it runs a batch of
+            // one. It owns per-lane i16 buffers and therefore ignores
+            // `ws`, which no reported statistic depends on.
             if T::as_i32_slice(&[]).is_some() {
                 let ho = crate::seqview::collect_view(h);
                 let vo = crate::seqview::collect_view(v);
@@ -421,11 +393,10 @@ fn sweep_interior_chunked<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 }
 
 /// Interior sweep dispatch. For `i32` cells with a match/mismatch
-/// scorer, the sweep specializes to a branch-free lane loop — with
-/// explicit `std::arch` intrinsics when the caller detected the ISA
-/// (`Simd`), or as plain autovectorizable Rust otherwise (`Chunked`
-/// and non-x86/ARM hosts). Every other configuration (f32 cells,
-/// matrix scorers) takes the fully generic chunked sweep.
+/// scorer on a host with the detected ISA, the sweep runs explicit
+/// `std::arch` intrinsics. Every other configuration (f32 cells,
+/// matrix scorers, hosts without SSE4.1/NEON) takes the fully
+/// generic chunked sweep, which produces the same bytes.
 #[allow(clippy::too_many_arguments)]
 fn sweep_interior<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     int_lo: usize,
@@ -443,76 +414,21 @@ fn sweep_interior<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     mm: Option<MatchMismatch>,
     explicit_simd: bool,
 ) {
-    if let Some(mm) = mm {
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    if let (true, Some(mm)) = (explicit_simd, mm) {
         if let (Some(prev_i), Some(scr_i)) = (T::as_i32_slice(prev), T::as_i32_slice(scratch)) {
             if let Some(cur_i) = T::as_i32_slice_mut(&mut *cur) {
-                #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-                if explicit_simd {
-                    sweep_interior_simd(
-                        int_lo, int_hi, d, cand_lo, off, cur_i, prev_i, scr_i, h, v, mm,
-                    );
-                    return;
-                }
-                let _ = explicit_simd;
-                sweep_interior_i32(
+                sweep_interior_simd(
                     int_lo, int_hi, d, cand_lo, off, cur_i, prev_i, scr_i, h, v, mm,
                 );
                 return;
             }
         }
     }
+    let _ = (mm, explicit_simd);
     sweep_interior_chunked(
         int_lo, int_hi, d, cand_lo, off, cur, prev, scratch, h, v, scorer, gap,
     );
-}
-
-/// Portable branch-free interior sweep for `i32` DNA scoring: no
-/// intrinsics, just selects and wrapping adds over equal-length
-/// subslices, written so the autovectorizer can keep the chunk in
-/// lanes on any target. Wrapping adds are exact here — every operand
-/// is bounded below by `NEG_INF` minus a few gap penalties (see the
-/// module docs on saturation headroom).
-#[allow(clippy::too_many_arguments)]
-fn sweep_interior_i32<HV: SeqView, VV: SeqView>(
-    int_lo: usize,
-    int_hi: usize,
-    d: usize,
-    cand_lo: usize,
-    off: usize,
-    cur: &mut [i32],
-    prev: &[i32],
-    scratch: &[i32],
-    h: &HV,
-    v: &VV,
-    mm: MatchMismatch,
-) {
-    let (mat, mis, gap) = (mm.match_score, mm.mismatch_score, mm.gap_penalty);
-    let mut vbuf = [0u8; CHUNK];
-    let mut hbuf = [0u8; CHUNK];
-    let mut i0 = int_lo;
-    while i0 <= int_hi {
-        let clen = CHUNK.min(int_hi - i0 + 1);
-        v.fill_fwd(i0 - 1, &mut vbuf[..clen]);
-        h.fill_rev(d - i0 - 1, &mut hbuf[..clen]);
-        let wbase = i0 - cand_lo;
-        let c = &mut cur[wbase..wbase + clen];
-        let sc = &scratch[wbase..wbase + clen];
-        let pl = &prev[wbase + off..wbase + off + clen];
-        let pu = &prev[wbase + off - 1..wbase + off - 1 + clen];
-        for k in 0..clen {
-            let dold = sc[k];
-            let sim = if vbuf[k] == hbuf[k] { mat } else { mis };
-            let diag = if dold > NEG_INF / 2 {
-                dold.wrapping_add(sim)
-            } else {
-                NEG_INF
-            };
-            let left = pl[k].wrapping_add(gap);
-            let up = pu[k].wrapping_add(gap);
-            c[k] = diag.max(left).max(up);
-        }
-        i0 += clen;
-    }
 }
 
 /// Explicit-SIMD interior sweep for `i32` DNA scoring: stages each
@@ -651,15 +567,13 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     let mut t_best = 0i32;
     let (mut live_lo, mut live_hi) = (0usize, 0usize);
     let mut prev_best_i = 0usize;
-    let band_cap = |ws: &Workspace<T>| match policy {
-        BandPolicy::Exact(b) | BandPolicy::Saturate(b) => b,
-        BandPolicy::Grow(_) => ws.capacity(),
-    };
+    // This call's band capacity, as in the scalar reference.
+    let mut cap = delta_b;
     let mut stats = AlignStats {
         cells_computed: 1,
         delta_w: 1,
         delta,
-        work_bytes: 2 * band_cap(ws) * std::mem::size_of::<T>(),
+        work_bytes: 2 * cap * std::mem::size_of::<T>(),
         ..Default::default()
     };
 
@@ -677,7 +591,7 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
             break;
         }
         let width = cand_hi - cand_lo + 1;
-        if width > band_cap(ws) {
+        if width > cap {
             match policy {
                 BandPolicy::Exact(delta_b) => {
                     return Err(AlignError::BandExceeded {
@@ -687,9 +601,9 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
                     });
                 }
                 BandPolicy::Grow(_) => {
-                    let new_cap = width.max(2 * ws.capacity());
-                    ws.ensure(new_cap);
-                    stats.work_bytes = 2 * band_cap(ws) * std::mem::size_of::<T>();
+                    cap = width.max(2 * cap);
+                    ws.ensure(cap);
+                    stats.work_bytes = 2 * cap * std::mem::size_of::<T>();
                 }
                 BandPolicy::Saturate(delta_b) => {
                     let half = delta_b / 2;
@@ -1100,10 +1014,10 @@ mod tests {
             assert_eq!(KernelKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(KernelKind::parse("SIMD"), Some(KernelKind::Simd));
-        assert_eq!(KernelKind::parse("  chunked "), Some(KernelKind::Chunked));
+        assert_eq!(KernelKind::parse("  batched "), Some(KernelKind::Batched));
         assert!(KernelKind::parse("avx1024").is_none());
-        // `auto` resolves to whatever detection says, never Scalar.
-        assert_ne!(KernelKind::parse("auto"), Some(KernelKind::Scalar));
+        assert!(KernelKind::parse("chunked").is_none());
+        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::Simd));
     }
 
     #[test]
@@ -1119,14 +1033,14 @@ mod tests {
             KernelKind::Scalar
         );
         assert_eq!(
-            KernelKind::resolve_env_value(Some("chunked")),
-            KernelKind::Chunked
+            KernelKind::resolve_env_value(Some("batched")),
+            KernelKind::Batched
         );
         assert_eq!(
             KernelKind::resolve_env_value(Some("definitely-not-a-kernel")),
-            KernelKind::detect()
+            KernelKind::Simd
         );
-        assert_eq!(KernelKind::resolve_env_value(None), KernelKind::detect());
+        assert_eq!(KernelKind::resolve_env_value(None), KernelKind::Simd);
         // And the cached reader agrees with an uncached resolution of
         // the (unmutated) process environment.
         assert_eq!(KernelKind::auto(), KernelKind::resolve_env());
@@ -1159,7 +1073,7 @@ mod tests {
                         align_views(kind, &Fwd(h), &Fwd(v), &sc(), p, policy, &mut ws)
                     };
                     let scalar = run(KernelKind::Scalar);
-                    for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+                    for kind in [KernelKind::Simd, KernelKind::Batched] {
                         assert_identical_output(&scalar, &run(kind), &(kind, policy, x));
                     }
                 }
@@ -1171,7 +1085,7 @@ mod tests {
     fn exact_band_error_is_identical() {
         let s = encode_dna(&b"ACGTACGTACGTACGT".repeat(4));
         let p = XDropParams::new(10_000);
-        for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+        for kind in [KernelKind::Simd, KernelKind::Batched] {
             let mut ws = Workspace::<i32>::new();
             let err = align_views(
                 kind,
@@ -1216,7 +1130,7 @@ mod tests {
                 policy,
                 &mut ws,
             );
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Simd, KernelKind::Batched] {
                 let mut ws = Workspace::<i32>::new();
                 let packed = align_views(kind, &hp, &vp, &sc(), p, policy, &mut ws);
                 assert_identical_output(&scalar, &packed, &("packed", kind, policy));
@@ -1253,7 +1167,7 @@ mod tests {
                 policy,
                 &mut ws,
             );
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Simd, KernelKind::Batched] {
                 let mut ws = Workspace::<f32>::new();
                 let got = align_views(kind, &Fwd(&h), &Fwd(&v), &sc(), p, policy, &mut ws);
                 assert_identical_output(&scalar, &got, &("f32", kind, policy));
@@ -1281,7 +1195,7 @@ mod tests {
             BandPolicy::Grow(8),
             &mut ws,
         );
-        for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+        for kind in [KernelKind::Simd, KernelKind::Batched] {
             let mut ws = Workspace::<i32>::new();
             let got = align_views(
                 kind,
@@ -1309,7 +1223,7 @@ mod tests {
         for kind in [
             KernelKind::Simd,
             KernelKind::Scalar,
-            KernelKind::Chunked,
+            KernelKind::Simd,
             KernelKind::Scalar,
         ] {
             outs.push(

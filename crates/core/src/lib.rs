@@ -120,7 +120,7 @@ pub struct XDropParams {
 
 impl XDropParams {
     /// X-Drop parameters with threshold `x`, no iteration cap, and
-    /// the auto-detected kernel ([`kernel::KernelKind::auto`]).
+    /// the default kernel ([`kernel::KernelKind::auto`]).
     pub fn new(x: i32) -> Self {
         Self {
             x,

@@ -14,10 +14,8 @@ use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use xdrop_core::aligner::AlignerKind;
-use xdrop_core::batched::{self, BatchTask, TaskView};
 use xdrop_core::error::{AlignError, Result};
-use xdrop_core::extension::{Backend, Extender, ExtenderPool, Side};
-use xdrop_core::kernel::KernelKind;
+use xdrop_core::extension::{Backend, ExtendOutcome, Extender, ExtenderPool, Side};
 use xdrop_core::scoring::Scorer;
 use xdrop_core::stats::AlignStats;
 use xdrop_core::workload::Workload;
@@ -28,9 +26,9 @@ use xdrop_core::XDropParams;
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// X-Drop parameters. The embedded [`XDropParams::kernel`]
-    /// choice (scalar / chunked / SIMD / batched) only changes host
-    /// wall-clock — all kernels are bit-identical, so modeled time
-    /// and every reported statistic are unaffected.
+    /// choice (scalar / SIMD / batched) only changes host wall-clock
+    /// — all kernels are bit-identical, so modeled time and every
+    /// reported statistic are unaffected.
     pub params: XDropParams,
     /// Band policy for the memory-restricted kernel.
     pub policy: BandPolicy,
@@ -128,61 +126,27 @@ impl ExecOutput {
     }
 }
 
-/// Aligns one comparison and returns its result plus the one or two
-/// work units it produces (two under LR splitting: left then right).
-///
-/// This is the per-task body of every execution path — serial,
-/// static-chunk reference, and the work-stealing pool — so the unit
-/// contents cannot depend on which path (or thread) ran the task.
-fn align_comparison<S: Scorer>(
-    w: &Workload,
-    ext: &mut Extender,
-    scorer: &S,
-    cfg: &ExecConfig,
-    ci: usize,
-) -> Result<(UnitResult, WorkUnit, Option<WorkUnit>)> {
-    let c = w.comparisons[ci];
-    let h = w.seqs.get(c.h);
-    let v = w.seqs.get(c.v);
-    let out = ext.extend(h, v, c.seed, scorer)?;
-    let mut stats = out.left.stats;
-    stats.merge(&out.right.stats);
-    let result = UnitResult {
-        score: out.score,
-        stats,
+/// The one or two work units of comparison `ci` (two under LR
+/// splitting: left then right), with `cmp`, `side` and
+/// `est_complexity` set and default stats and zero score.
+fn unit_shells(w: &Workload, lr_split: bool, ci: usize) -> (WorkUnit, Option<WorkUnit>) {
+    let c = &w.comparisons[ci];
+    let unit = |side, est_complexity| WorkUnit {
+        cmp: ci as u32,
+        side,
+        stats: AlignStats::default(),
+        score: 0,
+        est_complexity,
     };
-    if cfg.lr_split {
-        let (lh, lv) = w.left_lens(&c);
-        let (rh, rv) = w.right_lens(&c);
-        Ok((
-            result,
-            WorkUnit {
-                cmp: ci as u32,
-                side: Some(Side::Left),
-                stats: out.left.stats,
-                score: out.left.result.best_score,
-                est_complexity: lh as u64 * lv as u64,
-            },
-            Some(WorkUnit {
-                cmp: ci as u32,
-                side: Some(Side::Right),
-                stats: out.right.stats,
-                score: out.right.result.best_score,
-                est_complexity: rh as u64 * rv as u64,
-            }),
-        ))
+    if lr_split {
+        let (lh, lv) = w.left_lens(c);
+        let (rh, rv) = w.right_lens(c);
+        (
+            unit(Some(Side::Left), lh as u64 * lv as u64),
+            Some(unit(Some(Side::Right), rh as u64 * rv as u64)),
+        )
     } else {
-        Ok((
-            result,
-            WorkUnit {
-                cmp: ci as u32,
-                side: None,
-                stats,
-                score: out.score,
-                est_complexity: w.complexity(&c),
-            },
-            None,
-        ))
+        (unit(None, w.complexity(c)), None)
     }
 }
 
@@ -197,215 +161,117 @@ fn align_comparison<S: Scorer>(
 /// out-of-core pipeline plan from a lengths-only skeleton.
 pub fn planning_units(w: &Workload, lr_split: bool) -> Vec<WorkUnit> {
     let mut units = Vec::with_capacity(w.comparisons.len() * if lr_split { 2 } else { 1 });
-    for (ci, c) in w.comparisons.iter().enumerate() {
-        if lr_split {
-            let (lh, lv) = w.left_lens(c);
-            let (rh, rv) = w.right_lens(c);
-            units.push(WorkUnit {
-                cmp: ci as u32,
-                side: Some(Side::Left),
-                stats: AlignStats::default(),
-                score: 0,
-                est_complexity: lh as u64 * lv as u64,
-            });
-            units.push(WorkUnit {
-                cmp: ci as u32,
-                side: Some(Side::Right),
-                stats: AlignStats::default(),
-                score: 0,
-                est_complexity: rh as u64 * rv as u64,
-            });
-        } else {
-            units.push(WorkUnit {
-                cmp: ci as u32,
-                side: None,
-                stats: AlignStats::default(),
-                score: 0,
-                est_complexity: w.complexity(c),
-            });
-        }
+    for ci in 0..w.comparisons.len() {
+        let (u0, u1) = unit_shells(w, lr_split, ci);
+        units.push(u0);
+        units.extend(u1);
     }
     units
 }
 
-/// How many consecutive LPT-order claims one worker's batch call
-/// spans, as a multiple of the lane width. The batched kernel's
-/// mid-flight refill turns the surplus beyond one lane group into a
-/// pending queue: a lane that X-Drop retires early is refilled from
-/// the same claim instead of idling, so oversizing the claim raises
-/// lane occupancy. 4× keeps the per-claim task spread inside one LPT
-/// run (similar costs) while leaving ~3 refill waves per slot.
-const REFILL_CLAIM_FACTOR: usize = 4;
-
-/// How many comparisons each queue claim should hand one worker:
-/// [`REFILL_CLAIM_FACTOR`] × the batched kernel's hardware lane width
-/// under [`KernelKind::Batched`] (one lane group plus a refill queue —
-/// and, because claims are consecutive runs of the LPT order, its
-/// comparisons already have similar cost), 1 for the per-comparison
-/// kernels.
-fn claim_grain(cfg: &ExecConfig) -> usize {
-    if cfg.params.kernel == KernelKind::Batched && cfg.aligner == AlignerKind::XDrop2 {
-        batched::lane_width() * REFILL_CLAIM_FACTOR
-    } else {
-        // The batched lane kernel implements the two-antidiagonal
-        // engine only; every other engine runs per-comparison.
-        1
+/// The result and work units of comparison `ci` given its extension
+/// outcome: the [`unit_shells`] filled with each side's stats and
+/// score (or the fused stats and total score without LR splitting).
+///
+/// This is the unit builder of every execution path — serial,
+/// static-chunk reference, and the work-stealing pool, per-comparison
+/// or batched — so the unit contents cannot depend on which path (or
+/// thread) ran the comparison.
+fn aligned_units(
+    w: &Workload,
+    lr_split: bool,
+    ci: usize,
+    out: &ExtendOutcome,
+) -> (UnitResult, WorkUnit, Option<WorkUnit>) {
+    let (mut u0, mut u1) = unit_shells(w, lr_split, ci);
+    let stats = out.stats();
+    match &mut u1 {
+        Some(right) => {
+            (u0.stats, u0.score) = (out.left.stats, out.left.result.best_score);
+            (right.stats, right.score) = (out.right.stats, out.right.result.best_score);
+        }
+        None => (u0.stats, u0.score) = (stats, out.score),
     }
+    let result = UnitResult {
+        score: out.score,
+        stats,
+    };
+    (result, u0, u1)
 }
 
-/// What aligning one comparison yields: its result plus the one or
-/// two work units it produces (see [`align_comparison`]).
-type ComparisonOutcome = Result<(UnitResult, WorkUnit, Option<WorkUnit>)>;
-
-/// Batched analogue of [`align_comparison`] over a whole claim: the
-/// left and right extensions of every claimed comparison become tasks
-/// of a single [`batched::align_batch`] call, so up to `2 × grain`
-/// alignments share the kernel's lane groups. Outcomes are returned
-/// in claim order and each is bit-identical to what
-/// [`align_comparison`] produces for that comparison alone — seed
-/// validation first, then the left extension's error takes precedence
-/// over the right's, exactly like `Extender::extend`'s early returns.
-fn align_comparisons_batched<S: Scorer>(
+/// Extends the comparisons of one claim with `ext` and hands each
+/// outcome to `sink`, in claim order. A one-comparison claim calls
+/// [`Extender::extend`] directly, with no allocation; a longer one
+/// (a batching extender's [`Extender::grain`]) goes through one
+/// [`Extender::extend_batch`] call.
+fn align_claim<S: Scorer>(
     w: &Workload,
     scorer: &S,
-    cfg: &ExecConfig,
+    ext: &mut Extender,
     claim: &[u32],
-) -> Vec<(u32, ComparisonOutcome)> {
-    // Task layout: comparisons with a valid seed contribute two
-    // consecutive tasks (left, right) at their recorded base index.
-    let mut tasks: Vec<BatchTask<'_>> = Vec::with_capacity(claim.len() * 2);
-    let mut bases: Vec<Result<usize>> = Vec::with_capacity(claim.len());
-    for &ci in claim {
-        let c = w.comparisons[ci as usize];
-        let h = w.seqs.get(c.h);
-        let v = w.seqs.get(c.v);
-        match c.seed.validate(h.len(), v.len()) {
-            Ok(()) => {
-                bases.push(Ok(tasks.len()));
-                tasks.push(BatchTask {
-                    h: TaskView::Rev(&h[..c.seed.h_pos]),
-                    v: TaskView::Rev(&v[..c.seed.v_pos]),
-                });
-                tasks.push(BatchTask {
-                    h: TaskView::Fwd(&h[c.seed.h_pos + c.seed.k..]),
-                    v: TaskView::Fwd(&v[c.seed.v_pos + c.seed.k..]),
-                });
+    mut sink: impl FnMut(u32, Result<ExtendOutcome>),
+) {
+    let job = |ci: u32| {
+        let c = &w.comparisons[ci as usize];
+        (w.seqs.get(c.h), w.seqs.get(c.v), c.seed)
+    };
+    match *claim {
+        [] => {}
+        [ci] => {
+            let (h, v, seed) = job(ci);
+            sink(ci, ext.extend(h, v, seed, scorer));
+        }
+        _ => {
+            let jobs: Vec<_> = claim.iter().map(|&ci| job(ci)).collect();
+            for (&ci, out) in claim.iter().zip(ext.extend_batch(&jobs, scorer)) {
+                sink(ci, out);
             }
-            Err(e) => bases.push(Err(e)),
         }
     }
-    let (outs, _report) = batched::align_batch(&tasks, scorer, cfg.params, cfg.policy);
-    claim
-        .iter()
-        .zip(bases)
-        .map(|(&ci, base)| {
-            let outcome = base.and_then(|base| {
-                let left = outs[base].clone()?;
-                let right = outs[base + 1].clone()?;
-                let c = w.comparisons[ci as usize];
-                let h = w.seqs.get(c.h);
-                let v = w.seqs.get(c.v);
-                let seed_score = scorer.seed_score(
-                    &h[c.seed.h_pos..c.seed.h_pos + c.seed.k],
-                    &v[c.seed.v_pos..c.seed.v_pos + c.seed.k],
-                );
-                let mut stats = left.stats;
-                stats.merge(&right.stats);
-                let result = UnitResult {
-                    score: left.result.best_score + seed_score + right.result.best_score,
-                    stats,
-                };
-                if cfg.lr_split {
-                    let (lh, lv) = w.left_lens(&c);
-                    let (rh, rv) = w.right_lens(&c);
-                    Ok((
-                        result,
-                        WorkUnit {
-                            cmp: ci,
-                            side: Some(Side::Left),
-                            stats: left.stats,
-                            score: left.result.best_score,
-                            est_complexity: lh as u64 * lv as u64,
-                        },
-                        Some(WorkUnit {
-                            cmp: ci,
-                            side: Some(Side::Right),
-                            stats: right.stats,
-                            score: right.result.best_score,
-                            est_complexity: rh as u64 * rv as u64,
-                        }),
-                    ))
-                } else {
-                    Ok((
-                        result,
-                        WorkUnit {
-                            cmp: ci,
-                            side: None,
-                            stats,
-                            score: result.score,
-                            est_complexity: w.complexity(&c),
-                        },
-                        None,
-                    ))
-                }
-            });
-            (ci, outcome)
-        })
-        .collect()
 }
 
-/// Serial batched execution over a contiguous range: grain-sized runs
-/// of comparisons go through [`align_comparisons_batched`] in index
-/// order, so the first failing index raises the same error as the
-/// per-comparison serial pass.
-fn exec_range_batched<S: Scorer>(
+/// Aligns the comparisons of `range` in index order, `grain` at a
+/// time, with one extender. Stops at the first failing comparison and
+/// returns its error, so a failing run blames the smallest failing
+/// index.
+fn exec_range<S: Scorer>(
     w: &Workload,
     scorer: &S,
     cfg: &ExecConfig,
-    range: std::ops::Range<usize>,
+    ext: &mut Extender,
     grain: usize,
-) -> Result<(Vec<WorkUnit>, Vec<UnitResult>)> {
-    let indices: Vec<u32> = range.map(|ci| ci as u32).collect();
-    let mut units = Vec::with_capacity(indices.len() * if cfg.lr_split { 2 } else { 1 });
-    let mut results = Vec::with_capacity(indices.len());
-    for chunk in indices.chunks(grain.max(1)) {
-        for (_, outcome) in align_comparisons_batched(w, scorer, cfg, chunk) {
-            let (result, u0, u1) = outcome?;
-            results.push(result);
-            units.push(u0);
-            if let Some(u1) = u1 {
-                units.push(u1);
-            }
-        }
-    }
-    Ok((units, results))
-}
-
-fn exec_range<S: Scorer + Sync>(
-    w: &Workload,
-    scorer: &S,
-    cfg: &ExecConfig,
     range: std::ops::Range<usize>,
 ) -> Result<(Vec<WorkUnit>, Vec<UnitResult>)> {
-    let mut ext = Extender::new(cfg.params, cfg.backend());
     let mut units = Vec::with_capacity(range.len() * if cfg.lr_split { 2 } else { 1 });
     let mut results = Vec::with_capacity(range.len());
-    for ci in range {
-        let (result, u0, u1) = align_comparison(w, &mut ext, scorer, cfg, ci)?;
-        results.push(result);
-        units.push(u0);
-        if let Some(u1) = u1 {
-            units.push(u1);
+    let mut claim = Vec::with_capacity(grain);
+    let mut failure = None;
+    for lo in range.clone().step_by(grain) {
+        claim.clear();
+        claim.extend(lo as u32..(lo + grain).min(range.end) as u32);
+        align_claim(w, scorer, ext, &claim, |ci, out| match out {
+            Ok(out) => {
+                let (result, u0, u1) = aligned_units(w, cfg.lr_split, ci as usize, &out);
+                results.push(result);
+                units.push(u0);
+                units.extend(u1);
+            }
+            Err(e) => {
+                failure.get_or_insert(e);
+            }
+        });
+        if let Some(e) = failure {
+            return Err(e);
         }
     }
     Ok((units, results))
 }
 
 /// The pre-pool executor: serial below 64 comparisons, otherwise
-/// static contiguous chunks, one fresh [`Extender`] per chunk.
-/// Retained verbatim as the differential oracle for
-/// [`execute_workload`] — and as the baseline the `experiments e2e`
-/// benchmark measures the pooled pipeline against.
+/// static contiguous chunks, one fresh [`Extender`] per chunk, one
+/// [`Extender::extend`] per comparison. Retained as the differential
+/// oracle for [`execute_workload`] — and as the baseline the
+/// `experiments e2e` benchmark measures the pooled pipeline against.
 pub fn execute_workload_reference<S: Scorer + Sync>(
     w: &Workload,
     scorer: &S,
@@ -413,8 +279,12 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
 ) -> Result<ExecOutput> {
     let n = w.comparisons.len();
     let threads = resolve_threads(cfg.host_threads).min(n.max(1));
+    let exec_chunk = |range| {
+        let mut ext = Extender::new(cfg.params, cfg.backend());
+        exec_range(w, scorer, cfg, &mut ext, 1, range)
+    };
     if threads <= 1 || n < 64 {
-        let (units, results) = exec_range(w, scorer, cfg, 0..n)?;
+        let (units, results) = exec_chunk(0..n)?;
         return Ok(ExecOutput { units, results });
     }
     let chunk = n.div_ceil(threads);
@@ -426,7 +296,8 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
             if lo >= hi {
                 break;
             }
-            handles.push(s.spawn(move |_| exec_range(w, scorer, cfg, lo..hi)));
+            let exec_chunk = &exec_chunk;
+            handles.push(s.spawn(move |_| exec_chunk(lo..hi)));
         }
         handles
             .into_iter()
@@ -448,7 +319,8 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
 /// work-stealing executors: largest `|H|×|V|` bound first, index as
 /// tiebreak. Claim order only affects host wall-clock — results land
 /// in per-index slots — so any permutation is legal; LPT bounds the
-/// tail imbalance by a single comparison.
+/// tail imbalance by a single claim, and gives a batching extender's
+/// claims comparisons of similar cost to share lane groups.
 fn lpt_order(w: &Workload) -> Vec<u32> {
     let mut order: Vec<u32> = (0..w.comparisons.len() as u32).collect();
     order.sort_unstable_by_key(|&ci| (Reverse(w.complexity(&w.comparisons[ci as usize])), ci));
@@ -457,12 +329,15 @@ fn lpt_order(w: &Workload) -> Vec<u32> {
 
 /// Aligns every comparison of `w` and returns the schedulable units
 /// plus per-comparison results. Deterministic regardless of
-/// `cfg.host_threads`, errors included: a failing run reports the
-/// smallest failing comparison index, as the serial pass does.
+/// `cfg.host_threads` and of the kernel, errors included: a failing
+/// run reports the smallest failing comparison index, as the serial
+/// pass does.
 ///
-/// Multi-threaded runs use a work-stealing pool: comparisons are
-/// claimed one at a time in [`lpt_order`] from an [`IndexQueue`] and
-/// written into [`SharedSlots`] keyed by comparison index, so the
+/// Comparisons are claimed [`Extender::grain`] at a time — one, or a
+/// lane-width run for the batched kernel — and aligned by
+/// [`align_claim`]. Multi-threaded runs use a work-stealing pool:
+/// claims come in [`lpt_order`] from an [`IndexQueue`] and results
+/// are written into [`SharedSlots`] keyed by comparison index, so the
 /// output is identical to the serial pass for any thread count and
 /// any claim interleaving. Each worker checks out one extender from
 /// an [`ExtenderPool`] for its whole lifetime, instead of the
@@ -477,13 +352,10 @@ pub fn execute_workload<S: Scorer + Sync>(
 ) -> Result<ExecOutput> {
     let n = w.comparisons.len();
     let threads = resolve_threads(cfg.host_threads).min(n.max(1));
-    let grain = claim_grain(cfg);
     if threads <= 1 || n < 16 {
-        let (units, results) = if grain > 1 {
-            exec_range_batched(w, scorer, cfg, 0..n, grain)?
-        } else {
-            exec_range(w, scorer, cfg, 0..n)?
-        };
+        let mut ext = Extender::new(cfg.params, cfg.backend());
+        let grain = ext.grain();
+        let (units, results) = exec_range(w, scorer, cfg, &mut ext, grain, 0..n)?;
         return Ok(ExecOutput { units, results });
     }
     let upc = if cfg.lr_split { 2 } else { 1 };
@@ -510,54 +382,30 @@ pub fn execute_workload<S: Scorer + Sync>(
             let (queue, units, results, extenders, first_err, fail) =
                 (&queue, &units, &results, &extenders, &first_err, &fail);
             s.spawn(move |_| {
-                if grain > 1 {
-                    // Batched kernel: claim a lane-width run of the
-                    // LPT order at a time and align the whole run in
-                    // one batch call, so comparisons of similar cost
-                    // share lane groups.
-                    let mut live = Vec::with_capacity(grain);
-                    while let Some(claim) = queue.claim(grain) {
-                        let bound = first_err.load(Ordering::Relaxed);
-                        live.clear();
-                        live.extend(claim.iter().filter(|&&ci| ci < bound));
-                        for (ci, outcome) in align_comparisons_batched(w, scorer, cfg, &live) {
-                            match outcome {
-                                // SAFETY: same single-writer argument
-                                // as the per-comparison loop below.
-                                Ok((result, u0, u1)) => unsafe {
-                                    results.write(ci as usize, result);
-                                    units.write(ci as usize * upc, u0);
-                                    if let Some(u1) = u1 {
-                                        units.write(ci as usize * upc + 1, u1);
-                                    }
-                                },
-                                Err(e) => fail(ci, e),
-                            }
-                        }
-                    }
-                    return;
-                }
                 let mut ext = extenders.checkout();
-                while let Some(claim) = queue.claim(1) {
-                    for &ci in claim {
-                        if ci >= first_err.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        match align_comparison(w, &mut ext, scorer, cfg, ci as usize) {
+                let grain = ext.grain();
+                let mut live = Vec::with_capacity(grain);
+                while let Some(claim) = queue.claim(grain) {
+                    let bound = first_err.load(Ordering::Relaxed);
+                    live.clear();
+                    live.extend(claim.iter().filter(|&&ci| ci < bound));
+                    align_claim(w, scorer, &mut ext, &live, |ci, out| {
+                        let ci = ci as usize;
+                        match out.map(|out| aligned_units(w, cfg.lr_split, ci, &out)) {
                             // SAFETY: `ci` is claimed by exactly one
                             // worker, so each slot is written once;
                             // the scope join below orders the writes
                             // before the `into_vec` reads.
                             Ok((result, u0, u1)) => unsafe {
-                                results.write(ci as usize, result);
-                                units.write(ci as usize * upc, u0);
+                                results.write(ci, result);
+                                units.write(ci * upc, u0);
                                 if let Some(u1) = u1 {
-                                    units.write(ci as usize * upc + 1, u1);
+                                    units.write(ci * upc + 1, u1);
                                 }
                             },
-                            Err(e) => fail(ci, e),
+                            Err(e) => fail(ci as u32, e),
                         }
-                    }
+                    });
                 }
             });
         }
@@ -579,6 +427,7 @@ mod tests {
     use rand::SeedableRng;
     use xdrop_core::alphabet::Alphabet;
     use xdrop_core::extension::SeedMatch;
+    use xdrop_core::kernel::KernelKind;
     use xdrop_core::scoring::MatchMismatch;
     use xdrop_core::workload::Comparison;
 
@@ -764,22 +613,28 @@ mod tests {
 
     #[test]
     fn batched_kernel_matches_scalar_executor_bit_for_bit() {
+        // Both engines the batched lane kernel implements: the paper's
+        // two-antidiagonal kernel under the caller's band policy, and
+        // LOGAN's fixed saturating window.
         let w = small_workload();
         let sc = MatchMismatch::dna_default();
-        for lr in [false, true] {
-            let mut scalar = cfg(lr);
-            scalar.params = scalar.params.with_kernel(KernelKind::Scalar);
-            scalar.host_threads = 1;
-            assert_eq!(claim_grain(&scalar), 1);
-            let oracle = execute_workload_reference(&w, &sc, &scalar).unwrap();
-            for threads in [1usize, 3, 8] {
-                let mut c = cfg(lr);
-                c.params = c.params.with_kernel(KernelKind::Batched);
-                c.host_threads = threads;
-                assert!(claim_grain(&c) >= 8);
-                let got = execute_workload(&w, &sc, &c).unwrap();
-                assert_eq!(oracle.units, got.units, "lr={lr} threads={threads}");
-                assert_eq!(oracle.results, got.results, "lr={lr} threads={threads}");
+        for aligner in [AlignerKind::XDrop2, AlignerKind::LoganBand] {
+            for lr in [false, true] {
+                let mut scalar = cfg(lr).with_aligner(aligner);
+                scalar.params = scalar.params.with_kernel(KernelKind::Scalar);
+                scalar.host_threads = 1;
+                assert_eq!(Extender::new(scalar.params, scalar.backend()).grain(), 1);
+                let oracle = execute_workload_reference(&w, &sc, &scalar).unwrap();
+                for threads in [1usize, 3, 8] {
+                    let mut c = cfg(lr).with_aligner(aligner);
+                    c.params = c.params.with_kernel(KernelKind::Batched);
+                    c.host_threads = threads;
+                    assert!(Extender::new(c.params, c.backend()).grain() >= 8);
+                    let got = execute_workload(&w, &sc, &c).unwrap();
+                    let ctx = format!("{aligner:?} lr={lr} threads={threads}");
+                    assert_eq!(oracle.units, got.units, "{ctx}");
+                    assert_eq!(oracle.results, got.results, "{ctx}");
+                }
             }
         }
     }
@@ -810,26 +665,25 @@ mod tests {
         // that comparison alone; its neighbours in the same batch
         // still bit-match the scalar path.
         let mut w = small_workload();
-        let bad = 7usize;
-        let c = &mut w.comparisons[bad];
-        c.seed = SeedMatch::new(10_000, 10_000, 17);
+        let bad = 7u32;
+        w.comparisons[bad as usize].seed = SeedMatch::new(10_000, 10_000, 17);
         let sc = MatchMismatch::dna_default();
-        let mut batchedc = cfg(true);
-        batchedc.params = batchedc.params.with_kernel(KernelKind::Batched);
+        let c = cfg(true);
+        let mut batched = Extender::new(c.params.with_kernel(KernelKind::Batched), c.backend());
+        let mut scalar = Extender::new(c.params.with_kernel(KernelKind::Scalar), c.backend());
         let claim: Vec<u32> = (0..16).collect();
-        let outcomes = align_comparisons_batched(&w, &sc, &batchedc, &claim);
-        assert_eq!(outcomes.len(), claim.len());
-        let mut ext = Extender::new(batchedc.params, Backend::TwoDiag(batchedc.policy));
-        let mut scalarc = batchedc;
-        scalarc.params = scalarc.params.with_kernel(KernelKind::Scalar);
-        for (ci, outcome) in outcomes {
-            let scalar = align_comparison(&w, &mut ext, &sc, &scalarc, ci as usize);
-            match (ci as usize == bad, outcome, scalar) {
+        let mut seen = Vec::new();
+        align_claim(&w, &sc, &mut batched, &claim, |ci, got| {
+            let mut want = None;
+            align_claim(&w, &sc, &mut scalar, &[ci], |_, out| want = Some(out));
+            match (ci == bad, got, want.expect("one outcome")) {
                 (true, Err(a), Err(b)) => assert_eq!(a, b),
                 (false, Ok(a), Ok(b)) => assert_eq!(a, b, "ci={ci}"),
                 (at_bad, a, b) => panic!("ci={ci} at_bad={at_bad}: {a:?} vs {b:?}"),
             }
-        }
+            seen.push(ci);
+        });
+        assert_eq!(seen, claim, "outcomes arrive in claim order");
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn policies_for(kind: AlignerKind) -> &'static [BandPolicy] {
 
 /// Every cell of the request grid is either run or skipped with a
 /// typed reason — and the split is exactly the documented one:
-/// 48 cells total, 21 runnable, 27 skipped (DESIGN.md §15).
+/// 36 cells total, 17 runnable, 19 skipped (DESIGN.md §15).
 #[test]
 fn matrix_covers_every_cell_with_skip_accounting() {
     let (h, v) = fixture_pair();
@@ -152,20 +152,22 @@ fn matrix_covers_every_cell_with_skip_accounting() {
             }
         }
     }
-    // The documented grid: 6 engines × 4 kernels × 2 score types.
-    assert_eq!(total_cells, 6 * 4 * 2);
-    // XDrop2 + LoganBand run everywhere (2×4×2); XDrop3 is
+    // The documented grid: 6 engines × 3 kernels × 2 score types.
+    assert_eq!(total_cells, 6 * 3 * 2);
+    // XDrop2 + LoganBand run everywhere (2×3×2); XDrop3 is
     // scalar-only but score-generic (2); Affine/Hirschberg/Ksw2 are
     // scalar+i32 only (3).
     assert_eq!(
         run_cells,
-        16 + 2 + 3,
+        12 + 2 + 3,
         "runnable cells changed — update DESIGN.md §15"
     );
     assert_eq!(skipped_cells, total_cells - run_cells);
+    assert_eq!((total_cells, run_cells, skipped_cells), (36, 17, 19));
     // Sub-cell smoke: XDrop2 cells sweep 3 policies × 2 directions,
     // everything else its intrinsic policy × 2 directions.
-    assert_eq!(run_subcells, 8 * 6 + 8 * 2 + 2 * 2 + 3 * 2);
+    assert_eq!(run_subcells, 6 * 6 + 6 * 2 + 2 * 2 + 3 * 2);
+    assert_eq!(run_subcells, 58);
 }
 
 /// The skip rules and `AlignRequest::validate` agree cell by cell.
@@ -631,6 +633,6 @@ fn env_resolution_maps_onto_request_kernels() {
     }
     assert_eq!(
         kernel::KernelKind::resolve_env_value(None),
-        KernelKind::detect()
+        KernelKind::Simd
     );
 }

@@ -46,9 +46,9 @@ fn load() -> BenchFile {
              a stale baseline is missing a section — regenerate the kernel rows \
              with `{REPRO_COMMAND}`, then the other sections with \
              `{E2E_REPRO_COMMAND}`, `{PARTITION_REPRO_COMMAND}`, \
-             `{FAULTS_REPRO_COMMAND}` and `{BATCHED_REPRO_COMMAND}` (any \
-             one of them upgrades the schema \
-             in place, preserving the committed sections)"
+             `{FAULTS_REPRO_COMMAND}` and `{BATCHED_REPRO_COMMAND}` (a \
+             file that does not parse is rewritten from empty sections, \
+             so regenerate every section)"
         )
     })
 }
@@ -66,7 +66,7 @@ fn baseline_parses_and_is_well_formed() {
     );
     assert!(!file.rows.is_empty());
 
-    let kernels = ["scalar", "chunked", "simd", "batched"];
+    let kernels = ["scalar", "simd", "batched"];
     assert_eq!(file.rows.len() % kernels.len(), 0);
     for group in file.rows.chunks(kernels.len()) {
         for (row, expected) in group.iter().zip(kernels) {

@@ -86,8 +86,8 @@ fn assert_identical<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The tentpole property: Chunked, Simd, and Batched (as a batch
-    /// of one) are bit-identical to Scalar across all three band
+    /// The tentpole property: Simd and Batched (as a batch of one)
+    /// are bit-identical to Scalar across all three band
     /// policies, in both extension directions, for i32 cells.
     #[test]
     fn kernel_bit_identity(
@@ -103,7 +103,7 @@ proptest! {
             BandPolicy::Saturate(db),   // exercises the clipping path
         ];
         for policy in policies {
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Simd, KernelKind::Batched] {
                 assert_identical::<i32, _, _, _>(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
                 assert_identical::<i32, _, _, _>(kind, &Rev(&h), &Rev(&v), &sc, p, policy)?;
             }
@@ -121,7 +121,7 @@ proptest! {
         let sc = MatchMismatch::dna_default();
         let p = XDropParams::new(x);
         for policy in [BandPolicy::Grow(db), BandPolicy::Saturate(db)] {
-            for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+            for kind in [KernelKind::Simd, KernelKind::Batched] {
                 assert_identical::<f32, _, _, _>(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
             }
         }
@@ -139,7 +139,7 @@ proptest! {
             XDropParams::new(x).with_kernel(KernelKind::Scalar),
             BandPolicy::Grow(4),
         ).unwrap();
-        for kind in [KernelKind::Chunked, KernelKind::Simd, KernelKind::Batched] {
+        for kind in [KernelKind::Simd, KernelKind::Batched] {
             let got = xdrop2::align(
                 &h,
                 &v,
@@ -203,7 +203,7 @@ fn env_probe() {
 #[test]
 fn env_knob_end_to_end() {
     let exe = std::env::current_exe().expect("test binary path");
-    for name in ["scalar", "chunked", "simd", "batched"] {
+    for name in ["scalar", "simd", "batched"] {
         let out = std::process::Command::new(&exe)
             .args(["--exact", "env_probe", "--ignored"])
             .env(KERNEL_ENV, name)
@@ -216,7 +216,7 @@ fn env_knob_end_to_end() {
             String::from_utf8_lossy(&out.stderr),
         );
     }
-    // Unset: the resolution falls back to detection.
+    // Unset: the resolution falls back to `simd`.
     let out = std::process::Command::new(&exe)
         .args(["--exact", "detect_probe", "--ignored"])
         .env_remove(KERNEL_ENV)
@@ -235,5 +235,5 @@ fn env_knob_end_to_end() {
 #[ignore = "subprocess probe driven by env_knob_end_to_end"]
 fn detect_probe() {
     assert!(std::env::var(KERNEL_ENV).is_err());
-    assert_eq!(XDropParams::new(20).kernel, KernelKind::detect());
+    assert_eq!(XDropParams::new(20).kernel, KernelKind::Simd);
 }

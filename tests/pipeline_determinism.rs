@@ -141,3 +141,101 @@ proptest! {
         }
     }
 }
+
+/// 40 comparisons; every 10th is a 3 kb pair with 8% indels, whose
+/// band grows far past δ_b = 8 under `Grow(8)`, and the rest are
+/// 100 bp near-identical pairs, whose band stays narrow. An extender reused after a long pair
+/// holds a grown workspace, so this is the workload on which a
+/// `work_bytes` read off the workspace, instead of the call's own
+/// band, depends on which comparisons a thread ran before.
+fn mixed_band_workload() -> Workload {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut w = Workload::new(Alphabet::Dna);
+    for i in 0..40 {
+        let (len, indel_pct) = if i % 10 == 0 { (3_000, 8) } else { (100, 0) };
+        let root: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
+        let mut mutate = |s: &[u8]| {
+            let mut out = Vec::with_capacity(s.len() + s.len() / 8);
+            for &b in s {
+                match rng.gen_range(0..100) {
+                    r if r < indel_pct / 2 => {}
+                    r if r < indel_pct => out.extend([rng.gen_range(0..4), b]),
+                    r if r < indel_pct + 2 => out.push((b + 1) % 4),
+                    _ => out.push(b),
+                }
+            }
+            out
+        };
+        let mid = len / 2;
+        let mut other = mutate(&root[..mid]);
+        let seed = SeedMatch::new(mid, other.len(), 17);
+        other.extend_from_slice(&root[mid..mid + 17]);
+        other.extend(mutate(&root[mid + 17..]));
+        let h = w.seqs.push(root);
+        let v = w.seqs.push(other);
+        w.comparisons.push(Comparison::new(h, v, seed));
+    }
+    w
+}
+
+/// `ExecOutput` is a function of the workload alone under
+/// `BandPolicy::Grow`: every unit's stats — `work_bytes` included —
+/// equal a fresh extender's, for every kernel, host thread count and
+/// out-of-core window size.
+#[test]
+fn work_bytes_do_not_depend_on_threads_kernel_or_windows() {
+    use xdrop_ipu::core::extension::Extender;
+    use xdrop_ipu::core::kernel::KernelKind;
+    use xdrop_ipu::partition::outofcore::{run_pipeline_out_of_core, windows_of};
+    use xdrop_ipu::sim::exec::execute_workload;
+
+    let w = mixed_band_workload();
+    let sc = MatchMismatch::dna_default();
+    let spec = IpuSpec::gc200();
+    let mut cfg = PipelineConfig::new(200);
+    cfg.exec.policy = BandPolicy::Grow(8);
+    cfg.exec.host_threads = 1;
+
+    // Oracle: one fresh extender per comparison.
+    let fresh: Vec<_> = w
+        .comparisons
+        .iter()
+        .map(|c| {
+            let mut ext = Extender::new(cfg.exec.params, cfg.exec.backend());
+            let out = ext
+                .extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, &sc)
+                .expect("grow");
+            [out.left.stats, out.right.stats]
+        })
+        .collect::<Vec<_>>()
+        .concat();
+    assert!(
+        fresh.iter().any(|s| s.work_bytes > 2 * 8 * 4),
+        "the long pairs must grow their band"
+    );
+    for kernel in KernelKind::ALL {
+        for threads in [1usize, 4] {
+            let mut c = cfg;
+            c.exec.params = c.exec.params.with_kernel(kernel);
+            c.exec.host_threads = threads;
+            let out = execute_workload(&w, &sc, &c.exec).expect("grow");
+            let got: Vec<_> = out.units.iter().map(|u| u.stats).collect();
+            let differ = got.iter().zip(&fresh).filter(|(a, b)| a != b).count();
+            assert_eq!(differ, 0, "{kernel:?} threads {threads}: units differ");
+        }
+    }
+    let in_core = run_pipeline(&w, &sc, &spec, &cfg).expect("grow");
+    let sk = {
+        let lens = (0..w.seqs.len() as u32).map(|i| w.seqs.seq_len(i) as u32);
+        Workload::skeleton(w.seqs.alphabet, lens.collect(), w.comparisons.clone())
+    };
+    for window in [1usize, 5, 1_000_000] {
+        let windows = windows_of(&w, window).into_iter();
+        let out = run_pipeline_out_of_core(&sk, windows, &sc, &spec, &cfg, 2).expect("grow");
+        assert_eq!(out.exec.units, in_core.exec.units, "window {window}");
+        assert_eq!(out.exec.results, in_core.exec.results, "window {window}");
+        assert_eq!(out.report, in_core.report, "window {window}");
+    }
+}
