@@ -26,26 +26,27 @@
 //! the shared-queue pull model of the paper), while the shared host
 //! link serializes transfers and each device double-buffers. Kernel
 //! execution ([`run_batch_on_device`]) is off the scheduling
-//! critical path: batch reports *stream* into the incremental
-//! [`BatchScheduler`] from a work-stealing host pool as they finish
-//! ([`ClusterOptions::streaming`]), or — on the retained reference
-//! path — are all materialized up front by a static-chunk pool.
-//! Either way the host thread count changes wall-clock only: the
-//! scheduler consumes report `i` exactly when it binds batch `i`, so
-//! modeled time is bit-identical for any thread count and any
-//! completion interleaving. The scheduler can also record a
-//! Chrome-trace timeline of the run ([`crate::trace`]).
+//! critical path: every batch report is produced first — by the
+//! work-stealing host pool ([`crate::pool::steal`]), or on the
+//! retained reference path by a static-chunk pre-pass
+//! ([`crate::pool::chunked`]) — and then bound into the
+//! [`BatchScheduler`] strictly in batch order. Either way the host
+//! thread count changes wall-clock only: report `i` is a pure
+//! function of batch `i` and is bound as batch `i`, so modeled time
+//! is bit-identical for any thread count and any completion
+//! interleaving. The scheduler can also record a Chrome-trace
+//! timeline of the run ([`crate::trace`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
+use std::convert::Infallible;
 
 use crate::batch::Batch;
 use crate::cost::{contended_bandwidth, CostModel, OptFlags};
 use crate::device::{run_batch_on_device, run_batch_on_device_scratch, BatchReport, BatchScratch};
 use crate::exec::WorkUnit;
 use crate::fault::{ClusterError, FaultPlan, FaultState};
-use crate::pool::{resolve_threads, IndexQueue};
+use crate::pool::{self, resolve_threads, Claim, Order, SharedSlots};
 use crate::spec::IpuSpec;
 use crate::trace::{ChromeTrace, TraceBuilder};
 
@@ -117,11 +118,11 @@ pub struct ClusterOptions {
     pub host_threads: usize,
     /// Record a Chrome-trace timeline of the run.
     pub collect_trace: bool,
-    /// Stream batch reports into the scheduler as the pool finishes
-    /// them (work-stealing claim order, reports reordered to batch
-    /// order before binding). `false` selects the reference path:
-    /// materialize every report in a static-chunk pre-pass, then
-    /// schedule. Both produce bit-identical output.
+    /// Produce the batch reports on the work-stealing pool (LPT claim
+    /// order, each report written into its batch's slot). `false`
+    /// selects the reference path: a static-chunk pre-pass. Either
+    /// way every report exists before the scheduler binds them in
+    /// batch order, and both produce bit-identical output.
     pub streaming: bool,
 }
 
@@ -172,52 +173,6 @@ impl Ord for FetchFree {
     }
 }
 
-/// Runs every batch's kernels on the host pool, preserving batch
-/// order. Deterministic for any thread count (contiguous chunks,
-/// concatenated in order — the pre-streaming pattern, retained as
-/// the reference the streaming path is differentially tested
-/// against). `resolved_threads` is the already-resolved pool size.
-fn run_batches_pooled(
-    units: &[WorkUnit],
-    batches: &[Batch],
-    spec: &IpuSpec,
-    flags: &OptFlags,
-    cost: &CostModel,
-    resolved_threads: usize,
-) -> Vec<BatchReport> {
-    let n = batches.len();
-    let threads = resolved_threads.min(n.max(1));
-    if threads <= 1 || n < 2 {
-        return batches
-            .iter()
-            .map(|b| run_batch_on_device(units, b, spec, flags, cost))
-            .collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let pieces: Vec<Vec<BatchReport>> = crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            handles.push(s.spawn(move |_| {
-                batches[lo..hi]
-                    .iter()
-                    .map(|b| run_batch_on_device(units, b, spec, flags, cost))
-                    .collect::<Vec<BatchReport>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch kernel thread panicked"))
-            .collect()
-    })
-    .expect("scope");
-    pieces.into_iter().flatten().collect()
-}
-
 /// Runs `batches` on `devices` IPUs sharing one host link.
 ///
 /// Event-driven deterministic simulation: devices pull batches from
@@ -246,18 +201,16 @@ pub fn run_cluster(
     .0
 }
 
-/// The event-driven scheduler, incremental form: feed batch reports
-/// in submission order via [`BatchScheduler::bind`] as they become
-/// available, then [`BatchScheduler::finish`].
+/// The event-driven scheduler: bind the batch reports in submission
+/// order via [`BatchScheduler::bind`], then hand the same reports to
+/// [`BatchScheduler::finish`].
 ///
-/// This is the exact event loop `run_cluster_opts` used to run over
-/// a fully-materialized report vector, with the loop body turned
-/// inside out so reports can *stream* in — the min-heap consumes
-/// report `i` only at the moment it binds batch `i`, preserving the
-/// late-binding semantics. Feeding it the same reports in the same
-/// order performs the same float operations in the same order, so
-/// the output is bit-identical no matter how report production was
-/// scheduled.
+/// One [`BatchScheduler::bind`] call is one step of the event loop:
+/// the min-heap consumes report `i` at the moment it binds batch `i`,
+/// preserving the late-binding semantics. Feeding it the same reports
+/// in the same order performs the same float operations in the same
+/// order, so the output is bit-identical no matter how the reports
+/// were produced.
 #[derive(Debug)]
 pub struct BatchScheduler {
     devices: usize,
@@ -274,7 +227,7 @@ pub struct BatchScheduler {
     queue_waits: Vec<f64>,
     tracer: Option<TraceBuilder>,
     fetch_events: BinaryHeap<Reverse<FetchFree>>,
-    reports: Vec<BatchReport>,
+    bound: usize,
     faults: FaultState,
     retries: u64,
     requeues: u64,
@@ -283,30 +236,14 @@ pub struct BatchScheduler {
 }
 
 impl BatchScheduler {
-    /// A scheduler over `devices` IPUs (at least one), fault-free.
-    /// The resolved host pool size is recorded in the trace metadata
-    /// when tracing is on — it annotates the run, it never affects
-    /// the schedule.
-    pub fn new(
-        devices: usize,
-        spec: &IpuSpec,
-        collect_trace: bool,
-        resolved_host_threads: usize,
-    ) -> Self {
-        Self::with_faults(
-            devices,
-            spec,
-            collect_trace,
-            resolved_host_threads,
-            &FaultPlan::none(),
-        )
-    }
-
-    /// A scheduler that replays the deterministic fault schedule of
-    /// `plan` while it runs. With [`FaultPlan::none`] this is exactly
-    /// [`BatchScheduler::new`]: the fault checks all come back inert
-    /// and the float operations performed per batch are identical, so
-    /// a fault-free plan reproduces the fault-free run bit-for-bit.
+    /// A scheduler over `devices` IPUs (at least one) that replays the
+    /// deterministic fault schedule of `plan` while it runs. With
+    /// [`FaultPlan::none`] the fault checks all come back inert and
+    /// the float operations performed per batch are those of the
+    /// fault-free model, so a fault-free plan reproduces the
+    /// fault-free run bit-for-bit. The resolved host pool size is
+    /// recorded in the trace metadata when tracing is on — it
+    /// annotates the run, it never affects the schedule.
     pub fn with_faults(
         devices: usize,
         spec: &IpuSpec,
@@ -342,7 +279,7 @@ impl BatchScheduler {
             fetch_events: (0..devices)
                 .map(|d| Reverse(FetchFree { at: 0.0, device: d }))
                 .collect(),
-            reports: Vec::new(),
+            bound: 0,
             faults: FaultState::new(plan, devices),
             retries: 0,
             requeues: 0,
@@ -391,8 +328,8 @@ impl BatchScheduler {
     /// * The queue-wait sample records the successful attempt's
     ///   transfer start, so fault-induced delay shows up in the
     ///   percentiles.
-    pub fn bind(&mut self, report: BatchReport) -> Result<(), ClusterError> {
-        let i = self.reports.len();
+    pub fn bind(&mut self, report: &BatchReport) -> Result<(), ClusterError> {
+        let i = self.bound;
         let batch = i as u32;
         // Failed attempts of this batch so far (either kind) — drives
         // the backoff exponent and the stall lookup.
@@ -425,7 +362,7 @@ impl BatchScheduler {
             // is queued on the same link, derating its bandwidth.
             // The count is a pure function of heap contents (order
             // never matters), so it is deterministic for any host
-            // thread count and either streaming mode.
+            // thread count and either report producer.
             let waiters = self
                 .fetch_events
                 .iter()
@@ -538,19 +475,15 @@ impl BatchScheduler {
                 }
                 tb.compute(d, i, begin, end);
             }
-            self.reports.push(report);
+            self.bound += 1;
             return Ok(());
         }
     }
 
-    /// Number of batches bound so far.
-    pub fn bound(&self) -> usize {
-        self.reports.len()
-    }
-
     /// Closes the run and assembles the report (and trace, when
-    /// requested).
-    pub fn finish(self) -> (ClusterReport, Option<ChromeTrace>) {
+    /// requested) around `reports`, the reports bound, in batch order.
+    pub fn finish(self, reports: Vec<BatchReport>) -> (ClusterReport, Option<ChromeTrace>) {
+        assert_eq!(reports.len(), self.bound, "finish takes the bound reports");
         let total = self
             .compute_free
             .iter()
@@ -571,7 +504,7 @@ impl BatchScheduler {
         let report = ClusterReport {
             total_seconds: total,
             devices: self.devices,
-            batches: self.reports.len(),
+            batches: reports.len(),
             host_bytes: self.host_bytes,
             link_busy_fraction: if total > 0.0 {
                 self.link_busy / total
@@ -586,33 +519,16 @@ impl BatchScheduler {
             devices_lost: self.devices_lost,
             recovery_seconds: self.recovery_seconds,
             per_device_busy,
-            batch_reports: self.reports,
+            batch_reports: reports,
         };
         let trace = self.tracer.map(|tb| tb.finish(total));
         (report, trace)
     }
 }
 
-/// The descending-estimate claim order for batch replay: heaviest
-/// batch (by its slowest-tile load estimate) first, index as
-/// tiebreak. Like every claim order, wall-clock only.
-fn batch_lpt_order(batches: &[Batch]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..batches.len() as u32).collect();
-    order.sort_unstable_by_key(|&bi| {
-        let max_load = batches[bi as usize]
-            .tiles
-            .iter()
-            .map(|t| t.est_load)
-            .max()
-            .unwrap_or(0);
-        (Reverse(max_load), bi)
-    });
-    order
-}
-
 /// [`run_cluster`] with host-side options: a kernel thread pool
 /// (wall-clock only; modeled time is bit-identical for any
-/// `host_threads`), streaming vs reference report production, and
+/// `host_threads`), work-stealing vs reference report production, and
 /// optional Chrome-trace recording.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_opts(
@@ -645,8 +561,10 @@ pub fn run_cluster_opts(
 /// is a pure function of the batch; only the modeled timeline and
 /// the recovery counters change); an unrecoverable plan returns the
 /// typed [`ClusterError`] naming the smallest batch index that could
-/// not complete. Errors and output are bit-identical for any
-/// `host_threads` and either streaming mode.
+/// not complete. Every batch report is produced before the first bind,
+/// so an unrecoverable plan still replays every batch, then fails on
+/// the bind of the smallest failing batch index. Errors and output are
+/// bit-identical for any `host_threads` and either report producer.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_faulty(
     units: &[WorkUnit],
@@ -659,90 +577,46 @@ pub fn run_cluster_faulty(
     plan: &FaultPlan,
 ) -> Result<(ClusterReport, Option<ChromeTrace>), ClusterError> {
     let resolved = resolve_threads(opts.host_threads);
+    let reports: Vec<BatchReport> = if opts.streaming {
+        // Heaviest batch (by its slowest-tile load estimate) first,
+        // one reusable scratch per worker.
+        let max_load = |bi: usize| {
+            let tiles = batches[bi].tiles.iter();
+            tiles.map(|t| t.est_load).max().unwrap_or(0)
+        };
+        let Ok(reports) = pool::steal(
+            batches.len(),
+            Order::Lpt(&max_load),
+            1,
+            resolved,
+            SharedSlots::new(batches.len(), 1, BatchReport::default()),
+            BatchScratch::default,
+            |scratch, claim: &mut Claim<'_, _, Infallible>| {
+                for &bi in claim.tasks() {
+                    let batch = &batches[bi as usize];
+                    claim.slot(bi)[0] =
+                        run_batch_on_device_scratch(units, batch, spec, flags, cost, scratch);
+                }
+            },
+        );
+        reports.into_vec()
+    } else {
+        // The reference pre-pass: static contiguous chunks.
+        let chunk = |range: std::ops::Range<usize>| -> Vec<BatchReport> {
+            let batches = batches[range].iter();
+            batches
+                .map(|b| run_batch_on_device(units, b, spec, flags, cost))
+                .collect()
+        };
+        let chunks = pool::chunked(batches.len(), resolved, chunk);
+        chunks.into_iter().flatten().collect()
+    };
     let mut sched = BatchScheduler::with_faults(devices, spec, opts.collect_trace, resolved, plan)
         .with_link_contention(cost.host_link_contention);
-    let pool_threads = resolved.min(batches.len().max(1));
-    if !opts.streaming {
-        // Reference path: materialize every report in a pre-pass,
-        // then replay the event loop.
-        for report in run_batches_pooled(units, batches, spec, flags, cost, pool_threads) {
-            sched.bind(report)?;
-        }
-    } else if pool_threads <= 1 || batches.len() < 2 {
-        // Serial streaming: compute each report right when the
-        // scheduler consumes it, one reusable scratch throughout.
-        let mut scratch = BatchScratch::default();
-        for batch in batches {
-            sched.bind(run_batch_on_device_scratch(
-                units,
-                batch,
-                spec,
-                flags,
-                cost,
-                &mut scratch,
-            ))?;
-        }
-    } else {
-        // Streaming pool: workers claim batches in LPT order and
-        // send finished reports over a channel; the main thread
-        // reorders them to batch order and binds each the moment its
-        // predecessors are bound — scheduling overlaps replay. A
-        // bind failure cancels the claim queue and stops draining;
-        // dropping the receiver makes in-flight sends fail so the
-        // workers exit. Binding strictly in batch order keeps the
-        // failing batch index deterministic.
-        let queue = IndexQueue::with_order(batch_lpt_order(batches));
-        let (tx, rx) = mpsc::channel::<(u32, BatchReport)>();
-        let mut err: Option<ClusterError> = None;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..pool_threads {
-                let tx = tx.clone();
-                let queue = &queue;
-                s.spawn(move |_| {
-                    let mut scratch = BatchScratch::default();
-                    while let Some(claim) = queue.claim(1) {
-                        for &bi in claim {
-                            let report = run_batch_on_device_scratch(
-                                units,
-                                &batches[bi as usize],
-                                spec,
-                                flags,
-                                cost,
-                                &mut scratch,
-                            );
-                            if tx.send((bi, report)).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let mut pending: Vec<Option<BatchReport>> = vec![None; batches.len()];
-            let mut next = 0usize;
-            'drain: for (bi, report) in rx {
-                pending[bi as usize] = Some(report);
-                while next < pending.len() {
-                    match pending[next].take() {
-                        Some(r) => {
-                            if let Err(e) = sched.bind(r) {
-                                err = Some(e);
-                                queue.cancel();
-                                break 'drain;
-                            }
-                            next += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-        })
-        .expect("scope");
-        if let Some(e) = err {
-            return Err(e);
-        }
+    for report in &reports {
+        sched.bind(report)?;
     }
-    Ok(sched.finish())
+    Ok(sched.finish(reports))
 }
 
 /// The pre-event-driven driver: a static in-order handout loop that
@@ -1079,8 +953,8 @@ mod tests {
 
     #[test]
     fn streaming_matches_reference_pre_pass() {
-        // The streaming pool must be bit-identical to the
-        // materialize-then-schedule reference for every report field
+        // The work-stealing replay must be bit-identical to the
+        // static-chunk reference pre-pass for every report field
         // and the full trace (including the meta record, which only
         // depends on the requested thread count).
         for (n, bytes, cells) in [(1, 0, 0), (13, 700_000_000, 5_000_000), (32, 1_000, 50_000)] {

@@ -13,7 +13,7 @@ use crate::spec::IpuSpec;
 use crate::tile::schedule_tile;
 
 /// Timing and utilization of one batch on one device.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchReport {
     /// Compute-phase length: slowest tile, in cycles.
     pub compute_cycles: u64,

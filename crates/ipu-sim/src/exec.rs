@@ -8,14 +8,10 @@
 //! growth on noisy pairs) that makes load balancing hard on the real
 //! machine.
 
-use crate::pool::{resolve_threads, IndexQueue, SharedSlots};
-use crossbeam::thread;
-use std::cmp::Reverse;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use crate::pool::{self, resolve_threads, Order, SharedSlots};
 use xdrop_core::aligner::AlignerKind;
-use xdrop_core::error::{AlignError, Result};
-use xdrop_core::extension::{Backend, ExtendOutcome, Extender, ExtenderPool, Side};
+use xdrop_core::error::Result;
+use xdrop_core::extension::{Backend, ExtendOutcome, Extender, Side};
 use xdrop_core::scoring::Scorer;
 use xdrop_core::stats::AlignStats;
 use xdrop_core::workload::Workload;
@@ -173,10 +169,10 @@ pub fn planning_units(w: &Workload, lr_split: bool) -> Vec<WorkUnit> {
 /// outcome: the [`unit_shells`] filled with each side's stats and
 /// score (or the fused stats and total score without LR splitting).
 ///
-/// This is the unit builder of every execution path — serial,
-/// static-chunk reference, and the work-stealing pool, per-comparison
-/// or batched — so the unit contents cannot depend on which path (or
-/// thread) ran the comparison.
+/// This is the unit builder of both execution paths — the static-chunk
+/// reference and the work-stealing pool, per-comparison or batched —
+/// so the unit contents cannot depend on which path (or thread) ran
+/// the comparison.
 fn aligned_units(
     w: &Workload,
     lr_split: bool,
@@ -230,101 +226,48 @@ fn align_claim<S: Scorer>(
     }
 }
 
-/// Aligns the comparisons of `range` in index order, `grain` at a
-/// time, with one extender. Stops at the first failing comparison and
-/// returns its error, so a failing run blames the smallest failing
-/// index.
-fn exec_range<S: Scorer>(
-    w: &Workload,
-    scorer: &S,
-    cfg: &ExecConfig,
-    ext: &mut Extender,
-    grain: usize,
-    range: std::ops::Range<usize>,
-) -> Result<(Vec<WorkUnit>, Vec<UnitResult>)> {
-    let mut units = Vec::with_capacity(range.len() * if cfg.lr_split { 2 } else { 1 });
-    let mut results = Vec::with_capacity(range.len());
-    let mut claim = Vec::with_capacity(grain);
-    let mut failure = None;
-    for lo in range.clone().step_by(grain) {
-        claim.clear();
-        claim.extend(lo as u32..(lo + grain).min(range.end) as u32);
-        align_claim(w, scorer, ext, &claim, |ci, out| match out {
-            Ok(out) => {
-                let (result, u0, u1) = aligned_units(w, cfg.lr_split, ci as usize, &out);
-                results.push(result);
-                units.push(u0);
-                units.extend(u1);
-            }
-            Err(e) => {
-                failure.get_or_insert(e);
-            }
-        });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-    }
-    Ok((units, results))
-}
-
 /// The pre-pool executor: serial below 64 comparisons, otherwise
-/// static contiguous chunks, one fresh [`Extender`] per chunk, one
-/// [`Extender::extend`] per comparison. Retained as the differential
-/// oracle for [`execute_workload`] — and as the baseline the
-/// `experiments e2e` benchmark measures the pooled pipeline against.
+/// static contiguous chunks ([`pool::chunked`]), one fresh
+/// [`Extender`] per chunk, one [`Extender::extend`] per comparison.
+/// Retained as the differential oracle for [`execute_workload`] — and
+/// as the baseline the `experiments e2e` benchmark measures the
+/// pooled pipeline against.
 pub fn execute_workload_reference<S: Scorer + Sync>(
     w: &Workload,
     scorer: &S,
     cfg: &ExecConfig,
 ) -> Result<ExecOutput> {
     let n = w.comparisons.len();
-    let threads = resolve_threads(cfg.host_threads).min(n.max(1));
-    let exec_chunk = |range| {
-        let mut ext = Extender::new(cfg.params, cfg.backend());
-        exec_range(w, scorer, cfg, &mut ext, 1, range)
+    let threads = if n < 64 {
+        1
+    } else {
+        resolve_threads(cfg.host_threads)
     };
-    if threads <= 1 || n < 64 {
-        let (units, results) = exec_chunk(0..n)?;
-        return Ok(ExecOutput { units, results });
-    }
-    let chunk = n.div_ceil(threads);
-    let pieces: Vec<Result<(Vec<WorkUnit>, Vec<UnitResult>)>> = thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let exec_chunk = &exec_chunk;
-            handles.push(s.spawn(move |_| exec_chunk(lo..hi)));
+    // Each chunk stops at its first failure, so the first failing chunk
+    // in range order carries the smallest failing index.
+    let chunk = |range: std::ops::Range<usize>| -> Result<ExecOutput> {
+        let mut ext = Extender::new(cfg.params, cfg.backend());
+        let upc = if cfg.lr_split { 2 } else { 1 };
+        let mut units = Vec::with_capacity(range.len() * upc);
+        let mut results = Vec::with_capacity(range.len());
+        for ci in range {
+            let c = &w.comparisons[ci];
+            let out = ext.extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, scorer)?;
+            let (result, u0, u1) = aligned_units(w, cfg.lr_split, ci, &out);
+            results.push(result);
+            units.push(u0);
+            units.extend(u1);
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("kernel thread panicked"))
-            .collect()
-    })
-    .expect("scope");
-    let mut units = Vec::new();
-    let mut results = Vec::new();
-    for piece in pieces {
-        let (u, r) = piece?;
-        units.extend(u);
-        results.extend(r);
+        Ok(ExecOutput { units, results })
+    };
+    let mut chunks = pool::chunked(n, threads, chunk).into_iter();
+    let mut out = chunks.next().expect("at least one chunk")?;
+    for chunk in chunks {
+        let chunk = chunk?;
+        out.units.extend(chunk.units);
+        out.results.extend(chunk.results);
     }
-    Ok(ExecOutput { units, results })
-}
-
-/// The descending-estimate (LPT) claim order used by the
-/// work-stealing executors: largest `|H|×|V|` bound first, index as
-/// tiebreak. Claim order only affects host wall-clock — results land
-/// in per-index slots — so any permutation is legal; LPT bounds the
-/// tail imbalance by a single claim, and gives a batching extender's
-/// claims comparisons of similar cost to share lane groups.
-fn lpt_order(w: &Workload) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..w.comparisons.len() as u32).collect();
-    order.sort_unstable_by_key(|&ci| (Reverse(w.complexity(&w.comparisons[ci as usize])), ci));
-    order
+    Ok(out)
 }
 
 /// Aligns every comparison of `w` and returns the schedulable units
@@ -333,87 +276,51 @@ fn lpt_order(w: &Workload) -> Vec<u32> {
 /// run reports the smallest failing comparison index, as the serial
 /// pass does.
 ///
-/// Comparisons are claimed [`Extender::grain`] at a time — one, or a
+/// Runs on [`pool::steal`]: comparisons are claimed in LPT order of
+/// their `|H|×|V|` bound, [`Extender::grain`] at a time — one, or a
 /// lane-width run for the batched kernel — and aligned by
-/// [`align_claim`]. Multi-threaded runs use a work-stealing pool:
-/// claims come in [`lpt_order`] from an [`IndexQueue`] and results
-/// are written into [`SharedSlots`] keyed by comparison index, so the
-/// output is identical to the serial pass for any thread count and
-/// any claim interleaving. Each worker checks out one extender from
-/// an [`ExtenderPool`] for its whole lifetime, instead of the
-/// per-chunk rebuild the reference executor pays. After a failure,
-/// workers skip every comparison above the smallest failing index
-/// seen so far, but still align the ones below it, since any of
-/// those may fail too.
+/// [`align_claim`] with one extender per worker. Each comparison
+/// writes its result and units straight into its slots of the final
+/// vectors, so the output is identical for any thread count and any
+/// claim interleaving.
 pub fn execute_workload<S: Scorer + Sync>(
     w: &Workload,
     scorer: &S,
     cfg: &ExecConfig,
 ) -> Result<ExecOutput> {
     let n = w.comparisons.len();
-    let threads = resolve_threads(cfg.host_threads).min(n.max(1));
-    if threads <= 1 || n < 16 {
-        let mut ext = Extender::new(cfg.params, cfg.backend());
-        let grain = ext.grain();
-        let (units, results) = exec_range(w, scorer, cfg, &mut ext, grain, 0..n)?;
-        return Ok(ExecOutput { units, results });
-    }
     let upc = if cfg.lr_split { 2 } else { 1 };
-    let queue = IndexQueue::with_order(lpt_order(w));
-    let units = SharedSlots::new(n * upc, WorkUnit::default());
-    let results = SharedSlots::new(n, UnitResult::default());
-    let extenders = ExtenderPool::new(cfg.params, cfg.backend());
-    // The smallest failing comparison index so far (`u32::MAX` while
-    // none has failed) and its error. `first_err` only lets workers
-    // skip comparisons that cannot be the smallest failure, so
-    // `Relaxed` suffices: a stale read costs one needless alignment,
-    // and the error itself is chosen under the mutex.
-    let first_err = AtomicU32::new(u32::MAX);
-    let error: Mutex<Option<(u32, AlignError)>> = Mutex::new(None);
-    let fail = |ci: u32, e: AlignError| {
-        first_err.fetch_min(ci, Ordering::Relaxed);
-        let mut slot = error.lock().expect("error slot poisoned");
-        if slot.as_ref().is_none_or(|(at, _)| ci < *at) {
-            *slot = Some((ci, e));
-        }
+    let threads = if n < 16 {
+        1
+    } else {
+        resolve_threads(cfg.host_threads)
     };
-    thread::scope(|s| {
-        for _ in 0..threads {
-            let (queue, units, results, extenders, first_err, fail) =
-                (&queue, &units, &results, &extenders, &first_err, &fail);
-            s.spawn(move |_| {
-                let mut ext = extenders.checkout();
-                let grain = ext.grain();
-                let mut live = Vec::with_capacity(grain);
-                while let Some(claim) = queue.claim(grain) {
-                    let bound = first_err.load(Ordering::Relaxed);
-                    live.clear();
-                    live.extend(claim.iter().filter(|&&ci| ci < bound));
-                    align_claim(w, scorer, &mut ext, &live, |ci, out| {
-                        let ci = ci as usize;
-                        match out.map(|out| aligned_units(w, cfg.lr_split, ci, &out)) {
-                            // SAFETY: `ci` is claimed by exactly one
-                            // worker, so each slot is written once;
-                            // the scope join below orders the writes
-                            // before the `into_vec` reads.
-                            Ok((result, u0, u1)) => unsafe {
-                                results.write(ci, result);
-                                units.write(ci * upc, u0);
-                                if let Some(u1) = u1 {
-                                    units.write(ci * upc + 1, u1);
-                                }
-                            },
-                            Err(e) => fail(ci as u32, e),
-                        }
-                    });
+    let extender = || Extender::new(cfg.params, cfg.backend());
+    let (results, units) = pool::steal(
+        n,
+        Order::Lpt(&|ci| w.complexity(&w.comparisons[ci])),
+        extender().grain(),
+        threads,
+        (
+            SharedSlots::new(n, 1, UnitResult::default()),
+            SharedSlots::new(n, upc, WorkUnit::default()),
+        ),
+        extender,
+        |ext, claim| {
+            align_claim(w, scorer, ext, claim.tasks(), |ci, out| match out {
+                Ok(out) => {
+                    let (result, units) = claim.slot(ci);
+                    let (r, u0, u1) = aligned_units(w, cfg.lr_split, ci as usize, &out);
+                    result[0] = r;
+                    units[0] = u0;
+                    if let Some(u1) = u1 {
+                        units[1] = u1;
+                    }
                 }
+                Err(e) => claim.fail(ci, e),
             });
-        }
-    })
-    .expect("scope");
-    if let Some((_, e)) = error.into_inner().expect("error slot poisoned") {
-        return Err(e);
-    }
+        },
+    )?;
     Ok(ExecOutput {
         units: units.into_vec(),
         results: results.into_vec(),
@@ -426,6 +333,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xdrop_core::alphabet::Alphabet;
+    use xdrop_core::error::AlignError;
     use xdrop_core::extension::SeedMatch;
     use xdrop_core::kernel::KernelKind;
     use xdrop_core::scoring::MatchMismatch;
@@ -544,21 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn lpt_order_is_descending_and_complete() {
-        let w = small_workload();
-        let order = lpt_order(&w);
-        assert_eq!(order.len(), w.comparisons.len());
-        let est: Vec<u64> = order
-            .iter()
-            .map(|&ci| w.complexity(&w.comparisons[ci as usize]))
-            .collect();
-        assert!(est.windows(2).all(|p| p[0] >= p[1]));
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert!(sorted.iter().enumerate().all(|(i, &x)| x == i as u32));
-    }
-
-    #[test]
     fn errors_surface_smallest_failing_comparison() {
         use xdrop_core::xdrop2::BandPolicy;
         let w = small_workload();
@@ -593,7 +486,8 @@ mod tests {
         let v = w.seqs.push(vec![0; 2_000]);
         w.comparisons[30] = Comparison::new(h, v, SeedMatch::new(5_000, 5_000, 17));
         w.comparisons[5].seed = SeedMatch::new(10_000, 10_000, 17);
-        assert_eq!(lpt_order(&w)[0], 30);
+        let cost = |ci: usize| w.complexity(&w.comparisons[ci]);
+        assert!((0..w.comparisons.len()).all(|ci| ci == 30 || cost(ci) < cost(30)));
         let sc = MatchMismatch::dna_default();
         let want = AlignError::SeedOutOfBounds {
             seed: (10_000, 10_000),

@@ -49,7 +49,7 @@
 //! Because every fault decision is a pure function of modeled time,
 //! the recovered schedule — and therefore every report field and
 //! every batch result — is bit-identical for any host thread count
-//! and any streaming interleaving, which is what the
+//! and either report producer, which is what the
 //! chaos-conformance harness (`tests/fault_recovery.rs`) enforces.
 
 use std::collections::{BTreeMap, BTreeSet};

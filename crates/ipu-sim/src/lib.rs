@@ -53,6 +53,6 @@ pub use exec::{
 pub use fault::{
     BackoffConfig, ClusterError, DeviceDeath, FaultPlan, FaultPlanSpec, LinkStall, TransientFault,
 };
-pub use pool::{resolve_threads, IndexQueue, SharedSlots};
+pub use pool::{resolve_threads, SharedSlots};
 pub use spec::IpuSpec;
 pub use trace::{ChromeTrace, TraceBuilder, TraceEvent};

@@ -9,8 +9,8 @@
 //! partitioner. Parallel edges (several seeds for one sequence pair)
 //! are kept: each is a distinct unit of work.
 
-use ipu_sim::pool::{resolve_threads, IndexQueue, SharedSlots};
-use std::sync::Mutex;
+use ipu_sim::pool::{self, resolve_threads, Claim, Order, SharedSlots};
+use std::convert::Infallible;
 use xdrop_core::workload::{SeqId, Workload};
 
 /// Below this many comparisons the parallel build falls back to the
@@ -84,8 +84,8 @@ impl ComparisonGraph {
     /// pool threads (`0` = auto).
     ///
     /// The comparison list is cut into contiguous chunks; each chunk
-    /// gets a private degree histogram (claimed off an
-    /// [`IndexQueue`]), the histograms are combined into the global
+    /// gets a private degree histogram (chunks claimed on
+    /// [`pool::steal`]), the histograms are combined into the global
     /// CSR offsets by an exclusive prefix sum — per vertex, *and*
     /// across chunks in chunk order — and each chunk then scatters
     /// its edges into [`SharedSlots`] starting at its per-vertex
@@ -107,30 +107,28 @@ impl ComparisonGraph {
         let chunk_range = |c: usize| ((c * chunk_len).min(m), ((c + 1) * chunk_len).min(m));
 
         // Phase 1: per-chunk degree histograms.
-        let hist: Mutex<Vec<Option<Vec<u32>>>> = Mutex::new(vec![None; n_chunks]);
-        let queue = IndexQueue::new(n_chunks);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                let (queue, hist) = (&queue, &hist);
-                s.spawn(move |_| {
-                    while let Some(claim) = queue.claim(1) {
-                        for &c in claim {
-                            let (lo, hi) = chunk_range(c as usize);
-                            let mut h = vec![0u32; n];
-                            for cmp in &w.comparisons[lo..hi] {
-                                h[cmp.h as usize] += 1;
-                                if cmp.h != cmp.v {
-                                    h[cmp.v as usize] += 1;
-                                }
-                            }
-                            hist.lock().expect("histograms")[c as usize] = Some(h);
+        let Ok(hist) = pool::steal(
+            n_chunks,
+            Order::Ascending,
+            1,
+            threads,
+            SharedSlots::new(n_chunks, 1, Vec::new()),
+            || (),
+            |(), claim: &mut Claim<'_, _, Infallible>| {
+                for &c in claim.tasks() {
+                    let (lo, hi) = chunk_range(c as usize);
+                    let mut h = vec![0u32; n];
+                    for cmp in &w.comparisons[lo..hi] {
+                        h[cmp.h as usize] += 1;
+                        if cmp.h != cmp.v {
+                            h[cmp.v as usize] += 1;
                         }
                     }
-                });
-            }
-        })
-        .expect("scope");
-        let mut hist = hist.into_inner().expect("histograms");
+                    claim.slot(c)[0] = h;
+                }
+            },
+        );
+        let mut hist = hist.into_vec();
 
         // Phase 2 (serial, O(chunks × n)): exclusive prefix sum over
         // (vertex, chunk). Each chunk's histogram is rewritten in
@@ -140,7 +138,6 @@ impl ComparisonGraph {
         for v in 0..n {
             offsets[v] = total;
             for h in hist.iter_mut() {
-                let h = h.as_mut().expect("all chunks built");
                 let count = h[v];
                 h[v] = total;
                 total += count;
@@ -150,42 +147,40 @@ impl ComparisonGraph {
 
         // Phase 3: parallel scatter into slots keyed by edge
         // position; every slot is written exactly once (bases are
-        // disjoint by construction) and the scope join provides the
+        // disjoint by construction) and the pool's join provides the
         // happens-before for the read below.
-        let edges = SharedSlots::<(SeqId, u32)>::new(total as usize, (0, 0));
-        let bases: Vec<Vec<u32>> = hist.into_iter().map(|h| h.expect("built")).collect();
-        let queue = IndexQueue::new(n_chunks);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                let (queue, edges, bases) = (&queue, &edges, &bases);
-                s.spawn(move |_| {
-                    while let Some(claim) = queue.claim(1) {
-                        for &c in claim {
-                            let (lo, hi) = chunk_range(c as usize);
-                            let mut cursor = bases[c as usize].clone();
-                            for (ci, cmp) in w.comparisons[lo..hi].iter().enumerate() {
-                                let ci = (lo + ci) as u32;
-                                // SAFETY: cursor slots of this chunk
-                                // are disjoint from every other
-                                // chunk's; each advances monotonically
-                                // within its reserved span.
-                                unsafe {
-                                    edges.write(cursor[cmp.h as usize] as usize, (cmp.v, ci));
-                                }
-                                cursor[cmp.h as usize] += 1;
-                                if cmp.h != cmp.v {
-                                    unsafe {
-                                        edges.write(cursor[cmp.v as usize] as usize, (cmp.h, ci));
-                                    }
-                                    cursor[cmp.v as usize] += 1;
-                                }
+        let edges = SharedSlots::<(SeqId, u32)>::new(total as usize, 1, (0, 0));
+        let Ok(()) = pool::steal(
+            n_chunks,
+            Order::Ascending,
+            1,
+            threads,
+            (),
+            || (),
+            |(), claim: &mut Claim<'_, (), Infallible>| {
+                for &c in claim.tasks() {
+                    let (lo, hi) = chunk_range(c as usize);
+                    let mut cursor = hist[c as usize].clone();
+                    for (ci, cmp) in w.comparisons[lo..hi].iter().enumerate() {
+                        let ci = (lo + ci) as u32;
+                        // SAFETY: cursor slots of this chunk are
+                        // disjoint from every other chunk's; each
+                        // advances monotonically within its reserved
+                        // span.
+                        unsafe {
+                            edges.write(cursor[cmp.h as usize] as usize, (cmp.v, ci));
+                        }
+                        cursor[cmp.h as usize] += 1;
+                        if cmp.h != cmp.v {
+                            unsafe {
+                                edges.write(cursor[cmp.v as usize] as usize, (cmp.h, ci));
                             }
+                            cursor[cmp.v as usize] += 1;
                         }
                     }
-                });
-            }
-        })
-        .expect("scope");
+                }
+            },
+        );
 
         Self {
             offsets,

@@ -1,15 +1,15 @@
 //! The host pipeline: `Workload` → [`ClusterReport`] in three
 //! barriered stages, each parallel inside.
 //!
-//! 1. [`execute_workload`] aligns every comparison on a work-stealing
-//!    pool (LPT claims from an `IndexQueue`, results keyed by
-//!    comparison index in `SharedSlots`).
+//! 1. [`execute_workload`] aligns every comparison on the work-stealing
+//!    pool (`ipu_sim::pool::steal`: LPT claims, units and results
+//!    written into their comparison's slots of the final vectors).
 //! 2. [`plan_batches_timed`] partitions the comparison graph and packs
-//!    the units into batches (the sharded walk is parallel too).
-//! 3. [`run_cluster_faulty`] replays the batches' modeled tile
-//!    schedules on its own work-stealing pool and binds the reports,
-//!    strictly in batch order, into the event-driven cluster
-//!    scheduler.
+//!    the units into batches (graph build, union-find and the sharded
+//!    walk run on the same pool).
+//! 3. [`run_cluster_faulty`] replays every batch's modeled tile
+//!    schedule on the pool, then binds the reports, strictly in batch
+//!    order, into the event-driven cluster scheduler.
 //!
 //! The host stages do not overlap. The paper's §4.4 overlap —
 //! batches streaming to devices while others are still being
@@ -89,7 +89,8 @@ pub struct PipelineOutput {
 
 /// The stage every entry point ends with: replays `batches` over the
 /// aligned units on the modeled cluster (`streaming` picks the
-/// cluster layer's replay pool over its static pre-pass oracle), then
+/// cluster layer's work-stealing replay over its static-chunk
+/// pre-pass oracle; either produces every report before binding), then
 /// appends the `partition`/`plan` host phase spans to the trace, laid
 /// out back to back from t = 0 on the [`ipu_sim::trace::TID_HOST`]
 /// track. Those spans are host wall-clock, so determinism comparisons

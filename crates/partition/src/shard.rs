@@ -34,9 +34,9 @@
 use crate::error::PartitionError;
 use crate::graph::ComparisonGraph;
 use crate::greedy::{comparison_fit_error, walk_range, Partition};
-use ipu_sim::pool::{resolve_threads, IndexQueue};
+use ipu_sim::pool::{self, resolve_threads, Claim, Order, SharedSlots};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 use xdrop_core::workload::{SeqId, Workload};
 
 /// Shard count used when the caller passes `0`; chosen so the walk
@@ -50,7 +50,7 @@ pub const DEFAULT_SHARD_COUNT: usize = 16;
 /// there and boundary effects would be all that sharding adds.
 pub const SHARD_MIN_COMPARISONS: usize = 1 << 14;
 
-/// Comparisons claimed per [`IndexQueue`] grab during union-find.
+/// Comparisons claimed per [`pool::steal`] grab during union-find.
 const UNION_GRAIN: usize = 1 << 10;
 
 /// Finds the root of `x` with path halving. Parent pointers only
@@ -114,29 +114,20 @@ pub(crate) fn union_comparisons(
     comparisons: &[xdrop_core::workload::Comparison],
     host_threads: usize,
 ) {
-    let m = comparisons.len();
-    let threads = resolve_threads(host_threads).min(m.max(1));
-    if threads <= 1 {
-        for c in comparisons {
-            union(parents, c.h, c.v);
-        }
-    } else {
-        let queue = IndexQueue::new(m);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                let queue = &queue;
-                s.spawn(move |_| {
-                    while let Some(claim) = queue.claim(UNION_GRAIN) {
-                        for &ci in claim {
-                            let c = &comparisons[ci as usize];
-                            union(parents, c.h, c.v);
-                        }
-                    }
-                });
+    let Ok(()) = pool::steal(
+        comparisons.len(),
+        Order::Ascending,
+        UNION_GRAIN,
+        resolve_threads(host_threads),
+        (),
+        || (),
+        |(), claim: &mut Claim<'_, (), Infallible>| {
+            for &ci in claim.tasks() {
+                let c = &comparisons[ci as usize];
+                union(parents, c.h, c.v);
             }
-        })
-        .expect("scope");
-    }
+        },
+    );
 }
 
 /// Resolves the quiescent parent forest into per-vertex component
@@ -316,33 +307,24 @@ pub(crate) fn walk_shards(
 ) -> Vec<Partition> {
     let plan = discover_shards(w, g, reps, shards);
     let k = plan.len();
-    let pool = resolve_threads(host_threads).min(k);
-    let results: Mutex<Vec<Option<Vec<Partition>>>> = Mutex::new(vec![None; k]);
-    let queue = IndexQueue::new(k);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..pool {
-            let (queue, results, plan) = (&queue, &results, &plan);
-            s.spawn(move |_| {
-                while let Some(claim) = queue.claim(1) {
-                    for &si in claim {
-                        let (lo, hi) = (plan.bounds[si as usize], plan.bounds[si as usize + 1]);
-                        let parts =
-                            walk_range(w, g, lo, hi, budget_bytes, threads, delta_b, max_load);
-                        results.lock().expect("shard results")[si as usize] = Some(parts);
-                    }
-                }
-            });
-        }
-    })
-    .expect("scope");
+    let Ok(parts) = pool::steal(
+        k,
+        Order::Ascending,
+        1,
+        resolve_threads(host_threads),
+        SharedSlots::new(k, 1, Vec::new()),
+        || (),
+        |(), claim: &mut Claim<'_, _, Infallible>| {
+            for &si in claim.tasks() {
+                let (lo, hi) = (plan.bounds[si as usize], plan.bounds[si as usize + 1]);
+                claim.slot(si)[0] =
+                    walk_range(w, g, lo, hi, budget_bytes, threads, delta_b, max_load);
+            }
+        },
+    );
     // Concatenate in shard order: output depends on the shard plan
     // only, never on which thread ran which shard.
-    results
-        .into_inner()
-        .expect("shard results")
-        .into_iter()
-        .flat_map(|p| p.expect("every shard ran"))
-        .collect()
+    parts.into_vec().into_iter().flatten().collect()
 }
 
 #[cfg(test)]

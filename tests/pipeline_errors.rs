@@ -9,11 +9,13 @@
 //!   overlapping window, a short stream, a stream past the end — are
 //!   a typed `PipelineError::Window`, never a silent wrong result or a
 //!   panic.
+//! * A panic inside a pool worker (here: a scorer bug) surfaces with
+//!   the worker's own message at any thread count.
 
 use xdrop_ipu::core::alphabet::Alphabet;
 use xdrop_ipu::core::error::AlignError;
 use xdrop_ipu::core::extension::SeedMatch;
-use xdrop_ipu::core::scoring::MatchMismatch;
+use xdrop_ipu::core::scoring::{MatchMismatch, Scorer};
 use xdrop_ipu::core::workload::{Comparison, Workload};
 use xdrop_ipu::core::xdrop2::BandPolicy;
 use xdrop_ipu::core::XDropParams;
@@ -24,6 +26,7 @@ use xdrop_ipu::partition::{
     WorkloadWindow,
 };
 use xdrop_ipu::sim::batch::BatchConfig;
+use xdrop_ipu::sim::exec::{execute_workload, ExecConfig};
 use xdrop_ipu::sim::spec::IpuSpec;
 
 /// `n` alignable DNA pairs around a protected 17-mer seed.
@@ -221,4 +224,34 @@ fn stream_past_the_end_is_rejected() {
             total: 16
         }))
     );
+}
+
+/// A DNA scorer whose every similarity lookup panics.
+struct PanickingScorer;
+
+impl Scorer for PanickingScorer {
+    fn sim(&self, _: u8, _: u8) -> i32 {
+        panic!("boom from scorer")
+    }
+    fn gap(&self) -> i32 {
+        -1
+    }
+    fn alphabet(&self) -> Alphabet {
+        Alphabet::Dna
+    }
+}
+
+#[test]
+#[should_panic(expected = "boom from scorer")]
+fn worker_panic_keeps_its_message() {
+    let mut w = Workload::new(Alphabet::Dna);
+    for _ in 0..32 {
+        let h = w.seqs.push(vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1]);
+        let v = w.seqs.push(vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1]);
+        w.comparisons
+            .push(Comparison::new(h, v, SeedMatch::new(2, 2, 4)));
+    }
+    let mut cfg = ExecConfig::new(XDropParams::new(5));
+    cfg.host_threads = 4;
+    let _ = execute_workload(&w, &PanickingScorer, &cfg);
 }
