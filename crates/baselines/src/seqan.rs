@@ -7,8 +7,10 @@
 //! seed-aware wrapper giving the baseline a name and the workload
 //! runner a uniform interface.
 
+use xdrop_core::aligner::AlignerKind;
 use xdrop_core::extension::{Backend, ExtendOutcome, Extender, SeedMatch};
 use xdrop_core::scoring::Scorer;
+use xdrop_core::xdrop2::BandPolicy;
 use xdrop_core::XDropParams;
 
 /// A reusable SeqAn-style extender (three-antidiagonal backend).
@@ -20,7 +22,10 @@ impl SeqAnAligner {
     /// SeqAn extender with X-Drop factor `x`.
     pub fn new(x: i32) -> Self {
         Self {
-            ext: Extender::new(XDropParams::new(x), Backend::ThreeDiag),
+            ext: Extender::new(
+                XDropParams::new(x),
+                Backend::for_kind(AlignerKind::XDrop3, x, BandPolicy::Grow(64)),
+            ),
         }
     }
 
@@ -44,7 +49,6 @@ mod tests {
     use xdrop_core::alphabet::encode_dna;
     use xdrop_core::extension::extend_seed;
     use xdrop_core::scoring::MatchMismatch;
-    use xdrop_core::xdrop2::BandPolicy;
 
     #[test]
     fn agrees_with_memory_restricted_kernel() {

@@ -11,6 +11,13 @@
 //! type, the sweep direction, and whether a traceback is wanted; the
 //! facade dispatches and returns a uniform [`AlignOutcome`].
 //!
+//! The engine match lives in one place: a private dispatch, generic
+//! over the score cell type, that both [`Aligner::align`] and
+//! [`crate::extension::Extender`] call with their own workspaces.
+//! The facade adds request validation and traceback-on-demand; an
+//! extender adds the seed split and runs the affine engine under the
+//! scorer's linear gap model.
+//!
 //! ## Comparability classes
 //!
 //! Every backend pair is a differential oracle for every other, but
@@ -44,10 +51,12 @@
 
 use crate::affine::{affine_xdrop_views, AffineGaps};
 use crate::error::{AlignError, Result};
+use crate::extension::Backend;
 use crate::hirschberg::hirschberg;
 use crate::kernel::{self, KernelKind};
 use crate::ksw2::{ksw2_extend, Ksw2Params};
 use crate::reference::Alignment;
+use crate::scorety::ScoreTy;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, Rev, SeqView};
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
@@ -361,10 +370,8 @@ impl AlignOutcome {
 /// [`crate::extension::Extender`] does for seed extension.
 #[derive(Debug, Default)]
 pub struct Aligner {
-    ws2_i32: xdrop2::Workspace<i32>,
-    ws2_f32: xdrop2::Workspace<f32>,
-    ws3_i32: xdrop3::Workspace<i32>,
-    ws3_f32: xdrop3::Workspace<f32>,
+    ws_i32: Workspaces<i32>,
+    ws_f32: Workspaces<f32>,
 }
 
 impl Aligner {
@@ -411,76 +418,11 @@ impl Aligner {
         scorer: &S,
         req: &AlignRequest,
     ) -> Result<AlignOutcome> {
-        let params = req.params();
-        let (output, alignment) = match req.kind {
-            AlignerKind::XDrop2 => {
-                let out = match req.score {
-                    ScoreKind::I32 => kernel::align_views(
-                        req.kernel,
-                        h,
-                        v,
-                        scorer,
-                        params,
-                        req.policy,
-                        &mut self.ws2_i32,
-                    )?,
-                    ScoreKind::F32 => kernel::align_views(
-                        req.kernel,
-                        h,
-                        v,
-                        scorer,
-                        params,
-                        req.policy,
-                        &mut self.ws2_f32,
-                    )?,
-                };
-                (out, None)
-            }
-            AlignerKind::LoganBand => {
-                let window = BandPolicy::Saturate(logan_band_width(req.x));
-                let out = match req.score {
-                    ScoreKind::I32 => kernel::align_views(
-                        req.kernel,
-                        h,
-                        v,
-                        scorer,
-                        params,
-                        window,
-                        &mut self.ws2_i32,
-                    )?,
-                    ScoreKind::F32 => kernel::align_views(
-                        req.kernel,
-                        h,
-                        v,
-                        scorer,
-                        params,
-                        window,
-                        &mut self.ws2_f32,
-                    )?,
-                };
-                (out, None)
-            }
-            AlignerKind::XDrop3 => {
-                let out = match req.score {
-                    ScoreKind::I32 => {
-                        xdrop3::align_views_ty(h, v, scorer, params, &mut self.ws3_i32)
-                    }
-                    ScoreKind::F32 => {
-                        xdrop3::align_views_ty(h, v, scorer, params, &mut self.ws3_f32)
-                    }
-                };
-                (out, None)
-            }
-            AlignerKind::Affine => (affine_xdrop_views(h, v, scorer, req.gaps, params), None),
-            AlignerKind::Ksw2 => {
-                let (ho, vo) = (materialize(h), materialize(v));
-                (ksw2_extend(&ho, &vo, &Ksw2Params::from_x(req.x)), None)
-            }
-            AlignerKind::Hirschberg => {
-                let (ho, vo) = (materialize(h), materialize(v));
-                let aln = hirschberg(&ho, &vo, scorer);
-                (hirschberg_output(&aln, ho.len(), vo.len()), Some(aln))
-            }
+        let backend = Backend::for_kind(req.kind, req.x, req.policy);
+        let (params, gaps) = (req.params(), req.gaps);
+        let (output, alignment) = match req.score {
+            ScoreKind::I32 => dispatch(backend, gaps, h, v, scorer, params, &mut self.ws_i32)?,
+            ScoreKind::F32 => dispatch(backend, gaps, h, v, scorer, params, &mut self.ws_f32)?,
         };
         let alignment = match alignment {
             Some(aln) => Some(aln),
@@ -499,53 +441,52 @@ impl Aligner {
     }
 }
 
-/// One-sided extension dispatch over directional views, shared by
-/// [`Aligner::align`]'s pipeline twin
-/// [`crate::extension::Backend::Aligner`]: the same engines, driven
-/// by the caller-owned workspaces of an
-/// [`crate::extension::Extender`]. `i32` cells only — the pipeline
-/// stack is integer end to end.
-#[allow(clippy::too_many_arguments)] // one-shot dispatch over both caller-owned workspaces
-pub fn extend_views<S: Scorer, HV: SeqView, VV: SeqView>(
-    kind: AlignerKind,
+/// The band buffers of the engines that keep them, for one score cell
+/// type: an [`Aligner`] owns one set per cell type, an
+/// [`crate::extension::Extender`] one `i32` set.
+#[derive(Debug, Default)]
+pub(crate) struct Workspaces<T: ScoreTy> {
+    xdrop2: xdrop2::Workspace<T>,
+    xdrop3: xdrop3::Workspace<T>,
+}
+
+/// The one engine dispatch behind both [`Aligner::align`] and
+/// [`crate::extension::Extender`]: runs `backend` over `h` × `v` in
+/// the caller's workspaces. The band policy comes resolved in
+/// `backend`, `gaps` is the affine engine's gap model, and only
+/// Hirschberg returns a path.
+pub(crate) fn dispatch<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+    backend: Backend,
+    gaps: AffineGaps,
     h: &HV,
     v: &VV,
     scorer: &S,
     params: XDropParams,
-    policy: BandPolicy,
-    ws2: &mut xdrop2::Workspace<i32>,
-    ws3: &mut xdrop3::Workspace<i32>,
-) -> Result<AlignOutput> {
-    match kind {
-        AlignerKind::XDrop2 => {
-            kernel::align_views(params.kernel, h, v, scorer, params, policy, ws2)
-        }
-        AlignerKind::XDrop3 => Ok(xdrop3::align_views_ty(h, v, scorer, params, ws3)),
-        AlignerKind::LoganBand => {
-            let window = BandPolicy::Saturate(logan_band_width(params.x));
-            kernel::align_views(params.kernel, h, v, scorer, params, window, ws2)
-        }
-        // In the pipeline the gap model must stay commensurate with
-        // the scorer, so affine extension degenerates to the linear
-        // model (`open = 0`): score-compatible with the X-Drop family
-        // rather than a silently different objective.
-        AlignerKind::Affine => Ok(affine_xdrop_views(
+    ws: &mut Workspaces<T>,
+) -> Result<(AlignOutput, Option<Alignment>)> {
+    let output = match backend.kind {
+        AlignerKind::XDrop2 | AlignerKind::LoganBand => kernel::align_views(
+            params.kernel,
             h,
             v,
             scorer,
-            AffineGaps::linear(scorer.gap()),
             params,
-        )),
+            backend.policy,
+            &mut ws.xdrop2,
+        )?,
+        AlignerKind::XDrop3 => xdrop3::align_views_ty(h, v, scorer, params, &mut ws.xdrop3),
+        AlignerKind::Affine => affine_xdrop_views(h, v, scorer, gaps, params),
         AlignerKind::Ksw2 => {
             let (ho, vo) = (materialize(h), materialize(v));
-            Ok(ksw2_extend(&ho, &vo, &Ksw2Params::from_x(params.x)))
+            ksw2_extend(&ho, &vo, &Ksw2Params::from_x(params.x))
         }
         AlignerKind::Hirschberg => {
             let (ho, vo) = (materialize(h), materialize(v));
             let aln = hirschberg(&ho, &vo, scorer);
-            Ok(hirschberg_output(&aln, ho.len(), vo.len()))
+            return Ok((hirschberg_output(&aln, ho.len(), vo.len()), Some(aln)));
         }
-    }
+    };
+    Ok((output, None))
 }
 
 fn materialize<V: SeqView>(view: &V) -> Vec<u8> {

@@ -7,7 +7,7 @@
 //! factors from the *other* axis: packing 8–32 **independent**
 //! alignments into each vector register, one alignment per lane, so
 //! the register is full even when every band is one cell wide. This
-//! module is that inter-sequence kernel ([`KernelKind::Batched`]):
+//! module is that inter-sequence kernel ([`crate::kernel::KernelKind::Batched`]):
 //!
 //! * **Persistent lane-major staging** — each lane owns one row in a
 //!   three-plane rolling arena (row pitch = band capacity + 2 pad
@@ -18,7 +18,7 @@
 //!   staging of the earlier kernel (≈14 B of buffer traffic per
 //!   staged cell) disappears. Even the substitution scores are never
 //!   staged: the sweep compares the sentinel-padded sequence copies
-//!   (materialized once per task, see [`Lane::enter`]) in-register,
+//!   (materialized once per task, see `Lane::enter`) in-register,
 //!   so per-round staging traffic is exactly zero bytes.
 //! * **Live-lane compaction with mid-flight refill** — X-Drop's early
 //!   exits retire lanes at wildly different rounds. Instead of
@@ -40,7 +40,7 @@
 //!   in; only three short positional scans follow, reproducing the
 //!   scalar reference's first-maximum-wins reductions exactly (the
 //!   first slot holding the diagonal maximum *is* the first-max-wins
-//!   argmax). Lanes advance [`BURST_ROUNDS`] rounds per engine
+//!   argmax). Lanes advance `BURST_ROUNDS` rounds per engine
 //!   iteration so lane state stays in registers and the per-lane loop
 //!   overhead amortizes — the bands are only a few vectors wide, so
 //!   fixed costs, not arithmetic, bound the round rate.
@@ -50,7 +50,7 @@
 //!   score step; the first round a live value escapes the guard band,
 //!   the lane is marked overflowed and transparently re-run through
 //!   the scalar `i32` reference. See the soundness argument on
-//!   [`HIGH_GUARD`].
+//!   `HIGH_GUARD`.
 //!
 //! ## Arena layout and padding invariants
 //!
@@ -68,7 +68,7 @@
 //! lane or from a previous slot occupant — are therefore never read.
 //! The substitution compare runs unconditionally over the whole
 //! candidate interval against sentinel-padded sequence copies
-//! ([`SEQ_PAD`]): at the interval ends where a sequence index leaves
+//! (`SEQ_PAD`): at the interval ends where a sequence index leaves
 //! the real symbols, the compared `sd` parent is a pad or canonical
 //! dropped cell, and `NEG_INF16 + s ≤ DROP16` for every
 //! `|s| ≤ MAX_STEP`, so the compare's outcome there is never
@@ -320,7 +320,7 @@ pub const SWEEP_ENV: &str = "XDROP_SWEEP";
     Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub enum SweepBackend {
-    /// The portable scalar body ([`sweep_row_generic`]), lanes as far
+    /// The portable scalar body (`sweep_row_generic`), lanes as far
     /// as the autovectorizer allows.
     #[default]
     Generic,

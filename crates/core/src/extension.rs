@@ -8,17 +8,23 @@
 //! the paper's `op(·)` transform — so the sequences are never copied
 //! or reversed, and a single resident copy serves any number of seeds
 //! (§4.1.1).
+//!
+//! An [`Extender`] runs each side through the same engine dispatch as
+//! the [`crate::aligner`] facade: a [`Backend`] names the engine and
+//! its resolved band policy, so the left side of a seed is exactly a
+//! `Reverse` facade request over the prefixes before it and the right
+//! side a `Forward` request over the suffixes after it.
 
-use crate::aligner::{self, AlignerKind};
+use crate::affine::AffineGaps;
+use crate::aligner::{self, AlignerKind, Workspaces};
 use crate::batched::{self, BatchTask, TaskView};
 use crate::error::{AlignError, Result};
 use crate::kernel::KernelKind;
 use crate::ksw2::Ksw2Params;
 use crate::scoring::Scorer;
-use crate::seqview::{Fwd, Rev};
+use crate::seqview::{Fwd, Rev, SeqView};
 use crate::stats::{AlignOutput, AlignStats};
-use crate::xdrop2::{self, BandPolicy};
-use crate::xdrop3;
+use crate::xdrop2::BandPolicy;
 use crate::XDropParams;
 
 /// A k-mer seed shared by two sequences.
@@ -38,9 +44,11 @@ impl SeedMatch {
         Self { h_pos, v_pos, k }
     }
 
-    /// Checks the seed fits inside both sequences.
+    /// Checks the seed fits inside both sequences (a seed end that
+    /// overflows `usize` does not).
     pub fn validate(&self, h_len: usize, v_len: usize) -> Result<()> {
-        if self.h_pos + self.k > h_len || self.v_pos + self.k > v_len {
+        let fits = |pos: usize, len: usize| pos.checked_add(self.k).is_some_and(|end| end <= len);
+        if !fits(self.h_pos, h_len) || !fits(self.v_pos, v_len) {
             Err(AlignError::SeedOutOfBounds {
                 seed: (self.h_pos, self.v_pos),
                 lens: (h_len, v_len),
@@ -51,35 +59,26 @@ impl SeedMatch {
     }
 }
 
-/// Which antidiagonal kernel performs the extensions.
+/// An extension engine with its band policy resolved — what
+/// [`Extender`] and the [`crate::aligner`] facade hand their one
+/// shared engine dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The memory-restricted two-antidiagonal kernel (Algorithm 1).
-    TwoDiag(BandPolicy),
-    /// The classical three-antidiagonal kernel.
-    ThreeDiag,
-    /// Any other engine of the [`crate::aligner`] facade (affine,
-    /// Hirschberg, ksw2, …), dispatched per side through
-    /// [`aligner::extend_views`].
-    Aligner(AlignerKind),
+pub struct Backend {
+    pub(crate) kind: AlignerKind,
+    pub(crate) policy: BandPolicy,
 }
 
 impl Backend {
-    /// Maps a facade [`AlignerKind`] onto the extension backend that
-    /// implements it. The X-Drop family stays on its dedicated fast
-    /// paths — `XDrop2` keeps the caller's band `policy`, `XDrop3`
-    /// has its intrinsic `3δ` band, and `LoganBand` is `XDrop2` under
-    /// LOGAN's fixed saturating window for the given `x` — while the
-    /// remaining engines route through the facade dispatcher.
+    /// Resolves `kind`'s band policy: `XDrop2` keeps the caller's
+    /// `policy`, `LoganBand` is `XDrop2` under LOGAN's fixed saturating
+    /// window for `x` ([`aligner::logan_band_width`]), and the other
+    /// engines manage their own windows and ignore it.
     pub fn for_kind(kind: AlignerKind, x: i32, policy: BandPolicy) -> Backend {
-        match kind {
-            AlignerKind::XDrop2 => Backend::TwoDiag(policy),
-            AlignerKind::XDrop3 => Backend::ThreeDiag,
-            AlignerKind::LoganBand => {
-                Backend::TwoDiag(BandPolicy::Saturate(aligner::logan_band_width(x)))
-            }
-            other => Backend::Aligner(other),
-        }
+        let policy = match kind {
+            AlignerKind::LoganBand => BandPolicy::Saturate(aligner::logan_band_width(x)),
+            _ => policy,
+        };
+        Backend { kind, policy }
     }
 
     /// Scores the seed region in the backend's own scoring scale.
@@ -92,8 +91,8 @@ impl Backend {
     /// re-scoring its symbols — the baselines runner does the same,
     /// which keeps the facade and runner score-identical.
     fn seed_score<S: Scorer>(&self, x: i32, h_seed: &[u8], v_seed: &[u8], scorer: &S) -> i32 {
-        match self {
-            Backend::Aligner(AlignerKind::Ksw2) => h_seed.len() as i32 * Ksw2Params::from_x(x).mat,
+        match self.kind {
+            AlignerKind::Ksw2 => h_seed.len() as i32 * Ksw2Params::from_x(x).mat,
             _ => scorer.seed_score(h_seed, v_seed),
         }
     }
@@ -142,19 +141,18 @@ impl ExtendOutcome {
 pub struct Extender {
     params: XDropParams,
     backend: Backend,
-    ws2: xdrop2::Workspace<i32>,
-    ws3: xdrop3::Workspace<i32>,
+    ws: Workspaces<i32>,
 }
 
 impl Extender {
     /// Creates an extender with the given X-Drop parameters and
     /// kernel backend.
+    #[inline]
     pub fn new(params: XDropParams, backend: Backend) -> Self {
         Self {
             params,
             backend,
-            ws2: xdrop2::Workspace::new(),
-            ws3: xdrop3::Workspace::new(),
+            ws: Workspaces::default(),
         }
     }
 
@@ -164,19 +162,17 @@ impl Extender {
     }
 
     /// The band policy of the batched lane kernel, when this extender
-    /// batches: [`KernelKind::Batched`] over the two-antidiagonal
-    /// backend (the lane kernel implements that engine only), under
-    /// the backend's own policy — the caller's for `XDrop2`, LOGAN's
-    /// saturating window for `LoganBand`.
+    /// batches: [`KernelKind::Batched`] over the banded
+    /// two-antidiagonal core (the lane kernel implements that engine
+    /// only), under the backend's resolved policy — the caller's for
+    /// `XDrop2`, LOGAN's saturating window for `LoganBand`.
     fn batch_policy(&self) -> Option<BandPolicy> {
-        match self.backend {
-            Backend::TwoDiag(policy) if self.params.kernel == KernelKind::Batched => Some(policy),
-            _ => None,
-        }
+        (self.params.kernel == KernelKind::Batched && self.backend.kind.is_banded_core())
+            .then_some(self.backend.policy)
     }
 
     /// How many seeds one [`Extender::extend_batch`] call should take:
-    /// [`REFILL_CLAIM_FACTOR`] × the lane width when this extender
+    /// a fixed multiple (4×) of the lane width when this extender
     /// batches, 1 otherwise (where [`Extender::extend`] per seed is
     /// the whole story).
     pub fn grain(&self) -> usize {
@@ -198,72 +194,28 @@ impl Extender {
         seed.validate(h.len(), v.len())?;
         let (h_left, h_seed, h_right) = split3(h, seed.h_pos, seed.k);
         let (v_left, v_seed, v_right) = split3(v, seed.v_pos, seed.k);
-
-        let (left, right) = match self.backend {
-            Backend::TwoDiag(policy) => (
-                crate::kernel::align_views(
-                    self.params.kernel,
-                    &Rev(h_left),
-                    &Rev(v_left),
-                    scorer,
-                    self.params,
-                    policy,
-                    &mut self.ws2,
-                )?,
-                crate::kernel::align_views(
-                    self.params.kernel,
-                    &Fwd(h_right),
-                    &Fwd(v_right),
-                    scorer,
-                    self.params,
-                    policy,
-                    &mut self.ws2,
-                )?,
-            ),
-            Backend::ThreeDiag => (
-                xdrop3::align_views_ty(
-                    &Rev(h_left),
-                    &Rev(v_left),
-                    scorer,
-                    self.params,
-                    &mut self.ws3,
-                ),
-                xdrop3::align_views_ty(
-                    &Fwd(h_right),
-                    &Fwd(v_right),
-                    scorer,
-                    self.params,
-                    &mut self.ws3,
-                ),
-            ),
-            Backend::Aligner(kind) => (
-                aligner::extend_views(
-                    kind,
-                    &Rev(h_left),
-                    &Rev(v_left),
-                    scorer,
-                    self.params,
-                    BandPolicy::Grow(64),
-                    &mut self.ws2,
-                    &mut self.ws3,
-                )?,
-                aligner::extend_views(
-                    kind,
-                    &Fwd(h_right),
-                    &Fwd(v_right),
-                    scorer,
-                    self.params,
-                    BandPolicy::Grow(64),
-                    &mut self.ws2,
-                    &mut self.ws3,
-                )?,
-            ),
-        };
-
+        let left = self.side(&Rev(h_left), &Rev(v_left), scorer)?;
+        let right = self.side(&Fwd(h_right), &Fwd(v_right), scorer)?;
         let seed_score = self
             .backend
             .seed_score(self.params.x, h_seed, v_seed, scorer);
         Ok(outcome(seed, seed_score, left, right))
+    }
+
+    /// One side of a seed through the facade's engine dispatch. The
+    /// affine engine runs the scorer's linear gap model (`open = 0`),
+    /// so its scores stay commensurate with the X-Drop family rather
+    /// than a silently different objective.
+    fn side<S: Scorer, HV: SeqView, VV: SeqView>(
+        &mut self,
+        h: &HV,
+        v: &VV,
+        scorer: &S,
+    ) -> Result<AlignOutput> {
+        let gaps = AffineGaps::linear(scorer.gap());
+        let (out, _) =
+            aligner::dispatch(self.backend, gaps, h, v, scorer, self.params, &mut self.ws)?;
+        Ok(out)
     }
 
     /// Extends every `(h, v, seed)` job; outcome `i` is exactly what
@@ -323,76 +275,6 @@ impl Extender {
                 Ok(outcome(seed, seed_score, left, right))
             })
             .collect()
-    }
-
-    /// Extends a single direction only — used by the LR-splitting
-    /// optimization (§4.1.2), where left and right extensions are
-    /// independent work units assigned to different threads.
-    pub fn extend_one_side<S: Scorer>(
-        &mut self,
-        h: &[u8],
-        v: &[u8],
-        seed: SeedMatch,
-        scorer: &S,
-        side: Side,
-    ) -> Result<AlignOutput> {
-        seed.validate(h.len(), v.len())?;
-        let (h_left, _, h_right) = split3(h, seed.h_pos, seed.k);
-        let (v_left, _, v_right) = split3(v, seed.v_pos, seed.k);
-        match (side, self.backend) {
-            (Side::Left, Backend::TwoDiag(policy)) => crate::kernel::align_views(
-                self.params.kernel,
-                &Rev(h_left),
-                &Rev(v_left),
-                scorer,
-                self.params,
-                policy,
-                &mut self.ws2,
-            ),
-            (Side::Right, Backend::TwoDiag(policy)) => crate::kernel::align_views(
-                self.params.kernel,
-                &Fwd(h_right),
-                &Fwd(v_right),
-                scorer,
-                self.params,
-                policy,
-                &mut self.ws2,
-            ),
-            (Side::Left, Backend::ThreeDiag) => Ok(xdrop3::align_views_ty(
-                &Rev(h_left),
-                &Rev(v_left),
-                scorer,
-                self.params,
-                &mut self.ws3,
-            )),
-            (Side::Right, Backend::ThreeDiag) => Ok(xdrop3::align_views_ty(
-                &Fwd(h_right),
-                &Fwd(v_right),
-                scorer,
-                self.params,
-                &mut self.ws3,
-            )),
-            (Side::Left, Backend::Aligner(kind)) => aligner::extend_views(
-                kind,
-                &Rev(h_left),
-                &Rev(v_left),
-                scorer,
-                self.params,
-                BandPolicy::Grow(64),
-                &mut self.ws2,
-                &mut self.ws3,
-            ),
-            (Side::Right, Backend::Aligner(kind)) => aligner::extend_views(
-                kind,
-                &Fwd(h_right),
-                &Fwd(v_right),
-                scorer,
-                self.params,
-                BandPolicy::Grow(64),
-                &mut self.ws2,
-                &mut self.ws3,
-            ),
-        }
     }
 }
 
@@ -530,7 +412,11 @@ pub fn extend_seed<S: Scorer>(
     params: XDropParams,
     policy: BandPolicy,
 ) -> Result<ExtendOutcome> {
-    Extender::new(params, Backend::TwoDiag(policy)).extend(h, v, seed, scorer)
+    Extender::new(
+        params,
+        Backend::for_kind(AlignerKind::XDrop2, params.x, policy),
+    )
+    .extend(h, v, seed, scorer)
 }
 
 #[cfg(test)]
@@ -545,6 +431,10 @@ mod tests {
 
     fn params() -> XDropParams {
         XDropParams::new(10)
+    }
+
+    fn backend(kind: AlignerKind) -> Backend {
+        Backend::for_kind(kind, 10, BandPolicy::Grow(8))
     }
 
     #[test]
@@ -617,26 +507,13 @@ mod tests {
         let h = encode_dna(b"ACGTACGTAAGGTACGTACGTACGTTTGGACGT");
         let v = encode_dna(b"ACGTACGAAAGGTACGTACGTACTTTTGGACGA");
         let seed = SeedMatch::new(12, 12, 8);
-        let mut two = Extender::new(params(), Backend::TwoDiag(BandPolicy::Grow(8)));
-        let mut three = Extender::new(params(), Backend::ThreeDiag);
+        let mut two = Extender::new(params(), backend(AlignerKind::XDrop2));
+        let mut three = Extender::new(params(), backend(AlignerKind::XDrop3));
         let a = two.extend(&h, &v, seed, &sc()).unwrap();
         let b = three.extend(&h, &v, seed, &sc()).unwrap();
         assert_eq!(a.score, b.score);
         assert_eq!(a.h_span, b.h_span);
         assert_eq!(a.v_span, b.v_span);
-    }
-
-    #[test]
-    fn one_side_matches_both_sides() {
-        let h = encode_dna(b"ACGTACGTAAGGTACGTACGTACGTTTGGACGT");
-        let v = encode_dna(b"ACGTACGAAAGGTACGTACGTACTTTTGGACGA");
-        let seed = SeedMatch::new(12, 12, 8);
-        let mut e = Extender::new(params(), Backend::TwoDiag(BandPolicy::Grow(8)));
-        let both = e.extend(&h, &v, seed, &sc()).unwrap();
-        let l = e.extend_one_side(&h, &v, seed, &sc(), Side::Left).unwrap();
-        let r = e.extend_one_side(&h, &v, seed, &sc(), Side::Right).unwrap();
-        assert_eq!(l.result, both.left.result);
-        assert_eq!(r.result, both.right.result);
     }
 
     #[test]
@@ -662,7 +539,7 @@ mod tests {
 
     #[test]
     fn pool_reuses_returned_extenders() {
-        let pool = ExtenderPool::new(params(), Backend::TwoDiag(BandPolicy::Grow(8)));
+        let pool = ExtenderPool::new(params(), backend(AlignerKind::XDrop2));
         assert_eq!(pool.idle(), 0);
         let s = encode_dna(b"ACGTACGTACGTACGTACGT");
         {
@@ -718,24 +595,19 @@ mod tests {
     }
 
     #[test]
-    fn for_kind_maps_the_xdrop_family_to_fast_paths() {
+    fn for_kind_resolves_the_band_policy() {
         let policy = BandPolicy::Grow(8);
-        assert_eq!(
-            Backend::for_kind(AlignerKind::XDrop2, 10, policy),
-            Backend::TwoDiag(policy)
-        );
-        assert_eq!(
-            Backend::for_kind(AlignerKind::XDrop3, 10, policy),
-            Backend::ThreeDiag
-        );
-        assert_eq!(
-            Backend::for_kind(AlignerKind::LoganBand, 10, policy),
-            Backend::TwoDiag(BandPolicy::Saturate(aligner::logan_band_width(10)))
-        );
-        assert_eq!(
-            Backend::for_kind(AlignerKind::Ksw2, 10, policy),
-            Backend::Aligner(AlignerKind::Ksw2)
-        );
+        let logan = BandPolicy::Saturate(aligner::logan_band_width(10));
+        for kind in AlignerKind::ALL {
+            let b = Backend::for_kind(kind, 10, policy);
+            assert_eq!(b.kind, kind);
+            let want = if kind == AlignerKind::LoganBand {
+                logan
+            } else {
+                policy
+            };
+            assert_eq!(b.policy, want, "{kind:?}");
+        }
     }
 
     #[test]
@@ -744,8 +616,8 @@ mod tests {
         let v = encode_dna(b"ACGTACGAAAGGTACGTACGTACTTTTGGACGA");
         let seed = SeedMatch::new(12, 12, 8);
         let p = XDropParams::new(100);
-        let mut three = Extender::new(p, Backend::ThreeDiag);
-        let mut aff = Extender::new(p, Backend::Aligner(AlignerKind::Affine));
+        let mut three = Extender::new(p, backend(AlignerKind::XDrop3));
+        let mut aff = Extender::new(p, backend(AlignerKind::Affine));
         let a = three.extend(&h, &v, seed, &sc()).unwrap();
         let b = aff.extend(&h, &v, seed, &sc()).unwrap();
         assert_eq!(a.score, b.score);
@@ -757,7 +629,7 @@ mod tests {
     fn ksw2_backend_scores_seed_in_its_own_scale() {
         let s = encode_dna(b"ACGTACGTACGTACGTACGT");
         let seed = SeedMatch::new(8, 8, 4);
-        let mut e = Extender::new(params(), Backend::Aligner(AlignerKind::Ksw2));
+        let mut e = Extender::new(params(), backend(AlignerKind::Ksw2));
         let out = e.extend(&s, &s, seed, &sc()).unwrap();
         // ksw2's scale is mat=2 per matching seed symbol, not the
         // caller scorer's +1 — and the total must stay in one scale.

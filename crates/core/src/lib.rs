@@ -8,7 +8,7 @@
 //! The crate provides, from slowest/simplest to the paper's
 //! contribution:
 //!
-//! * [`reference`] — full dynamic-programming matrices: global
+//! * [`reference`](mod@reference) — full dynamic-programming matrices: global
 //!   (Needleman-Wunsch), local (Smith-Waterman), semi-global
 //!   extension, and a full-matrix X-Drop used as ground truth for the
 //!   space-efficient variants.

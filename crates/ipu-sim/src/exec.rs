@@ -279,7 +279,7 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
 /// Runs on [`pool::steal`]: comparisons are claimed in LPT order of
 /// their `|H|×|V|` bound, [`Extender::grain`] at a time — one, or a
 /// lane-width run for the batched kernel — and aligned by
-/// [`align_claim`] with one extender per worker. Each comparison
+/// `align_claim` with one extender per worker. Each comparison
 /// writes its result and units straight into its slots of the final
 /// vectors, so the output is identical for any thread count and any
 /// claim interleaving.

@@ -24,7 +24,7 @@
 //!   folds each window into the sharded walk's union-find, whose
 //!   canonical min-id labeling is invariant to how the edge list is
 //!   chunked. [`sharded_partitions_windowed`] is therefore
-//!   bit-identical to [`sharded_partitions`] for *any* window size.
+//!   bit-identical to [`crate::sharded_partitions`] for *any* window size.
 //! * **Execution is per-window.** Alignment results depend only on
 //!   the two payloads and the seed, so executing each window's local
 //!   workload and remapping its unit/result slots by the window's
@@ -35,7 +35,7 @@
 //!   payload are ever resident.
 //! * **The cluster model is unchanged.** The scheduler consumes the
 //!   reconstructed units and the skeleton-planned batches, so every
-//!   [`ClusterReport`] field is bit-identical to the in-core run.
+//!   [`ipu_sim::cluster::ClusterReport`] field is bit-identical to the in-core run.
 //!
 //! Peak residency: `O(window)` payload bytes plus `O(n)` *metadata*
 //! (comparisons, lengths, work units) — the latter is ~25× smaller

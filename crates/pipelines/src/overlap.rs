@@ -68,7 +68,59 @@ impl OverlapConfig {
             multi_seed: false,
         }
     }
+
+    /// Checks the configuration can run on `alphabet`: `k` must lie
+    /// in `1..=`[`kmer::max_k`] (a k-mer packs into one `u64`) and the
+    /// reliable range must not be empty.
+    pub fn validate(&self, alphabet: Alphabet) -> Result<(), OverlapConfigError> {
+        let max_k = kmer::max_k(alphabet);
+        if !(1..=max_k).contains(&self.k) {
+            return Err(OverlapConfigError::KOutOfRange { k: self.k, max_k });
+        }
+        if self.min_kmer_freq > self.max_kmer_freq {
+            return Err(OverlapConfigError::EmptyFrequencyRange {
+                min: self.min_kmer_freq,
+                max: self.max_kmer_freq,
+            });
+        }
+        Ok(())
+    }
 }
+
+/// Why an [`OverlapConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverlapConfigError {
+    /// `k` is outside `1..=max_k` for the alphabet.
+    KOutOfRange {
+        /// The configured k-mer length.
+        k: usize,
+        /// The longest k-mer that packs into one `u64`.
+        max_k: usize,
+    },
+    /// `min_kmer_freq > max_kmer_freq`: no k-mer is reliable.
+    EmptyFrequencyRange {
+        /// The configured lower bound.
+        min: u32,
+        /// The configured upper bound.
+        max: u32,
+    },
+}
+
+impl std::fmt::Display for OverlapConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            OverlapConfigError::KOutOfRange { k, max_k } => {
+                write!(f, "k = {k} is outside 1..={max_k} for this alphabet")
+            }
+            OverlapConfigError::EmptyFrequencyRange { min, max } => write!(
+                f,
+                "min_kmer_freq = {min} exceeds max_kmer_freq = {max}: no k-mer is reliable"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for OverlapConfigError {}
 
 /// Accumulator for one overlap-candidate pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +162,15 @@ pub fn build_kmer_matrix(seqs: &SeqSet, cfg: &OverlapConfig) -> (Csr<u32>, usize
 
 /// Detects overlaps and returns them as an alignment [`Workload`]
 /// sharing the input sequence pool.
+///
+/// # Panics
+///
+/// When [`OverlapConfig::validate`] rejects `cfg` for the pool's
+/// alphabet.
 pub fn detect_overlaps(seqs: &SeqSet, cfg: &OverlapConfig) -> Workload {
+    if let Err(e) = cfg.validate(seqs.alphabet) {
+        panic!("invalid overlap configuration: {e}");
+    }
     let (a, _) = build_kmer_matrix(seqs, cfg);
     let at = a.transpose();
     let c = spgemm(
@@ -295,5 +355,33 @@ mod tests {
         let set = SeqSet::new(Alphabet::Dna);
         let w = detect_overlaps(&set, &OverlapConfig::elba(17));
         assert!(w.comparisons.is_empty());
+    }
+
+    #[test]
+    fn validate_rejects_unpackable_k_and_empty_frequency_range() {
+        for (alphabet, max_k) in [(Alphabet::Dna, 32), (Alphabet::Protein, 12)] {
+            assert_eq!(kmer::max_k(alphabet), max_k);
+            for k in [1, max_k] {
+                assert_eq!(OverlapConfig::elba(k).validate(alphabet), Ok(()));
+            }
+            for k in [0, max_k + 1, 64] {
+                assert_eq!(
+                    OverlapConfig::elba(k).validate(alphabet),
+                    Err(OverlapConfigError::KOutOfRange { k, max_k })
+                );
+            }
+        }
+        let mut cfg = OverlapConfig::pastis();
+        cfg.min_kmer_freq = cfg.max_kmer_freq + 1;
+        assert!(matches!(
+            cfg.validate(Alphabet::Protein),
+            Err(OverlapConfigError::EmptyFrequencyRange { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "k = 33 is outside 1..=32")]
+    fn detect_overlaps_rejects_an_unpackable_k() {
+        detect_overlaps(&read_set(), &OverlapConfig::elba(33));
     }
 }

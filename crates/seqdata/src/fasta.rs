@@ -1,6 +1,6 @@
 //! Minimal FASTA reading and writing.
 //!
-//! Enough to import real read sets into a [`Workload`] sequence pool
+//! Enough to import real read sets into a [`xdrop_core::workload::Workload`] sequence pool
 //! and to export generated data for inspection with standard tools.
 
 use std::io::{self, BufRead, Write};

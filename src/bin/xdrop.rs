@@ -32,8 +32,10 @@ use xdrop_ipu::pipelines::elba::{run_elba_from_workload, ElbaConfig};
 use xdrop_ipu::pipelines::overlap::{detect_overlaps, OverlapConfig};
 
 fn usage() -> ! {
+    let aligners: Vec<&str> = AlignerKind::ALL.iter().map(|k| k.name()).collect();
     eprintln!(
-        "usage:\n  xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--affine O,E] [--delta-b N] [--exact] [--traceback]\n  xdrop simulate --genome-len N [--coverage C] [--read-len L] [--error hifi|noisy|exact] [--seed S] --out reads.fa\n  xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner xdrop2|xdrop3|affine|logan-band|ksw2] [--out contigs.fa]\n  xdrop stats <seqs.fasta> [--protein]"
+        "usage:\n  xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--affine O,E] [--delta-b N] [--exact] [--traceback]\n  xdrop simulate --genome-len N [--coverage C] [--read-len L] [--error hifi|noisy|exact] [--seed S] --out reads.fa\n  xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner {}] [--out contigs.fa]\n  xdrop stats <seqs.fasta> [--protein]",
+        aligners.join("|")
     );
     exit(2)
 }
@@ -292,11 +294,14 @@ fn cmd_assemble(args: &[String]) {
         .get("aligner")
         .map(|v| AlignerKind::parse(v).unwrap_or_else(|| usage()))
         .unwrap_or(AlignerKind::XDrop2);
+    let overlap = OverlapConfig::elba(k);
+    if let Err(e) = overlap.validate(Alphabet::Dna) {
+        fail(&format!("--k: {e}"));
+    }
     let records = read_fasta_file(&o.positional[0]);
     let set =
         fasta::records_to_seqset(&records, Alphabet::Dna).unwrap_or_else(|e| fail(&format!("{e}")));
     println!("{} reads loaded", set.len());
-    let overlap = OverlapConfig::elba(k);
     let workload = detect_overlaps(&set, &overlap);
     println!("{} overlap candidates", workload.comparisons.len());
     let cfg = ElbaConfig {

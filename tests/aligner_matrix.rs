@@ -636,3 +636,121 @@ fn env_resolution_maps_onto_request_kernels() {
         KernelKind::Simd
     );
 }
+
+// ---------------------------------------------------------------------------
+// Satellite: seed extension ≡ two facade requests
+// ---------------------------------------------------------------------------
+
+/// Deterministic related pairs for the extension differential: a
+/// root plus a copy mutated at rate `err`, long enough that
+/// `BandPolicy::Exact(2)` overflows on the noisier ones.
+fn extension_pairs() -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut pairs = vec![fixture_pair()];
+    for err in [0.0, 0.05, 0.15, 0.3] {
+        let root: Vec<u8> = (0..120).map(|_| rng.gen_range(0..4)).collect();
+        let mut other = Vec::with_capacity(root.len() + 8);
+        for &b in &root {
+            let r: f64 = rng.gen();
+            if r < err * 0.5 {
+                other.push(rng.gen_range(0..4));
+            } else if r < err * 0.75 {
+                other.push(rng.gen_range(0..4));
+                other.push(b);
+            } else if r >= err {
+                other.push(b);
+            }
+        }
+        pairs.push((root, other));
+    }
+    pairs
+}
+
+/// Seeds at both ends and in the middle of a pair, all in bounds.
+fn extension_seeds(h: &[u8], v: &[u8], k: usize) -> Vec<SeedMatch> {
+    let (mh, mv) = (h.len() - k, v.len() - k);
+    vec![
+        SeedMatch::new(0, 0, k),
+        SeedMatch::new(mh / 2, mv / 2, k),
+        SeedMatch::new(mh, mv, k),
+        SeedMatch::new(mh / 3, 2 * mv / 3, k),
+    ]
+}
+
+/// For every engine, `Extender::extend` is exactly two facade
+/// requests: the left side is a `Reverse` request over the prefixes
+/// before the seed, the right side a `Forward` request over the
+/// suffixes after it, under the same engine, kernel, band policy and
+/// `x` (and the linear gap model for `Affine`). A band overflow
+/// surfaces as the same typed error, the left side's first, and
+/// `extend_batch` equals `extend` job by job.
+#[test]
+fn extender_sides_match_facade_requests() {
+    use xdrop_ipu::core::extension::{Backend, Extender};
+    let scorer = sc();
+    let pairs = extension_pairs();
+    let k = 6;
+    let mut facade = Aligner::new();
+    let (mut ok_sides, mut errors) = (0usize, 0usize);
+    for kind in AlignerKind::ALL {
+        let kernels: &[KernelKind] = if kind.is_banded_core() {
+            &KernelKind::ALL
+        } else {
+            &[KernelKind::Scalar]
+        };
+        for &kernel in kernels {
+            for policy in [
+                BandPolicy::Grow(8),
+                BandPolicy::Exact(2),
+                BandPolicy::Saturate(16),
+            ] {
+                for x in [3, 10] {
+                    let cell = format!("{} {} {policy:?} x={x}", kind.name(), kernel.name());
+                    let params = XDropParams::new(x).with_kernel(kernel);
+                    let backend = Backend::for_kind(kind, x, policy);
+                    let mut ext = Extender::new(params, backend);
+                    let req = AlignRequest::new(kind, x)
+                        .kernel(kernel)
+                        .policy(policy)
+                        .gaps(AffineGaps::linear(scorer.gap()));
+                    let mut jobs: Vec<(&[u8], &[u8], SeedMatch)> = Vec::new();
+                    for (h, v) in &pairs {
+                        for seed in extension_seeds(h, v, k) {
+                            jobs.push((h, v, seed));
+                        }
+                    }
+                    for &(h, v, seed) in &jobs {
+                        let (hl, hr) = (&h[..seed.h_pos], &h[seed.h_pos + k..]);
+                        let (vl, vr) = (&v[..seed.v_pos], &v[seed.v_pos + k..]);
+                        let left =
+                            facade.align(hl, vl, &scorer, &req.direction(Direction::Reverse));
+                        let right =
+                            facade.align(hr, vr, &scorer, &req.direction(Direction::Forward));
+                        let got = ext.extend(h, v, seed, &scorer);
+                        match (left, right) {
+                            (Err(e), _) | (Ok(_), Err(e)) => {
+                                errors += 1;
+                                assert_eq!(got.unwrap_err(), e, "{cell} {seed:?}");
+                            }
+                            (Ok(l), Ok(r)) => {
+                                ok_sides += 1;
+                                let got = got.unwrap_or_else(|e| panic!("{cell} {seed:?}: {e:?}"));
+                                assert_eq!(got.left, l.output, "{cell} {seed:?} left");
+                                assert_eq!(got.right, r.output, "{cell} {seed:?} right");
+                            }
+                        }
+                    }
+                    let batch = ext.extend_batch(&jobs, &scorer);
+                    assert_eq!(batch.len(), jobs.len());
+                    for (i, (&(h, v, seed), got)) in jobs.iter().zip(batch).enumerate() {
+                        assert_eq!(got, ext.extend(h, v, seed, &scorer), "{cell} job {i}");
+                    }
+                }
+            }
+        }
+    }
+    // Both outcomes were exercised: `Exact(2)` overflows on the noisy
+    // pairs, and every other cell aligns.
+    assert!(errors > 0, "no Exact overflow exercised");
+    assert!(ok_sides > errors, "{ok_sides} ok vs {errors} errors");
+}

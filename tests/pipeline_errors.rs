@@ -11,10 +11,15 @@
 //!   panic.
 //! * A panic inside a pool worker (here: a scorer bug) surfaces with
 //!   the worker's own message at any thread count.
+//! * A seed whose end overflows `usize` is a typed
+//!   `AlignError::SeedOutOfBounds` on every extension entry point,
+//!   never an arithmetic panic or a wrapped bound.
 
+use xdrop_ipu::core::aligner::AlignerKind;
 use xdrop_ipu::core::alphabet::Alphabet;
 use xdrop_ipu::core::error::AlignError;
-use xdrop_ipu::core::extension::SeedMatch;
+use xdrop_ipu::core::extension::{Backend, Extender, SeedMatch};
+use xdrop_ipu::core::kernel::KernelKind;
 use xdrop_ipu::core::scoring::{MatchMismatch, Scorer};
 use xdrop_ipu::core::workload::{Comparison, Workload};
 use xdrop_ipu::core::xdrop2::BandPolicy;
@@ -254,4 +259,58 @@ fn worker_panic_keeps_its_message() {
     let mut cfg = ExecConfig::new(XDropParams::new(5));
     cfg.host_threads = 4;
     let _ = execute_workload(&w, &PanickingScorer, &cfg);
+}
+
+#[test]
+fn overflowing_seed_end_is_a_typed_error() {
+    let sc = MatchMismatch::dna_default();
+    let mut w = workload(24);
+    // Comparisons 5 and 11 carry seeds whose end `pos + k` overflows.
+    let bad = [
+        (5, SeedMatch::new(usize::MAX, 0, 17)),
+        (11, SeedMatch::new(0, usize::MAX - 3, 17)),
+    ];
+    for (ci, seed) in bad {
+        w.comparisons[ci].seed = seed;
+    }
+    let oob = |ci: usize| {
+        let c = &w.comparisons[ci];
+        AlignError::SeedOutOfBounds {
+            seed: (c.seed.h_pos, c.seed.v_pos),
+            lens: (w.seqs.seq_len(c.h), w.seqs.seq_len(c.v)),
+        }
+    };
+    assert_eq!(w.validate().unwrap_err(), oob(5));
+    let jobs: Vec<(&[u8], &[u8], SeedMatch)> = w
+        .comparisons
+        .iter()
+        .map(|c| (w.seqs.get(c.h), w.seqs.get(c.v), c.seed))
+        .collect();
+    for kind in [
+        AlignerKind::XDrop2,
+        AlignerKind::LoganBand,
+        AlignerKind::XDrop3,
+    ] {
+        for kernel in KernelKind::ALL {
+            let params = XDropParams::new(15).with_kernel(kernel);
+            let mut ext = Extender::new(params, Backend::for_kind(kind, 15, BandPolicy::Grow(64)));
+            let batch = ext.extend_batch(&jobs, &sc);
+            for (ci, &(h, v, seed)) in jobs.iter().enumerate() {
+                let one = ext.extend(h, v, seed, &sc);
+                assert_eq!(one, batch[ci], "{kind:?} {kernel:?} comparison {ci}");
+                if bad.iter().any(|&(b, _)| b == ci) {
+                    assert_eq!(one.unwrap_err(), oob(ci), "{kind:?} {kernel:?}");
+                } else {
+                    assert!(one.is_ok(), "{kind:?} {kernel:?} comparison {ci}");
+                }
+            }
+            for threads in [1usize, 2, 8] {
+                let mut cfg = ExecConfig::new(params).with_aligner(kind);
+                cfg.policy = BandPolicy::Grow(64);
+                cfg.host_threads = threads;
+                let err = execute_workload(&w, &sc, &cfg).unwrap_err();
+                assert_eq!(err, oob(5), "{kind:?} {kernel:?} {threads} threads");
+            }
+        }
+    }
 }
