@@ -109,10 +109,10 @@ pub fn run(scale: f64) -> ScalingSection {
     let cells = skeleton.theoretical_cells();
 
     // The alignment front end runs once, windowed: skeleton-planned
-    // batches, streamed graph build, bounded payload residency.
+    // batches, bounded payload residency.
     let mut cfg = PipelineConfig::new(100);
     cfg.devices = SCALING_DEVICE_SWEEP[0];
-    cfg.plan = PlanConfig::partitioned(512).with_window(SCALING_WINDOW_COMPARISONS);
+    cfg.plan = PlanConfig::partitioned(512);
     crate::alloc::reset_peak();
     let windows = ds
         .windows(SCALING_WINDOW_COMPARISONS)

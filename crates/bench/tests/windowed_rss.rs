@@ -113,7 +113,7 @@ fn run_windowed(total: usize, len: usize, window: usize) -> (u64, u64) {
     let mut cfg = PipelineConfig::new(6);
     cfg.exec.policy = BandPolicy::Grow(64);
     cfg.exec.host_threads = 0;
-    cfg.plan = PlanConfig::partitioned(64).with_window(window);
+    cfg.plan = PlanConfig::partitioned(64);
     cfg.devices = 8;
     let windows = PairWindows {
         next_cmp: 0,

@@ -432,8 +432,9 @@ fn sweep_interior<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 }
 
 /// Explicit-SIMD interior sweep for `i32` DNA scoring: stages each
-/// chunk's symbols (one word-level unpack for [`crate::packing`]
-/// views), then hands contiguous lanes to the ISA-specific kernel.
+/// chunk's symbols (one [`SeqView::fill_fwd`]/[`SeqView::fill_rev`]
+/// call per view), then hands contiguous lanes to the ISA-specific
+/// kernel.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[allow(clippy::too_many_arguments)]
 fn sweep_interior_simd<HV: SeqView, VV: SeqView>(
@@ -976,10 +977,8 @@ mod isa {
 mod tests {
     use super::*;
     use crate::alphabet::encode_dna;
-    use crate::packing::{PackedRev, PackedSeq};
     use crate::scoring::{Blosum62, MatchMismatch};
     use crate::seqview::{Fwd, Rev};
-    use crate::Alphabet;
 
     fn sc() -> MatchMismatch {
         MatchMismatch::dna_default()
@@ -1113,18 +1112,16 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_reverse_views_identical() {
+    fn reverse_views_identical() {
         let h = encode_dna(&b"ACGTTGCACAGTCCATGGAT".repeat(10));
         let v = mutated(&h, 9);
-        let hp = PackedSeq::pack(&h, Alphabet::Dna);
-        let vp = PackedSeq::pack(&v, Alphabet::Dna);
         let p = XDropParams::new(30);
         for policy in [BandPolicy::Grow(8), BandPolicy::Saturate(16)] {
             let mut ws = Workspace::<i32>::new();
-            let scalar = align_views(
+            let rev_ref = align_views(
                 KernelKind::Scalar,
-                &Fwd(&h),
-                &Fwd(&v),
+                &Rev(&h),
+                &Rev(&v),
                 &sc(),
                 p,
                 policy,
@@ -1132,21 +1129,8 @@ mod tests {
             );
             for kind in [KernelKind::Simd, KernelKind::Batched] {
                 let mut ws = Workspace::<i32>::new();
-                let packed = align_views(kind, &hp, &vp, &sc(), p, policy, &mut ws);
-                assert_identical_output(&scalar, &packed, &("packed", kind, policy));
-                let mut ws = Workspace::<i32>::new();
-                let rev = align_views(kind, &PackedRev(&hp), &Rev(&v), &sc(), p, policy, &mut ws);
-                let mut ws = Workspace::<i32>::new();
-                let rev_ref = align_views(
-                    KernelKind::Scalar,
-                    &Rev(&h),
-                    &Rev(&v),
-                    &sc(),
-                    p,
-                    policy,
-                    &mut ws,
-                );
-                assert_identical_output(&rev_ref, &rev, &("packed-rev", kind, policy));
+                let rev = align_views(kind, &Rev(&h), &Rev(&v), &sc(), p, policy, &mut ws);
+                assert_identical_output(&rev_ref, &rev, &("rev", kind, policy));
             }
         }
     }

@@ -52,7 +52,6 @@ pub mod extension;
 pub mod hirschberg;
 pub mod kernel;
 pub mod ksw2;
-pub mod packing;
 pub mod reference;
 pub mod scorety;
 pub mod scoring;

@@ -29,8 +29,7 @@ pub trait SeqView {
     /// The whole range must be in bounds. The lane-parallel kernels
     /// use this to stage one chunk of symbols per fixed-width sweep
     /// instead of issuing a generic `at` per cell; implementors
-    /// override it with a bulk copy (or a word-level unpack for
-    /// packed storage).
+    /// override it with a bulk copy.
     #[inline(always)]
     fn fill_fwd(&self, start: usize, out: &mut [u8]) {
         for (k, o) in out.iter_mut().enumerate() {

@@ -188,16 +188,24 @@ impl Workload {
     }
 
     /// Left-extension lengths `(h, v)` of a comparison — how far the
-    /// backwards extension can at most run.
+    /// backwards extension can at most run. A seed past a sequence's
+    /// end saturates at that sequence's length, so planning estimates
+    /// stay within [`Self::complexity`] (no overflow) even for an
+    /// invalid seed, which the extension itself reports.
     pub fn left_lens(&self, c: &Comparison) -> (usize, usize) {
-        (c.seed.h_pos, c.seed.v_pos)
+        (
+            c.seed.h_pos.min(self.seqs.seq_len(c.h)),
+            c.seed.v_pos.min(self.seqs.seq_len(c.v)),
+        )
     }
 
-    /// Right-extension lengths `(h, v)` of a comparison.
+    /// Right-extension lengths `(h, v)` of a comparison; `0` for a
+    /// seed that ends past a sequence's end.
     pub fn right_lens(&self, c: &Comparison) -> (usize, usize) {
+        let rest = |len: usize, pos: usize| len.saturating_sub(pos.saturating_add(c.seed.k));
         (
-            self.seqs.seq_len(c.h) - c.seed.h_pos - c.seed.k,
-            self.seqs.seq_len(c.v) - c.seed.v_pos - c.seed.k,
+            rest(self.seqs.seq_len(c.h), c.seed.h_pos),
+            rest(self.seqs.seq_len(c.v), c.seed.v_pos),
         )
     }
 
@@ -255,6 +263,14 @@ mod tests {
         let c = &w.comparisons[0];
         assert_eq!(w.left_lens(c), (2, 4));
         assert_eq!(w.right_lens(c), (10 - 2 - 3, 20 - 4 - 3));
+        // Seeds past the end saturate at the sequence bounds (10, 20).
+        for (seed, left, right) in [
+            (SeedMatch::new(9, 19, 5), (9, 19), (0, 0)),
+            (SeedMatch::new(usize::MAX, 4, 3), (10, 4), (0, 13)),
+        ] {
+            let c = Comparison::new(0, 1, seed);
+            assert_eq!((w.left_lens(&c), w.right_lens(&c)), (left, right));
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl std::fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 /// How an out-of-core window stream failed to tile the skeleton's
-/// comparison list `0..total` in order.
+/// comparison list `0..total` in order, or to match its contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowStreamError {
     /// A window started at comparison `found` where `expected` was
@@ -71,6 +71,15 @@ pub enum WindowStreamError {
         /// The skeleton's comparison count.
         total: usize,
     },
+    /// The window's contents disagree with the skeleton at global
+    /// comparison `cmp` (the smallest such index): a local sequence
+    /// slot without a global id, a local id out of range, or global
+    /// ids, seed or lengths that differ from the skeleton
+    /// comparison's.
+    Mismatch {
+        /// Global index of the first disagreeing comparison.
+        cmp: usize,
+    },
 }
 
 impl std::fmt::Display for WindowStreamError {
@@ -84,6 +93,9 @@ impl std::fmt::Display for WindowStreamError {
                 f,
                 "windows cover {covered} comparisons, the skeleton has {total}"
             ),
+            WindowStreamError::Mismatch { cmp } => {
+                write!(f, "window disagrees with the skeleton at comparison {cmp}")
+            }
         }
     }
 }
@@ -104,7 +116,8 @@ impl std::error::Error for WindowStreamError {}
 pub enum PipelineError {
     /// An alignment kernel failed (smallest comparison index wins).
     Align(AlignError),
-    /// The out-of-core window stream did not tile the skeleton.
+    /// The out-of-core window stream did not tile the skeleton or
+    /// disagreed with it.
     Window(WindowStreamError),
     /// The partitioner failed (smallest comparison index wins).
     Partition(PartitionError),

@@ -13,8 +13,7 @@
 //! — cutting batch counts by ~50 % and improving 32-device strong
 //! scaling by up to 3.59×.
 //!
-//! * [`graph`] — the comparison graph (CSR adjacency, serial and
-//!   bit-identical parallel builds).
+//! * [`graph`] — the comparison graph (CSR adjacency).
 //! * [`greedy`] — the paper's linear edge-walk partitioner.
 //! * [`shard`] — the sharded parallel edge walk: vertex-range shards
 //!   discovered via connected components, deterministic for any
@@ -24,10 +23,10 @@
 //! * [`pipeline`] — the host pipeline: align → plan → replay →
 //!   schedule, each stage on a work-stealing pool, bit-identical to
 //!   the static-chunk reference for any thread count.
-//! * [`outofcore`] — the windowed out-of-core pipeline: streamed
-//!   graph build + component stitching, skeleton planning, and
-//!   bounded-residency window execution, bit-identical to the
-//!   in-core run for any window size.
+//! * [`outofcore`] — the windowed out-of-core pipeline: skeleton
+//!   planning with the in-core partitioner, then bounded-residency
+//!   window execution, each window checked against the skeleton;
+//!   bit-identical to the in-core run for any window size.
 //! * [`error`] — typed partitioner/pipeline errors.
 
 pub mod driver;
@@ -43,10 +42,7 @@ pub use driver::{IpuSystem, SystemReport};
 pub use error::{PartitionError, PipelineError, WindowStreamError};
 pub use graph::ComparisonGraph;
 pub use greedy::{greedy_partitions, greedy_partitions_with_load_cap, Partition};
-pub use outofcore::{
-    run_pipeline_out_of_core, sharded_partitions_windowed, windows_of, ComponentStitcher,
-    GraphScatter, GraphStitcher, WorkloadWindow,
-};
+pub use outofcore::{run_pipeline_out_of_core, windows_of, WorkloadWindow};
 pub use pipeline::{
     run_pipeline, run_pipeline_faulty, run_pipeline_reference, run_pipeline_reference_faulty,
     PipelineConfig, PipelineOutput,

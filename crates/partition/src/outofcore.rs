@@ -16,20 +16,16 @@
 //!   never payload bytes ([`ipu_sim::exec::planning_units`] and both
 //!   planners), so a lengths-only skeleton workload
 //!   ([`xdrop_core::workload::Workload::skeleton`]) drives them
-//!   byte-identically to the resident pool.
-//! * **The partitioner front end streams.** [`GraphStitcher`] builds
-//!   the CSR comparison graph from comparison windows in two
-//!   streaming passes (count, then scatter) producing exactly the
-//!   arrays [`ComparisonGraph::build`] would; [`ComponentStitcher`]
-//!   folds each window into the sharded walk's union-find, whose
-//!   canonical min-id labeling is invariant to how the edge list is
-//!   chunked. [`sharded_partitions_windowed`] is therefore
-//!   bit-identical to [`crate::sharded_partitions`] for *any* window size.
-//! * **Execution is per-window.** Alignment results depend only on
-//!   the two payloads and the seed, so executing each window's local
-//!   workload and remapping its unit/result slots by the window's
-//!   comparison base reconstructs the whole-input
-//!   [`ExecOutput`] slot for slot. Windows execute in order on the
+//!   byte-identically to the resident pool. The partitioner is the
+//!   in-core [`crate::sharded_partitions`] over the skeleton's
+//!   comparison list, which is resident metadata either way.
+//! * **Execution is per-window.** Each window is checked against the
+//!   skeleton before it runs: its position, the running total, and
+//!   every comparison's global ids, seed and lengths. Alignment
+//!   results depend only on the two payloads and the seed, so
+//!   executing each window's local workload and remapping its
+//!   unit/result slots by the window's comparison base reconstructs
+//!   the whole-input [`ExecOutput`] slot for slot. Windows execute in order on the
 //!   shared pool; generation runs ahead on a producer thread behind
 //!   a bounded channel, so at most `in_flight + 1` windows of
 //!   payload are ever resident.
@@ -41,18 +37,12 @@
 //! (comparisons, lengths, work units) — the latter is ~25× smaller
 //! per comparison than the payloads it replaces (see DESIGN.md §13).
 
-use crate::error::{PartitionError, PipelineError, WindowStreamError};
-use crate::graph::ComparisonGraph;
-use crate::greedy::{comparison_fit_error, Partition};
+use crate::error::{PipelineError, WindowStreamError};
 use crate::pipeline::{replay_and_assemble, PipelineConfig, PipelineOutput};
 use crate::plan::plan_batches_timed;
-use crate::shard::{
-    finalize_reps, union_comparisons, walk_shards, DEFAULT_SHARD_COUNT, SHARD_MIN_COMPARISONS,
-};
 use ipu_sim::exec::{execute_workload, planning_units, ExecOutput, UnitResult, WorkUnit};
 use ipu_sim::fault::FaultPlan;
 use ipu_sim::spec::IpuSpec;
-use std::sync::atomic::AtomicU32;
 use std::sync::mpsc;
 use xdrop_core::scoring::Scorer;
 use xdrop_core::workload::{Comparison, SeqId, Workload};
@@ -109,178 +99,6 @@ pub fn windows_of(w: &Workload, target: usize) -> Vec<WorkloadWindow> {
     out
 }
 
-/// Streaming connected components: absorbs comparison windows into
-/// the sharded walk's parallel union-find. Union-find state
-/// composes — the quiescent parent forest (larger root linked under
-/// smaller) does not depend on how the edge list was chunked — so
-/// [`ComponentStitcher::finish`] returns exactly
-/// [`crate::shard::connected_components`]' labels for any window
-/// size and any thread count.
-pub struct ComponentStitcher {
-    parents: Vec<AtomicU32>,
-}
-
-impl ComponentStitcher {
-    /// A stitcher over `n_seqs` vertices, all initially isolated.
-    pub fn new(n_seqs: usize) -> Self {
-        Self {
-            parents: (0..n_seqs as u32).map(AtomicU32::new).collect(),
-        }
-    }
-
-    /// Folds one window of comparisons into the component forest
-    /// (`host_threads` pool threads, `0` = auto).
-    pub fn absorb(&self, comparisons: &[Comparison], host_threads: usize) {
-        union_comparisons(&self.parents, comparisons, host_threads);
-    }
-
-    /// Canonical per-vertex component representatives (the minimum
-    /// vertex id of each component).
-    pub fn finish(&self) -> Vec<SeqId> {
-        finalize_reps(&self.parents)
-    }
-}
-
-/// Streaming CSR builder, pass 1: per-vertex degree counting over
-/// comparison windows. [`GraphStitcher::into_scatter`] turns the
-/// histogram into offsets for pass 2.
-pub struct GraphStitcher {
-    degree: Vec<u32>,
-}
-
-impl GraphStitcher {
-    /// A builder over `n_seqs` vertices.
-    pub fn new(n_seqs: usize) -> Self {
-        Self {
-            degree: vec![0u32; n_seqs],
-        }
-    }
-
-    /// Counts one window of comparisons (both endpoints, self-loops
-    /// once — exactly as [`ComparisonGraph::build`]).
-    pub fn count(&mut self, comparisons: &[Comparison]) {
-        for c in comparisons {
-            self.degree[c.h as usize] += 1;
-            if c.h != c.v {
-                self.degree[c.v as usize] += 1;
-            }
-        }
-    }
-
-    /// Seals the degree pass and prepares the scatter pass.
-    pub fn into_scatter(self) -> GraphScatter {
-        let n = self.degree.len();
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + self.degree[i];
-        }
-        let cursor = offsets[..n].to_vec();
-        let edges = vec![(0u32, 0u32); offsets[n] as usize];
-        GraphScatter {
-            offsets,
-            cursor,
-            edges,
-            next_ci: 0,
-        }
-    }
-}
-
-/// Streaming CSR builder, pass 2: scatters each window's edges into
-/// their final slots. Windows must be replayed in the same order as
-/// the count pass; comparison indices are assigned sequentially, so
-/// the finished arrays are bit-identical to the in-core build.
-pub struct GraphScatter {
-    offsets: Vec<u32>,
-    cursor: Vec<u32>,
-    edges: Vec<(SeqId, u32)>,
-    next_ci: u32,
-}
-
-impl GraphScatter {
-    /// Scatters one window of comparisons.
-    pub fn scatter(&mut self, comparisons: &[Comparison]) {
-        for c in comparisons {
-            let ci = self.next_ci;
-            self.next_ci += 1;
-            self.edges[self.cursor[c.h as usize] as usize] = (c.v, ci);
-            self.cursor[c.h as usize] += 1;
-            if c.h != c.v {
-                self.edges[self.cursor[c.v as usize] as usize] = (c.h, ci);
-                self.cursor[c.v as usize] += 1;
-            }
-        }
-    }
-
-    /// The finished graph.
-    pub fn finish(self) -> ComparisonGraph {
-        ComparisonGraph::from_parts(self.offsets, self.edges, self.next_ci as usize)
-    }
-}
-
-/// [`sharded_partitions`](crate::shard::sharded_partitions) with the
-/// graph build and component labeling streamed over comparison
-/// windows of `window` comparisons instead of consuming the list
-/// whole. Bit-identical to the whole-input walk for any `window`
-/// (including 1 and ≥ the comparison count) and any `host_threads`.
-///
-/// `w` may be a skeleton workload — only lengths and comparisons are
-/// read.
-#[allow(clippy::too_many_arguments)]
-pub fn sharded_partitions_windowed(
-    w: &Workload,
-    budget_bytes: usize,
-    threads: usize,
-    delta_b: usize,
-    max_load: Option<u64>,
-    shards: usize,
-    host_threads: usize,
-    window: usize,
-) -> Result<Vec<Partition>, PartitionError> {
-    if let Some(e) = comparison_fit_error(w, budget_bytes, threads, delta_b) {
-        return Err(e);
-    }
-    let n = w.seqs.len();
-    let m = w.comparisons.len();
-    let window = window.max(1);
-    let k = if shards == 0 {
-        if m < SHARD_MIN_COMPARISONS {
-            1
-        } else {
-            DEFAULT_SHARD_COUNT
-        }
-    } else {
-        shards
-    };
-    // Streamed CSR build: count pass, then scatter pass, folding the
-    // union-find along with the counts so the comparison list is
-    // walked twice and never needed whole (here windows are chunks
-    // of the already-resident metadata; the real out-of-core entry
-    // point streams the same chunks from the generator).
-    let mut stitch = GraphStitcher::new(n);
-    let comps = ComponentStitcher::new(n);
-    for chunk in w.comparisons.chunks(window) {
-        stitch.count(chunk);
-        comps.absorb(chunk, host_threads);
-    }
-    let mut scatter = stitch.into_scatter();
-    for chunk in w.comparisons.chunks(window) {
-        scatter.scatter(chunk);
-    }
-    let g = scatter.finish();
-    let reps = comps.finish();
-    Ok(walk_shards(
-        w,
-        &g,
-        &reps,
-        k,
-        budget_bytes,
-        threads,
-        delta_b,
-        max_load,
-        host_threads,
-    ))
-}
-
 /// Runs the full pipeline out-of-core: batches are planned from the
 /// lengths-only `skeleton`, windows are executed in order as the
 /// producer iterator yields them (at most `in_flight` windows
@@ -293,9 +111,11 @@ pub fn sharded_partitions_windowed(
 /// `skeleton` must cover the same sequences and comparisons as the
 /// window stream ([`xdrop_core::workload::Workload::skeleton`];
 /// a full resident workload works too — only metadata is read). The
-/// windows must tile the skeleton's comparisons in order; a gap, an
-/// overlap or a wrong total is a [`PipelineError::Window`], surfaced
-/// in stream order alongside the alignment errors.
+/// windows must tile the skeleton's comparisons in order and carry
+/// the skeleton's comparisons; a gap, an overlap, a wrong total or a
+/// window that disagrees with the skeleton is a
+/// [`PipelineError::Window`], surfaced in stream order alongside the
+/// alignment errors.
 pub fn run_pipeline_out_of_core<S, I>(
     skeleton: &Workload,
     windows: I,
@@ -328,8 +148,8 @@ where
     let mut exec_err: Option<PipelineError> = None;
     let mut seen = 0usize;
     let (tx, rx) = mpsc::sync_channel::<WorkloadWindow>(in_flight.max(1));
-    crossbeam::thread::scope(|s| {
-        s.spawn(move |_| {
+    std::thread::scope(|s| {
+        s.spawn(move || {
             for w in windows {
                 if tx.send(w).is_err() {
                     return; // consumer bailed: stop generating
@@ -342,7 +162,7 @@ where
         // breaking out of it unblocks the producer.
         for win in rx {
             let wn = win.workload.comparisons.len();
-            if let Err(e) = check_window(win.cmp_base, wn, seen, n) {
+            if let Err(e) = check_window(skeleton, &win, seen) {
                 exec_err = Some(e.into());
                 break;
             }
@@ -361,8 +181,7 @@ where
             }
             seen += wn;
         }
-    })
-    .expect("scope");
+    });
     if let Some(e) = exec_err {
         return Err(e);
     }
@@ -385,27 +204,52 @@ where
     )
 }
 
-/// Checks that a window of `len` comparisons starting at `cmp_base`
-/// continues a stream that has covered `0..seen` of `total`.
+/// Checks that `win` continues a stream that has covered `0..seen`
+/// of the skeleton's comparisons, and that its contents are the
+/// skeleton's: one global id per local sequence slot, every local id
+/// in range, and each comparison's global ids, seed and both lengths
+/// equal to the skeleton comparison at the same global index.
 fn check_window(
-    cmp_base: usize,
-    len: usize,
+    skeleton: &Workload,
+    win: &WorkloadWindow,
     seen: usize,
-    total: usize,
 ) -> Result<(), WindowStreamError> {
-    if cmp_base != seen {
+    let total = skeleton.comparisons.len();
+    let local = &win.workload;
+    if win.cmp_base != seen {
         return Err(WindowStreamError::Misplaced {
             expected: seen,
-            found: cmp_base,
+            found: win.cmp_base,
         });
     }
-    if seen + len > total {
+    if seen + local.comparisons.len() > total {
         return Err(WindowStreamError::WrongTotal {
-            covered: seen + len,
+            covered: seen + local.comparisons.len(),
             total,
         });
     }
-    Ok(())
+    let n_local = local.seqs.len();
+    if win.seq_ids.len() != n_local {
+        return Err(WindowStreamError::Mismatch { cmp: seen });
+    }
+    // Global id and length of local slot `id`, or `None` out of range.
+    let slot = |id: SeqId| {
+        ((id as usize) < n_local).then(|| (win.seq_ids[id as usize], local.seqs.seq_len(id)))
+    };
+    let same = |c: &Comparison, s: &Comparison| {
+        c.seed == s.seed
+            && slot(c.h) == Some((s.h, skeleton.seqs.seq_len(s.h)))
+            && slot(c.v) == Some((s.v, skeleton.seqs.seq_len(s.v)))
+    };
+    match local
+        .comparisons
+        .iter()
+        .zip(&skeleton.comparisons[seen..])
+        .position(|(c, s)| !same(c, s))
+    {
+        Some(i) => Err(WindowStreamError::Mismatch { cmp: seen + i }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -413,7 +257,7 @@ mod tests {
     use super::*;
     use crate::pipeline::run_pipeline;
     use crate::plan::PlanConfig;
-    use crate::shard::{connected_components, sharded_partitions};
+    use crate::shard::sharded_partitions;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use xdrop_core::alphabet::Alphabet;
@@ -461,68 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn stitched_components_match_whole_input() {
-        let w = workload(9, 5);
-        let oracle = connected_components(&w, 1);
-        for window in [1usize, 7, 1_000_000] {
-            for threads in [1usize, 4, 8] {
-                let st = ComponentStitcher::new(w.seqs.len());
-                for chunk in w.comparisons.chunks(window) {
-                    st.absorb(chunk, threads);
-                }
-                assert_eq!(st.finish(), oracle, "window {window} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn stitched_graph_matches_whole_input() {
-        let w = workload(6, 6);
-        let oracle = ComparisonGraph::build(&w);
-        for window in [1usize, 13, 1_000_000] {
-            let mut st = GraphStitcher::new(w.seqs.len());
-            for chunk in w.comparisons.chunks(window) {
-                st.count(chunk);
-            }
-            let mut sc = st.into_scatter();
-            for chunk in w.comparisons.chunks(window) {
-                sc.scatter(chunk);
-            }
-            assert_eq!(sc.finish(), oracle, "window {window}");
-        }
-    }
-
-    #[test]
-    fn windowed_partitions_match_whole_input() {
-        let w = workload(12, 6);
-        for shards in [1usize, 4] {
-            let oracle =
-                sharded_partitions(&w, 150 * 1024, 6, 64, Some(50_000), shards, 1).unwrap();
-            for window in [1usize, 29, 1_000_000] {
-                for threads in [1usize, 8] {
-                    let parts = sharded_partitions_windowed(
-                        &w,
-                        150 * 1024,
-                        6,
-                        64,
-                        Some(50_000),
-                        shards,
-                        threads,
-                        window,
-                    )
-                    .unwrap();
-                    assert_eq!(parts, oracle, "shards {shards} window {window} t {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_partitions_work_on_a_skeleton() {
+    fn sharded_partitions_work_on_a_skeleton() {
         let w = workload(12, 6);
         let sk = skeleton_of(&w);
         let oracle = sharded_partitions(&w, 150 * 1024, 6, 64, None, 4, 1).unwrap();
-        let parts = sharded_partitions_windowed(&sk, 150 * 1024, 6, 64, None, 4, 4, 37).unwrap();
+        let parts = sharded_partitions(&sk, 150 * 1024, 6, 64, None, 4, 4).unwrap();
         assert_eq!(parts, oracle);
     }
 

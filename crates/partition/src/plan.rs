@@ -30,14 +30,11 @@ pub struct PlanConfig {
     /// count is honored as-is. The output depends on this knob only,
     /// never on `host_threads`.
     pub shards: usize,
-    /// Host pool threads for graph build + sharded walk (`0` = auto,
-    /// matching the pipeline convention).
+    /// Host pool threads for the component labeling + sharded walk
+    /// (`0` = auto, matching the pipeline convention).
     pub host_threads: usize,
-    /// Stream the partitioner front end (CSR build + component
-    /// labeling) over comparison windows of this many comparisons —
-    /// the out-of-core path (`crate::outofcore`). `None` consumes
-    /// the comparison list whole. The plan is bit-identical either
-    /// way.
+    /// Ignored: the planner reads the comparison list whole on every
+    /// path. Kept for the benchmark harness, which still sets it.
     pub window_comparisons: Option<usize>,
 }
 
@@ -84,8 +81,8 @@ impl PlanConfig {
         self
     }
 
-    /// Streams the partitioner front end over comparison windows of
-    /// `window` comparisons (the out-of-core path).
+    /// Sets [`PlanConfig::window_comparisons`], which the planner
+    /// ignores. Kept for the benchmark harness, which still calls it.
     pub fn with_window(mut self, window: usize) -> Self {
         self.window_comparisons = Some(window.max(1));
         self
@@ -218,27 +215,15 @@ pub fn plan_batches_timed(
         (w.total_complexity() / (cfg.min_batches.max(1) as u64 * spec.tiles as u64).max(1)).max(1);
     let start = std::time::Instant::now();
     if cfg.use_partitioning {
-        let parts = match cfg.window_comparisons {
-            Some(window) => crate::outofcore::sharded_partitions_windowed(
-                w,
-                cfg.batch.tile_budget(spec),
-                cfg.batch.threads,
-                cfg.batch.delta_b,
-                Some(cap),
-                cfg.shards,
-                cfg.host_threads,
-                window,
-            )?,
-            None => sharded_partitions(
-                w,
-                cfg.batch.tile_budget(spec),
-                cfg.batch.threads,
-                cfg.batch.delta_b,
-                Some(cap),
-                cfg.shards,
-                cfg.host_threads,
-            )?,
-        };
+        let parts = sharded_partitions(
+            w,
+            cfg.batch.tile_budget(spec),
+            cfg.batch.threads,
+            cfg.batch.delta_b,
+            Some(cap),
+            cfg.shards,
+            cfg.host_threads,
+        )?;
         let partition_s = start.elapsed().as_secs_f64();
         let plan_start = std::time::Instant::now();
         let batches = partition_batches(w, units, &parts, spec);

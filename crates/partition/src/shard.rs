@@ -24,10 +24,11 @@
 //! *measured* by the `experiments partition` benchmark rather than
 //! assumed away.
 //!
-//! Determinism: the CSR ([`ComparisonGraph::build_parallel`]), the
+//! Determinism: the CSR ([`ComparisonGraph::build`], serial), the
 //! component labels, and the boundary scan are all bit-stable for
-//! any thread count; shards only ever run whole, into slots keyed by
-//! shard index. The shard count is therefore the *only* knob that
+//! any thread count — the union-find and the per-shard walks are the
+//! parallel parts — and shards only ever run whole, into slots keyed
+//! by shard index. The shard count is therefore the *only* knob that
 //! changes output — and one shard is byte-for-byte the serial walk,
 //! kept as the differential oracle.
 
@@ -99,23 +100,8 @@ fn union(parents: &[AtomicU32], a: u32, b: u32) {
 /// `0` = auto). The labeling is identical for any thread count.
 pub fn connected_components(w: &Workload, host_threads: usize) -> Vec<SeqId> {
     let parents: Vec<AtomicU32> = (0..w.seqs.len() as u32).map(AtomicU32::new).collect();
-    union_comparisons(&parents, &w.comparisons, host_threads);
-    finalize_reps(&parents)
-}
-
-/// Unites the endpoints of every comparison in `comparisons` into
-/// `parents` (`host_threads` pool threads, `0` = auto). Union-find
-/// state composes: absorbing the comparison list in any number of
-/// chunks yields the same quiescent parent forest as one call —
-/// which is what lets [`crate::outofcore::ComponentStitcher`] stitch
-/// components across generation windows.
-pub(crate) fn union_comparisons(
-    parents: &[AtomicU32],
-    comparisons: &[xdrop_core::workload::Comparison],
-    host_threads: usize,
-) {
     let Ok(()) = pool::steal(
-        comparisons.len(),
+        w.comparisons.len(),
         Order::Ascending,
         UNION_GRAIN,
         resolve_threads(host_threads),
@@ -123,16 +109,11 @@ pub(crate) fn union_comparisons(
         || (),
         |(), claim: &mut Claim<'_, (), Infallible>| {
             for &ci in claim.tasks() {
-                let c = &comparisons[ci as usize];
-                union(parents, c.h, c.v);
+                let c = &w.comparisons[ci as usize];
+                union(&parents, c.h, c.v);
             }
         },
     );
-}
-
-/// Resolves the quiescent parent forest into per-vertex component
-/// representatives (the minimum vertex id of each component).
-pub(crate) fn finalize_reps(parents: &[AtomicU32]) -> Vec<SeqId> {
     // Serial finalize: parents always point strictly downward, so one
     // ascending pass resolves every chain (reps of smaller ids are
     // final by the time they are read).
@@ -261,7 +242,7 @@ pub fn sharded_partitions(
     } else {
         shards
     };
-    let g = ComparisonGraph::build_parallel(w, host_threads);
+    let g = ComparisonGraph::build(w);
     if k <= 1 {
         return Ok(walk_range(
             w,
@@ -275,37 +256,7 @@ pub fn sharded_partitions(
         ));
     }
     let reps = connected_components(w, host_threads);
-    Ok(walk_shards(
-        w,
-        &g,
-        &reps,
-        k,
-        budget_bytes,
-        threads,
-        delta_b,
-        max_load,
-        host_threads,
-    ))
-}
-
-/// The back half of [`sharded_partitions`]: discovers shard bounds
-/// from pre-computed component labels and runs the per-shard walks
-/// on the pool. Shared with the windowed front end in
-/// [`crate::outofcore`], which arrives here with a graph and labels
-/// stitched from comparison windows instead of built whole.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn walk_shards(
-    w: &Workload,
-    g: &ComparisonGraph,
-    reps: &[SeqId],
-    shards: usize,
-    budget_bytes: usize,
-    threads: usize,
-    delta_b: usize,
-    max_load: Option<u64>,
-    host_threads: usize,
-) -> Vec<Partition> {
-    let plan = discover_shards(w, g, reps, shards);
+    let plan = discover_shards(w, &g, &reps, k);
     let k = plan.len();
     let Ok(parts) = pool::steal(
         k,
@@ -318,13 +269,13 @@ pub(crate) fn walk_shards(
             for &si in claim.tasks() {
                 let (lo, hi) = (plan.bounds[si as usize], plan.bounds[si as usize + 1]);
                 claim.slot(si)[0] =
-                    walk_range(w, g, lo, hi, budget_bytes, threads, delta_b, max_load);
+                    walk_range(w, &g, lo, hi, budget_bytes, threads, delta_b, max_load);
             }
         },
     );
     // Concatenate in shard order: output depends on the shard plan
     // only, never on which thread ran which shard.
-    parts.into_vec().into_iter().flatten().collect()
+    Ok(parts.into_vec().into_iter().flatten().collect())
 }
 
 #[cfg(test)]

@@ -3,9 +3,8 @@
 //!
 //! The contract under test (DESIGN.md §13): for *any* window size —
 //! including 1 and windows larger than the dataset — and any host
-//! thread count, the streamed front end produces byte-identical
-//! shards, the skeleton-planned batches equal the in-core plan, and
-//! the full windowed pipeline reconstructs every unit, result and
+//! thread count, the skeleton-planned batches equal the in-core plan,
+//! and the full windowed pipeline reconstructs every unit, result and
 //! [`ClusterReport`] field bit for bit.
 
 use proptest::prelude::*;
@@ -17,34 +16,10 @@ use xdrop_core::scoring::MatchMismatch;
 use xdrop_core::workload::{Comparison, Workload};
 use xdrop_core::xdrop2::BandPolicy;
 use xdrop_partition::plan::PlanConfig;
-use xdrop_partition::shard::sharded_partitions;
-use xdrop_partition::{
-    run_pipeline, run_pipeline_out_of_core, sharded_partitions_windowed, windows_of, PipelineConfig,
-};
+use xdrop_partition::{run_pipeline, run_pipeline_out_of_core, windows_of, PipelineConfig};
 
 /// Host thread counts the determinism contract is quantified over.
 const THREADS: [usize; 3] = [1, 4, 8];
-
-/// Random metadata-only workload: bounded lengths, random edge list
-/// (parallel edges and self-loops included). The partitioners read
-/// lengths and comparisons only, so zeroed payloads are fine.
-fn meta_workload() -> impl Strategy<Value = Workload> {
-    (2usize..40, 1usize..120, 50usize..1_500).prop_flat_map(|(n_seqs, n_cmp, max_len)| {
-        let lens = prop::collection::vec(1usize..max_len.max(2), n_seqs);
-        let edges = prop::collection::vec((0..n_seqs as u32, 0..n_seqs as u32), n_cmp);
-        (lens, edges).prop_map(|(lens, edges)| {
-            let mut w = Workload::new(Alphabet::Dna);
-            for len in lens {
-                w.seqs.push(vec![0u8; len]);
-            }
-            for (a, b) in edges {
-                w.comparisons
-                    .push(Comparison::new(a, b, SeedMatch::new(0, 0, 1)));
-            }
-            w
-        })
-    })
-}
 
 /// Random *alignable* workload: mutation clusters compared all-pairs
 /// with a shared exact seed, so the execution phase does real X-Drop
@@ -98,45 +73,6 @@ fn pipeline_cfg(threads: usize) -> PipelineConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Streamed shard front end ≡ whole-input walk: any window size
-    /// (1, arbitrary, ≥ dataset), any thread count, budget-capped or
-    /// not.
-    #[test]
-    fn windowed_shards_match_whole_input(
-        w in meta_workload(),
-        wsel in 0usize..3,
-        wsize in 2usize..80,
-        tsel in 0usize..THREADS.len(),
-        four_shards: bool,
-        capped: bool,
-    ) {
-        // Window class: 1, arbitrary, or ≥ the whole dataset.
-        let window = [1usize, wsize, usize::MAX][wsel];
-        let shards = if four_shards { 4 } else { 1 };
-        let budget = 150 * 1024;
-        let cap = capped.then_some(50_000u64);
-        let oracle = sharded_partitions(&w, budget, 6, 64, cap, shards, 1).unwrap();
-        let got = sharded_partitions_windowed(
-            &w, budget, 6, 64, cap, shards, THREADS[tsel], window,
-        )
-        .unwrap();
-        prop_assert_eq!(got, oracle);
-    }
-
-    /// The windowed shard walk is also invariant in itself: any two
-    /// window sizes agree for any thread pairing (no hidden
-    /// dependence on the chunking even away from the oracle path).
-    #[test]
-    fn windowed_shards_are_window_invariant(
-        w in meta_workload(),
-        wa in 1usize..60,
-        wb in 1usize..60,
-    ) {
-        let a = sharded_partitions_windowed(&w, 150 * 1024, 6, 64, None, 4, 1, wa).unwrap();
-        let b = sharded_partitions_windowed(&w, 150 * 1024, 6, 64, None, 4, 8, wb).unwrap();
-        prop_assert_eq!(a, b);
-    }
 
     /// Full pipeline differential: units, results, batches and every
     /// `ClusterReport` field bit-identical to the in-core oracle for

@@ -6,14 +6,16 @@
 //!   pipeline at any window size — surfaces the same error, in stage
 //!   order (alignment first).
 //! * Malformed out-of-core window streams — a repeated, skipped or
-//!   overlapping window, a short stream, a stream past the end — are
-//!   a typed `PipelineError::Window`, never a silent wrong result or a
-//!   panic.
+//!   overlapping window, a short stream, a stream past the end, a
+//!   window whose contents disagree with the skeleton — are a typed
+//!   `PipelineError::Window`, never a silent wrong result or a panic.
 //! * A panic inside a pool worker (here: a scorer bug) surfaces with
 //!   the worker's own message at any thread count.
 //! * A seed whose end overflows `usize` is a typed
 //!   `AlignError::SeedOutOfBounds` on every extension entry point,
-//!   never an arithmetic panic or a wrapped bound.
+//!   never an arithmetic panic or a wrapped bound; a seed past the
+//!   sequence end is the same error out of core, where planning
+//!   estimates it before any window runs.
 
 use xdrop_ipu::core::aligner::AlignerKind;
 use xdrop_ipu::core::alphabet::Alphabet;
@@ -229,6 +231,110 @@ fn stream_past_the_end_is_rejected() {
             total: 16
         }))
     );
+}
+
+#[test]
+fn window_naming_a_missing_local_sequence_is_rejected() {
+    // Windows of 2 comparisons hold 4 local sequences; comparison 7
+    // (window 3, local comparison 1) names local slot 99.
+    let w = workload(16);
+    let mut windows = windows_of(&w, 2);
+    assert_eq!(windows[3].workload.seqs.len(), 4);
+    windows[3].workload.comparisons[1].h = 99;
+    assert_eq!(
+        run_windows(&w, windows),
+        Err(PipelineError::Window(WindowStreamError::Mismatch {
+            cmp: 7
+        }))
+    );
+}
+
+#[test]
+fn window_with_a_different_seed_is_rejected() {
+    // A valid seed, but not the skeleton's: the plan would describe
+    // one workload and the scores another.
+    let w = workload(16);
+    let mut windows = windows_of(&w, 4);
+    windows[2].workload.comparisons[1].seed = SeedMatch::new(0, 0, 17);
+    windows[3].workload.comparisons[0].seed = SeedMatch::new(0, 0, 17);
+    assert_eq!(
+        run_windows(&w, windows),
+        Err(PipelineError::Window(WindowStreamError::Mismatch {
+            cmp: 9
+        }))
+    );
+}
+
+#[test]
+fn window_with_wrong_ids_or_lengths_is_rejected() {
+    let w = workload(16);
+    let mismatch = |cmp| Err(PipelineError::Window(WindowStreamError::Mismatch { cmp }));
+    // One global id too few for the window's local sequences.
+    let mut windows = windows_of(&w, 4);
+    windows[1].seq_ids.pop();
+    assert_eq!(run_windows(&w, windows), mismatch(4));
+    // Local slot 1 of window 1 mapped to the wrong global sequence.
+    let mut windows = windows_of(&w, 4);
+    windows[1].seq_ids[1] = 0;
+    assert_eq!(run_windows(&w, windows), mismatch(4));
+    // The right global ids, but comparison 13's `v` payload is shorter
+    // than the skeleton says.
+    let mut windows = windows_of(&w, 4);
+    let win = &mut windows[3].workload;
+    let mut short = Workload::new(Alphabet::Dna);
+    for id in 0..win.seqs.len() as u32 {
+        let mut s = win.seqs.get(id).to_vec();
+        if id == win.comparisons[1].v {
+            s.pop();
+        }
+        short.seqs.push(s);
+    }
+    short.comparisons = win.comparisons.clone();
+    *win = short;
+    assert_eq!(run_windows(&w, windows), mismatch(13));
+}
+
+/// Six 200-base DNA pairs; comparison 3 carries `seed`.
+fn workload_with_seed_3(seed: SeedMatch) -> Workload {
+    let mut w = Workload::new(Alphabet::Dna);
+    for i in 0..6u8 {
+        let root: Vec<u8> = (0..200).map(|j| ((j * 7 + i as usize) % 4) as u8).collect();
+        let h = w.seqs.push(root.clone());
+        let v = w.seqs.push(root);
+        w.comparisons
+            .push(Comparison::new(h, v, SeedMatch::new(90, 90, 17)));
+    }
+    w.comparisons[3].seed = seed;
+    w
+}
+
+#[test]
+fn seed_past_the_sequence_end_is_a_typed_error_out_of_core() {
+    // (195, 10) + 17 runs past the end of a 200-base read; (MAX, MAX)
+    // also overflows the left-extension estimate's product.
+    let sc = MatchMismatch::dna_default();
+    let spec = IpuSpec::gc200();
+    for seed in [
+        SeedMatch::new(195, 10, 17),
+        SeedMatch::new(usize::MAX, usize::MAX, 17),
+    ] {
+        let w = workload_with_seed_3(seed);
+        let want = PipelineError::Align(AlignError::SeedOutOfBounds {
+            seed: (seed.h_pos, seed.v_pos),
+            lens: (200, 200),
+        });
+        for plan in [PlanConfig::partitioned(64), PlanConfig::naive(64)] {
+            let mut cfg = config(2);
+            cfg.plan = plan.with_min_batches(4);
+            assert_eq!(run_pipeline(&w, &sc, &spec, &cfg).unwrap_err(), want);
+            for window in [1usize, 4, 1_000_000] {
+                let windows = windows_of(&w, window).into_iter();
+                let err = run_pipeline_out_of_core(&skeleton_of(&w), windows, &sc, &spec, &cfg, 2)
+                    .unwrap_err();
+                assert_eq!(err, want, "{seed:?}, window {window}");
+            }
+        }
+    }
 }
 
 /// A DNA scorer whose every similarity lookup panics.
