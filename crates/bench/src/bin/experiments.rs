@@ -115,7 +115,7 @@ fn usage(msg: &str) -> ! {
          --bench-json  with `bench`/`e2e`/`partition`/`faults`/`scaling`:\n\
          \x20             also write the machine-readable perf baseline\n\
          \x20             BENCH_xdrop.json at the repo root (`partition` adds\n\
-         \x20             the serial-vs-sharded front-end benchmark)"
+         \x20             the serial edge-walk front-end benchmark)"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -411,11 +411,11 @@ fn run_one(name: &str, args: &Args) {
             }
             exp::save_json("partition", &rows);
             if args.bench_json {
-                // The partitioner front-end benchmark: serial vs
-                // sharded edge walk on the ~1M-comparison ELBA-shaped
-                // ring, merged into the machine-readable baseline.
+                // The partitioner front-end benchmark: the serial edge
+                // walk on the ~1M-comparison ELBA-shaped ring, merged
+                // into the machine-readable baseline.
                 let bench_rows = partbench::run(args.scale, args.iters);
-                println!("Partitioner front-end: serial vs sharded edge walk");
+                println!("Partitioner front-end: serial greedy edge walk");
                 print!("{}", partbench::render(&bench_rows));
                 exp::save_json("bench_partition", &bench_rows);
                 match kernelbench::write_partition_json(&bench_rows) {

@@ -74,9 +74,8 @@ pub struct BenchFile {
     pub e2e: Vec<super::e2e::E2eRow>,
     /// The command that regenerates the partition section.
     pub partition_command: String,
-    /// Partitioner front-end measurements (`experiments partition`):
-    /// serial vs sharded edge walk at 1/2/4/8 threads plus a
-    /// shard-count reuse sweep.
+    /// Partitioner front-end measurement (`experiments partition`):
+    /// one row, the serial edge walk on the ~1M-edge ring.
     pub partition: Vec<super::partbench::PartitionBenchRow>,
     /// The command that regenerates the faults section.
     pub faults_command: String,

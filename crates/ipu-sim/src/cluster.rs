@@ -46,7 +46,7 @@ use crate::cost::{contended_bandwidth, CostModel, OptFlags};
 use crate::device::{run_batch_on_device, run_batch_on_device_scratch, BatchReport, BatchScratch};
 use crate::exec::WorkUnit;
 use crate::fault::{ClusterError, FaultPlan, FaultState};
-use crate::pool::{self, resolve_threads, Claim, Order, SharedSlots};
+use crate::pool::{self, resolve_threads, Claim, SharedSlots};
 use crate::spec::IpuSpec;
 use crate::trace::{ChromeTrace, TraceBuilder};
 
@@ -586,7 +586,7 @@ pub fn run_cluster_faulty(
         };
         let Ok(reports) = pool::steal(
             batches.len(),
-            Order::Lpt(&max_load),
+            max_load,
             1,
             resolved,
             SharedSlots::new(batches.len(), 1, BatchReport::default()),

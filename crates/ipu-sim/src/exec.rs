@@ -8,7 +8,7 @@
 //! growth on noisy pairs) that makes load balancing hard on the real
 //! machine.
 
-use crate::pool::{self, resolve_threads, Order, SharedSlots};
+use crate::pool::{self, resolve_threads, SharedSlots};
 use xdrop_core::aligner::AlignerKind;
 use xdrop_core::error::Result;
 use xdrop_core::extension::{Backend, ExtendOutcome, Extender, Side};
@@ -298,7 +298,7 @@ pub fn execute_workload<S: Scorer + Sync>(
     let extender = || Extender::new(cfg.params, cfg.backend());
     let (results, units) = pool::steal(
         n,
-        Order::Lpt(&|ci| w.complexity(&w.comparisons[ci])),
+        |ci| w.complexity(&w.comparisons[ci]),
         extender().grain(),
         threads,
         (

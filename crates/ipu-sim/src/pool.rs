@@ -11,9 +11,9 @@
 //! orders of magnitude, §4.2) and the *actual* runtime is unknowable
 //! in advance (early terminations), so static contiguous chunks leave
 //! threads idling behind a straggler. Claiming tasks in LPT order
-//! ([`Order::Lpt`], largest estimate first) bounds that imbalance by
-//! one claim, the argument the paper makes for its on-tile work
-//! stealing (§4.1.3).
+//! (largest estimate first, by a caller-given cost) bounds that
+//! imbalance by one claim, the argument the paper makes for its
+//! on-tile work stealing (§4.1.3).
 
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
@@ -36,21 +36,10 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The order in which [`steal`] hands out task indices. Slots are
-/// keyed by task index, so the order moves wall-clock only.
-#[derive(Clone, Copy)]
-pub enum Order<'a> {
-    /// `0, 1, 2, …`.
-    Ascending,
-    /// Largest processing time first: descending `cost(index)`, index
-    /// as tiebreak. Bounds the tail imbalance by one claim, and hands
-    /// a `grain > 1` claim a run of similar-cost tasks — the batched
-    /// kernel fills its lane groups from such runs.
-    Lpt(&'a (dyn Fn(usize) -> u64 + Sync)),
-}
-
 /// The LPT permutation of `0..tasks`: descending `cost`, index as
-/// tiebreak.
+/// tiebreak. Bounds the tail imbalance by one claim, and hands a
+/// `grain > 1` claim a run of similar-cost tasks — the batched kernel
+/// fills its lane groups from such runs.
 fn lpt_order(tasks: usize, cost: &dyn Fn(usize) -> u64) -> Vec<u32> {
     let mut order: Vec<u32> = (0..tasks as u32).collect();
     order.sort_unstable_by_key(|&i| (Reverse(cost(i as usize)), i));
@@ -134,8 +123,8 @@ impl<T> SharedSlots<T> {
 }
 
 /// Output storage a [`steal`] run writes in place, one slot per task:
-/// [`SharedSlots`], a pair of them (two final vectors filled side by
-/// side), or `()` for tasks that write nothing through the pool.
+/// [`SharedSlots`], or a pair of them (two final vectors filled side
+/// by side).
 ///
 /// # Safety
 ///
@@ -154,12 +143,6 @@ pub unsafe trait TaskSlots: Sync {
     /// While the returned view lives, no other view of slot `i` may
     /// exist.
     unsafe fn slot(&self, i: usize) -> Self::Slot<'_>;
-}
-
-// SAFETY: no memory, nothing to overlap.
-unsafe impl TaskSlots for () {
-    type Slot<'a> = ();
-    unsafe fn slot(&self, _: usize) {}
 }
 
 // SAFETY: task `i`'s view is the run `i * stride .. (i + 1) * stride`,
@@ -243,11 +226,13 @@ impl<'a, O: TaskSlots, E> Claim<'a, O, E> {
 }
 
 /// Runs tasks `0..tasks` on up to `threads` workers, which claim them
-/// `grain` at a time in `order` — on the calling thread, in ascending
-/// order, when `threads <= 1`. Each worker builds its state with
-/// `init` once, then calls `body` on every claim with a [`Claim`]
-/// that lists the claimed tasks and through which each task writes
-/// its output into its own slot of `slots`.
+/// `grain` at a time in LPT order of `cost` (descending cost, index as
+/// tiebreak) — on the calling thread, in ascending order, when
+/// `threads <= 1`. Slots are keyed by task index, so the order moves
+/// wall-clock only. Each worker builds its state with `init` once,
+/// then calls `body` on every claim with a [`Claim`] that lists the
+/// claimed tasks and through which each task writes its output into
+/// its own slot of `slots`.
 ///
 /// Returns `slots` filled, or the error of the smallest failing task.
 /// After a failure, workers skip every task above the smallest
@@ -256,7 +241,7 @@ impl<'a, O: TaskSlots, E> Claim<'a, O, E> {
 /// own payload.
 pub fn steal<O: TaskSlots, W, E: Send>(
     tasks: usize,
-    order: Order<'_>,
+    cost: impl Fn(usize) -> u64,
     grain: usize,
     threads: usize,
     slots: O,
@@ -269,12 +254,8 @@ pub fn steal<O: TaskSlots, W, E: Send>(
     let threads = threads.clamp(1, tasks.max(1));
     // One worker gains nothing from a cost order, and the ascending
     // one needs no permutation built.
-    let order = match order {
-        Order::Lpt(cost) if threads > 1 => Some(lpt_order(tasks, cost)),
-        _ => None,
-    };
     let queue = IndexQueue {
-        order,
+        order: (threads > 1).then(|| lpt_order(tasks, &cost)),
         len: tasks,
         cursor: AtomicUsize::new(0),
     };
@@ -399,14 +380,16 @@ mod tests {
     #[test]
     fn every_task_runs_once_and_outputs_come_back_in_index_order() {
         let n = 100;
-        let cost = |i: usize| (i as u64 * 7919) % 13;
-        for order in [Order::Ascending, Order::Lpt(&cost)] {
+        let skewed = |i: usize| (i as u64 * 7919) % 13;
+        // A flat cost claims in index order.
+        let costs: [&dyn Fn(usize) -> u64; 2] = [&|_| 0, &skewed];
+        for cost in costs {
             for threads in THREADS {
                 for grain in GRAINS {
                     let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
                     let Ok(out) = steal(
                         n,
-                        order,
+                        cost,
                         grain,
                         threads,
                         SharedSlots::new(n, 2, 0u64),
@@ -442,7 +425,7 @@ mod tests {
                 // totals would no longer sum to n.
                 let Ok(out) = steal(
                     n,
-                    Order::Ascending,
+                    |_| 0,
                     grain,
                     threads,
                     SharedSlots::new(n, 1, (0usize, 0usize)),
@@ -471,15 +454,16 @@ mod tests {
     #[test]
     fn smallest_failing_index_wins() {
         let n = 64;
-        // LPT claims index 40 first.
-        let cost = |i: usize| u64::from(i == 40);
-        for order in [Order::Ascending, Order::Lpt(&cost)] {
+        // LPT claims index 40 first; a flat cost claims in index order.
+        let skewed = |i: usize| u64::from(i == 40);
+        let costs: [&dyn Fn(usize) -> u64; 2] = [&|_| 0, &skewed];
+        for cost in costs {
             for threads in THREADS {
                 for grain in GRAINS {
                     let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
                     let got = steal(
                         n,
-                        order,
+                        cost,
                         grain,
                         threads,
                         SharedSlots::new(n, 1, 0u32),

@@ -10,8 +10,8 @@
 //! sequence is transferred once per partition rather than once per
 //! comparison. The walk is deliberately cheap — the paper budgets
 //! under a second for this step even on millions of comparisons —
-//! and [`crate::shard`] runs it over disjoint vertex ranges in
-//! parallel.
+//! so it runs once over the whole graph, serially, on the calling
+//! thread (DESIGN.md §10 records why there is no parallel walk).
 
 use crate::error::PartitionError;
 use crate::graph::ComparisonGraph;
@@ -50,10 +50,9 @@ impl Builder {
 /// Checks that every comparison fits an otherwise empty tile: its
 /// two sequences, one seed/output entry, and the thread workspaces.
 /// Returns the *smallest* offending comparison index (the
-/// executor's convention for alignment errors too), so the
-/// diagnostic is deterministic however the walk itself is
-/// parallelized.
-pub(crate) fn comparison_fit_error(
+/// executor's convention for alignment errors too), checked before
+/// the walk starts so the walk itself cannot fail.
+fn comparison_fit_error(
     w: &Workload,
     budget_bytes: usize,
     threads: usize,
@@ -77,28 +76,47 @@ pub(crate) fn comparison_fit_error(
     None
 }
 
-/// The greedy edge walk over the vertex range `lo..hi` of `g`.
+/// Runs the greedy partitioner.
 ///
-/// Visits vertices in ascending id order and claims every incident
-/// edge whose *other* endpoint is `>= lo` (edges reaching below the
-/// range belong to an earlier shard's walk — see [`crate::shard`]).
-/// With `lo == 0` and `hi == n` this is exactly the paper's serial
-/// walk. The caller must have run [`comparison_fit_error`] first;
-/// the internal asserts then cannot fire.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn walk_range(
+/// `budget_bytes` is the usable SRAM per tile; `threads` × `delta_b`
+/// determine the workspace overhead that must also fit. Returns
+/// [`PartitionError::OversizedComparison`] (smallest index) if a
+/// single comparison cannot fit a tile by itself — such a workload
+/// must be filtered upstream, as on the real machine.
+pub fn greedy_partitions(
     w: &Workload,
-    g: &ComparisonGraph,
-    lo: SeqId,
-    hi: SeqId,
+    budget_bytes: usize,
+    threads: usize,
+    delta_b: usize,
+) -> Result<Vec<Partition>, PartitionError> {
+    greedy_partitions_with_load_cap(w, budget_bytes, threads, delta_b, None)
+}
+
+/// [`greedy_partitions`] with an additional cap on the summed work
+/// estimate per partition.
+///
+/// Memory alone can pack hundreds of cheap comparisons onto one
+/// tile, making it the BSP straggler; bounding the estimated load
+/// (§4.2 uses the quadratic `|H|×|V|` bound as the runtime proxy)
+/// keeps partitions schedulable. A comparison whose own estimate
+/// exceeds the cap still gets a partition to itself.
+///
+/// Visits vertices in ascending id order and claims each incident
+/// edge at its smaller endpoint (a self-comparison at its only one),
+/// so every comparison is claimed exactly once, in CSR order.
+pub fn greedy_partitions_with_load_cap(
+    w: &Workload,
     budget_bytes: usize,
     threads: usize,
     delta_b: usize,
     max_load: Option<u64>,
-) -> Vec<Partition> {
+) -> Result<Vec<Partition>, PartitionError> {
+    if let Some(e) = comparison_fit_error(w, budget_bytes, threads, delta_b) {
+        return Err(e);
+    }
+    let g = ComparisonGraph::build(w);
     let n = w.seqs.len();
     let mut parts: Vec<Partition> = Vec::new();
-    let mut edge_done = vec![false; w.comparisons.len()];
     // Which partition a sequence is currently resident in; stamped
     // with the builder generation to avoid clearing.
     let mut resident_gen = vec![u32::MAX; n];
@@ -114,9 +132,9 @@ pub(crate) fn walk_range(
         *generation += 1;
     };
 
-    for v in lo..hi {
+    for v in 0..n as SeqId {
         for &(u, ci) in g.neighbours(v) {
-            if u < lo || edge_done[ci as usize] {
+            if u < v {
                 continue;
             }
             let c = &w.comparisons[ci as usize];
@@ -164,62 +182,10 @@ pub(crate) fn walk_range(
             b.mem_used += per_edge;
             b.part.comparisons.push(ci);
             b.part.est_load += w.complexity(c);
-            edge_done[ci as usize] = true;
         }
     }
     seal(&mut b, &mut parts, &mut generation);
-    parts
-}
-
-/// Runs the greedy partitioner.
-///
-/// `budget_bytes` is the usable SRAM per tile; `threads` × `delta_b`
-/// determine the workspace overhead that must also fit. Returns
-/// [`PartitionError::OversizedComparison`] (smallest index) if a
-/// single comparison cannot fit a tile by itself — such a workload
-/// must be filtered upstream, as on the real machine.
-pub fn greedy_partitions(
-    w: &Workload,
-    budget_bytes: usize,
-    threads: usize,
-    delta_b: usize,
-) -> Result<Vec<Partition>, PartitionError> {
-    greedy_partitions_with_load_cap(w, budget_bytes, threads, delta_b, None)
-}
-
-/// [`greedy_partitions`] with an additional cap on the summed work
-/// estimate per partition.
-///
-/// Memory alone can pack hundreds of cheap comparisons onto one
-/// tile, making it the BSP straggler; bounding the estimated load
-/// (§4.2 uses the quadratic `|H|×|V|` bound as the runtime proxy)
-/// keeps partitions schedulable. A comparison whose own estimate
-/// exceeds the cap still gets a partition to itself.
-///
-/// This is the serial walk — the differential oracle the sharded
-/// parallel partitioner ([`crate::shard::sharded_partitions`]) is
-/// tested against byte for byte.
-pub fn greedy_partitions_with_load_cap(
-    w: &Workload,
-    budget_bytes: usize,
-    threads: usize,
-    delta_b: usize,
-    max_load: Option<u64>,
-) -> Result<Vec<Partition>, PartitionError> {
-    if let Some(e) = comparison_fit_error(w, budget_bytes, threads, delta_b) {
-        return Err(e);
-    }
-    let g = ComparisonGraph::build(w);
-    Ok(walk_range(
-        w,
-        &g,
-        0,
-        w.seqs.len() as SeqId,
-        budget_bytes,
-        threads,
-        delta_b,
-        max_load,
-    ))
+    Ok(parts)
 }
 
 #[cfg(test)]

@@ -14,10 +14,8 @@
 //! scaling by up to 3.59×.
 //!
 //! * [`graph`] — the comparison graph (CSR adjacency).
-//! * [`greedy`] — the paper's linear edge-walk partitioner.
-//! * [`shard`] — the sharded parallel edge walk: vertex-range shards
-//!   discovered via connected components, deterministic for any
-//!   thread count, single shard == serial oracle.
+//! * [`greedy`] — the paper's linear edge-walk partitioner: one
+//!   serial walk over the whole graph.
 //! * [`plan`] — turns partitions (or the naive layout) into
 //!   [`ipu_sim::Batch`]es and reports reuse statistics.
 //! * [`pipeline`] — the host pipeline: align → plan → replay →
@@ -36,7 +34,6 @@ pub mod greedy;
 pub mod outofcore;
 pub mod pipeline;
 pub mod plan;
-pub mod shard;
 
 pub use driver::{IpuSystem, SystemReport};
 pub use error::{PartitionError, PipelineError, WindowStreamError};
@@ -48,4 +45,20 @@ pub use pipeline::{
     PipelineConfig, PipelineOutput,
 };
 pub use plan::{plan_batches, reuse_stats, PlanConfig, ReuseStats};
-pub use shard::{sharded_partitions, DEFAULT_SHARD_COUNT};
+
+use xdrop_core::workload::Workload;
+
+/// [`greedy_partitions_with_load_cap`]; the last two arguments (a
+/// shard count and a host thread count) are ignored. Kept for the
+/// benchmark harness, which still calls it.
+pub fn sharded_partitions(
+    w: &Workload,
+    budget_bytes: usize,
+    threads: usize,
+    delta_b: usize,
+    max_load: Option<u64>,
+    _shards: usize,
+    _host_threads: usize,
+) -> Result<Vec<Partition>, PartitionError> {
+    greedy_partitions_with_load_cap(w, budget_bytes, threads, delta_b, max_load)
+}

@@ -17,8 +17,9 @@
 //!   planners), so a lengths-only skeleton workload
 //!   ([`xdrop_core::workload::Workload::skeleton`]) drives them
 //!   byte-identically to the resident pool. The partitioner is the
-//!   in-core [`crate::sharded_partitions`] over the skeleton's
-//!   comparison list, which is resident metadata either way.
+//!   in-core serial walk, [`crate::greedy_partitions_with_load_cap`],
+//!   over the skeleton's comparison list, which is resident metadata
+//!   either way.
 //! * **Execution is per-window.** Each window is checked against the
 //!   skeleton before it runs: its position, the running total, and
 //!   every comparison's global ids, seed and lengths. Alignment
@@ -255,9 +256,9 @@ fn check_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::greedy_partitions_with_load_cap;
     use crate::pipeline::run_pipeline;
     use crate::plan::PlanConfig;
-    use crate::shard::sharded_partitions;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use xdrop_core::alphabet::Alphabet;
@@ -305,11 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_partitions_work_on_a_skeleton() {
+    fn partitions_work_on_a_skeleton() {
         let w = workload(12, 6);
         let sk = skeleton_of(&w);
-        let oracle = sharded_partitions(&w, 150 * 1024, 6, 64, None, 4, 1).unwrap();
-        let parts = sharded_partitions(&sk, 150 * 1024, 6, 64, None, 4, 4).unwrap();
+        let oracle = greedy_partitions_with_load_cap(&w, 150 * 1024, 6, 64, None).unwrap();
+        let parts = greedy_partitions_with_load_cap(&sk, 150 * 1024, 6, 64, None).unwrap();
         assert_eq!(parts, oracle);
     }
 

@@ -1,12 +1,12 @@
 //! The host pipeline: `Workload` → [`ClusterReport`] in three
-//! barriered stages, each parallel inside.
+//! barriered stages.
 //!
 //! 1. [`execute_workload`] aligns every comparison on the work-stealing
 //!    pool (`ipu_sim::pool::steal`: LPT claims, units and results
 //!    written into their comparison's slots of the final vectors).
-//! 2. [`plan_batches_timed`] partitions the comparison graph and packs
-//!    the units into batches (graph build, union-find and the sharded
-//!    walk run on the same pool).
+//! 2. [`plan_batches_timed`] partitions the comparison graph with the
+//!    serial greedy walk and packs the units into batches, on the
+//!    calling thread.
 //! 3. [`run_cluster_faulty`] replays every batch's modeled tile
 //!    schedule on the pool, then binds the reports, strictly in batch
 //!    order, into the event-driven cluster scheduler.
@@ -163,8 +163,9 @@ pub fn run_pipeline_reference_faulty<S: Scorer + Sync>(
     replay_and_assemble(exec, batches, &timings, spec, cfg, false, plan)
 }
 
-/// Runs the full pipeline: align → plan → replay → schedule, each
-/// stage on a pool of `cfg.exec.host_threads` threads.
+/// Runs the full pipeline: align → plan → replay → schedule, the
+/// align and replay stages on a pool of `cfg.exec.host_threads`
+/// threads.
 pub fn run_pipeline<S: Scorer + Sync>(
     w: &Workload,
     scorer: &S,

@@ -3,8 +3,7 @@
 use crate::error::PartitionError;
 #[cfg(test)]
 use crate::greedy::greedy_partitions;
-use crate::greedy::Partition;
-use crate::shard::sharded_partitions;
+use crate::greedy::{greedy_partitions_with_load_cap, Partition};
 use ipu_sim::batch::{naive_batches, Batch, BatchConfig, TileAssignment};
 use ipu_sim::exec::WorkUnit;
 use ipu_sim::spec::IpuSpec;
@@ -24,14 +23,11 @@ pub struct PlanConfig {
     /// need at least one batch per device in flight; the paper's
     /// full-size workloads produce hundreds of batches naturally.
     pub min_batches: usize,
-    /// Shard count of the parallel edge walk. `0` picks
-    /// [`crate::shard::DEFAULT_SHARD_COUNT`] on large workloads and
-    /// a single (serial-identical) shard on small ones; any explicit
-    /// count is honored as-is. The output depends on this knob only,
-    /// never on `host_threads`.
+    /// Ignored: the partitioner is one serial walk. Kept for the
+    /// benchmark harness, which still reads it.
     pub shards: usize,
-    /// Host pool threads for the component labeling + sharded walk
-    /// (`0` = auto, matching the pipeline convention).
+    /// Ignored: the partitioner runs on the calling thread. Kept for
+    /// the benchmark harness, which still sets it.
     pub host_threads: usize,
     /// Ignored: the planner reads the comparison list whole on every
     /// path. Kept for the benchmark harness, which still sets it.
@@ -69,13 +65,8 @@ impl PlanConfig {
         self
     }
 
-    /// Sets an explicit shard count for the parallel edge walk.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the host thread count of the partitioner front-end.
+    /// Sets [`PlanConfig::host_threads`], which the planner ignores.
+    /// Kept for the benchmark harness, which still calls it.
     pub fn with_host_threads(mut self, host_threads: usize) -> Self {
         self.host_threads = host_threads;
         self
@@ -177,8 +168,8 @@ pub fn partition_batches(
 /// the Chrome trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlanTimings {
-    /// Seconds spent in graph build + sharded edge walk (zero in
-    /// naive mode).
+    /// Seconds spent in the fit check, graph build and greedy edge
+    /// walk (zero in naive mode).
     pub partition_s: f64,
     /// Seconds spent turning partitions into batches.
     pub plan_s: f64,
@@ -186,9 +177,9 @@ pub struct PlanTimings {
 
 /// Plans batches for a workload according to `cfg`.
 ///
-/// The partitioned path runs the sharded parallel walk
-/// ([`crate::shard::sharded_partitions`]); the plan depends on
-/// `cfg.shards` only, never on `cfg.host_threads`. Fails with
+/// The partitioned path runs the serial greedy walk
+/// ([`greedy_partitions_with_load_cap`]) under a per-partition load
+/// cap derived from `cfg.min_batches`. Fails with
 /// [`PartitionError::OversizedComparison`] (smallest index) when a
 /// single comparison cannot fit a tile.
 pub fn plan_batches(
@@ -215,14 +206,12 @@ pub fn plan_batches_timed(
         (w.total_complexity() / (cfg.min_batches.max(1) as u64 * spec.tiles as u64).max(1)).max(1);
     let start = std::time::Instant::now();
     if cfg.use_partitioning {
-        let parts = sharded_partitions(
+        let parts = greedy_partitions_with_load_cap(
             w,
             cfg.batch.tile_budget(spec),
             cfg.batch.threads,
             cfg.batch.delta_b,
             Some(cap),
-            cfg.shards,
-            cfg.host_threads,
         )?;
         let partition_s = start.elapsed().as_secs_f64();
         let plan_start = std::time::Instant::now();

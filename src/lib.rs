@@ -34,6 +34,7 @@ pub mod prelude {
     pub use seqdata::{Dataset, DatasetKind};
     pub use xdrop_core::prelude::*;
     pub use xdrop_partition::{
-        plan_batches, sharded_partitions, IpuSystem, PartitionError, PipelineError, PlanConfig,
+        greedy_partitions_with_load_cap, plan_batches, IpuSystem, PartitionError, PipelineError,
+        PlanConfig,
     };
 }

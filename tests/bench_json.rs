@@ -33,8 +33,7 @@ use xdrop_bench::exp::fleetscale::{
     SCALING_CONTENTION_ETA, SCALING_DEVICE_SWEEP, SCALING_REPRO_COMMAND, SCALING_WINDOW_COMPARISONS,
 };
 use xdrop_bench::exp::kernelbench::{BenchFile, REPRO_COMMAND, SCHEMA};
-use xdrop_bench::exp::partbench::{PARTITION_REPRO_COMMAND, SHARD_SWEEP, THREAD_COUNTS};
-use xdrop_ipu::partition::DEFAULT_SHARD_COUNT;
+use xdrop_bench::exp::partbench::PARTITION_REPRO_COMMAND;
 
 fn load() -> BenchFile {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_xdrop.json");
@@ -133,75 +132,46 @@ fn e2e_section_is_well_formed() {
 fn partition_section_is_well_formed() {
     let file = load();
     assert_eq!(file.partition_command, PARTITION_REPRO_COMMAND);
-    assert!(
-        !file.partition.is_empty(),
-        "partition section missing from BENCH_xdrop.json; regenerate with \
-         `{PARTITION_REPRO_COMMAND}`"
-    );
-    // One serial oracle row, then the thread scaling at the default
-    // shard count, then the shard sweep.
+    // One row: the serial greedy walk, the only partitioner.
     assert_eq!(
         file.partition.len(),
-        1 + THREAD_COUNTS.len() + SHARD_SWEEP.len()
+        1,
+        "partition section must hold the one serial row; regenerate with \
+         `{PARTITION_REPRO_COMMAND}`"
     );
     let serial = &file.partition[0];
     assert_eq!(serial.mode, "serial");
     assert_eq!((serial.threads, serial.shards), (1, 1));
     assert!((serial.speedup_vs_serial - 1.0).abs() < 1e-9);
-    for r in &file.partition {
-        assert!(r.mode == "serial" || r.mode == "sharded", "{}", r.mode);
-        assert_eq!(r.comparisons, serial.comparisons);
-        assert!(r.seconds > 0.0 && r.edges_per_sec > 0.0);
-        assert!(r.speedup_vs_serial > 0.0);
-        assert!(r.reuse_factor >= 1.0, "dedup never ships extra bytes");
-        assert!(r.host_cores >= 1);
-    }
-    // The acceptance bar on reuse is unconditional (it is a property
-    // of the deterministic output, not of the measuring host): at the
-    // default shard count the sharded walk keeps the serial walk's
-    // sequence reuse to within 5%.
-    let sharded_default = file
-        .partition
-        .iter()
-        .find(|r| r.mode == "sharded" && r.shards == DEFAULT_SHARD_COUNT)
-        .expect("default-shard-count row in the committed baseline");
-    assert!(
-        sharded_default.reuse_factor >= serial.reuse_factor * 0.95,
-        "sharding must keep >=95% of serial reuse: {:.3} vs {:.3}",
-        sharded_default.reuse_factor,
-        serial.reuse_factor
-    );
+    assert!(serial.comparisons > 0);
+    assert!(serial.seconds > 0.0 && serial.edges_per_sec > 0.0);
+    assert!(serial.reuse_factor >= 1.0, "dedup never ships extra bytes");
+    assert!(serial.host_cores >= 1);
 }
 
 #[test]
-fn committed_baseline_shows_partitioner_win() {
+fn committed_baseline_shows_partitioner_budget() {
+    // §4.3: the greedy walk partitions millions of comparisons in
+    // "usually less than one second" and reuses each transferred
+    // sequence at least twice. Both bars hold on one host thread, so
+    // they apply on any measuring host.
     let file = load();
-    let row = file
-        .partition
-        .iter()
-        .find(|r| r.mode == "sharded" && r.threads == 4 && r.shards == DEFAULT_SHARD_COUNT)
-        .expect("4-thread sharded row in the committed baseline");
-    if row.host_cores >= 4 {
-        // On a real multi-core host the sharded walk must clear the
-        // acceptance margin over the serial oracle.
-        assert!(
-            row.speedup_vs_serial >= 2.0,
-            "expected >=2x partitioner speedup at 4 threads on a \
-             {}-core host, got {:.2}x",
-            row.host_cores,
-            row.speedup_vs_serial
-        );
-    } else {
-        // Produced on a small host: parallelism cannot pay off, so
-        // require no pathological regression instead of a speedup.
-        assert!(
-            row.speedup_vs_serial >= 0.4,
-            "sharded walk must not collapse even on a {}-core host, \
-             got {:.2}x",
-            row.host_cores,
-            row.speedup_vs_serial
-        );
-    }
+    let serial = &file.partition[0];
+    assert!(
+        serial.comparisons >= 1_000_000,
+        "the budget is gated on the ~1M-edge ring, got {} edges",
+        serial.comparisons
+    );
+    assert!(
+        serial.seconds < 1.0,
+        "serial walk took {:.3} s, over the paper's one-second budget",
+        serial.seconds
+    );
+    assert!(
+        serial.reuse_factor >= 2.0,
+        "serial walk reuse {:.3}x is under the paper's 2x",
+        serial.reuse_factor
+    );
 }
 
 #[test]

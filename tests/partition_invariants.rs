@@ -1,6 +1,6 @@
-//! Differential proptest for the sharded parallel partitioner.
+//! Proptests for the greedy partitioner.
 //!
-//! The partitioner contract (see `xdrop_partition::shard`) has four
+//! The partitioner contract (see `xdrop_partition::greedy`) has three
 //! parts, and each is driven here over randomized workloads through
 //! the public facade:
 //!
@@ -13,32 +13,31 @@
 //! 3. **Reuse accounting** — deduplicated transfer bytes never
 //!    exceed the naive both-sequences-per-comparison bytes, and each
 //!    partition's `seq_bytes`/`seqs` agree with each other.
-//! 4. **Determinism** — output is byte-identical across host thread
-//!    counts for a fixed shard count, and a single shard reproduces
-//!    the serial greedy walk exactly.
 //!
 //! Plus the typed-error contract: an oversized comparison surfaces
 //! as `PartitionError::OversizedComparison` naming the *smallest*
-//! offending comparison index, never as a panic.
+//! offending comparison index, never as a panic. A deterministic
+//! case above 2^14 comparisons pins that the planner is the serial
+//! walk whatever `PlanConfig::{shards, host_threads}` say.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 use xdrop_ipu::core::alphabet::Alphabet;
 use xdrop_ipu::core::extension::SeedMatch;
 use xdrop_ipu::core::workload::{Comparison, Workload};
+use xdrop_ipu::partition::plan::partition_batches;
 use xdrop_ipu::partition::{
-    greedy_partitions_with_load_cap, reuse_stats, sharded_partitions, Partition, PartitionError,
+    greedy_partitions_with_load_cap, plan_batches, reuse_stats, sharded_partitions, Partition,
+    PartitionError, PlanConfig,
 };
+use xdrop_ipu::sim::exec::planning_units;
 use xdrop_ipu::sim::mem;
+use xdrop_ipu::sim::spec::IpuSpec;
 
 /// Kernel threads / band bound for the tile-budget accounting. Small
 /// so the workspace overhead leaves room for sequence payload.
 const TILE_THREADS: usize = 6;
 const DELTA_B: usize = 64;
-
-/// Host thread counts every workload is partitioned with; the
-/// outputs must be byte-identical.
-const HOST_THREADS: [usize; 3] = [1, 3, 8];
 
 /// A random workload: `n` sequences of 1–300 symbols and up to
 /// `4 n` comparisons over random endpoints (self-pairs included).
@@ -126,51 +125,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Invariants (1)–(3) hold for every (workload, budget slack,
-    /// shard count, load cap) draw, and (4): the output is identical
-    /// across host thread counts and, at one shard, identical to the
-    /// serial greedy oracle.
+    /// load cap) draw.
     #[test]
-    fn sharded_partitioner_holds_all_invariants(
+    fn greedy_partitioner_holds_all_invariants(
         w in workload(),
         extra in 0usize..2_000,
-        shards in 1usize..8,
         use_cap in any::<bool>(),
         cap in 2_000_000u64..20_000_000,
     ) {
         let cap_draw = use_cap.then_some(cap);
         let budget_bytes = budget(extra);
-        let baseline = sharded_partitions(
-            &w, budget_bytes, TILE_THREADS, DELTA_B, cap_draw, shards, HOST_THREADS[0],
-        ).expect("every comparison fits the budget");
-        check_partitions(&w, &baseline, budget_bytes, cap_draw);
-
-        for &threads in &HOST_THREADS[1..] {
-            let parts = sharded_partitions(
-                &w, budget_bytes, TILE_THREADS, DELTA_B, cap_draw, shards, threads,
-            ).expect("every comparison fits the budget");
-            prop_assert_eq!(
-                &parts, &baseline,
-                "output must not depend on host threads ({})", threads
-            );
-        }
-
-        let serial = greedy_partitions_with_load_cap(
+        let parts = greedy_partitions_with_load_cap(
             &w, budget_bytes, TILE_THREADS, DELTA_B, cap_draw,
         ).expect("every comparison fits the budget");
-        check_partitions(&w, &serial, budget_bytes, cap_draw);
-        if shards == 1 {
-            prop_assert_eq!(&baseline, &serial, "one shard == serial oracle");
-        }
+        check_partitions(&w, &parts, budget_bytes, cap_draw);
     }
 
     /// The typed-error contract: when comparisons are oversized, the
-    /// error names the smallest offending index — under any shard or
-    /// host-thread count — instead of panicking mid-walk.
+    /// error names the smallest offending index instead of panicking
+    /// mid-walk.
     #[test]
     fn oversized_comparisons_surface_the_smallest_index(
         w in workload(),
         oversized in prop::collection::vec(0usize..160, 1..6),
-        shards in 1usize..8,
     ) {
         let mut w = w;
         let budget_bytes = budget(0);
@@ -184,17 +161,78 @@ proptest! {
             w.comparisons[i] = Comparison::new(big, big, s);
         }
         let smallest = *targets.iter().min().unwrap() as u32;
-        for threads in HOST_THREADS {
-            let err = sharded_partitions(
-                &w, budget_bytes, TILE_THREADS, DELTA_B, None, shards, threads,
-            ).expect_err("oversized comparison must be rejected");
-            match err {
-                PartitionError::OversizedComparison { comparison, needed_bytes, budget_bytes: b } => {
-                    prop_assert_eq!(comparison, smallest);
-                    prop_assert!(needed_bytes > b);
-                    prop_assert_eq!(b, budget_bytes);
-                }
+        let err = greedy_partitions_with_load_cap(&w, budget_bytes, TILE_THREADS, DELTA_B, None)
+            .expect_err("oversized comparison must be rejected");
+        match err {
+            PartitionError::OversizedComparison { comparison, needed_bytes, budget_bytes: b } => {
+                prop_assert_eq!(comparison, smallest);
+                prop_assert!(needed_bytes > b);
+                prop_assert_eq!(b, budget_bytes);
             }
+        }
+    }
+}
+
+/// A band workload: `n` sequences, comparisons `(i, i + d)` for
+/// `d ∈ 1..=deg` — the id-local shape of a long-read overlap graph
+/// (one giant component).
+fn band(n: usize, deg: usize, len: usize) -> Workload {
+    let mut w = Workload::new(Alphabet::Dna);
+    for _ in 0..n {
+        w.seqs.push(vec![0u8; len]);
+    }
+    let s = SeedMatch::new(0, 0, 1);
+    for i in 0..n {
+        for d in 1..=deg {
+            if i + d < n {
+                w.comparisons
+                    .push(Comparison::new(i as u32, (i + d) as u32, s));
+            }
+        }
+    }
+    w
+}
+
+/// Above 2^14 comparisons the plan is still the serial walk's, for
+/// every `PlanConfig::shards` and `host_threads`; and the
+/// `sharded_partitions` shim ignores its shard and thread arguments.
+#[test]
+fn large_plans_are_the_serial_walk_for_every_shard_and_thread_knob() {
+    let w = band(2_000, 10, 700);
+    assert!(w.comparisons.len() >= 1 << 14);
+    let spec = IpuSpec::gc200();
+    let base = PlanConfig::partitioned(64);
+    let units = planning_units(&w, true);
+    // The per-partition load cap `plan_batches` derives.
+    let cap = (w.total_complexity() / (base.min_batches as u64 * spec.tiles as u64)).max(1);
+    let (budget_bytes, threads, delta_b) = (
+        base.batch.tile_budget(&spec),
+        base.batch.threads,
+        base.batch.delta_b,
+    );
+    let serial = greedy_partitions_with_load_cap(&w, budget_bytes, threads, delta_b, Some(cap))
+        .expect("band comparisons fit a tile");
+    let want = partition_batches(&w, &units, &serial, &spec);
+    for shards in [0, 1, 16] {
+        for host_threads in [0, 1, 8] {
+            let mut cfg = base.with_host_threads(host_threads);
+            cfg.shards = shards;
+            let got = plan_batches(&w, &units, &spec, &cfg).expect("plan");
+            assert!(got == want, "shards {shards}, host threads {host_threads}");
+            let shim = sharded_partitions(
+                &w,
+                budget_bytes,
+                threads,
+                delta_b,
+                Some(cap),
+                shards,
+                host_threads,
+            )
+            .expect("band comparisons fit a tile");
+            assert!(
+                shim == serial,
+                "shim: shards {shards}, host threads {host_threads}"
+            );
         }
     }
 }
