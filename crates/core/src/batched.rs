@@ -772,6 +772,10 @@ fn run_engine(
         return;
     }
 
+    // A batch smaller than the lane width leaves slots that no task
+    // ever fills: size the arena to the batch. `report.lanes` keeps
+    // the requested width.
+    let k = k.min(tasks.len());
     // Arena: 3 planes × (k rows of `stride` i16 cells). Row layout:
     // slot 0 = leading −∞ pad, slots 1..=width = the stored row,
     // slot width+1 = trailing −∞ pad (see the module docs for the

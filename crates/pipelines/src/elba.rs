@@ -110,7 +110,9 @@ pub fn run_elba<R: Rng>(rng: &mut R, cfg: &ElbaConfig) -> ElbaRun {
     run_elba_from_workload(sim, workload, cfg)
 }
 
-/// Stages 3–5, starting from a detected overlap workload.
+/// Stages 3–5, starting from a detected overlap workload;
+/// panics on a seed outside its sequences ([`detect_overlaps`] emits
+/// none).
 pub fn run_elba_from_workload(
     sim: SimulatedReads,
     workload: Workload,
@@ -126,17 +128,14 @@ pub fn run_elba_from_workload(
     let mut scores = Vec::with_capacity(workload.comparisons.len());
     let mut accepted = Vec::new();
     let mut spans = Vec::with_capacity(workload.comparisons.len());
-    for (ci, c) in workload.comparisons.iter().enumerate() {
-        let h = workload.seqs.get(c.h);
-        let v = workload.seqs.get(c.v);
-        let out = ext.extend(h, v, c.seed, &scorer).expect("grow policy");
+    crate::align_comparisons(&workload, &scorer, &mut ext, |ci, out| {
         scores.push(out.score);
         spans.push((out.h_span, out.v_span));
         let aligned = out.h_len().min(out.v_len());
         if aligned > 0 && out.score as f64 >= cfg.min_identity * aligned as f64 {
             accepted.push(ci);
         }
-    }
+    });
 
     // Stage 4a: classify accepted overlaps into string-graph edges;
     // detect containments.

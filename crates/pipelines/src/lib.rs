@@ -18,14 +18,17 @@
 //!
 //! * [`spmat`] — a CSR sparse matrix with transpose and a generic
 //!   row-wise SpGEMM (the CombBLAS role).
-//! * [`kmer`] — packed k-mer extraction, counting, reliable-range
-//!   filtering, and BLOSUM62 neighbour enumeration for substitute
-//!   k-mers.
+//! * [`kmer`] — rolling k-mer packing, sort-and-count reliable-range
+//!   filtering, and table-driven BLOSUM62 substitute k-mers.
 //! * [`overlap`] — overlap detection: `A Aᵀ` over the k-mer matrix,
 //!   with the ≥ 2 shared seeds requirement both pipelines use.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod elba;
 pub mod kmer;
+#[cfg(test)]
+mod oracle;
 pub mod overlap;
 pub mod pastis;
 pub mod spmat;
@@ -33,3 +36,129 @@ pub mod spmat;
 pub use elba::{ElbaConfig, ElbaRun};
 pub use overlap::OverlapConfig;
 pub use pastis::{PastisConfig, PastisRun};
+use xdrop_core::extension::{ExtendOutcome, Extender};
+use xdrop_core::workload::{Comparison, Workload};
+use xdrop_core::Scorer;
+
+/// Extends every comparison of `w` in order, [`Extender::grain`] at a
+/// time, handing `sink` each outcome and its index: one
+/// [`Extender::extend`] (no allocation) per one-comparison claim, one
+/// [`Extender::extend_batch`] per longer one.
+///
+/// # Panics
+///
+/// When an extension fails: under the pipelines' `Grow` band policy
+/// only an out-of-bounds seed can, and [`overlap`] emits none.
+pub(crate) fn align_comparisons<S: Scorer>(
+    w: &Workload,
+    scorer: &S,
+    ext: &mut Extender,
+    mut sink: impl FnMut(usize, ExtendOutcome),
+) {
+    #[allow(clippy::expect_used)] // reason: see `# Panics`.
+    let mut emit = |ci, out: xdrop_core::Result<_>| sink(ci, out.expect("extension failed"));
+    let grain = ext.grain();
+    let job = |c: &Comparison| (w.seqs.get(c.h), w.seqs.get(c.v), c.seed);
+    for (claim, chunk) in w.comparisons.chunks(grain).enumerate() {
+        let base = claim * grain;
+        match chunk {
+            [c] => {
+                let (h, v, seed) = job(c);
+                emit(base, ext.extend(h, v, seed, scorer));
+            }
+            _ => {
+                let jobs: Vec<_> = chunk.iter().map(job).collect();
+                for (ci, out) in (base..).zip(ext.extend_batch(&jobs, scorer)) {
+                    emit(ci, out);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use seqdata::reads::simulate_reads;
+    use xdrop_core::aligner::AlignerKind;
+    use xdrop_core::alphabet::Alphabet;
+    use xdrop_core::extension::Backend;
+    use xdrop_core::kernel::KernelKind;
+    use xdrop_core::scoring::{Blosum62, MatchMismatch};
+    use xdrop_core::workload::SeqSet;
+    use xdrop_core::xdrop2::BandPolicy;
+    use xdrop_core::XDropParams;
+
+    /// The helper's outcomes under `kernel`, and the claim size.
+    fn outcomes<S: Scorer>(
+        w: &Workload,
+        scorer: &S,
+        x: i32,
+        kernel: KernelKind,
+    ) -> (usize, Vec<ExtendOutcome>) {
+        let mut ext = Extender::new(
+            XDropParams::new(x).with_kernel(kernel),
+            Backend::for_kind(AlignerKind::XDrop2, x, BandPolicy::Grow(256)),
+        );
+        let mut outs = Vec::new();
+        align_comparisons(w, scorer, &mut ext, |ci, out| {
+            assert_eq!(ci, outs.len(), "outcomes arrive in comparison order");
+            outs.push(out);
+        });
+        (ext.grain(), outs)
+    }
+
+    /// Both pipelines accept a comparison on its score and spans
+    /// alone, so equal outcomes mean equal accepted sets.
+    #[test]
+    fn batched_and_scalar_extenders_agree_on_both_pipelines() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut ecfg = ElbaConfig::small();
+        ecfg.read_sim.genome_len = 6_000;
+        ecfg.read_sim.read_len_mean = 1_000.0;
+        let sim = simulate_reads(&mut rng, &ecfg.read_sim);
+        let mut seqs = SeqSet::new(Alphabet::Dna);
+        for r in &sim.reads {
+            seqs.push(r.clone());
+        }
+        let w = overlap::detect_overlaps(&seqs, &ecfg.overlap);
+        let scorer = MatchMismatch::dna_default();
+        let (grain, batched) = outcomes(&w, &scorer, ecfg.x, KernelKind::Batched);
+        assert!(
+            grain > 1 && w.comparisons.len() > grain,
+            "several batched claims"
+        );
+        assert_eq!(
+            (1, batched.clone()),
+            outcomes(&w, &scorer, ecfg.x, KernelKind::Scalar)
+        );
+        let run = elba::run_elba_from_workload(sim, w, &ecfg);
+        assert_eq!(
+            run.scores,
+            batched.iter().map(|o| o.score).collect::<Vec<_>>()
+        );
+        assert!(!run.accepted.is_empty());
+
+        let pcfg = PastisConfig::small(200);
+        let (seqs, families) = pastis::generate_families(&mut rng, &pcfg);
+        let w = overlap::detect_overlaps(&seqs, &pcfg.overlap);
+        let scorer = Blosum62::new(pcfg.gap);
+        let (grain, batched) = outcomes(&w, &scorer, pcfg.x, KernelKind::Batched);
+        assert!(
+            grain > 1 && w.comparisons.len() > grain,
+            "several batched claims"
+        );
+        assert_eq!(
+            (1, batched.clone()),
+            outcomes(&w, &scorer, pcfg.x, KernelKind::Scalar)
+        );
+        let run = pastis::run_pastis_from_workload(w, families, &pcfg);
+        assert_eq!(
+            run.scores,
+            batched.iter().map(|o| o.score).collect::<Vec<_>>()
+        );
+        assert!(!run.accepted.is_empty());
+    }
+}

@@ -11,6 +11,10 @@
 //! For PASTIS, each sequence also emits *substitute* k-mers
 //! (BLOSUM62-conservative single substitutions) — the `S` in
 //! `A S Aᵀ` — so quasi-exact protein seeds are found too.
+//!
+//! [`build_kmer_matrix`] builds `A` one CSR row at a time, with no
+//! hash map, per-k-mer allocation or global triplet sort; the tests
+//! keep the `HashMap` builder it replaced as its bit-identity oracle.
 
 use crate::kmer;
 use crate::spmat::{spgemm, Csr};
@@ -135,29 +139,43 @@ struct OverlapAcc {
 /// Returns the matrix and the number of reliable k-mers. With
 /// substitution enabled, a sequence's row also contains entries for
 /// the conservative single-substitution neighbours of its k-mers
-/// (at the same position).
+/// (at the same position). A row sorts the `(id, pos)` pairs of its
+/// reliable k-mers (ids by binary search in the ascending reliable
+/// vector) and keeps the first position per id.
 pub fn build_kmer_matrix(seqs: &SeqSet, cfg: &OverlapConfig) -> (Csr<u32>, usize) {
-    let alphabet = seqs.alphabet;
-    let counts = kmer::count_kmers(seqs.iter().map(|(_, s)| s), cfg.k, alphabet);
-    let ids = kmer::reliable_kmers(&counts, cfg.min_kmer_freq, cfg.max_kmer_freq);
-    let mut triplets: Vec<(u32, u32, u32)> = Vec::new();
-    for (sid, s) in seqs.iter() {
-        for (km, pos) in kmer::kmers_of(s, cfg.k, alphabet) {
-            let emit: Vec<u64> = match (cfg.substitute_min_score, alphabet) {
-                (Some(th), Alphabet::Protein) => kmer::substitute_kmers(km, cfg.k, th),
-                _ => vec![km],
-            };
-            for e in emit {
-                if let Some(&mid) = ids.get(&e) {
-                    triplets.push((sid, mid, pos));
-                }
+    let (k, alphabet) = (cfg.k, seqs.alphabet);
+    let freq = cfg.min_kmer_freq as usize..=cfg.max_kmer_freq as usize;
+    let reliable = kmer::reliable_kmers(seqs.iter().map(|(_, s)| s), k, alphabet, freq);
+    let subs = (cfg.substitute_min_score)
+        .filter(|_| alphabet == Alphabet::Protein)
+        .map(kmer::SubTable::new);
+    let mut m = Csr {
+        rows: seqs.len(),
+        cols: reliable.len(),
+        indptr: vec![0],
+        indices: Vec::new(),
+        values: Vec::new(),
+    };
+    // One row's `id << 32 | pos` keys, which sort by id, then position.
+    let mut row: Vec<u64> = Vec::new();
+    for (_, s) in seqs.iter() {
+        row.clear();
+        let mut emit = |km: u64, pos: u32| {
+            if let Ok(id) = reliable.binary_search(&km) {
+                row.push(((id as u64) << 32) | u64::from(pos));
             }
-        }
+        };
+        kmer::for_each_kmer(s, k, alphabet, |km, pos| match &subs {
+            Some(t) => t.for_each(km, k, |e| emit(e, pos)),
+            None => emit(km, pos),
+        });
+        row.sort_unstable();
+        row.dedup_by_key(|key| *key >> 32);
+        m.indices.extend(row.iter().map(|&key| (key >> 32) as u32));
+        m.values.extend(row.iter().map(|&key| key as u32));
+        m.indptr.push(m.indices.len());
     }
-    // Keep the *first* position when a k-mer repeats in a sequence.
-    let n = ids.len();
-    let m = Csr::from_triplets(seqs.len(), n, triplets, |a, b| *a = (*a).min(b));
-    (m, n)
+    (m, reliable.len())
 }
 
 /// Detects overlaps and returns them as an alignment [`Workload`]
@@ -202,11 +220,9 @@ pub fn detect_overlaps(seqs: &SeqSet, cfg: &OverlapConfig) -> Workload {
             // distinct one too under multi_seed (a parallel edge in
             // the comparison graph — no sequence retransmission).
             let (h, v) = (i as u32, j);
-            let mut seeds = vec![acc.first];
-            if cfg.multi_seed && acc.second != (u32::MAX, u32::MAX) {
-                seeds.push(acc.second);
-            }
-            for (hp, vp) in seeds {
+            let second =
+                (cfg.multi_seed && acc.second != (u32::MAX, u32::MAX)).then_some(acc.second);
+            for (hp, vp) in std::iter::once(acc.first).chain(second) {
                 let seed = SeedMatch::new(hp as usize, vp as usize, cfg.k);
                 // Validate defensively: substitution seeds are
                 // quasi-exact but must stay in bounds.
@@ -348,6 +364,27 @@ mod tests {
         // substitution), but substitution finds strictly more seeds.
         assert_eq!(w_exact.comparisons.len(), 1);
         assert_eq!(w_sub.comparisons.len(), 1);
+    }
+
+    #[test]
+    fn n_windows_share_no_seed_with_concrete_kmers() {
+        // Packed with `N = 4` OR-ed into 2-bit slots, "AN" would equal
+        // "CA" and "GN" would equal "TA": two reads sharing only those
+        // aliased pairs (enough to clear `min_seeds = 2`) must get no
+        // comparison.
+        use xdrop_core::alphabet::encode_dna;
+        let mut set = SeqSet::new(Alphabet::Dna);
+        set.push(encode_dna(b"ANTTGN"));
+        set.push(encode_dna(b"CATA"));
+        let cfg = OverlapConfig::elba(2);
+        let (a, reliable) = build_kmer_matrix(&set, &cfg);
+        assert_eq!((reliable, a.nnz()), (0, 0));
+        assert!(detect_overlaps(&set, &cfg).comparisons.is_empty());
+        // The concrete k-mers around the `N`s still seed.
+        set.push(encode_dna(b"TTGG"));
+        let w = detect_overlaps(&set, &cfg);
+        let pairs: Vec<_> = w.comparisons.iter().map(|c| (c.h, c.v)).collect();
+        assert_eq!(pairs, vec![(0, 2)]);
     }
 
     #[test]

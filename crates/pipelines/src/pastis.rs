@@ -76,42 +76,37 @@ pub struct PastisRun {
 }
 
 impl PastisRun {
+    /// Whether comparison `ci` pairs two members of one family.
+    fn same_family(&self, ci: usize) -> bool {
+        let c = &self.seqs_workload.comparisons[ci];
+        self.families[c.h as usize] == self.families[c.v as usize]
+    }
+
     /// Fraction of accepted pairs whose members share a family
     /// (precision of the homology search).
     pub fn precision(&self) -> f64 {
-        if self.accepted.is_empty() {
-            return 1.0;
-        }
-        let good = self
-            .accepted
-            .iter()
-            .filter(|&&ci| {
-                let c = &self.seqs_workload.comparisons[ci];
-                self.families[c.h as usize] == self.families[c.v as usize]
-            })
-            .count();
-        good as f64 / self.accepted.len() as f64
+        let good = self.accepted.iter().filter(|&&ci| self.same_family(ci));
+        ratio(good.count(), self.accepted.len())
     }
 
     /// Fraction of same-family pairs that were accepted, measured
     /// over the candidate set (recall of the homology search).
     pub fn recall(&self) -> f64 {
-        let mut same_family = 0usize;
-        let mut found = 0usize;
-        let accepted: std::collections::HashSet<usize> = self.accepted.iter().copied().collect();
-        for (ci, c) in self.seqs_workload.comparisons.iter().enumerate() {
-            if self.families[c.h as usize] == self.families[c.v as usize] {
-                same_family += 1;
-                if accepted.contains(&ci) {
-                    found += 1;
-                }
-            }
-        }
-        if same_family == 0 {
-            1.0
-        } else {
-            found as f64 / same_family as f64
-        }
+        let found = self.accepted.iter().filter(|&&ci| self.same_family(ci));
+        let candidates = 0..self.seqs_workload.comparisons.len();
+        ratio(
+            found.count(),
+            candidates.filter(|&ci| self.same_family(ci)).count(),
+        )
+    }
+}
+
+/// `num / den`, or 1 when there is nothing to measure.
+fn ratio(num: usize, den: usize) -> f64 {
+    if den == 0 {
+        1.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -151,7 +146,9 @@ pub fn run_pastis<R: Rng>(rng: &mut R, cfg: &PastisConfig) -> PastisRun {
     run_pastis_from_workload(workload, families, cfg)
 }
 
-/// Alignment + clustering, starting from a detected candidate set.
+/// Alignment + clustering, starting from a detected candidate set;
+/// panics on a seed outside its sequences ([`detect_overlaps`] emits
+/// none).
 pub fn run_pastis_from_workload(
     workload: Workload,
     families: Vec<usize>,
@@ -164,16 +161,15 @@ pub fn run_pastis_from_workload(
     );
     let mut scores = Vec::with_capacity(workload.comparisons.len());
     let mut accepted = Vec::new();
-    for (ci, c) in workload.comparisons.iter().enumerate() {
-        let h = workload.seqs.get(c.h);
-        let v = workload.seqs.get(c.v);
-        let out = ext.extend(h, v, c.seed, &scorer).expect("grow policy");
+    crate::align_comparisons(&workload, &scorer, &mut ext, |ci, out| {
         scores.push(out.score);
-        let min_len = h.len().min(v.len()).max(1);
+        let c = &workload.comparisons[ci];
+        let (h_len, v_len) = (workload.seqs.seq_len(c.h), workload.seqs.seq_len(c.v));
+        let min_len = h_len.min(v_len).max(1);
         if out.score as f64 / min_len as f64 >= cfg.min_score_per_len {
             accepted.push(ci);
         }
-    }
+    });
     // Union-find over accepted pairs.
     let n = workload.seqs.len();
     let mut parent: Vec<u32> = (0..n as u32).collect();
@@ -192,15 +188,11 @@ pub fn run_pastis_from_workload(
             parent[a as usize] = b;
         }
     }
-    let mut clusters_map: std::collections::HashMap<u32, Vec<SeqId>> =
-        std::collections::HashMap::new();
+    let mut by_root: Vec<Vec<SeqId>> = vec![Vec::new(); n];
     for s in 0..n as u32 {
-        clusters_map
-            .entry(find(&mut parent, s))
-            .or_default()
-            .push(s);
+        by_root[find(&mut parent, s) as usize].push(s);
     }
-    let mut clusters: Vec<Vec<SeqId>> = clusters_map.into_values().collect();
+    let mut clusters: Vec<Vec<SeqId>> = by_root.into_iter().filter(|c| !c.is_empty()).collect();
     clusters.sort_by_key(|c| (std::cmp::Reverse(c.len()), c[0]));
     PastisRun {
         seqs_workload: workload,

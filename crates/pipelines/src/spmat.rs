@@ -41,8 +41,10 @@ impl<V> Csr<V> {
 
 impl<V: Clone> Csr<V> {
     /// Builds a CSR from unsorted `(row, col, value)` triplets;
-    /// duplicates are merged with `add`.
-    pub fn from_triplets(
+    /// duplicates are merged with `add` (the tests' dense-matrix and
+    /// k-mer-matrix oracles).
+    #[cfg(test)]
+    pub(crate) fn from_triplets(
         rows: usize,
         cols: usize,
         mut triplets: Vec<(u32, u32, V)>,
@@ -89,12 +91,13 @@ impl<V: Clone> Csr<V> {
         let indptr = counts.clone();
         let mut cursor = counts;
         let mut indices = vec![0u32; self.nnz()];
-        let mut values: Vec<Option<V>> = vec![None; self.nnz()];
+        // Every slot is overwritten below.
+        let mut values = self.values.clone();
         for r in 0..self.rows {
             for (c, v) in self.row(r) {
                 let slot = cursor[c as usize];
                 indices[slot] = r as u32;
-                values[slot] = Some(v.clone());
+                values[slot] = v.clone();
                 cursor[c as usize] += 1;
             }
         }
@@ -103,7 +106,7 @@ impl<V: Clone> Csr<V> {
             cols: self.rows,
             indptr,
             indices,
-            values: values.into_iter().map(|v| v.expect("filled")).collect(),
+            values,
         }
     }
 }
@@ -139,10 +142,10 @@ pub fn spgemm<VA, VB, VC: Clone>(
             }
         }
         touched.sort_unstable();
-        for &c in &touched {
-            indices.push(c);
-            values.push(acc[c as usize].take().expect("touched slot"));
-        }
+        indices.extend_from_slice(&touched);
+        values.extend(touched.iter().filter_map(|&c| acc[c as usize].take()));
+        // Every touched slot holds a value.
+        debug_assert_eq!(indices.len(), values.len());
         indptr[r + 1] = indices.len();
     }
     Csr {
