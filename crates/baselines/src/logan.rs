@@ -12,86 +12,62 @@
 //! * at large `X` the live band approaches the window and the GPU's
 //!   raw throughput closes the gap to 2.55×.
 //!
-//! The algorithmic part below is exact (it is the memory-restricted
-//! kernel with a [`BandPolicy::Saturate`] window — LOGAN may miss
-//! the optimum when the window saturates, like the real tool); the
-//! SIMT timing model lives in [`crate::models::GpuModel`].
+//! The algorithmic part is the facade's
+//! [`AlignerKind::LoganBand`](xdrop_core::aligner::AlignerKind::LoganBand)
+//! engine: the memory-restricted kernel under a saturating window of
+//! [`logan_band_width`] cells, which may miss the optimum when the
+//! window saturates, like the real tool. This module adds the padded
+//! lane work the SIMT timing model ([`crate::models::GpuModel`])
+//! charges.
 
-use xdrop_core::scoring::Scorer;
-use xdrop_core::stats::AlignOutput;
-use xdrop_core::xdrop2::{self, BandPolicy};
-use xdrop_core::XDropParams;
+use xdrop_core::aligner::logan_band_width;
+use xdrop_core::stats::AlignStats;
 
 /// Warp width of the modeled GPU.
 pub const WARP: usize = 32;
 
-/// LOGAN's fixed band width for a given X-Drop factor: the window
-/// must cover the score range a path can fall behind by (`≈ X /
-/// gap` on each side) with head-room, rounded up to whole warps.
-///
-/// The formula lives in [`xdrop_core::aligner::logan_band_width`] so
-/// the facade's `AlignerKind::LoganBand` and this baseline runner
-/// agree by construction.
-pub fn band_width(x: i32) -> usize {
-    xdrop_core::aligner::logan_band_width(x)
-}
-
-/// Outcome of one LOGAN alignment: the (possibly band-clipped)
-/// alignment plus the padded lane-work the GPU actually performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoganOutcome {
-    /// Alignment result and true work statistics.
-    pub output: AlignOutput,
-    /// Cells including dead lanes: `antidiagonals × band width`
-    /// (every lane of the window computes every sweep).
-    pub padded_cells: u64,
-}
-
-/// Runs one LOGAN-style extension.
-pub fn logan_extend<S: Scorer>(h: &[u8], v: &[u8], scorer: &S, x: i32) -> LoganOutcome {
-    let w = band_width(x);
-    // `xdrop2::align` dispatches on `XDropParams::kernel` (auto by
-    // default), so this baseline gets the lane-parallel host kernels
-    // for free without its numbers changing.
-    let output = xdrop2::align(h, v, scorer, XDropParams::new(x), BandPolicy::Saturate(w))
-        .expect("saturate policy cannot fail");
-    let lane_width = w.min(h.len().min(v.len()) + 1).div_ceil(WARP) * WARP;
-    LoganOutcome {
-        output,
-        padded_cells: output.stats.antidiagonals * lane_width as u64,
-    }
+/// Lane work of one LOGAN extension side, dead lanes included: every
+/// lane of the window computes every antidiagonal sweep. The window
+/// is LOGAN's band for `x`, clipped to the side's longest
+/// antidiagonal `δ = min(|H|, |V|) + 1` and rounded up to whole warps.
+pub fn padded_cells(stats: &AlignStats, x: i32) -> u64 {
+    let lanes = logan_band_width(x).min(stats.delta).div_ceil(WARP) * WARP;
+    stats.antidiagonals * lanes as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xdrop_core::aligner::{AlignRequest, Aligner, AlignerKind};
     use xdrop_core::alphabet::encode_dna;
+    use xdrop_core::kernel::KernelKind;
     use xdrop_core::scoring::MatchMismatch;
-    use xdrop_core::xdrop3;
 
-    fn sc() -> MatchMismatch {
-        MatchMismatch::dna_default()
+    /// One LOGAN side's stats over `h` × `v`.
+    fn logan(h: &[u8], v: &[u8], x: i32) -> AlignStats {
+        let req = AlignRequest::new(AlignerKind::LoganBand, x).kernel(KernelKind::Scalar);
+        let out = Aligner::new().align(h, v, &MatchMismatch::dna_default(), &req);
+        out.unwrap().output.stats
     }
 
-    #[test]
-    fn band_width_warp_aligned_and_monotone() {
-        for x in [1, 5, 10, 15, 20, 50, 100] {
-            assert_eq!(band_width(x) % WARP, 0);
+    /// `h` with every `step`-th symbol (from `first`) substituted.
+    fn mutated(h: &[u8], first: usize, step: usize) -> Vec<u8> {
+        let mut v = h.to_vec();
+        for i in (first..v.len()).step_by(step) {
+            v[i] = (v[i] + 1) % 4;
         }
-        assert!(band_width(5) <= band_width(20));
-        assert!(band_width(20) <= band_width(100));
-        assert_eq!(band_width(1), 64);
-        assert_eq!(band_width(10_000), 4096);
+        v
     }
 
     #[test]
-    fn matches_exact_xdrop_when_band_suffices() {
-        let h = encode_dna(b"ACGTACGTACGTAAGGTACGTACGTTTTACGT");
-        let v = encode_dna(b"ACGTACGAACGTAAGGTACGTACTTTTTACGA");
-        for x in [5, 10, 20] {
-            let exact = xdrop3::align(&h, &v, &sc(), XDropParams::new(x));
-            let logan = logan_extend(&h, &v, &sc(), x);
-            assert_eq!(logan.output.result, exact.result, "x={x}");
+    fn window_is_clipped_to_the_longest_antidiagonal() {
+        let h = encode_dna(b"ACGTACGTACGTACGT").repeat(32); // 512
+        let v = mutated(&h, 31, 37);
+        for (len, x) in [(512, 5), (512, 60), (40, 60), (0, 5)] {
+            let st = logan(&h[..len], &v[..len], x);
+            assert_eq!(st.delta, len + 1, "len={len}");
+            let lanes = logan_band_width(x).min(len + 1).div_ceil(WARP) * WARP;
+            assert_eq!(padded_cells(&st, x), st.antidiagonals * lanes as u64);
         }
     }
 
@@ -99,42 +75,27 @@ mod tests {
     fn padded_cells_exceed_live_cells_at_small_x() {
         // 5% error HiFi-like pair: live band tiny, window 64+.
         let h = encode_dna(b"ACGTACGTACGTACGT").repeat(32); // 512
-        let mut v = h.clone();
-        for i in (31..v.len()).step_by(37) {
-            v[i] = (v[i] + 1) % 4;
-        }
-        let logan = logan_extend(&h, &v, &sc(), 5);
+        let st = logan(&h, &mutated(&h, 31, 37), 5);
         assert!(
-            logan.padded_cells > 2 * logan.output.stats.cells_computed,
+            padded_cells(&st, 5) > 2 * st.cells_computed,
             "padded {} vs live {}",
-            logan.padded_cells,
-            logan.output.stats.cells_computed
+            padded_cells(&st, 5),
+            st.cells_computed
         );
     }
 
     #[test]
     fn padding_ratio_shrinks_as_x_grows() {
         let h = encode_dna(b"ACGTACGTACGTACGT").repeat(64); // 2048
-        let mut v = h.clone();
-        for i in (7..v.len()).step_by(11) {
-            v[i] = (v[i] + 1) % 4; // ~9% error: band grows with X
-        }
+        let v = mutated(&h, 7, 11); // ~9% error: band grows with X
         let ratio = |x: i32| {
-            let l = logan_extend(&h, &v, &sc(), x);
-            l.padded_cells as f64 / l.output.stats.cells_computed.max(1) as f64
+            let st = logan(&h, &v, x);
+            padded_cells(&st, x) as f64 / st.cells_computed.max(1) as f64
         };
-        let r_small = ratio(3);
-        let r_large = ratio(60);
+        let (r_small, r_large) = (ratio(3), ratio(60));
         assert!(
             r_large < r_small,
             "padding waste should shrink with X: small {r_small}, large {r_large}"
         );
-    }
-
-    #[test]
-    fn identical_sequences_full_score() {
-        let s = encode_dna(b"ACGTACGTACGTACGTACGTACGT");
-        let l = logan_extend(&s, &s, &sc(), 10);
-        assert_eq!(l.output.result.best_score, s.len() as i32);
     }
 }

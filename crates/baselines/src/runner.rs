@@ -1,14 +1,24 @@
 //! The multi-threaded benchmark runner (§5.1): executes a workload
 //! through one of the comparator tools and reports both real wall
 //! time (of this host) and the modeled time on the paper's machines.
+//!
+//! Each tool is an engine of the [`xdrop_core::aligner`] facade:
+//! SeqAn is `XDrop3`, ksw2 `Ksw2` and LOGAN `LoganBand`. Every runner
+//! thread extends its share of the comparisons through one
+//! [`Extender`], the seed-and-extend loop the simulated IPU executor
+//! and the pipelines run too, so a tool differs from the IPU kernel
+//! in its engine alone.
 
-use crate::ksw2::{ksw2_extend, Ksw2Params};
-use crate::logan::logan_extend;
+use crate::logan;
 use crate::models::{CpuModel, GpuModel};
-use crate::seqan::SeqAnAligner;
-use crossbeam::thread;
+use std::ops::Range;
+use xdrop_core::aligner::AlignerKind;
+use xdrop_core::error::Result;
+use xdrop_core::extension::{Backend, Extender};
 use xdrop_core::scoring::Scorer;
 use xdrop_core::workload::Workload;
+use xdrop_core::xdrop2::BandPolicy;
+use xdrop_core::XDropParams;
 
 /// Which comparator to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -28,6 +38,18 @@ impl ToolKind {
             ToolKind::SeqAn => "SeqAn",
             ToolKind::Ksw2 => "ksw2",
             ToolKind::Logan => "LOGAN",
+        }
+    }
+
+    /// The facade engine that models the tool: SeqAn's
+    /// `extendSeed(..., GappedXDrop())` is the three-antidiagonal
+    /// Zhang X-Drop, ksw2 the affine z-drop extension, and LOGAN the
+    /// two-antidiagonal kernel under its fixed saturating window.
+    fn aligner(self) -> AlignerKind {
+        match self {
+            ToolKind::SeqAn => AlignerKind::XDrop3,
+            ToolKind::Ksw2 => AlignerKind::Ksw2,
+            ToolKind::Logan => AlignerKind::LoganBand,
         }
     }
 }
@@ -53,75 +75,48 @@ pub struct ToolReport {
     pub scores: Vec<i32>,
 }
 
+/// Scores, computed cells and padded cells of a run of comparisons.
+type Totals = (Vec<i32>, u64, u64);
+
+/// Runs `tool` over the comparisons in `range`; a failure reports the
+/// range's first failing comparison.
 fn run_range<S: Scorer>(
     w: &Workload,
     tool: ToolKind,
     x: i32,
     scorer: &S,
-    range: std::ops::Range<usize>,
-) -> (Vec<i32>, u64, u64) {
+    range: Range<usize>,
+) -> Result<Totals> {
+    // None of the three engines reads the caller's band policy.
+    let backend = Backend::for_kind(tool.aligner(), x, BandPolicy::Grow(64));
+    let mut ext = Extender::new(XDropParams::new(x), backend);
     let mut scores = Vec::with_capacity(range.len());
-    let mut cells = 0u64;
-    let mut padded = 0u64;
-    let mut seqan = SeqAnAligner::new(x);
-    let kp = Ksw2Params::from_x(x);
-    for ci in range {
-        let c = w.comparisons[ci];
-        let h = w.seqs.get(c.h);
-        let v = w.seqs.get(c.v);
-        match tool {
-            ToolKind::SeqAn => {
-                let out = seqan.extend(h, v, c.seed, scorer);
-                let st = out.stats();
-                scores.push(out.score);
-                cells += st.cells_computed;
-                padded += st.cells_computed;
-            }
-            ToolKind::Ksw2 => {
-                // ksw2 is an extension aligner; extend right from the
-                // seed end and left from the seed start on reversed
-                // flanks (materialized — ksw2 has no op() transform).
-                let hl: Vec<u8> = h[..c.seed.h_pos].iter().rev().copied().collect();
-                let vl: Vec<u8> = v[..c.seed.v_pos].iter().rev().copied().collect();
-                let left = ksw2_extend(&hl, &vl, &kp);
-                let right = ksw2_extend(
-                    &h[c.seed.h_pos + c.seed.k..],
-                    &v[c.seed.v_pos + c.seed.k..],
-                    &kp,
-                );
-                let seed_score = c.seed.k as i32 * kp.mat;
-                scores.push(left.result.best_score + seed_score + right.result.best_score);
-                let cc = left.stats.cells_computed + right.stats.cells_computed;
-                cells += cc;
-                padded += cc;
-            }
-            ToolKind::Logan => {
-                let hl: Vec<u8> = h[..c.seed.h_pos].iter().rev().copied().collect();
-                let vl: Vec<u8> = v[..c.seed.v_pos].iter().rev().copied().collect();
-                let left = logan_extend(&hl, &vl, scorer, x);
-                let right = logan_extend(
-                    &h[c.seed.h_pos + c.seed.k..],
-                    &v[c.seed.v_pos + c.seed.k..],
-                    scorer,
-                    x,
-                );
-                let seed_score = scorer.seed_score(
-                    &h[c.seed.h_pos..c.seed.h_pos + c.seed.k],
-                    &v[c.seed.v_pos..c.seed.v_pos + c.seed.k],
-                );
-                scores.push(
-                    left.output.result.best_score + seed_score + right.output.result.best_score,
-                );
-                cells += left.output.stats.cells_computed + right.output.stats.cells_computed;
-                padded += left.padded_cells + right.padded_cells;
-            }
+    let (mut cells, mut padded) = (0u64, 0u64);
+    let mut failure = None;
+    ext.extend_each(w, range, scorer, |_, out| match out {
+        Ok(out) => {
+            let computed = out.stats().cells_computed;
+            scores.push(out.score);
+            cells += computed;
+            padded += match tool {
+                ToolKind::Logan => {
+                    logan::padded_cells(&out.left.stats, x)
+                        + logan::padded_cells(&out.right.stats, x)
+                }
+                ToolKind::SeqAn | ToolKind::Ksw2 => computed,
+            };
         }
-    }
-    (scores, cells, padded)
+        Err(e) => {
+            failure.get_or_insert(e);
+        }
+    });
+    failure.map_or(Ok((scores, cells, padded)), Err)
 }
 
 /// Runs `tool` over the whole workload with `host_threads` runner
-/// threads, modeling `devices` CPU nodes / GPUs.
+/// threads, modeling `devices` CPU nodes / GPUs. Fails with the
+/// smallest failing comparison's error (a seed past a sequence end,
+/// say).
 pub fn run_workload<S: Scorer + Sync>(
     w: &Workload,
     tool: ToolKind,
@@ -129,7 +124,7 @@ pub fn run_workload<S: Scorer + Sync>(
     scorer: &S,
     host_threads: usize,
     devices: usize,
-) -> ToolReport {
+) -> Result<ToolReport> {
     run_workload_scaled(w, tool, x, scorer, host_threads, devices, 1.0)
 }
 
@@ -137,6 +132,9 @@ pub fn run_workload<S: Scorer + Sync>(
 /// (`machine_scale < 1`) — used by the scale-model experiments so
 /// that bench-sized workloads exercise the same machine-to-data
 /// ratios as the paper's full-size runs.
+///
+/// The runner threads take contiguous ranges of the comparison list;
+/// a panicking thread re-raises its own panic here.
 pub fn run_workload_scaled<S: Scorer + Sync>(
     w: &Workload,
     tool: ToolKind,
@@ -145,38 +143,34 @@ pub fn run_workload_scaled<S: Scorer + Sync>(
     host_threads: usize,
     devices: usize,
     machine_scale: f64,
-) -> ToolReport {
+) -> Result<ToolReport> {
     let n = w.comparisons.len();
     let started = std::time::Instant::now();
     let threads = host_threads.clamp(1, 64).min(n.max(1));
     let (scores, cells, padded) = if threads <= 1 || n < 32 {
-        run_range(w, tool, x, scorer, 0..n)
+        run_range(w, tool, x, scorer, 0..n)?
     } else {
         let chunk = n.div_ceil(threads);
-        let pieces: Vec<(Vec<i32>, u64, u64)> = thread::scope(|s| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                if lo >= hi {
-                    break;
-                }
-                handles.push(s.spawn(move |_| run_range(w, tool, x, scorer, lo..hi)));
-            }
+        let pieces: Vec<Result<Totals>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|lo| s.spawn(move || run_range(w, tool, x, scorer, lo..(lo + chunk).min(n))))
+                .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("runner thread"))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
-        })
-        .expect("scope");
-        let mut scores = Vec::with_capacity(n);
-        let (mut cells, mut padded) = (0u64, 0u64);
-        for (s, c, p) in pieces {
-            scores.extend(s);
-            cells += c;
-            padded += p;
+        });
+        // Ranges ascend, so the first failing range holds the
+        // smallest failing comparison.
+        let mut totals: Totals = (Vec::with_capacity(n), 0, 0);
+        for piece in pieces {
+            let (s, c, p) = piece?;
+            totals.0.extend(s);
+            totals.1 += c;
+            totals.2 += p;
         }
-        (scores, cells, padded)
+        totals
     };
     let wall_seconds = started.elapsed().as_secs_f64();
     // Units of work per comparison for overhead modeling: left +
@@ -194,7 +188,7 @@ pub fn run_workload_scaled<S: Scorer + Sync>(
             .seconds(padded, alignments, devices),
     };
     let theoretical = w.theoretical_cells();
-    ToolReport {
+    Ok(ToolReport {
         tool: tool.name().to_string(),
         wall_seconds,
         modeled_seconds,
@@ -206,7 +200,7 @@ pub fn run_workload_scaled<S: Scorer + Sync>(
         cells_computed: cells,
         padded_cells: padded,
         scores,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -215,6 +209,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use xdrop_core::alphabet::Alphabet;
+    use xdrop_core::error::AlignError;
     use xdrop_core::extension::SeedMatch;
     use xdrop_core::scoring::MatchMismatch;
     use xdrop_core::workload::Comparison;
@@ -245,7 +240,7 @@ mod tests {
         let w = workload();
         let sc = MatchMismatch::dna_default();
         for tool in [ToolKind::SeqAn, ToolKind::Ksw2, ToolKind::Logan] {
-            let r = run_workload(&w, tool, 15, &sc, 2, 1);
+            let r = run_workload(&w, tool, 15, &sc, 2, 1).unwrap();
             assert_eq!(r.scores.len(), w.comparisons.len());
             assert!(
                 r.scores.iter().all(|&s| s > 0),
@@ -263,8 +258,8 @@ mod tests {
         // identical scores.
         let w = workload();
         let sc = MatchMismatch::dna_default();
-        let a = run_workload(&w, ToolKind::SeqAn, 10, &sc, 2, 1);
-        let b = run_workload(&w, ToolKind::Logan, 10, &sc, 2, 1);
+        let a = run_workload(&w, ToolKind::SeqAn, 10, &sc, 2, 1).unwrap();
+        let b = run_workload(&w, ToolKind::Logan, 10, &sc, 2, 1).unwrap();
         assert_eq!(a.scores, b.scores);
     }
 
@@ -272,8 +267,8 @@ mod tests {
     fn logan_pads_cpu_does_not() {
         let w = workload();
         let sc = MatchMismatch::dna_default();
-        let cpu = run_workload(&w, ToolKind::SeqAn, 10, &sc, 2, 1);
-        let gpu = run_workload(&w, ToolKind::Logan, 10, &sc, 2, 1);
+        let cpu = run_workload(&w, ToolKind::SeqAn, 10, &sc, 2, 1).unwrap();
+        let gpu = run_workload(&w, ToolKind::Logan, 10, &sc, 2, 1).unwrap();
         assert_eq!(cpu.padded_cells, cpu.cells_computed);
         assert!(gpu.padded_cells > gpu.cells_computed);
     }
@@ -282,8 +277,8 @@ mod tests {
     fn parallel_runner_deterministic() {
         let w = workload();
         let sc = MatchMismatch::dna_default();
-        let a = run_workload(&w, ToolKind::SeqAn, 15, &sc, 1, 1);
-        let b = run_workload(&w, ToolKind::SeqAn, 15, &sc, 8, 1);
+        let a = run_workload(&w, ToolKind::SeqAn, 15, &sc, 1, 1).unwrap();
+        let b = run_workload(&w, ToolKind::SeqAn, 15, &sc, 8, 1).unwrap();
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.cells_computed, b.cells_computed);
     }
@@ -294,11 +289,53 @@ mod tests {
         // SeqAn score on high-identity pairs.
         let w = workload();
         let sc = MatchMismatch::dna_default();
-        let a = run_workload(&w, ToolKind::SeqAn, 20, &sc, 2, 1);
-        let k = run_workload(&w, ToolKind::Ksw2, 20, &sc, 2, 1);
+        let a = run_workload(&w, ToolKind::SeqAn, 20, &sc, 2, 1).unwrap();
+        let k = run_workload(&w, ToolKind::Ksw2, 20, &sc, 2, 1).unwrap();
         for (sa, sk) in a.scores.iter().zip(&k.scores) {
             let ratio = *sk as f64 / (*sa as f64);
             assert!(ratio > 1.2 && ratio < 2.4, "ratio {ratio}");
         }
+    }
+
+    #[test]
+    fn seed_past_the_end_fails_with_the_smallest_comparison() {
+        // Comparisons 7 and 20 carry seeds past their sequences'
+        // ends, in different runner ranges at 4 threads: every tool
+        // reports comparison 7, at any thread count.
+        let mut w = workload();
+        w.comparisons[20].seed = SeedMatch::new(790, 10, 17);
+        w.comparisons[7].seed = SeedMatch::new(10, 5_000, 17);
+        let want = AlignError::SeedOutOfBounds {
+            seed: (10, 5_000),
+            lens: (800, 800),
+        };
+        let sc = MatchMismatch::dna_default();
+        for tool in [ToolKind::SeqAn, ToolKind::Ksw2, ToolKind::Logan] {
+            for threads in [1, 4] {
+                let got = run_workload(&w, tool, 15, &sc, threads, 1).unwrap_err();
+                assert_eq!(got, want, "{} t={threads}", tool.name());
+            }
+        }
+    }
+
+    /// A DNA scorer whose every similarity lookup panics.
+    struct PanickingScorer;
+
+    impl Scorer for PanickingScorer {
+        fn sim(&self, _: u8, _: u8) -> i32 {
+            panic!("boom from scorer")
+        }
+        fn gap(&self) -> i32 {
+            -1
+        }
+        fn alphabet(&self) -> Alphabet {
+            Alphabet::Dna
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom from scorer")]
+    fn worker_panic_keeps_its_payload() {
+        let _ = run_workload(&workload(), ToolKind::SeqAn, 15, &PanickingScorer, 4, 1);
     }
 }

@@ -31,7 +31,7 @@ fn bench_tools(c: &mut Criterion) {
         });
         for tool in [ToolKind::SeqAn, ToolKind::Ksw2, ToolKind::Logan] {
             group.bench_with_input(BenchmarkId::new(tool.name(), x), &x, |b, &x| {
-                b.iter(|| run_workload(&w, tool, x, &sc, 1, 1))
+                b.iter(|| run_workload(&w, tool, x, &sc, 1, 1).expect("seeds in bounds"))
             });
         }
     }

@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use seqdata::gen::{generate_pair, MutationProfile, PairSpec};
 use std::hint::black_box;
 use xdrop_baselines::banded::banded_extend;
-use xdrop_baselines::ksw2::{ksw2_extend, Ksw2Params};
 use xdrop_core::alphabet::Alphabet;
+use xdrop_core::ksw2::{ksw2_extend, Ksw2Params};
 use xdrop_core::reference::extend_full;
 use xdrop_core::scoring::MatchMismatch;
 use xdrop_core::xdrop2::{self, BandPolicy};

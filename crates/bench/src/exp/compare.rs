@@ -65,7 +65,8 @@ pub fn run(datasets: &[Dataset], xs: &[i32], host_threads: usize) -> Vec<Fig5Row
             // transfer, the CPU without preparation time).
             batch.push(("IPU".into(), ipu.device_seconds, ipu.gcups_device));
             for tool in [ToolKind::SeqAn, ToolKind::Ksw2, ToolKind::Logan] {
-                let r = run_workload_scaled(&w, tool, x, &sc, host_threads, 1, s);
+                let r = run_workload_scaled(&w, tool, x, &sc, host_threads, 1, s)
+                    .expect("generated seeds lie inside their sequences");
                 batch.push((r.tool, r.modeled_seconds, r.gcups));
             }
             let seqan_s = batch

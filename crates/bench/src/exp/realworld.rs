@@ -110,7 +110,8 @@ fn pipeline_rows<S: xdrop_core::scoring::Scorer + Sync>(
     let s = PIPELINE_MACHINE_SCALE;
     let mut rows = Vec::new();
     for &x in xs {
-        let cpu = run_workload_scaled(w, ToolKind::SeqAn, x, scorer, 8, 1, s);
+        let cpu = run_workload_scaled(w, ToolKind::SeqAn, x, scorer, 8, 1, s)
+            .expect("overlap seeds lie inside their sequences");
         let cpu_s = cpu.modeled_seconds;
         rows.push(PipelineRow {
             pipeline: name.into(),
@@ -121,7 +122,8 @@ fn pipeline_rows<S: xdrop_core::scoring::Scorer + Sync>(
             speedup_vs_cpu: 1.0,
         });
         if with_gpu {
-            let gpu = run_workload_scaled(w, ToolKind::Logan, x, scorer, 8, 4, s);
+            let gpu = run_workload_scaled(w, ToolKind::Logan, x, scorer, 8, 4, s)
+                .expect("overlap seeds lie inside their sequences");
             rows.push(PipelineRow {
                 pipeline: name.into(),
                 x,

@@ -1,6 +1,6 @@
 //! Shared harness: run a workload end-to-end on the simulated IPU.
 
-use ipu_sim::batch::{naive_batches, single_tile_batches, Batch};
+use ipu_sim::batch::naive_batches;
 use ipu_sim::cluster::{run_cluster_opts, ClusterOptions, ClusterReport};
 use ipu_sim::cost::{CostModel, OptFlags};
 use ipu_sim::exec::{execute_workload, ExecConfig, ExecOutput};
@@ -10,7 +10,8 @@ use xdrop_core::scoring::Scorer;
 use xdrop_core::workload::Workload;
 use xdrop_core::xdrop2::BandPolicy;
 use xdrop_core::XDropParams;
-use xdrop_partition::plan::{plan_batches_timed, PlanConfig, PlanTimings};
+use xdrop_partition::plan::{PlanConfig, PlanTimings};
+use xdrop_partition::plan_stage;
 
 /// Full configuration of one simulated IPU run.
 #[derive(Debug, Clone, Copy)]
@@ -122,30 +123,20 @@ pub fn run_ipu_from_exec_traced(
     cfg: &IpuRunConfig,
     collect_trace: bool,
 ) -> (IpuRunReport, Option<ChromeTrace>) {
-    let mut timings = PlanTimings::default();
-    let batches: Vec<Batch> = if !cfg.flags.all_tiles {
-        single_tile_batches(
-            w,
-            &exec.units,
-            &cfg.spec,
-            &PlanConfig::naive(cfg.delta_b).batch,
-        )
-    } else if cfg.partitioned {
-        let (batches, t) = plan_batches_timed(
-            w,
-            &exec.units,
-            &cfg.spec,
-            &PlanConfig::partitioned(cfg.delta_b).with_min_batches(cfg.min_batches),
-        )
-        .expect("bench workloads fit the tile budget");
-        timings = t;
-        batches
+    let plan = if cfg.partitioned {
+        PlanConfig::partitioned(cfg.delta_b).with_min_batches(cfg.min_batches)
     } else {
-        naive_batches(
-            w,
-            &exec.units,
-            &cfg.spec,
-            &PlanConfig::naive(cfg.delta_b).batch,
+        PlanConfig::naive(cfg.delta_b)
+    };
+    // `plan_stage` owns the single-tile decision; the unpartitioned
+    // all-tile run keeps its uncapped `naive_batches` packing.
+    let (batches, timings) = if cfg.partitioned || !cfg.flags.all_tiles {
+        plan_stage(w, &exec.units, &cfg.spec, &cfg.flags, &plan)
+            .expect("bench workloads fit the tile budget")
+    } else {
+        (
+            naive_batches(w, &exec.units, &cfg.spec, &plan.batch),
+            PlanTimings::default(),
         )
     };
     let opts = ClusterOptions {

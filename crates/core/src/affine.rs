@@ -138,11 +138,6 @@ pub fn affine_xdrop_views<S: Scorer, HV: SeqView, VV: SeqView>(
     };
 
     for d in 1..=(m + n) {
-        if let Some(cap) = params.max_antidiagonals {
-            if stats.antidiagonals as usize >= cap {
-                break;
-            }
-        }
         let geo_lo = d.saturating_sub(m);
         let geo_hi = d.min(n);
         let cand_lo = live_lo.max(geo_lo);

@@ -116,11 +116,6 @@ pub fn algorithm1_views<S: Scorer, HV: SeqView, VV: SeqView>(
         if k > m + n {
             break;
         }
-        if let Some(cap) = params.max_antidiagonals {
-            if stats.antidiagonals as usize >= cap {
-                break;
-            }
-        }
         // Geometric clamps of the candidate range on antidiagonal k.
         let lo = l.max(k.saturating_sub(m));
         let hi = (u + 1).min(k).min(n);

@@ -250,8 +250,6 @@ pub struct AlignRequest {
     /// [`AffineGaps::linear`] degenerates to the linear model of the
     /// X-Drop family.
     pub gaps: AffineGaps,
-    /// Optional hard cap on antidiagonal sweeps.
-    pub max_antidiagonals: Option<usize>,
 }
 
 impl AlignRequest {
@@ -268,7 +266,6 @@ impl AlignRequest {
             direction: Direction::Forward,
             traceback: false,
             gaps: AffineGaps::new(-3, -1),
-            max_antidiagonals: None,
         }
     }
 
@@ -315,17 +312,10 @@ impl AlignRequest {
         self
     }
 
-    /// Caps the number of antidiagonal sweeps.
-    pub fn max_antidiagonals(mut self, n: usize) -> Self {
-        self.max_antidiagonals = Some(n);
-        self
-    }
-
     /// The [`XDropParams`] this request resolves to.
     pub fn params(&self) -> XDropParams {
         XDropParams {
             x: self.x,
-            max_antidiagonals: self.max_antidiagonals,
             kernel: self.kernel,
         }
     }

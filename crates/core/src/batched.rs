@@ -641,8 +641,7 @@ struct Lane {
 enum LaneState {
     /// Still sweeping antidiagonals.
     Active,
-    /// Terminated normally (geometry exhausted, band went dead, or
-    /// the antidiagonal cap hit).
+    /// Terminated normally (geometry exhausted or band went dead).
     Done,
     /// A live value escaped the `i16` guard band: discard and re-run
     /// through the `i32` reference.
@@ -1671,12 +1670,6 @@ fn lane_burst_impl(
             lane.state = LaneState::Done;
             break;
         }
-        if let Some(cap) = params.max_antidiagonals {
-            if lane.stats.antidiagonals as usize >= cap {
-                lane.state = LaneState::Done;
-                break;
-            }
-        }
         let geo_lo = d.saturating_sub(lane.m);
         let geo_hi = d.min(lane.n);
         let mut cand_lo = lane.live_lo.max(geo_lo);
@@ -2122,16 +2115,5 @@ mod tests {
             spc < 7.0,
             "persistent staging must beat the 14 B/cell operand-copy kernel, got {spc}"
         );
-    }
-
-    #[test]
-    fn max_antidiagonals_cap_matches_scalar() {
-        let a = encode_dna(b"ACGTACGTACGTACGTACGTACGTACGTACGT");
-        let tasks = [BatchTask {
-            h: TaskView::Fwd(&a),
-            v: TaskView::Fwd(&a),
-        }];
-        let params = XDropParams::new(20).with_max_antidiagonals(7);
-        assert_batch_matches_scalar(&tasks, &sc(), params, BandPolicy::Grow(4), 4);
     }
 }

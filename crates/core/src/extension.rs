@@ -24,6 +24,7 @@ use crate::ksw2::Ksw2Params;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, Rev, SeqView};
 use crate::stats::{AlignOutput, AlignStats};
+use crate::workload::Workload;
 use crate::xdrop2::BandPolicy;
 use crate::XDropParams;
 
@@ -88,8 +89,7 @@ impl Backend {
     /// the same `mat` constant its extensions use or the
     /// left + seed + right sum would mix scales. Like minimap2, the
     /// ksw2 convention trusts the seed (`k·mat`) rather than
-    /// re-scoring its symbols — the baselines runner does the same,
-    /// which keeps the facade and runner score-identical.
+    /// re-scoring its symbols.
     fn seed_score<S: Scorer>(&self, x: i32, h_seed: &[u8], v_seed: &[u8], scorer: &S) -> i32 {
         match self.kind {
             AlignerKind::Ksw2 => h_seed.len() as i32 * Ksw2Params::from_x(x).mat,
@@ -275,6 +275,44 @@ impl Extender {
                 Ok(outcome(seed, seed_score, left, right))
             })
             .collect()
+    }
+
+    /// Extends the given comparisons of `w` in the order given,
+    /// handing `sink` each comparison's index and outcome — exactly
+    /// what [`Extender::extend`] returns for it, errors included.
+    ///
+    /// The comparisons are taken [`Extender::grain`] at a time: a
+    /// one-comparison claim runs one [`Extender::extend`], with no
+    /// allocation; a longer one runs one [`Extender::extend_batch`].
+    /// This is the one seed-extension loop of the executor, the
+    /// pipelines and the baseline runner.
+    pub fn extend_each<S: Scorer>(
+        &mut self,
+        w: &Workload,
+        comparisons: impl IntoIterator<Item = usize>,
+        scorer: &S,
+        mut sink: impl FnMut(usize, Result<ExtendOutcome>),
+    ) {
+        let job = |ci: usize| {
+            let c = &w.comparisons[ci];
+            (w.seqs.get(c.h), w.seqs.get(c.v), c.seed)
+        };
+        let grain = self.grain();
+        let mut comparisons = comparisons.into_iter().peekable();
+        while let Some(ci) = comparisons.next() {
+            if grain == 1 || comparisons.peek().is_none() {
+                let (h, v, seed) = job(ci);
+                sink(ci, self.extend(h, v, seed, scorer));
+                continue;
+            }
+            let claim: Vec<usize> = std::iter::once(ci)
+                .chain(comparisons.by_ref().take(grain - 1))
+                .collect();
+            let jobs: Vec<_> = claim.iter().map(|&ci| job(ci)).collect();
+            for (ci, out) in claim.into_iter().zip(self.extend_batch(&jobs, scorer)) {
+                sink(ci, out);
+            }
+        }
     }
 }
 

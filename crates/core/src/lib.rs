@@ -107,9 +107,6 @@ pub struct XDropParams {
     /// The X-Drop threshold: a cell whose score falls more than `x`
     /// below the best score seen so far is pruned to `-∞`.
     pub x: i32,
-    /// Optional hard cap on the number of antidiagonals processed
-    /// (`None` means run until the live band empties).
-    pub max_antidiagonals: Option<usize>,
     /// Which antidiagonal inner-loop implementation runs the
     /// alignment. All kernels are bit-identical (see [`kernel`]);
     /// this only affects host wall-clock, never results or the
@@ -118,12 +115,11 @@ pub struct XDropParams {
 }
 
 impl XDropParams {
-    /// X-Drop parameters with threshold `x`, no iteration cap, and
-    /// the default kernel ([`kernel::KernelKind::auto`]).
+    /// X-Drop parameters with threshold `x` and the default kernel
+    /// ([`kernel::KernelKind::auto`]).
     pub fn new(x: i32) -> Self {
         Self {
             x,
-            max_antidiagonals: None,
             kernel: kernel::KernelKind::auto(),
         }
     }
@@ -133,15 +129,8 @@ impl XDropParams {
     pub fn unbounded() -> Self {
         Self {
             x: i32::MAX / 8,
-            max_antidiagonals: None,
             kernel: kernel::KernelKind::auto(),
         }
-    }
-
-    /// Limits the number of antidiagonal sweeps.
-    pub fn with_max_antidiagonals(mut self, n: usize) -> Self {
-        self.max_antidiagonals = Some(n);
-        self
     }
 
     /// Forces a specific antidiagonal kernel.
@@ -176,9 +165,9 @@ mod tests {
 
     #[test]
     fn params_builders() {
-        let p = XDropParams::new(15).with_max_antidiagonals(100);
+        let p = XDropParams::new(15).with_kernel(kernel::KernelKind::Scalar);
         assert_eq!(p.x, 15);
-        assert_eq!(p.max_antidiagonals, Some(100));
+        assert_eq!(p.kernel, kernel::KernelKind::Scalar);
         assert!(XDropParams::unbounded().x > 1_000_000);
     }
 }

@@ -298,11 +298,6 @@ pub fn xdrop_full_matrix_views<S: Scorer, HV: SeqView, VV: SeqView>(
     stats.cells_computed = 1;
 
     for d in 1..=(m + n) {
-        if let Some(cap) = params.max_antidiagonals {
-            if stats.antidiagonals as usize >= cap {
-                break;
-            }
-        }
         // Candidate i-range for this antidiagonal (Algorithm 1 l.22-23).
         let geo_lo = d.saturating_sub(m);
         let geo_hi = d.min(n);
@@ -496,19 +491,6 @@ mod tests {
         let large = xdrop_full_matrix(&h, &v, &sc(), XDropParams::new(50));
         assert!(small.stats.cells_computed <= large.stats.cells_computed);
         assert!(small.stats.delta_w <= large.stats.delta_w);
-    }
-
-    #[test]
-    fn xdrop_max_antidiagonal_cap() {
-        let s = encode_dna(b"ACGTACGTACGTACGT");
-        let out = xdrop_full_matrix(
-            &s,
-            &s,
-            &sc(),
-            XDropParams::new(10).with_max_antidiagonals(4),
-        );
-        assert_eq!(out.stats.antidiagonals, 4);
-        assert!(out.result.best_score <= 4);
     }
 
     #[test]

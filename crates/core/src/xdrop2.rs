@@ -288,11 +288,6 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     };
 
     for d in 1..=(m + n) {
-        if let Some(cap) = params.max_antidiagonals {
-            if stats.antidiagonals as usize >= cap {
-                break;
-            }
-        }
         let geo_lo = d.saturating_sub(m);
         let geo_hi = d.min(n);
         let mut cand_lo = live_lo.max(geo_lo);

@@ -195,37 +195,6 @@ fn aligned_units(
     (result, u0, u1)
 }
 
-/// Extends the comparisons of one claim with `ext` and hands each
-/// outcome to `sink`, in claim order. A one-comparison claim calls
-/// [`Extender::extend`] directly, with no allocation; a longer one
-/// (a batching extender's [`Extender::grain`]) goes through one
-/// [`Extender::extend_batch`] call.
-fn align_claim<S: Scorer>(
-    w: &Workload,
-    scorer: &S,
-    ext: &mut Extender,
-    claim: &[u32],
-    mut sink: impl FnMut(u32, Result<ExtendOutcome>),
-) {
-    let job = |ci: u32| {
-        let c = &w.comparisons[ci as usize];
-        (w.seqs.get(c.h), w.seqs.get(c.v), c.seed)
-    };
-    match *claim {
-        [] => {}
-        [ci] => {
-            let (h, v, seed) = job(ci);
-            sink(ci, ext.extend(h, v, seed, scorer));
-        }
-        _ => {
-            let jobs: Vec<_> = claim.iter().map(|&ci| job(ci)).collect();
-            for (&ci, out) in claim.iter().zip(ext.extend_batch(&jobs, scorer)) {
-                sink(ci, out);
-            }
-        }
-    }
-}
-
 /// The pre-pool executor: serial below 64 comparisons, otherwise
 /// static contiguous chunks ([`pool::chunked`]), one fresh
 /// [`Extender`] per chunk, one [`Extender::extend`] per comparison.
@@ -279,10 +248,10 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
 /// Runs on [`pool::steal`]: comparisons are claimed in LPT order of
 /// their `|H|×|V|` bound, [`Extender::grain`] at a time — one, or a
 /// lane-width run for the batched kernel — and aligned by
-/// `align_claim` with one extender per worker. Each comparison
-/// writes its result and units straight into its slots of the final
-/// vectors, so the output is identical for any thread count and any
-/// claim interleaving.
+/// [`Extender::extend_each`] with one extender per worker. Each
+/// comparison writes its result and units straight into its slots of
+/// the final vectors, so the output is identical for any thread count
+/// and any claim interleaving.
 pub fn execute_workload<S: Scorer + Sync>(
     w: &Workload,
     scorer: &S,
@@ -307,17 +276,18 @@ pub fn execute_workload<S: Scorer + Sync>(
         ),
         extender,
         |ext, claim| {
-            align_claim(w, scorer, ext, claim.tasks(), |ci, out| match out {
+            let tasks = claim.tasks().iter().map(|&ci| ci as usize);
+            ext.extend_each(w, tasks, scorer, |ci, out| match out {
                 Ok(out) => {
-                    let (result, units) = claim.slot(ci);
-                    let (r, u0, u1) = aligned_units(w, cfg.lr_split, ci as usize, &out);
+                    let (result, units) = claim.slot(ci as u32);
+                    let (r, u0, u1) = aligned_units(w, cfg.lr_split, ci, &out);
                     result[0] = r;
                     units[0] = u0;
                     if let Some(u1) = u1 {
                         units[1] = u1;
                     }
                 }
-                Err(e) => claim.fail(ci, e),
+                Err(e) => claim.fail(ci as u32, e),
             });
         },
     )?;
@@ -551,33 +521,6 @@ mod tests {
             let got = execute_workload(&w, &sc, &c).unwrap_err();
             assert_eq!(want, got, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn batched_claim_handles_invalid_seed_without_poisoning_lanes() {
-        // An out-of-bounds seed in the middle of a claim must fail
-        // that comparison alone; its neighbours in the same batch
-        // still bit-match the scalar path.
-        let mut w = small_workload();
-        let bad = 7u32;
-        w.comparisons[bad as usize].seed = SeedMatch::new(10_000, 10_000, 17);
-        let sc = MatchMismatch::dna_default();
-        let c = cfg(true);
-        let mut batched = Extender::new(c.params.with_kernel(KernelKind::Batched), c.backend());
-        let mut scalar = Extender::new(c.params.with_kernel(KernelKind::Scalar), c.backend());
-        let claim: Vec<u32> = (0..16).collect();
-        let mut seen = Vec::new();
-        align_claim(&w, &sc, &mut batched, &claim, |ci, got| {
-            let mut want = None;
-            align_claim(&w, &sc, &mut scalar, &[ci], |_, out| want = Some(out));
-            match (ci == bad, got, want.expect("one outcome")) {
-                (true, Err(a), Err(b)) => assert_eq!(a, b),
-                (false, Ok(a), Ok(b)) => assert_eq!(a, b, "ci={ci}"),
-                (at_bad, a, b) => panic!("ci={ci} at_bad={at_bad}: {a:?} vs {b:?}"),
-            }
-            seen.push(ci);
-        });
-        assert_eq!(seen, claim, "outcomes arrive in claim order");
     }
 
     #[test]

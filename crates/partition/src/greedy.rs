@@ -52,7 +52,7 @@ impl Builder {
 /// Returns the *smallest* offending comparison index (the
 /// executor's convention for alignment errors too), checked before
 /// the walk starts so the walk itself cannot fail.
-fn comparison_fit_error(
+pub(crate) fn comparison_fit_error(
     w: &Workload,
     budget_bytes: usize,
     threads: usize,

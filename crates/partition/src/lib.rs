@@ -41,8 +41,8 @@ pub use graph::ComparisonGraph;
 pub use greedy::{greedy_partitions, greedy_partitions_with_load_cap, Partition};
 pub use outofcore::{run_pipeline_out_of_core, windows_of, WorkloadWindow};
 pub use pipeline::{
-    run_pipeline, run_pipeline_faulty, run_pipeline_reference, run_pipeline_reference_faulty,
-    PipelineConfig, PipelineOutput,
+    plan_stage, run_pipeline, run_pipeline_faulty, run_pipeline_reference,
+    run_pipeline_reference_faulty, PipelineConfig, PipelineOutput,
 };
 pub use plan::{plan_batches, reuse_stats, PlanConfig, ReuseStats};
 

@@ -39,8 +39,7 @@
 //! per comparison than the payloads it replaces (see DESIGN.md §13).
 
 use crate::error::{PipelineError, WindowStreamError};
-use crate::pipeline::{replay_and_assemble, PipelineConfig, PipelineOutput};
-use crate::plan::plan_batches_timed;
+use crate::pipeline::{plan_stage, replay_and_assemble, PipelineConfig, PipelineOutput};
 use ipu_sim::exec::{execute_workload, planning_units, ExecOutput, UnitResult, WorkUnit};
 use ipu_sim::fault::FaultPlan;
 use ipu_sim::spec::IpuSpec;
@@ -138,7 +137,7 @@ where
     // plan error still waits for execution, which fails first in
     // stage order.
     let punits = planning_units(skeleton, cfg.exec.lr_split);
-    let planned = plan_batches_timed(skeleton, &punits, spec, &cfg.plan);
+    let planned = plan_stage(skeleton, &punits, spec, &cfg.flags, &cfg.plan);
     drop(punits);
 
     // Execute windows in order; generation runs ahead on a producer

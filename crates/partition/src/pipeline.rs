@@ -6,7 +6,8 @@
 //!    written into their comparison's slots of the final vectors).
 //! 2. [`plan_batches_timed`] partitions the comparison graph with the
 //!    serial greedy walk and packs the units into batches, on the
-//!    calling thread.
+//!    calling thread (with [`OptFlags::all_tiles`] off, every unit
+//!    goes to one tile instead).
 //! 3. [`run_cluster_faulty`] replays every batch's modeled tile
 //!    schedule on the pool, then binds the reports, strictly in batch
 //!    order, into the event-driven cluster scheduler.
@@ -28,12 +29,15 @@
 //! error, then the plan error, then the cluster error (the smallest
 //! batch index) — for every entry point and thread count.
 
-use crate::error::PipelineError;
+use crate::error::{PartitionError, PipelineError};
+use crate::greedy::comparison_fit_error;
 use crate::plan::{plan_batches_timed, PlanConfig, PlanTimings};
-use ipu_sim::batch::Batch;
+use ipu_sim::batch::{single_tile_batches, Batch};
 use ipu_sim::cluster::{run_cluster_faulty, ClusterOptions, ClusterReport};
 use ipu_sim::cost::{CostModel, OptFlags};
-use ipu_sim::exec::{execute_workload, execute_workload_reference, ExecConfig, ExecOutput};
+use ipu_sim::exec::{
+    execute_workload, execute_workload_reference, ExecConfig, ExecOutput, WorkUnit,
+};
 use ipu_sim::fault::FaultPlan;
 use ipu_sim::spec::IpuSpec;
 use ipu_sim::trace::ChromeTrace;
@@ -85,6 +89,38 @@ pub struct PipelineOutput {
     pub report: ClusterReport,
     /// Chrome trace, when requested.
     pub trace: Option<ChromeTrace>,
+}
+
+/// The planning stage of every entry point and of the bench harness:
+/// [`plan_batches_timed`] over every tile of the device, or, with
+/// [`OptFlags::all_tiles`] off, every unit serialized onto one tile
+/// ([`single_tile_batches`], the Table 1 "Single tile" row). Either
+/// way a comparison too large for an empty tile is
+/// [`PartitionError::OversizedComparison`] (smallest index).
+pub fn plan_stage(
+    w: &Workload,
+    units: &[WorkUnit],
+    spec: &IpuSpec,
+    flags: &OptFlags,
+    plan: &PlanConfig,
+) -> Result<(Vec<Batch>, PlanTimings), PartitionError> {
+    if flags.all_tiles {
+        return plan_batches_timed(w, units, spec, plan);
+    }
+    let b = &plan.batch;
+    if let Some(e) = comparison_fit_error(w, b.tile_budget(spec), b.threads, b.delta_b) {
+        return Err(e);
+    }
+    let start = std::time::Instant::now();
+    let batches = single_tile_batches(w, units, spec, b);
+    let plan_s = start.elapsed().as_secs_f64();
+    Ok((
+        batches,
+        PlanTimings {
+            partition_s: 0.0,
+            plan_s,
+        },
+    ))
 }
 
 /// The stage every entry point ends with: replays `batches` over the
@@ -159,7 +195,7 @@ pub fn run_pipeline_reference_faulty<S: Scorer + Sync>(
     plan: &FaultPlan,
 ) -> Result<PipelineOutput, PipelineError> {
     let exec = execute_workload_reference(w, scorer, &cfg.exec)?;
-    let (batches, timings) = plan_batches_timed(w, &exec.units, spec, &cfg.plan)?;
+    let (batches, timings) = plan_stage(w, &exec.units, spec, &cfg.flags, &cfg.plan)?;
     replay_and_assemble(exec, batches, &timings, spec, cfg, false, plan)
 }
 
@@ -193,7 +229,7 @@ pub fn run_pipeline_faulty<S: Scorer + Sync>(
     plan: &FaultPlan,
 ) -> Result<PipelineOutput, PipelineError> {
     let exec = execute_workload(w, scorer, &cfg.exec)?;
-    let (batches, timings) = plan_batches_timed(w, &exec.units, spec, &cfg.plan)?;
+    let (batches, timings) = plan_stage(w, &exec.units, spec, &cfg.flags, &cfg.plan)?;
     replay_and_assemble(exec, batches, &timings, spec, cfg, true, plan)
 }
 
@@ -399,18 +435,30 @@ mod tests {
         w.comparisons[7] = Comparison::new(a, b, SeedMatch::new(0, 0, 1));
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
-        for threads in [1usize, 8] {
-            let err = run_pipeline(&w, &sc, &spec, &cfg(threads)).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    PipelineError::Partition(crate::error::PartitionError::OversizedComparison {
-                        comparison: 7,
-                        ..
-                    })
-                ),
-                "threads {threads}: {err}"
-            );
+        let naive = PlanConfig::naive(64).with_min_batches(4);
+        for (flags, plan) in [
+            (OptFlags::full(), cfg(1).plan),
+            (OptFlags::full(), naive),
+            (OptFlags::single_tile(), cfg(1).plan),
+        ] {
+            for threads in [1usize, 8] {
+                let c = PipelineConfig {
+                    flags,
+                    plan,
+                    ..cfg(threads)
+                };
+                let err = run_pipeline(&w, &sc, &spec, &c).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        PipelineError::Partition(
+                            crate::error::PartitionError::OversizedComparison { comparison: 7, .. }
+                        )
+                    ),
+                    "{flags:?} partitioned {} threads {threads}: {err}",
+                    plan.use_partitioning
+                );
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::error::PartitionError;
 #[cfg(test)]
 use crate::greedy::greedy_partitions;
-use crate::greedy::{greedy_partitions_with_load_cap, Partition};
+use crate::greedy::{comparison_fit_error, greedy_partitions_with_load_cap, Partition};
 use ipu_sim::batch::{naive_batches, Batch, BatchConfig, TileAssignment};
 use ipu_sim::exec::WorkUnit;
 use ipu_sim::spec::IpuSpec;
@@ -224,6 +224,10 @@ pub fn plan_batches_timed(
             },
         ))
     } else {
+        let b = &cfg.batch;
+        if let Some(e) = comparison_fit_error(w, b.tile_budget(spec), b.threads, b.delta_b) {
+            return Err(e);
+        }
         let batch = BatchConfig {
             max_load_per_tile: Some(cap),
             ..cfg.batch

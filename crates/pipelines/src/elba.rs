@@ -128,7 +128,11 @@ pub fn run_elba_from_workload(
     let mut scores = Vec::with_capacity(workload.comparisons.len());
     let mut accepted = Vec::new();
     let mut spans = Vec::with_capacity(workload.comparisons.len());
-    crate::align_comparisons(&workload, &scorer, &mut ext, |ci, out| {
+    let all = 0..workload.comparisons.len();
+    ext.extend_each(&workload, all, &scorer, |ci, out| {
+        // A `Grow` band fails only on a seed past a sequence end.
+        #[allow(clippy::expect_used)] // reason: documented panic.
+        let out = out.expect("seed inside its sequences");
         scores.push(out.score);
         spans.push((out.h_span, out.v_span));
         let aligned = out.h_len().min(out.v_len());

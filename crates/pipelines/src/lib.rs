@@ -36,45 +36,6 @@ pub mod spmat;
 pub use elba::{ElbaConfig, ElbaRun};
 pub use overlap::OverlapConfig;
 pub use pastis::{PastisConfig, PastisRun};
-use xdrop_core::extension::{ExtendOutcome, Extender};
-use xdrop_core::workload::{Comparison, Workload};
-use xdrop_core::Scorer;
-
-/// Extends every comparison of `w` in order, [`Extender::grain`] at a
-/// time, handing `sink` each outcome and its index: one
-/// [`Extender::extend`] (no allocation) per one-comparison claim, one
-/// [`Extender::extend_batch`] per longer one.
-///
-/// # Panics
-///
-/// When an extension fails: under the pipelines' `Grow` band policy
-/// only an out-of-bounds seed can, and [`overlap`] emits none.
-pub(crate) fn align_comparisons<S: Scorer>(
-    w: &Workload,
-    scorer: &S,
-    ext: &mut Extender,
-    mut sink: impl FnMut(usize, ExtendOutcome),
-) {
-    #[allow(clippy::expect_used)] // reason: see `# Panics`.
-    let mut emit = |ci, out: xdrop_core::Result<_>| sink(ci, out.expect("extension failed"));
-    let grain = ext.grain();
-    let job = |c: &Comparison| (w.seqs.get(c.h), w.seqs.get(c.v), c.seed);
-    for (claim, chunk) in w.comparisons.chunks(grain).enumerate() {
-        let base = claim * grain;
-        match chunk {
-            [c] => {
-                let (h, v, seed) = job(c);
-                emit(base, ext.extend(h, v, seed, scorer));
-            }
-            _ => {
-                let jobs: Vec<_> = chunk.iter().map(job).collect();
-                for (ci, out) in (base..).zip(ext.extend_batch(&jobs, scorer)) {
-                    emit(ci, out);
-                }
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -84,14 +45,15 @@ mod tests {
     use seqdata::reads::simulate_reads;
     use xdrop_core::aligner::AlignerKind;
     use xdrop_core::alphabet::Alphabet;
-    use xdrop_core::extension::Backend;
+    use xdrop_core::extension::{Backend, ExtendOutcome, Extender};
     use xdrop_core::kernel::KernelKind;
-    use xdrop_core::scoring::{Blosum62, MatchMismatch};
-    use xdrop_core::workload::SeqSet;
+    use xdrop_core::scoring::{Blosum62, MatchMismatch, Scorer};
+    use xdrop_core::workload::{SeqSet, Workload};
     use xdrop_core::xdrop2::BandPolicy;
     use xdrop_core::XDropParams;
 
-    /// The helper's outcomes under `kernel`, and the claim size.
+    /// The pipelines' extension outcomes under `kernel`, and the claim
+    /// size.
     fn outcomes<S: Scorer>(
         w: &Workload,
         scorer: &S,
@@ -103,9 +65,9 @@ mod tests {
             Backend::for_kind(AlignerKind::XDrop2, x, BandPolicy::Grow(256)),
         );
         let mut outs = Vec::new();
-        align_comparisons(w, scorer, &mut ext, |ci, out| {
+        ext.extend_each(w, 0..w.comparisons.len(), scorer, |ci, out| {
             assert_eq!(ci, outs.len(), "outcomes arrive in comparison order");
-            outs.push(out);
+            outs.push(out.unwrap());
         });
         (ext.grain(), outs)
     }

@@ -677,13 +677,55 @@ fn extension_seeds(h: &[u8], v: &[u8], k: usize) -> Vec<SeedMatch> {
     ]
 }
 
+/// `Extender::extend_each` over a workload cycling through `jobs`
+/// hands out exactly `Extender::extend`'s outcome per comparison, in
+/// the order given, for 0, 1, grain − 1, grain, grain + 1 and
+/// 3·grain + 2 comparisons taken in a non-ascending order (as the LPT
+/// claims are), with one out-of-bounds seed mid-claim failing its own
+/// comparison alone.
+fn check_extend_each<S: Scorer>(
+    ext: &mut xdrop_ipu::core::extension::Extender,
+    jobs: &[(&[u8], &[u8], SeedMatch)],
+    scorer: &S,
+    cell: &str,
+) {
+    let grain = ext.grain();
+    let m = 3 * grain + 2;
+    // Alternately the largest and the smallest index not yet taken.
+    let order: Vec<usize> = (0..m)
+        .map(|i| if i % 2 == 0 { m - 1 - i / 2 } else { i / 2 })
+        .collect();
+    let mut w = Workload::new(Alphabet::Dna);
+    for i in 0..m {
+        let (h, v, seed) = jobs[i % jobs.len()];
+        let (h, v) = (w.seqs.push(h.to_vec()), w.seqs.push(v.to_vec()));
+        w.comparisons.push(Comparison::new(h, v, seed));
+    }
+    let bad = order[grain / 2];
+    w.comparisons[bad].seed.h_pos = w.seqs.seq_len(w.comparisons[bad].h);
+    let want: Vec<_> = w
+        .comparisons
+        .iter()
+        .map(|c| ext.extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, scorer))
+        .collect();
+    assert!(matches!(want[bad], Err(AlignError::SeedOutOfBounds { .. })));
+    for count in [0, 1, grain - 1, grain, grain + 1, m] {
+        let mut seen = Vec::new();
+        ext.extend_each(&w, order[..count].iter().copied(), scorer, |ci, got| {
+            assert_eq!(got, want[ci], "{cell} count={count} comparison {ci}");
+            seen.push(ci);
+        });
+        assert_eq!(seen, order[..count], "{cell} count={count}: order");
+    }
+}
+
 /// For every engine, `Extender::extend` is exactly two facade
 /// requests: the left side is a `Reverse` request over the prefixes
 /// before the seed, the right side a `Forward` request over the
 /// suffixes after it, under the same engine, kernel, band policy and
 /// `x` (and the linear gap model for `Affine`). A band overflow
 /// surfaces as the same typed error, the left side's first, and
-/// `extend_batch` equals `extend` job by job.
+/// `extend_batch` and `extend_each` equal `extend` job by job.
 #[test]
 fn extender_sides_match_facade_requests() {
     use xdrop_ipu::core::extension::{Backend, Extender};
@@ -745,6 +787,7 @@ fn extender_sides_match_facade_requests() {
                     for (i, (&(h, v, seed), got)) in jobs.iter().zip(batch).enumerate() {
                         assert_eq!(got, ext.extend(h, v, seed, &scorer), "{cell} job {i}");
                     }
+                    check_extend_each(&mut ext, &jobs, &scorer, &cell);
                 }
             }
         }

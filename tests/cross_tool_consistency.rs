@@ -1,14 +1,18 @@
 //! Cross-tool consistency: the simulated-IPU kernel (memory-
-//! restricted two-antidiagonal), the SeqAn-style baseline (classical
+//! restricted two-antidiagonal), the SeqAn model (classical
 //! three-antidiagonal), the LOGAN model (saturating band) and the
-//! ksw2 model (affine z-drop) are independent code paths that must
-//! agree on alignment scores whenever their search spaces coincide.
+//! ksw2 model (affine z-drop) must agree on alignment scores whenever
+//! their search spaces coincide.
 //!
-//! Backend selection routes through the `Aligner` facade: the
-//! pipeline picks engines via `ExecConfig::with_aligner`
-//! ([`xdrop_ipu::core::aligner::AlignerKind`]), and each facade
-//! engine is pinned against the corresponding standalone baseline
-//! runner ([`xdrop_ipu::baselines::runner`]).
+//! Both sides extend through `Extender::extend_each`: the executor
+//! picks its engine via `ExecConfig::with_aligner`
+//! ([`xdrop_ipu::core::aligner::AlignerKind`]), and the baseline
+//! runner ([`xdrop_ipu::baselines::runner`]) maps each tool to its
+//! engine with `ToolKind::aligner`. What the tests pin is therefore
+//! the tool models themselves: each tool's scores against the
+//! executor's under the same engine, the one-sided laws between
+//! tools, and every tool report's scores and cell counts against a
+//! fixture.
 
 use xdrop_ipu::baselines::runner::{run_workload, ToolKind};
 use xdrop_ipu::core::aligner::AlignerKind;
@@ -42,16 +46,15 @@ fn ipu_and_seqan_scores_identical() {
     let sc = MatchMismatch::dna_default();
     for x in [5, 15] {
         let ipu = facade_scores(&w, AlignerKind::XDrop2, x);
-        let seqan = run_workload(&w, ToolKind::SeqAn, x, &sc, 4, 1);
+        let seqan = run_workload(&w, ToolKind::SeqAn, x, &sc, 4, 1).unwrap();
         assert_eq!(ipu, seqan.scores, "x={x}");
     }
 }
 
-/// Every facade engine with a standalone baseline runner must score
-/// the whole workload identically to that runner: same seed-and-
-/// extend convention, same band geometry, same scoring scale. This
-/// pins the facade's engine wiring against three independently
-/// written tool models.
+/// Every facade engine that models a tool must score the whole
+/// workload through the executor identically to that tool's runner
+/// report: same seed-and-extend convention, same band geometry, same
+/// scoring scale.
 #[test]
 fn facade_backends_match_baseline_runners() {
     let w = workload();
@@ -63,7 +66,7 @@ fn facade_backends_match_baseline_runners() {
     ];
     for (kind, tool) in pairs {
         let facade = facade_scores(&w, kind, 15);
-        let runner = run_workload(&w, tool, 15, &sc, 4, 1);
+        let runner = run_workload(&w, tool, 15, &sc, 4, 1).unwrap();
         assert_eq!(
             facade,
             runner.scores,
@@ -81,8 +84,8 @@ fn logan_scores_never_exceed_exact() {
     let w = workload();
     let sc = MatchMismatch::dna_default();
     let x = 15;
-    let exact = run_workload(&w, ToolKind::SeqAn, x, &sc, 4, 1);
-    let logan = run_workload(&w, ToolKind::Logan, x, &sc, 4, 1);
+    let exact = run_workload(&w, ToolKind::SeqAn, x, &sc, 4, 1).unwrap();
+    let logan = run_workload(&w, ToolKind::Logan, x, &sc, 4, 1).unwrap();
     for (ci, (e, l)) in exact.scores.iter().zip(&logan.scores).enumerate() {
         assert!(l <= e, "comparison {ci}: LOGAN {l} > exact {e}");
     }
@@ -115,8 +118,8 @@ fn ksw2_finds_homology_where_xdrop_does() {
     // ksw2 runs as the standalone tool model or as a facade engine.
     let w = workload();
     let sc = MatchMismatch::dna_default();
-    let exact = run_workload(&w, ToolKind::SeqAn, 15, &sc, 4, 1);
-    let ksw2 = run_workload(&w, ToolKind::Ksw2, 15, &sc, 4, 1);
+    let exact = run_workload(&w, ToolKind::SeqAn, 15, &sc, 4, 1).unwrap();
+    let ksw2 = run_workload(&w, ToolKind::Ksw2, 15, &sc, 4, 1).unwrap();
     let facade_ksw2 = facade_scores(&w, AlignerKind::Ksw2, 15);
     for (ci, c) in w.comparisons.iter().enumerate() {
         let min_len = w.seqs.seq_len(c.h).min(w.seqs.seq_len(c.v)) as i32;
@@ -141,10 +144,57 @@ fn work_accounting_consistent_across_tools() {
     let sc = MatchMismatch::dna_default();
     let x = 15;
     let ipu = execute_workload(&w, &sc, &ExecConfig::new(XDropParams::new(x))).unwrap();
-    let seqan = run_workload(&w, ToolKind::SeqAn, x, &sc, 4, 1);
+    let seqan = run_workload(&w, ToolKind::SeqAn, x, &sc, 4, 1).unwrap();
     // Identical pruning rule ⇒ identical cell counts.
     assert_eq!(ipu.total_cells_computed(), seqan.cells_computed);
     // LOGAN's padded lane work is at least its real work.
-    let logan = run_workload(&w, ToolKind::Logan, x, &sc, 4, 1);
+    let logan = run_workload(&w, ToolKind::Logan, x, &sc, 4, 1).unwrap();
     assert!(logan.padded_cells >= logan.cells_computed);
+}
+
+/// What the pin records of one runner report.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct PinnedReport {
+    tool: String,
+    x: i32,
+    scores: Vec<i32>,
+    cells_computed: u64,
+    padded_cells: u64,
+}
+
+/// Pins every tool report's scores and work counters for x ∈ {5, 15}
+/// at 1 and 4 runner threads against `tests/fixtures/tool_reports.json`:
+/// the figures the Figure 5 comparison models time from. Regenerate
+/// after an intentional change with
+/// `UPDATE_FIXTURES=1 cargo test --test cross_tool_consistency`.
+#[test]
+fn tool_reports_match_the_pinned_fixture() {
+    let w = workload();
+    let sc = MatchMismatch::dna_default();
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/tool_reports.json");
+    let mut got = Vec::new();
+    for tool in [ToolKind::SeqAn, ToolKind::Ksw2, ToolKind::Logan] {
+        for x in [5, 15] {
+            let pin = |threads| {
+                let r = run_workload(&w, tool, x, &sc, threads, 1).unwrap();
+                PinnedReport {
+                    tool: r.tool,
+                    x,
+                    scores: r.scores,
+                    cells_computed: r.cells_computed,
+                    padded_cells: r.padded_cells,
+                }
+            };
+            let one = pin(1);
+            assert_eq!(one, pin(4), "{} x={x}: 1 vs 4 threads", tool.name());
+            got.push(one);
+        }
+    }
+    if std::env::var_os("UPDATE_FIXTURES").is_some() {
+        std::fs::write(&path, serde_json::to_string(&got).unwrap() + "\n").unwrap();
+    }
+    let want: Vec<PinnedReport> =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert_eq!(got, want);
 }

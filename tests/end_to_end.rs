@@ -122,3 +122,47 @@ fn workload_validation_end_to_end() {
         w.validate().expect("workload validates");
     }
 }
+
+#[test]
+fn single_tile_flag_is_honoured_by_every_entry_point() {
+    // `OptFlags::all_tiles = false` serializes every unit onto one
+    // tile. The driver, the in-core and out-of-core pipelines and the
+    // bench harness all plan that way, so they model the same time.
+    use xdrop_bench::harness::{run_ipu, IpuRunConfig};
+    use xdrop_ipu::partition::{
+        run_pipeline, run_pipeline_out_of_core, windows_of, PipelineConfig,
+    };
+    let w = Dataset::new(DatasetKind::Ecoli, 0.01)
+        .with_max_comparisons(24)
+        .generate();
+    let sc = MatchMismatch::dna_default();
+    let x = 15;
+    let flags = OptFlags::single_tile();
+    let harness = run_ipu(
+        &w,
+        &sc,
+        &IpuRunConfig {
+            flags,
+            ..IpuRunConfig::full_gc200(x)
+        },
+    );
+    let full = run_ipu(&w, &sc, &IpuRunConfig::full_gc200(x));
+    assert!(harness.seconds > full.seconds, "one tile must be slower");
+    let sys = IpuSystem {
+        flags,
+        ..IpuSystem::gc200()
+    };
+    let driver = sys.align(&w, &sc, x).unwrap();
+    assert_eq!(driver.seconds, harness.seconds);
+    assert_eq!(driver.batches, harness.batches);
+    let mut cfg = PipelineConfig::new(x);
+    cfg.exec.policy = sys.policy;
+    cfg.exec.lr_split = flags.lr_split;
+    cfg.plan = PlanConfig::partitioned(sys.delta_b).with_min_batches(sys.min_batches);
+    cfg.flags = flags;
+    let in_core = run_pipeline(&w, &sc, &sys.spec, &cfg).unwrap();
+    assert_eq!(in_core.report.total_seconds, harness.seconds);
+    let windows = windows_of(&w, 5).into_iter();
+    let ooc = run_pipeline_out_of_core(&w, windows, &sc, &sys.spec, &cfg, 1).unwrap();
+    assert_eq!(ooc.report, in_core.report);
+}
