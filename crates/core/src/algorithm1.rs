@@ -1,4 +1,5 @@
-//! A literal transcription of the paper's **Algorithm 1** pseudocode.
+//! A literal transcription of the paper's **Algorithm 1** pseudocode,
+//! kept as a test-only oracle of [`crate::xdrop2`].
 //!
 //! [`crate::xdrop2`] implements the same algorithm with cleaner
 //! bookkeeping (explicit per-diagonal base indices instead of the
@@ -59,7 +60,7 @@ use crate::XDropParams;
 /// Algorithm 1, transcribed. Buffers are allocated at full `δ`
 /// (the paper restricts them to `δ_b`; use [`crate::xdrop2`] for
 /// that — this port keeps the indexing identical to the listing).
-pub fn algorithm1_align<S: Scorer>(
+pub(crate) fn algorithm1_align<S: Scorer>(
     h: &[u8],
     v: &[u8],
     scorer: &S,
@@ -69,7 +70,7 @@ pub fn algorithm1_align<S: Scorer>(
 }
 
 /// [`algorithm1_align`] over directional views (the paper's `op(·)`).
-pub fn algorithm1_views<S: Scorer, HV: SeqView, VV: SeqView>(
+fn algorithm1_views<S: Scorer, HV: SeqView, VV: SeqView>(
     h: &HV,
     v: &VV,
     scorer: &S,

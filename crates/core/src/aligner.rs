@@ -1,12 +1,11 @@
 //! One `Aligner` facade over every backend.
 //!
-//! The paper's two-antidiagonal kernel is one point in a family of
-//! banded aligners — the classical three-antidiagonal X-Drop, an
-//! affine-gap X-Drop, ksw2's affine z-drop, LOGAN's fixed-window GPU
-//! band, and Hirschberg's linear-space global traceback. This module
-//! puts them behind a single entry point, mirroring sigalign's
-//! `DynamicAligner::alignment`: a request names the engine
-//! ([`AlignerKind`]), the inner-loop kernel
+//! The paper evaluates its two-antidiagonal kernel against three
+//! other extenders: the classical three-antidiagonal X-Drop (SeqAn),
+//! ksw2's affine z-drop, and LOGAN's fixed-window GPU band. This
+//! module puts exactly those four behind a single entry point,
+//! mirroring sigalign's `DynamicAligner::alignment`: a request names
+//! the engine ([`AlignerKind`]), the inner-loop kernel
 //! ([`crate::kernel::KernelKind`]), the band policy, the score cell
 //! type, the sweep direction, and whether a traceback is wanted; the
 //! facade dispatches and returns a uniform [`AlignOutcome`].
@@ -14,9 +13,10 @@
 //! The engine match lives in one place: a private dispatch, generic
 //! over the score cell type, that both [`Aligner::align`] and
 //! [`crate::extension::Extender`] call with their own workspaces.
-//! The facade adds request validation and traceback-on-demand; an
-//! extender adds the seed split and runs the affine engine under the
-//! scorer's linear gap model.
+//! The facade adds request validation and traceback-on-demand
+//! (Hirschberg's linear-space global alignment,
+//! [`crate::hirschberg`], over the region the extension reached); an
+//! extender adds the seed split.
 //!
 //! ## Comparability classes
 //!
@@ -28,28 +28,23 @@
 //!   built on it): same pruning rule, same linear-gap model. Results
 //!   *and* work statistics match bit-for-bit under a sufficient band
 //!   (`BandPolicy::Grow`).
-//! * **score-compatible** — `LoganBand` (≤ exact, equal when its
-//!   fixed window covers the live band) and `Affine` with
-//!   [`AffineGaps::linear`] gaps (equal to `XDrop3` when `x` is
-//!   generous; the affine pruning heuristic may differ under tight
-//!   `x`).
+//! * **score-compatible** — `LoganBand`: ≤ exact, equal when its
+//!   fixed window covers the live band.
 //! * **model-only** — `Ksw2` (its own scoring scale: `mat 2`,
-//!   `mis −4`, affine gaps, z-drop) and `Hirschberg` (global, not
-//!   extension): agree on *biology* (which pairs are homologous),
-//!   not on scores.
+//!   `mis −4`, affine gaps, z-drop): agrees on *biology* (which pairs
+//!   are homologous), not on scores.
 //!
 //! ## Kernel and score-type support
 //!
 //! The `KernelKind` axis dispatches the banded two-antidiagonal core,
 //! so it applies to `XDrop2` and `LoganBand` (which *is* `XDrop2`
-//! under a saturating fixed window). The other engines have exactly
+//! under a saturating fixed window). `XDrop3` and `Ksw2` have exactly
 //! one implementation; requesting a non-`Scalar` kernel for them is a
 //! typed [`AlignError::InvalidConfig`], never a silent fallback —
 //! `tests/aligner_matrix.rs` accounts for every such skipped cell
 //! explicitly. Likewise `f32` score cells exist for the
 //! `XDrop2`/`XDrop3`/`LoganBand` family only.
 
-use crate::affine::{affine_xdrop_views, AffineGaps};
 use crate::error::{AlignError, Result};
 use crate::extension::Backend;
 use crate::hirschberg::hirschberg;
@@ -59,7 +54,7 @@ use crate::reference::Alignment;
 use crate::scorety::ScoreTy;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, Rev, SeqView};
-use crate::stats::{AlignOutput, AlignResult, AlignStats};
+use crate::stats::AlignOutput;
 use crate::xdrop2::{self, BandPolicy};
 use crate::xdrop3;
 use crate::XDropParams;
@@ -73,11 +68,6 @@ pub enum AlignerKind {
     /// The classical three-antidiagonal X-Drop of Zhang et al.
     /// ([`crate::xdrop3`]; what SeqAn implements).
     XDrop3,
-    /// Affine-gap (Gotoh) X-Drop ([`crate::affine`]).
-    Affine,
-    /// Hirschberg's linear-space *global* alignment with full
-    /// traceback ([`crate::hirschberg`]).
-    Hirschberg,
     /// LOGAN's fixed-width saturating band: `XDrop2` under
     /// [`BandPolicy::Saturate`] with the warp-rounded window of
     /// [`logan_band_width`]. May clip score, never invents it.
@@ -90,23 +80,19 @@ pub enum AlignerKind {
 impl AlignerKind {
     /// Every engine, in the stable report order used by the scenario
     /// matrix.
-    pub const ALL: [AlignerKind; 6] = [
+    pub const ALL: [AlignerKind; 4] = [
         AlignerKind::XDrop2,
         AlignerKind::XDrop3,
-        AlignerKind::Affine,
-        AlignerKind::Hirschberg,
         AlignerKind::LoganBand,
         AlignerKind::Ksw2,
     ];
 
-    /// Stable lower-case name (`xdrop2` / `xdrop3` / `affine` /
-    /// `hirschberg` / `logan-band` / `ksw2`).
+    /// Stable lower-case name (`xdrop2` / `xdrop3` / `logan-band` /
+    /// `ksw2`).
     pub fn name(self) -> &'static str {
         match self {
             AlignerKind::XDrop2 => "xdrop2",
             AlignerKind::XDrop3 => "xdrop3",
-            AlignerKind::Affine => "affine",
-            AlignerKind::Hirschberg => "hirschberg",
             AlignerKind::LoganBand => "logan-band",
             AlignerKind::Ksw2 => "ksw2",
         }
@@ -117,8 +103,6 @@ impl AlignerKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "xdrop2" => Some(AlignerKind::XDrop2),
             "xdrop3" => Some(AlignerKind::XDrop3),
-            "affine" => Some(AlignerKind::Affine),
-            "hirschberg" => Some(AlignerKind::Hirschberg),
             "logan-band" | "logan" => Some(AlignerKind::LoganBand),
             "ksw2" => Some(AlignerKind::Ksw2),
             _ => None,
@@ -150,11 +134,10 @@ impl AlignerKind {
             );
         }
         match self {
-            AlignerKind::XDrop3 => Ok(()), // generic over ScoreTy
-            _ if score == ScoreKind::F32 => {
+            AlignerKind::Ksw2 if score == ScoreKind::F32 => {
                 Err("engine computes i32 score cells only — use ScoreKind::I32")
             }
-            _ => Ok(()),
+            _ => Ok(()), // XDrop3 is generic over ScoreTy
         }
     }
 }
@@ -224,8 +207,7 @@ pub fn logan_band_width(x: i32) -> usize {
 pub struct AlignRequest {
     /// The engine.
     pub kind: AlignerKind,
-    /// X-Drop factor (z-drop scale for [`AlignerKind::Ksw2`];
-    /// ignored by [`AlignerKind::Hirschberg`]).
+    /// X-Drop factor (z-drop scale for [`AlignerKind::Ksw2`]).
     pub x: i32,
     /// Inner-loop kernel for the banded two-antidiagonal core.
     /// Defaults to [`KernelKind::auto`] (cached once per process);
@@ -235,8 +217,8 @@ pub struct AlignRequest {
     pub kernel: KernelKind,
     /// Band policy for [`AlignerKind::XDrop2`].
     /// [`AlignerKind::LoganBand`] has an intrinsic
-    /// [`BandPolicy::Saturate`] window and ignores this field; the
-    /// remaining engines manage their own windows.
+    /// [`BandPolicy::Saturate`] window and ignores this field;
+    /// `XDrop3` and `Ksw2` manage their own windows.
     pub policy: BandPolicy,
     /// Score cell type.
     pub score: ScoreKind,
@@ -246,16 +228,12 @@ pub struct AlignRequest {
     /// [`crate::hirschberg`] over the aligned region) in addition to
     /// the score.
     pub traceback: bool,
-    /// Gap model for [`AlignerKind::Affine`];
-    /// [`AffineGaps::linear`] degenerates to the linear model of the
-    /// X-Drop family.
-    pub gaps: AffineGaps,
 }
 
 impl AlignRequest {
     /// A request for `kind` with X-Drop factor `x` and defaults:
     /// auto kernel, `Grow(64)` band, `i32` cells, forward sweep, no
-    /// traceback, `(-3, -1)` affine gaps.
+    /// traceback.
     pub fn new(kind: AlignerKind, x: i32) -> Self {
         Self {
             kind,
@@ -265,7 +243,6 @@ impl AlignRequest {
             score: ScoreKind::I32,
             direction: Direction::Forward,
             traceback: false,
-            gaps: AffineGaps::new(-3, -1),
         }
     }
 
@@ -306,12 +283,6 @@ impl AlignRequest {
         self
     }
 
-    /// Sets the affine gap model.
-    pub fn gaps(mut self, gaps: AffineGaps) -> Self {
-        self.gaps = gaps;
-        self
-    }
-
     /// The [`XDropParams`] this request resolves to.
     pub fn params(&self) -> XDropParams {
         XDropParams {
@@ -330,16 +301,14 @@ impl AlignRequest {
 }
 
 /// What the facade returns: a uniform score/stats record plus the
-/// operation path when one was requested (or when the engine —
-/// [`AlignerKind::Hirschberg`] — produces one natively).
+/// operation path when one was requested.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignOutcome {
     /// Alignment result and work statistics, in the engine's scoring
     /// scale.
     pub output: AlignOutput,
     /// Operation path over the aligned region, in request-direction
-    /// coordinates. Present iff `traceback` was requested or the
-    /// engine is [`AlignerKind::Hirschberg`].
+    /// coordinates. Present iff `traceback` was requested.
     pub alignment: Option<Alignment>,
 }
 
@@ -409,24 +378,19 @@ impl Aligner {
         req: &AlignRequest,
     ) -> Result<AlignOutcome> {
         let backend = Backend::for_kind(req.kind, req.x, req.policy);
-        let (params, gaps) = (req.params(), req.gaps);
-        let (output, alignment) = match req.score {
-            ScoreKind::I32 => dispatch(backend, gaps, h, v, scorer, params, &mut self.ws_i32)?,
-            ScoreKind::F32 => dispatch(backend, gaps, h, v, scorer, params, &mut self.ws_f32)?,
+        let params = req.params();
+        let output = match req.score {
+            ScoreKind::I32 => dispatch(backend, h, v, scorer, params, &mut self.ws_i32)?,
+            ScoreKind::F32 => dispatch(backend, h, v, scorer, params, &mut self.ws_f32)?,
         };
-        let alignment = match alignment {
-            Some(aln) => Some(aln),
-            None if req.traceback => {
-                // Traceback-on-demand: the extension engines track no
-                // path, so recover one over the region they aligned
-                // (view coordinates) through the linear-space global
-                // aligner.
-                let ho = materialize_prefix(h, output.result.end_h);
-                let vo = materialize_prefix(v, output.result.end_v);
-                Some(hirschberg(&ho, &vo, scorer))
-            }
-            None => None,
-        };
+        // Traceback-on-demand: the engines track no path, so recover
+        // one over the region they aligned (view coordinates) through
+        // the linear-space global aligner.
+        let alignment = req.traceback.then(|| {
+            let ho = materialize_prefix(h, output.result.end_h);
+            let vo = materialize_prefix(v, output.result.end_v);
+            hirschberg(&ho, &vo, scorer)
+        });
         Ok(AlignOutcome { output, alignment })
     }
 }
@@ -443,18 +407,16 @@ pub(crate) struct Workspaces<T: ScoreTy> {
 /// The one engine dispatch behind both [`Aligner::align`] and
 /// [`crate::extension::Extender`]: runs `backend` over `h` × `v` in
 /// the caller's workspaces. The band policy comes resolved in
-/// `backend`, `gaps` is the affine engine's gap model, and only
-/// Hirschberg returns a path.
+/// `backend`.
 pub(crate) fn dispatch<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     backend: Backend,
-    gaps: AffineGaps,
     h: &HV,
     v: &VV,
     scorer: &S,
     params: XDropParams,
     ws: &mut Workspaces<T>,
-) -> Result<(AlignOutput, Option<Alignment>)> {
-    let output = match backend.kind {
+) -> Result<AlignOutput> {
+    Ok(match backend.kind {
         AlignerKind::XDrop2 | AlignerKind::LoganBand => kernel::align_views(
             params.kernel,
             h,
@@ -465,18 +427,11 @@ pub(crate) fn dispatch<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
             &mut ws.xdrop2,
         )?,
         AlignerKind::XDrop3 => xdrop3::align_views_ty(h, v, scorer, params, &mut ws.xdrop3),
-        AlignerKind::Affine => affine_xdrop_views(h, v, scorer, gaps, params),
         AlignerKind::Ksw2 => {
             let (ho, vo) = (materialize(h), materialize(v));
             ksw2_extend(&ho, &vo, &Ksw2Params::from_x(params.x))
         }
-        AlignerKind::Hirschberg => {
-            let (ho, vo) = (materialize(h), materialize(v));
-            let aln = hirschberg(&ho, &vo, scorer);
-            return Ok((hirschberg_output(&aln, ho.len(), vo.len()), Some(aln)));
-        }
-    };
-    Ok((output, None))
+    })
 }
 
 fn materialize<V: SeqView>(view: &V) -> Vec<u8> {
@@ -487,37 +442,10 @@ fn materialize_prefix<V: SeqView>(view: &V, n: usize) -> Vec<u8> {
     (0..n.min(view.len())).map(|i| view.at(i)).collect()
 }
 
-/// Shapes a global [`Alignment`] into the extension-style
-/// [`AlignOutput`] record every other engine produces. Global
-/// alignment consumes both sequences, so the end point is fixed; the
-/// work fields describe Hirschberg's actual cost profile — ~2·m·n
-/// computed cells (the divide-and-conquer recursion re-scores each
-/// half once) in two rows of working memory.
-fn hirschberg_output(aln: &Alignment, m: usize, n: usize) -> AlignOutput {
-    let delta = m.min(n) + 1;
-    AlignOutput {
-        result: AlignResult {
-            best_score: aln.score,
-            end_h: m,
-            end_v: n,
-        },
-        stats: AlignStats {
-            cells_computed: 2 * (m as u64) * (n as u64),
-            antidiagonals: (m + n) as u64,
-            delta_w: delta,
-            delta,
-            work_bytes: 2 * (m + 1) * std::mem::size_of::<i32>(),
-            cells_dropped: 0,
-            cells_clipped: 0,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alphabet::encode_dna;
-    use crate::reference::needleman_wunsch;
     use crate::scoring::MatchMismatch;
 
     fn sc() -> MatchMismatch {
@@ -568,7 +496,7 @@ mod tests {
     fn undefined_cells_are_typed_errors() {
         let (h, v) = pair();
         let mut a = Aligner::new();
-        let req = AlignRequest::new(AlignerKind::Hirschberg, 10).kernel(KernelKind::Simd);
+        let req = AlignRequest::new(AlignerKind::XDrop3, 10).kernel(KernelKind::Simd);
         assert!(matches!(
             a.align(&h, &v, &sc(), &req).unwrap_err(),
             AlignError::InvalidConfig(_)
@@ -596,25 +524,6 @@ mod tests {
         assert_eq!(aln.end, (out.output.result.end_h, out.output.result.end_v));
         assert!(!aln.ops.is_empty());
         assert!(out.cigar().unwrap().ends_with(['M', 'I', 'D']));
-    }
-
-    #[test]
-    fn hirschberg_kind_is_global_with_native_traceback() {
-        let (h, v) = pair();
-        let mut a = Aligner::new();
-        let out = a
-            .align(
-                &h,
-                &v,
-                &sc(),
-                &AlignRequest::new(AlignerKind::Hirschberg, 10).kernel(KernelKind::Scalar),
-            )
-            .unwrap();
-        let nw = needleman_wunsch(&h, &v, &sc());
-        assert_eq!(out.score(), nw.score);
-        assert_eq!(out.alignment.as_ref().unwrap().score, nw.score);
-        assert_eq!(out.output.result.end_h, h.len());
-        assert_eq!(out.output.result.end_v, v.len());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! `Reverse` facade request over the prefixes before it and the right
 //! side a `Forward` request over the suffixes after it.
 
-use crate::affine::AffineGaps;
 use crate::aligner::{self, AlignerKind, Workspaces};
 use crate::batched::{self, BatchTask, TaskView};
 use crate::error::{AlignError, Result};
@@ -202,20 +201,14 @@ impl Extender {
         Ok(outcome(seed, seed_score, left, right))
     }
 
-    /// One side of a seed through the facade's engine dispatch. The
-    /// affine engine runs the scorer's linear gap model (`open = 0`),
-    /// so its scores stay commensurate with the X-Drop family rather
-    /// than a silently different objective.
+    /// One side of a seed through the facade's engine dispatch.
     fn side<S: Scorer, HV: SeqView, VV: SeqView>(
         &mut self,
         h: &HV,
         v: &VV,
         scorer: &S,
     ) -> Result<AlignOutput> {
-        let gaps = AffineGaps::linear(scorer.gap());
-        let (out, _) =
-            aligner::dispatch(self.backend, gaps, h, v, scorer, self.params, &mut self.ws)?;
-        Ok(out)
+        aligner::dispatch(self.backend, h, v, scorer, self.params, &mut self.ws)
     }
 
     /// Extends every `(h, v, seed)` job; outcome `i` is exactly what
@@ -614,7 +607,7 @@ mod tests {
             (AlignerKind::LoganBand, KernelKind::Batched, true),
             (AlignerKind::XDrop3, KernelKind::Batched, false),
             (AlignerKind::XDrop2, KernelKind::Simd, false),
-            (AlignerKind::Affine, KernelKind::Scalar, false),
+            (AlignerKind::Ksw2, KernelKind::Scalar, false),
         ];
         for (kind, kernel, batches) in cases {
             for policy in [BandPolicy::Grow(8), BandPolicy::Exact(2)] {
@@ -646,21 +639,6 @@ mod tests {
             };
             assert_eq!(b.policy, want, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn affine_linear_backend_matches_xdrop_on_generous_x() {
-        let h = encode_dna(b"ACGTACGTAAGGTACGTACGTACGTTTGGACGT");
-        let v = encode_dna(b"ACGTACGAAAGGTACGTACGTACTTTTGGACGA");
-        let seed = SeedMatch::new(12, 12, 8);
-        let p = XDropParams::new(100);
-        let mut three = Extender::new(p, backend(AlignerKind::XDrop3));
-        let mut aff = Extender::new(p, backend(AlignerKind::Affine));
-        let a = three.extend(&h, &v, seed, &sc()).unwrap();
-        let b = aff.extend(&h, &v, seed, &sc()).unwrap();
-        assert_eq!(a.score, b.score);
-        assert_eq!(a.h_span, b.h_span);
-        assert_eq!(a.v_span, b.v_span);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! algorithm: divide-and-conquer Needleman-Wunsch using two score
 //! rows, recovering the full path in `O(min(m, n))` working memory.
 //! It is the linear-space *global* counterpart to the paper's
-//! linear-space *extension* kernel, and doubles as an independent
-//! oracle for [`crate::reference::needleman_wunsch`].
+//! linear-space *extension* kernel: the [`crate::aligner`] facade
+//! runs it over the region an extension reached to recover the path
+//! on demand. It doubles as an independent oracle for
+//! [`crate::reference::needleman_wunsch`].
 
 use crate::reference::{AlignOp, Alignment};
 use crate::scoring::Scorer;

@@ -24,6 +24,10 @@
 //! * [`extension`] — seed-and-extend: splitting a seed match into a
 //!   left and a right semi-global extension through the `op(·)` index
 //!   transform (backwards access instead of sequence reversal).
+//! * [`aligner`] — one facade over the four extenders the paper
+//!   evaluates (`xdrop2`, `xdrop3`, [`ksw2`] and LOGAN's fixed band),
+//!   with an optional traceback of the aligned region through
+//!   [`hirschberg`]'s linear-space global alignment.
 //!
 //! All aligners share the same scoring abstractions ([`scoring`]) and
 //! emit the same instrumentation record ([`stats::AlignStats`]) used
@@ -42,8 +46,8 @@
 //! assert!(out.result.best_score > 0);
 //! ```
 
-pub mod affine;
-pub mod algorithm1;
+#[cfg(test)]
+mod algorithm1;
 pub mod aligner;
 pub mod alphabet;
 pub mod batched;
@@ -57,7 +61,6 @@ pub mod scorety;
 pub mod scoring;
 pub mod seqview;
 pub mod stats;
-pub mod traceback;
 pub mod workload;
 pub mod xdrop2;
 pub mod xdrop3;

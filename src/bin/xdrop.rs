@@ -1,8 +1,8 @@
 //! `xdrop` — command-line front end to the alignment stack.
 //!
 //! ```text
-//! xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--affine O,E]
-//!             [--delta-b N] [--exact] [--traceback]
+//! xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--delta-b N]
+//!             [--exact] [--traceback]
 //! xdrop simulate --genome-len N [--coverage C] [--read-len L]
 //!                [--error hifi|noisy|exact] [--seed S] --out reads.fa
 //! xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner KIND] [--out contigs.fa]
@@ -10,11 +10,13 @@
 //! ```
 //!
 //! `align` aligns the first record of `a` against every record of
-//! `b` (seed-free semi-global extension from the sequence starts)
-//! and prints scores, band widths and memory; `--traceback` adds a
-//! CIGAR. `simulate` writes a synthetic long-read set; `assemble`
+//! `b` with the paper's memory-restricted X-Drop (seed-free
+//! semi-global extension from the sequence starts) and prints scores,
+//! band widths and memory; `--traceback` adds the CIGAR of that same
+//! alignment. `simulate` writes a synthetic long-read set; `assemble`
 //! runs the ELBA-mini pipeline on a FASTA of reads; `stats` prints
-//! per-file sequence statistics.
+//! per-file sequence statistics. An option a subcommand does not
+//! take is an error (exit code 2).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -22,9 +24,7 @@ use std::process::exit;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xdrop_ipu::core::affine::{affine_xdrop, AffineGaps};
 use xdrop_ipu::core::prelude::*;
-use xdrop_ipu::core::traceback::xdrop_align_with_traceback;
 use xdrop_ipu::data::fasta;
 use xdrop_ipu::data::gen::MutationProfile;
 use xdrop_ipu::data::reads::{simulate_reads, LowComplexity, ReadSimParams};
@@ -34,7 +34,7 @@ use xdrop_ipu::pipelines::overlap::{detect_overlaps, OverlapConfig};
 fn usage() -> ! {
     let aligners: Vec<&str> = AlignerKind::ALL.iter().map(|k| k.name()).collect();
     eprintln!(
-        "usage:\n  xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--affine O,E] [--delta-b N] [--exact] [--traceback]\n  xdrop simulate --genome-len N [--coverage C] [--read-len L] [--error hifi|noisy|exact] [--seed S] --out reads.fa\n  xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner {}] [--out contigs.fa]\n  xdrop stats <seqs.fasta> [--protein]",
+        "usage:\n  xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--delta-b N] [--exact] [--traceback]\n  xdrop simulate --genome-len N [--coverage C] [--read-len L] [--error hifi|noisy|exact] [--seed S] --out reads.fa\n  xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner {}] [--out contigs.fa]\n  xdrop stats <seqs.fasta> [--protein]",
         aligners.join("|")
     );
     exit(2)
@@ -51,7 +51,10 @@ struct Opts {
     switches: std::collections::HashSet<String>,
 }
 
-fn parse(args: &[String], switch_names: &[&str]) -> Opts {
+/// Splits `args` into positionals, `--name value` flags named in
+/// `flag_names` and `--name` switches named in `switch_names`; any
+/// other `--name` is a usage error naming it.
+fn parse(args: &[String], flag_names: &[&str], switch_names: &[&str]) -> Opts {
     let mut o = Opts {
         positional: Vec::new(),
         flags: Default::default(),
@@ -62,9 +65,12 @@ fn parse(args: &[String], switch_names: &[&str]) -> Opts {
         if let Some(name) = a.strip_prefix("--") {
             if switch_names.contains(&name) {
                 o.switches.insert(name.to_string());
-            } else {
+            } else if flag_names.contains(&name) {
                 let val = it.next().unwrap_or_else(|| usage());
                 o.flags.insert(name.to_string(), val.clone());
+            } else {
+                eprintln!("error: unknown option --{name}");
+                usage();
             }
         } else {
             o.positional.push(a.clone());
@@ -91,7 +97,7 @@ fn main() {
 }
 
 fn cmd_align(args: &[String]) {
-    let o = parse(args, &["protein", "traceback", "exact"]);
+    let o = parse(args, &["x", "delta-b"], &["protein", "traceback", "exact"]);
     if o.positional.len() != 2 {
         usage();
     }
@@ -105,109 +111,68 @@ fn cmd_align(args: &[String]) {
         .get("delta-b")
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(256);
-    let protein = o.switches.contains("protein");
-    let alphabet = if protein {
-        Alphabet::Protein
+    let policy = if o.switches.contains("exact") {
+        BandPolicy::Exact(delta_b)
     } else {
-        Alphabet::Dna
+        BandPolicy::Grow(delta_b)
     };
+    let req = AlignRequest::new(AlignerKind::XDrop2, x)
+        .policy(policy)
+        .traceback(o.switches.contains("traceback"));
     let a = read_fasta_file(&o.positional[0]);
     let b = read_fasta_file(&o.positional[1]);
     if a.is_empty() || b.is_empty() {
         fail("empty FASTA input");
     }
+    if o.switches.contains("protein") {
+        let scorer = Blosum62::pastis_default();
+        align_records(Alphabet::Protein, &a[0], &b, &scorer, &req);
+    } else {
+        let scorer = MatchMismatch::dna_default();
+        align_records(Alphabet::Dna, &a[0], &b, &scorer, &req);
+    }
+}
+
+/// Aligns `query` against every record of `targets` with one
+/// [`Aligner`] and prints one line per target.
+fn align_records<S: Scorer>(
+    alphabet: Alphabet,
+    query: &fasta::Record,
+    targets: &[fasta::Record],
+    scorer: &S,
+    req: &AlignRequest,
+) {
     let enc = |r: &fasta::Record| {
         alphabet
             .encode(&r.seq)
             .unwrap_or_else(|e| fail(&format!("record {}: {e}", r.id)))
     };
-    let h = enc(&a[0]);
-    let params = XDropParams::new(x);
-    let affine: Option<AffineGaps> = o.flags.get("affine").map(|v| {
-        let (open, ext) = v.split_once(',').unwrap_or_else(|| usage());
-        AffineGaps::new(
-            open.parse().unwrap_or_else(|_| usage()),
-            ext.parse().unwrap_or_else(|_| usage()),
-        )
-    });
-    println!("query: {} ({} symbols)", a[0].id, h.len());
-    for rec in &b {
+    let h = enc(query);
+    println!("query: {} ({} symbols)", query.id, h.len());
+    let mut aligner = Aligner::new();
+    for rec in targets {
         let v = enc(rec);
-        let run = |h: &[u8], v: &[u8]| -> (i32, usize, usize, usize, usize) {
-            if protein {
-                let sc = Blosum62::pastis_default();
-                if let Some(g) = affine {
-                    let out = affine_xdrop(h, v, &sc, g, params);
-                    (
-                        out.result.best_score,
-                        out.result.end_h,
-                        out.result.end_v,
-                        out.stats.delta_w,
-                        out.stats.work_bytes,
-                    )
-                } else {
-                    let policy = if o.switches.contains("exact") {
-                        BandPolicy::Exact(delta_b)
-                    } else {
-                        BandPolicy::Grow(delta_b)
-                    };
-                    match xdrop2::align(h, v, &sc, params, policy) {
-                        Ok(out) => (
-                            out.result.best_score,
-                            out.result.end_h,
-                            out.result.end_v,
-                            out.stats.delta_w,
-                            out.stats.work_bytes,
-                        ),
-                        Err(e) => fail(&format!("{e}")),
-                    }
-                }
-            } else {
-                let sc = MatchMismatch::dna_default();
-                if let Some(g) = affine {
-                    let out = affine_xdrop(h, v, &sc, g, params);
-                    (
-                        out.result.best_score,
-                        out.result.end_h,
-                        out.result.end_v,
-                        out.stats.delta_w,
-                        out.stats.work_bytes,
-                    )
-                } else {
-                    let policy = if o.switches.contains("exact") {
-                        BandPolicy::Exact(delta_b)
-                    } else {
-                        BandPolicy::Grow(delta_b)
-                    };
-                    match xdrop2::align(h, v, &sc, params, policy) {
-                        Ok(out) => (
-                            out.result.best_score,
-                            out.result.end_h,
-                            out.result.end_v,
-                            out.stats.delta_w,
-                            out.stats.work_bytes,
-                        ),
-                        Err(e) => fail(&format!("{e}")),
-                    }
-                }
-            }
-        };
-        let (score, end_h, end_v, dw, mem) = run(&h, &v);
+        let out = aligner
+            .align(&h, &v, scorer, req)
+            .unwrap_or_else(|e| fail(&format!("{e}")));
+        let (r, st) = (out.output.result, out.output.stats);
         print!(
             "{:<24} score {:>8}  end ({:>6}, {:>6})  δ_w {:>5}  mem {:>7} B",
-            rec.id, score, end_h, end_v, dw, mem
+            rec.id, r.best_score, r.end_h, r.end_v, st.delta_w, st.work_bytes
         );
-        if o.switches.contains("traceback") && !protein && affine.is_none() {
-            let sc = MatchMismatch::dna_default();
-            let (_, aln) = xdrop_align_with_traceback(&h, &v, &sc, params);
-            print!("  cigar {}", aln.cigar());
+        if let Some(cigar) = out.cigar() {
+            print!("  cigar {cigar}");
         }
         println!();
     }
 }
 
 fn cmd_simulate(args: &[String]) {
-    let o = parse(args, &[]);
+    let o = parse(
+        args,
+        &["genome-len", "coverage", "read-len", "error", "seed", "out"],
+        &[],
+    );
     let genome_len: usize = o
         .flags
         .get("genome-len")
@@ -275,7 +240,7 @@ fn cmd_simulate(args: &[String]) {
 }
 
 fn cmd_assemble(args: &[String]) {
-    let o = parse(args, &[]);
+    let o = parse(args, &["x", "k", "aligner", "out"], &[]);
     if o.positional.len() != 1 {
         usage();
     }
@@ -358,7 +323,7 @@ fn cmd_assemble(args: &[String]) {
 }
 
 fn cmd_stats(args: &[String]) {
-    let o = parse(args, &["protein"]);
+    let o = parse(args, &[], &["protein"]);
     if o.positional.len() != 1 {
         usage();
     }

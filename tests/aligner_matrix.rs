@@ -10,8 +10,8 @@
 //!    backend/kernel combination fails loudly.
 //! 2. **Differential properties** — score-identical pairs (xdrop2 ≡
 //!    xdrop3, f32 ≡ i32, env ≡ programmatic) are pinned bit-equal by
-//!    proptest; score-compatible pairs (logan ≤ exact, affine-linear
-//!    ≡ xdrop3 under generous X) by their one-sided/conditional laws.
+//!    proptest; the score-compatible pair (logan ≤ exact, equal when
+//!    its window covers the live band) by its one-sided law.
 //! 3. **Metamorphic properties** — reverse-complement symmetry,
 //!    query/target swap symmetry, and score-unit scaling invariance
 //!    hold across all backends at once (with explicitly accounted
@@ -23,7 +23,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xdrop_ipu::core::affine::AffineGaps;
 use xdrop_ipu::core::aligner::{
     logan_band_width, AlignRequest, Aligner, AlignerKind, Direction, ScoreKind,
 };
@@ -87,8 +86,8 @@ fn fixture_pair() -> (Vec<u8>, Vec<u8>) {
 /// Band policies a cell is smoked under. Only the paper's
 /// two-antidiagonal engine takes a caller band policy; every other
 /// engine has one intrinsic window (LOGAN's fixed saturating band,
-/// xdrop3's `3δ`, ksw2's adaptive z-drop window, Hirschberg's full
-/// width), so one representative policy value covers it.
+/// xdrop3's `3δ`, ksw2's adaptive z-drop window), so one
+/// representative policy value covers it.
 fn policies_for(kind: AlignerKind) -> &'static [BandPolicy] {
     match kind {
         AlignerKind::XDrop2 => &[
@@ -102,7 +101,7 @@ fn policies_for(kind: AlignerKind) -> &'static [BandPolicy] {
 
 /// Every cell of the request grid is either run or skipped with a
 /// typed reason — and the split is exactly the documented one:
-/// 36 cells total, 17 runnable, 19 skipped (DESIGN.md §15).
+/// 24 cells total, 15 runnable, 9 skipped (DESIGN.md §15).
 #[test]
 fn matrix_covers_every_cell_with_skip_accounting() {
     let (h, v) = fixture_pair();
@@ -152,22 +151,21 @@ fn matrix_covers_every_cell_with_skip_accounting() {
             }
         }
     }
-    // The documented grid: 6 engines × 3 kernels × 2 score types.
-    assert_eq!(total_cells, 6 * 3 * 2);
+    // The documented grid: 4 engines × 3 kernels × 2 score types.
+    assert_eq!(total_cells, 4 * 3 * 2);
     // XDrop2 + LoganBand run everywhere (2×3×2); XDrop3 is
-    // scalar-only but score-generic (2); Affine/Hirschberg/Ksw2 are
-    // scalar+i32 only (3).
+    // scalar-only but score-generic (2); Ksw2 is scalar+i32 only (1).
     assert_eq!(
         run_cells,
-        12 + 2 + 3,
+        12 + 2 + 1,
         "runnable cells changed — update DESIGN.md §15"
     );
     assert_eq!(skipped_cells, total_cells - run_cells);
-    assert_eq!((total_cells, run_cells, skipped_cells), (36, 17, 19));
+    assert_eq!((total_cells, run_cells, skipped_cells), (24, 15, 9));
     // Sub-cell smoke: XDrop2 cells sweep 3 policies × 2 directions,
     // everything else its intrinsic policy × 2 directions.
-    assert_eq!(run_subcells, 6 * 6 + 6 * 2 + 2 * 2 + 3 * 2);
-    assert_eq!(run_subcells, 58);
+    assert_eq!(run_subcells, 6 * 6 + 6 * 2 + 2 * 2 + 2);
+    assert_eq!(run_subcells, 54);
 }
 
 /// The skip rules and `AlignRequest::validate` agree cell by cell.
@@ -263,24 +261,6 @@ proptest! {
         }
     }
 
-    /// Score-compatible class, conditional law: affine gaps
-    /// degenerated to the linear model score exactly like the linear
-    /// X-Drop when X is generous enough that the pruning heuristics
-    /// cannot diverge.
-    #[test]
-    fn affine_linear_gaps_match_xdrop3((h, v) in related_pair()) {
-        let scorer = sc();
-        let mut a = Aligner::new();
-        let x = 10_000;
-        let exact = a.align(&h, &v, &scorer,
-            &AlignRequest::new(AlignerKind::XDrop3, x).kernel(KernelKind::Scalar)).unwrap();
-        let affine = a.align(&h, &v, &scorer,
-            &AlignRequest::new(AlignerKind::Affine, x)
-                .kernel(KernelKind::Scalar)
-                .gaps(AffineGaps::linear(scorer.gap()))).unwrap();
-        prop_assert_eq!(affine.score(), exact.score());
-    }
-
     /// Model-only class: ksw2 scores in its own scale, so scores are
     /// not comparable — but the biology is. On a pair that aligns
     /// end-to-end under exact X-Drop, ksw2 must also find strong
@@ -350,11 +330,9 @@ proptest! {
     /// which also bounds the windowed engine in both orientations.
     #[test]
     fn swap_symmetry_all_backends((h, v) in related_pair(), x in 0i32..40) {
-        const EXACT: [AlignerKind; 5] = [
+        const EXACT: [AlignerKind; 3] = [
             AlignerKind::XDrop2,
             AlignerKind::XDrop3,
-            AlignerKind::Affine,
-            AlignerKind::Hirschberg,
             AlignerKind::LoganBand,
         ];
         assert_eq!(EXACT.len() + 1, AlignerKind::ALL.len());
@@ -384,7 +362,7 @@ proptest! {
     }
 
     /// Score-unit scaling invariance: multiplying every scoring
-    /// constant (match, mismatch, gap, X, affine open/extend) by the
+    /// constant (match, mismatch, gap, X) by the
     /// same factor multiplies every score by that factor and changes
     /// no alignment decision.
     ///
@@ -394,12 +372,7 @@ proptest! {
     /// (fixed internal scale; the caller's scorer does not reach it).
     #[test]
     fn score_scaling_invariance((h, v) in related_pair(), x in 0i32..40, c in 2i32..5) {
-        const SCALED: [AlignerKind; 4] = [
-            AlignerKind::XDrop2,
-            AlignerKind::XDrop3,
-            AlignerKind::Affine,
-            AlignerKind::Hirschberg,
-        ];
+        const SCALED: [AlignerKind; 2] = [AlignerKind::XDrop2, AlignerKind::XDrop3];
         const EXCLUDED: [AlignerKind; 2] = [AlignerKind::LoganBand, AlignerKind::Ksw2];
         // Every engine is either scaled or excluded — no cell vanishes.
         assert_eq!(SCALED.len() + EXCLUDED.len(), AlignerKind::ALL.len());
@@ -408,13 +381,9 @@ proptest! {
         let mut a = Aligner::new();
         for kind in SCALED {
             let base = a.align(&h, &v, &base_sc,
-                &AlignRequest::new(kind, x)
-                    .kernel(KernelKind::Scalar)
-                    .gaps(AffineGaps::new(-3, -1))).unwrap();
+                &AlignRequest::new(kind, x).kernel(KernelKind::Scalar)).unwrap();
             let scaled = a.align(&h, &v, &scaled_sc,
-                &AlignRequest::new(kind, x * c)
-                    .kernel(KernelKind::Scalar)
-                    .gaps(AffineGaps::new(-3 * c, -c))).unwrap();
+                &AlignRequest::new(kind, x * c).kernel(KernelKind::Scalar)).unwrap();
             prop_assert_eq!(scaled.score(), c * base.score(), "{}", kind.name());
             prop_assert_eq!(scaled.output.result.end_h, base.output.result.end_h, "{}", kind.name());
             prop_assert_eq!(scaled.output.result.end_v, base.output.result.end_v, "{}", kind.name());
@@ -723,7 +692,7 @@ fn check_extend_each<S: Scorer>(
 /// requests: the left side is a `Reverse` request over the prefixes
 /// before the seed, the right side a `Forward` request over the
 /// suffixes after it, under the same engine, kernel, band policy and
-/// `x` (and the linear gap model for `Affine`). A band overflow
+/// `x`. A band overflow
 /// surfaces as the same typed error, the left side's first, and
 /// `extend_batch` and `extend_each` equal `extend` job by job.
 #[test]
@@ -751,10 +720,7 @@ fn extender_sides_match_facade_requests() {
                     let params = XDropParams::new(x).with_kernel(kernel);
                     let backend = Backend::for_kind(kind, x, policy);
                     let mut ext = Extender::new(params, backend);
-                    let req = AlignRequest::new(kind, x)
-                        .kernel(kernel)
-                        .policy(policy)
-                        .gaps(AffineGaps::linear(scorer.gap()));
+                    let req = AlignRequest::new(kind, x).kernel(kernel).policy(policy);
                     let mut jobs: Vec<(&[u8], &[u8], SeedMatch)> = Vec::new();
                     for (h, v) in &pairs {
                         for seed in extension_seeds(h, v, k) {
