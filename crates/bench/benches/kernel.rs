@@ -1,5 +1,5 @@
 //! Criterion A/B of the antidiagonal kernel implementations
-//! (`Scalar` vs `Simd` vs `Batched`, the latter as a batch of one) on
+//! (`Scalar` vs `Simd` vs `Batched`, the latter the one-pair `i16` sweep) on
 //! DNA workloads.
 //!
 //! Two axes: steady band width (pinned with `BandPolicy::Saturate`

@@ -170,7 +170,10 @@ fn run_one(name: &str, args: &Args) {
     println!("==> {name}");
     match name {
         "table1" => {
-            let rows = table1::run(0.0, 15);
+            let rows = table1::run(0.0, 15).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(1)
+            });
             println!("{}", table1::render(&rows));
             exp::save_json("table1", &rows);
         }

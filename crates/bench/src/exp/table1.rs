@@ -31,9 +31,38 @@ pub struct Table1Row {
     pub total: f64,
 }
 
+/// A Table 1 dataset that generated no comparisons (too small a
+/// scale): its ladder would be all 0/0 speedups.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EmptyDataset {
+    /// Dataset label.
+    pub dataset: String,
+}
+
+impl std::fmt::Display for EmptyDataset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "Table 1 dataset {:?} generated no comparisons; use a larger scale",
+            self.dataset
+        )
+    }
+}
+
+impl std::error::Error for EmptyDataset {}
+
 /// Runs the ablation ladder on the given labelled workloads and
-/// machine.
-pub fn run_on(workloads: &[(&str, Workload)], x: i32, spec: IpuSpec) -> Vec<Table1Row> {
+/// machine. A workload with no comparisons is an error naming it.
+pub fn run_on(
+    workloads: &[(&str, Workload)],
+    x: i32,
+    spec: IpuSpec,
+) -> Result<Vec<Table1Row>, EmptyDataset> {
+    if let Some((label, _)) = workloads.iter().find(|(_, w)| w.comparisons.is_empty()) {
+        return Err(EmptyDataset {
+            dataset: label.to_string(),
+        });
+    }
     let mut rows = Vec::new();
     for (label, w) in workloads {
         // The kernels only depend on the LR-splitting flag; run them
@@ -77,12 +106,13 @@ pub fn run_on(workloads: &[(&str, Workload)], x: i32, spec: IpuSpec) -> Vec<Tabl
             });
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Runs the ablation on both Table 1 datasets at bench scale (or
-/// `scale` if nonzero) on a full GC200.
-pub fn run(scale: f64, x: i32) -> Vec<Table1Row> {
+/// `scale` if nonzero) on a full GC200; a scale at which a dataset
+/// generates no comparisons is an [`EmptyDataset`] error.
+pub fn run(scale: f64, x: i32) -> Result<Vec<Table1Row>, EmptyDataset> {
     let mut workloads = Vec::new();
     for (label, kind) in [
         ("15% error", DatasetKind::Simulated85),
@@ -152,7 +182,7 @@ mod tests {
     #[test]
     fn ablation_shape_holds() {
         let (workloads, spec) = mini();
-        let rows = run_on(&workloads, 15, spec);
+        let rows = run_on(&workloads, 15, spec).expect("comparisons");
         assert_eq!(rows.len(), 6);
         // Scaling from one tile to eight is the dominant step.
         assert!(rows[1].to_prev > 4.0, "tile scaling {}", rows[1].to_prev);
@@ -177,12 +207,30 @@ mod tests {
         }
     }
 
+    /// A scale at which ELBA-E.coli generates no comparisons is an
+    /// error naming that dataset, not rows of NaN speedups.
+    #[test]
+    fn empty_dataset_is_an_error_not_nan_rows() {
+        assert_eq!(
+            run(0.0002, 15).unwrap_err(),
+            EmptyDataset {
+                dataset: "ELBA Ecoli".into()
+            }
+        );
+        let err = run_on(
+            &[("none", Workload::new(Alphabet::Dna))],
+            15,
+            IpuSpec::gc200(),
+        );
+        assert!(err.unwrap_err().to_string().contains("\"none\""));
+    }
+
     /// The full Table 1 at bench scale — heavyweight; run with
     /// `cargo test --release -- --ignored`.
     #[test]
     #[ignore = "bench-scale shape check; run in release"]
     fn ablation_full_scale() {
-        let rows = run(0.0, 15);
+        let rows = run(0.0, 15).expect("bench scale generates comparisons");
         assert_eq!(rows.len(), 12);
         let sim: Vec<&Table1Row> = rows.iter().filter(|r| r.dataset == "15% error").collect();
         let ecoli: Vec<&Table1Row> = rows.iter().filter(|r| r.dataset == "ELBA Ecoli").collect();

@@ -16,9 +16,7 @@
 //! side a `Forward` request over the suffixes after it.
 
 use crate::aligner::{self, AlignerKind, Workspaces};
-use crate::batched::{self, BatchTask, TaskView};
 use crate::error::{AlignError, Result};
-use crate::kernel::KernelKind;
 use crate::ksw2::Ksw2Params;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, Rev, SeqView};
@@ -160,28 +158,6 @@ impl Extender {
         self.params
     }
 
-    /// The band policy of the batched lane kernel, when this extender
-    /// batches: [`KernelKind::Batched`] over the banded
-    /// two-antidiagonal core (the lane kernel implements that engine
-    /// only), under the backend's resolved policy — the caller's for
-    /// `XDrop2`, LOGAN's saturating window for `LoganBand`.
-    fn batch_policy(&self) -> Option<BandPolicy> {
-        (self.params.kernel == KernelKind::Batched && self.backend.kind.is_banded_core())
-            .then_some(self.backend.policy)
-    }
-
-    /// How many seeds one [`Extender::extend_batch`] call should take:
-    /// a fixed multiple (4×) of the lane width when this extender
-    /// batches, 1 otherwise (where [`Extender::extend`] per seed is
-    /// the whole story).
-    pub fn grain(&self) -> usize {
-        if self.batch_policy().is_some() {
-            batched::lane_width() * REFILL_CLAIM_FACTOR
-        } else {
-            1
-        }
-    }
-
     /// Extends `seed` on `h` × `v` in both directions.
     pub fn extend<S: Scorer>(
         &mut self,
@@ -211,74 +187,13 @@ impl Extender {
         aligner::dispatch(self.backend, h, v, scorer, self.params, &mut self.ws)
     }
 
-    /// Extends every `(h, v, seed)` job; outcome `i` is exactly what
-    /// [`Extender::extend`] returns for job `i`, errors included (an
-    /// invalid seed first, then the left extension's error before the
-    /// right's).
-    ///
-    /// When this extender batches (see [`Extender::grain`]), the left
-    /// and right extensions of every job with a valid seed become
-    /// tasks of one [`batched::align_batch`] call, so up to
-    /// `2 × jobs.len()` alignments share the lane groups; otherwise
-    /// the jobs run one [`Extender::extend`] at a time.
-    pub fn extend_batch<S: Scorer>(
-        &mut self,
-        jobs: &[(&[u8], &[u8], SeedMatch)],
-        scorer: &S,
-    ) -> Vec<Result<ExtendOutcome>> {
-        let Some(policy) = self.batch_policy() else {
-            return jobs
-                .iter()
-                .map(|&(h, v, seed)| self.extend(h, v, seed, scorer))
-                .collect();
-        };
-        // Task layout: a job with a valid seed contributes two
-        // consecutive tasks (left, right) at its recorded base index.
-        let mut tasks = Vec::with_capacity(2 * jobs.len());
-        let bases: Vec<Result<usize>> = jobs
-            .iter()
-            .map(|&(h, v, seed)| {
-                seed.validate(h.len(), v.len())?;
-                let (h_left, _, h_right) = split3(h, seed.h_pos, seed.k);
-                let (v_left, _, v_right) = split3(v, seed.v_pos, seed.k);
-                tasks.push(BatchTask {
-                    h: TaskView::Rev(h_left),
-                    v: TaskView::Rev(v_left),
-                });
-                tasks.push(BatchTask {
-                    h: TaskView::Fwd(h_right),
-                    v: TaskView::Fwd(v_right),
-                });
-                Ok(tasks.len() - 2)
-            })
-            .collect();
-        let (outs, _) = batched::align_batch(&tasks, scorer, self.params, policy);
-        jobs.iter()
-            .zip(bases)
-            .map(|(&(h, v, seed), base)| {
-                let base = base?;
-                let left = outs[base].clone()?;
-                let right = outs[base + 1].clone()?;
-                let seed_score = self.backend.seed_score(
-                    self.params.x,
-                    &h[seed.h_pos..seed.h_pos + seed.k],
-                    &v[seed.v_pos..seed.v_pos + seed.k],
-                    scorer,
-                );
-                Ok(outcome(seed, seed_score, left, right))
-            })
-            .collect()
-    }
-
     /// Extends the given comparisons of `w` in the order given,
     /// handing `sink` each comparison's index and outcome — exactly
-    /// what [`Extender::extend`] returns for it, errors included.
-    ///
-    /// The comparisons are taken [`Extender::grain`] at a time: a
-    /// one-comparison claim runs one [`Extender::extend`], with no
-    /// allocation; a longer one runs one [`Extender::extend_batch`].
-    /// This is the one seed-extension loop of the executor, the
-    /// pipelines and the baseline runner.
+    /// what [`Extender::extend`] returns for it, errors included. One
+    /// [`Extender::extend`] per comparison, in this extender's
+    /// workspaces, so a warm extender allocates nothing. This is the
+    /// one seed-extension loop of the executor, the pipelines and the
+    /// baseline runner.
     pub fn extend_each<S: Scorer>(
         &mut self,
         w: &Workload,
@@ -286,25 +201,10 @@ impl Extender {
         scorer: &S,
         mut sink: impl FnMut(usize, Result<ExtendOutcome>),
     ) {
-        let job = |ci: usize| {
+        for ci in comparisons {
             let c = &w.comparisons[ci];
-            (w.seqs.get(c.h), w.seqs.get(c.v), c.seed)
-        };
-        let grain = self.grain();
-        let mut comparisons = comparisons.into_iter().peekable();
-        while let Some(ci) = comparisons.next() {
-            if grain == 1 || comparisons.peek().is_none() {
-                let (h, v, seed) = job(ci);
-                sink(ci, self.extend(h, v, seed, scorer));
-                continue;
-            }
-            let claim: Vec<usize> = std::iter::once(ci)
-                .chain(comparisons.by_ref().take(grain - 1))
-                .collect();
-            let jobs: Vec<_> = claim.iter().map(|&ci| job(ci)).collect();
-            for (ci, out) in claim.into_iter().zip(self.extend_batch(&jobs, scorer)) {
-                sink(ci, out);
-            }
+            let out = self.extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, scorer);
+            sink(ci, out);
         }
     }
 }
@@ -345,16 +245,6 @@ fn outcome(
         ),
     }
 }
-
-/// How many seeds a batching [`Extender`]'s claim spans, as a
-/// multiple of the lane width. The batched kernel's mid-flight refill
-/// turns the surplus beyond one lane group into a pending queue: a
-/// lane that X-Drop retires early is refilled from the same claim
-/// instead of idling, so oversizing the claim raises lane occupancy.
-/// 4× keeps a claim's cost spread small when the caller hands out
-/// claims in descending-cost order, while leaving ~3 refill waves per
-/// slot.
-const REFILL_CLAIM_FACTOR: usize = 4;
 
 /// A shared checkout pool of [`Extender`]s for host-side thread
 /// pools.
@@ -454,6 +344,7 @@ pub fn extend_seed<S: Scorer>(
 mod tests {
     use super::*;
     use crate::alphabet::encode_dna;
+    use crate::kernel::KernelKind;
     use crate::scoring::MatchMismatch;
 
     fn sc() -> MatchMismatch {
@@ -588,38 +479,48 @@ mod tests {
     }
 
     #[test]
-    fn extend_batch_matches_extend_per_job() {
-        // An out-of-bounds seed in the middle of the batch fails that
-        // job alone; its neighbours (whose left and right sides share
-        // the batch with it) still equal `extend`, errors included
-        // under a band too tight for `Exact`.
+    fn extend_each_matches_a_scalar_extend_per_comparison() {
+        // An out-of-bounds seed fails that comparison alone; the others,
+        // taken in the given order through one reused extender, equal
+        // a fresh scalar-kernel `extend`, errors included under a band
+        // too tight for `Exact`.
+        use crate::alphabet::Alphabet;
+        use crate::workload::Comparison;
         let h = encode_dna(b"ACGTACGTAAGGTACGTACGTACGTTTGGACGTACGTACGTAAGG");
         let v = encode_dna(b"ACGTACGAAAGGTACGTACGTACTTTTGGACGAACGTACCTAAGG");
-        let jobs: Vec<(&[u8], &[u8], SeedMatch)> = vec![
-            (&h, &v, SeedMatch::new(12, 12, 8)),
-            (&h, &h, SeedMatch::new(0, 0, 4)),
-            (&h, &v, SeedMatch::new(100, 12, 8)),
-            (&v, &h, SeedMatch::new(30, 30, 6)),
-            (&h[..20], &v, SeedMatch::new(16, 16, 4)),
-        ];
-        let cases = [
-            (AlignerKind::XDrop2, KernelKind::Batched, true),
-            (AlignerKind::LoganBand, KernelKind::Batched, true),
-            (AlignerKind::XDrop3, KernelKind::Batched, false),
-            (AlignerKind::XDrop2, KernelKind::Simd, false),
-            (AlignerKind::Ksw2, KernelKind::Scalar, false),
-        ];
-        for (kind, kernel, batches) in cases {
-            for policy in [BandPolicy::Grow(8), BandPolicy::Exact(2)] {
-                let p = XDropParams::new(10).with_kernel(kernel);
-                let mut e = Extender::new(p, Backend::for_kind(kind, 10, policy));
-                assert_eq!(e.grain() > 1, batches, "{kind:?} {kernel:?}");
-                let got = e.extend_batch(&jobs, &sc());
-                assert_eq!(got.len(), jobs.len());
-                assert!(matches!(got[2], Err(AlignError::SeedOutOfBounds { .. })));
-                for (i, (&(h, v, seed), got)) in jobs.iter().zip(got).enumerate() {
-                    let want = e.extend(h, v, seed, &sc());
-                    assert_eq!(got, want, "{kind:?} {kernel:?} {policy:?} job {i}");
+        let mut w = Workload::new(Alphabet::Dna);
+        let (hi, vi, short) = (
+            w.seqs.push(h.clone()),
+            w.seqs.push(v),
+            w.seqs.push(h[..20].to_vec()),
+        );
+        for (a, b, seed) in [
+            (hi, vi, SeedMatch::new(12, 12, 8)),
+            (hi, hi, SeedMatch::new(0, 0, 4)),
+            (hi, vi, SeedMatch::new(100, 12, 8)),
+            (vi, hi, SeedMatch::new(30, 30, 6)),
+            (short, vi, SeedMatch::new(16, 16, 4)),
+        ] {
+            w.comparisons.push(Comparison::new(a, b, seed));
+        }
+        let order = [4, 2, 0, 1, 3];
+        for kind in AlignerKind::ALL {
+            for kernel in KernelKind::ALL {
+                for policy in [BandPolicy::Grow(8), BandPolicy::Exact(2)] {
+                    let backend = Backend::for_kind(kind, 10, policy);
+                    let p = XDropParams::new(10);
+                    let mut e = Extender::new(p.with_kernel(kernel), backend);
+                    let mut got = Vec::new();
+                    e.extend_each(&w, order, &sc(), |ci, out| got.push((ci, out)));
+                    assert_eq!(got.iter().map(|g| g.0).collect::<Vec<_>>(), order);
+                    assert!(matches!(got[1].1, Err(AlignError::SeedOutOfBounds { .. })));
+                    for (ci, out) in got {
+                        let c = &w.comparisons[ci];
+                        let mut oracle = Extender::new(p.with_kernel(KernelKind::Scalar), backend);
+                        let (h, v) = (w.seqs.get(c.h), w.seqs.get(c.v));
+                        let want = oracle.extend(h, v, c.seed, &sc());
+                        assert_eq!(out, want, "{kind:?} {kernel:?} {policy:?} comparison {ci}");
+                    }
                 }
             }
         }

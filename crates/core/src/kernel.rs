@@ -67,9 +67,9 @@ use crate::XDropParams;
 pub const CHUNK: usize = 16;
 
 /// Environment variable forcing the kernel choice: `scalar`, `simd`,
-/// `batched`, or `auto` (= `simd`). Unknown values fall back to
-/// `simd` with a one-time stderr warning. Intended for tests and for
-/// A/B runs of the bench harness.
+/// `batched`, or `auto` (= `batched`). Unknown values fall back to
+/// `batched` with a one-time stderr warning. Intended for tests and
+/// for A/B runs of the bench harness.
 pub const KERNEL_ENV: &str = "XDROP_KERNEL";
 
 /// Which antidiagonal inner-loop implementation to run.
@@ -86,13 +86,11 @@ pub enum KernelKind {
     /// runtime); every other configuration takes the type-generic
     /// chunk loop, written for the autovectorizer.
     Simd,
-    /// Inter-sequence batching ([`crate::batched`]): 8–32 independent
-    /// alignments share each vector register in `i16` lanes, with
-    /// length bucketing and an overflow-rerun safety net. Selected
-    /// explicitly (never by [`KernelKind::auto`]) because its payoff
-    /// comes from [`crate::extension::Extender::extend_batch`], which
-    /// the executor hands whole claims of comparisons; through the
-    /// single-comparison API it runs a batch of one.
+    /// The `i16` fused sweep ([`crate::batched::align_views`]): one
+    /// pair at a time, reading the views in place, in the caller's
+    /// workspace, with an overflow-rerun safety net. The
+    /// [`KernelKind::auto`] default. Scorers the `i16` lanes cannot
+    /// take (BLOSUM62) and non-`i32` cells run [`KernelKind::Simd`].
     Batched,
 }
 
@@ -183,17 +181,17 @@ impl KernelKind {
     }
 
     /// Parses a kernel name as accepted by [`KERNEL_ENV`]; `auto` is
-    /// `simd`, which detects its intrinsics at runtime.
+    /// `batched`, whose sweep backend is detected at runtime.
     pub fn parse(s: &str) -> Option<KernelKind> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelKind::Scalar),
-            "simd" | "auto" => Some(KernelKind::Simd),
-            "batched" => Some(KernelKind::Batched),
+            "simd" => Some(KernelKind::Simd),
+            "batched" | "auto" => Some(KernelKind::Batched),
             _ => None,
         }
     }
 
-    /// [`KernelKind::Simd`] unless [`KERNEL_ENV`] forces a kernel.
+    /// [`KernelKind::Batched`] unless [`KERNEL_ENV`] forces a kernel.
     ///
     /// The environment variable is read **once per process** and the
     /// resolution cached (same discipline as
@@ -217,23 +215,24 @@ impl KernelKind {
 
     /// Pure form of [`KernelKind::resolve_env`]: resolves an override
     /// value as if `XDROP_KERNEL` held it (`None` = unset). An
-    /// unrecognized value resolves to `Simd` but warns loudly (once
+    /// unrecognized value resolves to `Batched` but warns loudly (once
     /// per process) instead of silently ignoring the override.
     pub fn resolve_env_value(value: Option<&str>) -> KernelKind {
         static WARNED: std::sync::Once = std::sync::Once::new();
         match value {
             Some(v) => KernelKind::parse(v).unwrap_or_else(|| {
-                warn_unknown_env(&WARNED, KERNEL_ENV, v, KernelKind::Simd.name());
-                KernelKind::Simd
+                warn_unknown_env(&WARNED, KERNEL_ENV, v, KernelKind::Batched.name());
+                KernelKind::Batched
             }),
-            None => KernelKind::Simd,
+            None => KernelKind::Batched,
         }
     }
 }
 
 /// Runs the selected kernel. `Scalar` routes to the reference
 /// implementation unchanged; `Simd` runs the three-phase
-/// lane-parallel loop.
+/// lane-parallel loop; `Batched` runs the `i16` fused sweep on this
+/// one pair in `ws`.
 pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     kind: KernelKind,
     h: &HV,
@@ -246,34 +245,15 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     match kind {
         KernelKind::Scalar => xdrop2::align_views_ty(h, v, scorer, params, policy, ws),
         KernelKind::Simd => lane_parallel(h, v, scorer, params, policy, ws, simd_available()),
-        KernelKind::Batched => {
-            // The inter-sequence kernel's natural entry point is
-            // `crate::batched::align_batch` over a *slice* of tasks
-            // (`Extender::extend_batch` hands it whole claims);
-            // through the single-comparison API it runs a batch of
-            // one. It owns per-lane i16 buffers and therefore ignores
-            // `ws`, which no reported statistic depends on.
-            if T::as_i32_slice(&[]).is_some() {
-                let ho = crate::seqview::collect_view(h);
-                let vo = crate::seqview::collect_view(v);
-                let task = crate::batched::BatchTask {
-                    h: crate::batched::TaskView::Fwd(&ho),
-                    v: crate::batched::TaskView::Fwd(&vo),
-                };
-                let (mut results, _) = crate::batched::align_batch(
-                    std::slice::from_ref(&task),
-                    scorer,
-                    params,
-                    policy,
-                );
-                results.pop().expect("batch of one")
-            } else {
-                // Non-i32 cells (the f32 dual-issue variant) have no
-                // i16 lane mapping; the scalar reference is the
-                // definitionally bit-identical fallback.
-                xdrop2::align_views_ty(h, v, scorer, params, policy, ws)
-            }
-        }
+        KernelKind::Batched => crate::batched::align_views(
+            h,
+            v,
+            scorer,
+            params,
+            policy,
+            crate::batched::SweepBackend::resolved(),
+            ws,
+        ),
     }
 }
 
@@ -1011,7 +991,7 @@ mod tests {
         assert_eq!(KernelKind::parse("  batched "), Some(KernelKind::Batched));
         assert!(KernelKind::parse("avx1024").is_none());
         assert!(KernelKind::parse("chunked").is_none());
-        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::Simd));
+        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::Batched));
     }
 
     #[test]
@@ -1031,10 +1011,14 @@ mod tests {
             KernelKind::Batched
         );
         assert_eq!(
-            KernelKind::resolve_env_value(Some("definitely-not-a-kernel")),
+            KernelKind::resolve_env_value(Some("simd")),
             KernelKind::Simd
         );
-        assert_eq!(KernelKind::resolve_env_value(None), KernelKind::Simd);
+        assert_eq!(
+            KernelKind::resolve_env_value(Some("definitely-not-a-kernel")),
+            KernelKind::Batched
+        );
+        assert_eq!(KernelKind::resolve_env_value(None), KernelKind::Batched);
         // And the cached reader agrees with an uncached resolution of
         // the (unmutated) process environment.
         assert_eq!(KernelKind::auto(), KernelKind::resolve_env());
@@ -1202,7 +1186,9 @@ mod tests {
         for kind in [
             KernelKind::Simd,
             KernelKind::Scalar,
+            KernelKind::Batched,
             KernelKind::Simd,
+            KernelKind::Batched,
             KernelKind::Scalar,
         ] {
             outs.push(

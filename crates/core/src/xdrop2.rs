@@ -68,13 +68,18 @@ impl BandPolicy {
 /// `bufs` are the two antidiagonal buffers of Algorithm 1; `scratch`
 /// is a third, host-side staging buffer used only by the
 /// lane-parallel kernels ([`crate::kernel`]) to snapshot the `d − 2`
-/// segment before the in-place overwrite. It is *not* part of the
-/// modeled `2 δ_b` working set ([`AlignStats::work_bytes`]), which
-/// describes the device kernel's footprint.
+/// segment before the in-place overwrite. `lanes` holds the `i16`
+/// rows and sequence windows of the default fused-sweep kernel
+/// ([`crate::batched::align_views`]) once it has run here, boxed so
+/// that a workspace the kernel never uses stays small. Neither is
+/// part of the modeled `2 δ_b` working set
+/// ([`AlignStats::work_bytes`]), which describes the device kernel's
+/// footprint.
 #[derive(Debug, Default)]
 pub struct Workspace<T: ScoreTy> {
     pub(crate) bufs: [Vec<T>; 2],
     pub(crate) scratch: Vec<T>,
+    pub(crate) lanes: Option<Box<crate::batched::LaneArena>>,
 }
 
 impl<T: ScoreTy> Workspace<T> {
@@ -83,6 +88,7 @@ impl<T: ScoreTy> Workspace<T> {
         Self {
             bufs: [Vec::new(), Vec::new()],
             scratch: Vec::new(),
+            lanes: None,
         }
     }
 
@@ -136,7 +142,8 @@ impl<T: ScoreTy> Workspace<T> {
         self.bufs[0].len().min(self.bufs[1].len())
     }
 
-    /// Truncates all buffers to length zero (capacity is kept).
+    /// Truncates the band and scratch buffers to length zero (capacity
+    /// is kept; the `i16` lane rows of `lanes` are untouched).
     ///
     /// Calling this between alignments is **never required for
     /// correctness**: every read of a band slot is guarded by the

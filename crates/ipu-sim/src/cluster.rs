@@ -587,16 +587,13 @@ pub fn run_cluster_faulty(
         let Ok(reports) = pool::steal(
             batches.len(),
             max_load,
-            1,
             resolved,
             SharedSlots::new(batches.len(), 1, BatchReport::default()),
             BatchScratch::default,
             |scratch, claim: &mut Claim<'_, _, Infallible>| {
-                for &bi in claim.tasks() {
-                    let batch = &batches[bi as usize];
-                    claim.slot(bi)[0] =
-                        run_batch_on_device_scratch(units, batch, spec, flags, cost, scratch);
-                }
+                let batch = &batches[claim.task() as usize];
+                claim.slot()[0] =
+                    run_batch_on_device_scratch(units, batch, spec, flags, cost, scratch);
             },
         );
         reports.into_vec()

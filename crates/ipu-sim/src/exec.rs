@@ -170,7 +170,7 @@ pub fn planning_units(w: &Workload, lr_split: bool) -> Vec<WorkUnit> {
 /// score (or the fused stats and total score without LR splitting).
 ///
 /// This is the unit builder of both execution paths — the static-chunk
-/// reference and the work-stealing pool, per-comparison or batched —
+/// reference and the work-stealing pool —
 /// so the unit contents cannot depend on which path (or thread) ran
 /// the comparison.
 fn aligned_units(
@@ -245,9 +245,8 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
 /// run reports the smallest failing comparison index, as the serial
 /// pass does.
 ///
-/// Runs on [`pool::steal`]: comparisons are claimed in LPT order of
-/// their `|H|×|V|` bound, [`Extender::grain`] at a time — one, or a
-/// lane-width run for the batched kernel — and aligned by
+/// Runs on [`pool::steal`]: comparisons are claimed one at a time in
+/// LPT order of their `|H|×|V|` bound and aligned by
 /// [`Extender::extend_each`] with one extender per worker. Each
 /// comparison writes its result and units straight into its slots of
 /// the final vectors, so the output is identical for any thread count
@@ -264,22 +263,20 @@ pub fn execute_workload<S: Scorer + Sync>(
     } else {
         resolve_threads(cfg.host_threads)
     };
-    let extender = || Extender::new(cfg.params, cfg.backend());
     let (results, units) = pool::steal(
         n,
         |ci| w.complexity(&w.comparisons[ci]),
-        extender().grain(),
         threads,
         (
             SharedSlots::new(n, 1, UnitResult::default()),
             SharedSlots::new(n, upc, WorkUnit::default()),
         ),
-        extender,
+        || Extender::new(cfg.params, cfg.backend()),
         |ext, claim| {
-            let tasks = claim.tasks().iter().map(|&ci| ci as usize);
-            ext.extend_each(w, tasks, scorer, |ci, out| match out {
+            let ci = claim.task() as usize;
+            ext.extend_each(w, [ci], scorer, |ci, out| match out {
                 Ok(out) => {
-                    let (result, units) = claim.slot(ci as u32);
+                    let (result, units) = claim.slot();
                     let (r, u0, u1) = aligned_units(w, cfg.lr_split, ci, &out);
                     result[0] = r;
                     units[0] = u0;
@@ -287,7 +284,7 @@ pub fn execute_workload<S: Scorer + Sync>(
                         units[1] = u1;
                     }
                 }
-                Err(e) => claim.fail(ci as u32, e),
+                Err(e) => claim.fail(e),
             });
         },
     )?;
@@ -487,13 +484,11 @@ mod tests {
                 let mut scalar = cfg(lr).with_aligner(aligner);
                 scalar.params = scalar.params.with_kernel(KernelKind::Scalar);
                 scalar.host_threads = 1;
-                assert_eq!(Extender::new(scalar.params, scalar.backend()).grain(), 1);
                 let oracle = execute_workload_reference(&w, &sc, &scalar).unwrap();
                 for threads in [1usize, 3, 8] {
                     let mut c = cfg(lr).with_aligner(aligner);
                     c.params = c.params.with_kernel(KernelKind::Batched);
                     c.host_threads = threads;
-                    assert!(Extender::new(c.params, c.backend()).grain() >= 8);
                     let got = execute_workload(&w, &sc, &c).unwrap();
                     let ctx = format!("{aligner:?} lr={lr} threads={threads}");
                     assert_eq!(oracle.units, got.units, "{ctx}");

@@ -37,9 +37,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// The LPT permutation of `0..tasks`: descending `cost`, index as
-/// tiebreak. Bounds the tail imbalance by one claim, and hands a
-/// `grain > 1` claim a run of similar-cost tasks — the batched kernel
-/// fills its lane groups from such runs.
+/// tiebreak. Bounds the tail imbalance by one claim.
 fn lpt_order(tasks: usize, cost: &dyn Fn(usize) -> u64) -> Vec<u32> {
     let mut order: Vec<u32> = (0..tasks as u32).collect();
     order.sort_unstable_by_key(|&i| (Reverse(cost(i as usize)), i));
@@ -56,22 +54,14 @@ struct IndexQueue {
 }
 
 impl IndexQueue {
-    /// Claims the next up-to-`grain` indices of the order into
-    /// `claim`, keeping those below `bound`; `false` once the order is
-    /// exhausted. Claims are disjoint, consecutive runs of the order;
-    /// only the final one can be shorter than `grain`.
-    fn claim(&self, grain: usize, bound: u32, claim: &mut Vec<u32>) -> bool {
-        let start = self.cursor.fetch_add(grain, Ordering::Relaxed);
-        if start >= self.len {
-            return false;
-        }
-        let end = (start + grain).min(self.len);
-        claim.clear();
-        match &self.order {
-            Some(order) => claim.extend(order[start..end].iter().filter(|&&i| i < bound)),
-            None => claim.extend((start as u32..end as u32).filter(|&i| i < bound)),
-        }
-        true
+    /// Claims the next index of the order; `None` once the order is
+    /// exhausted. Each index is claimed exactly once.
+    fn claim(&self) -> Option<u32> {
+        let at = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (at < self.len).then(|| match &self.order {
+            Some(order) => order[at],
+            None => at as u32,
+        })
     }
 }
 
@@ -176,48 +166,35 @@ unsafe impl<A: TaskSlots, B: TaskSlots> TaskSlots for (A, B) {
     }
 }
 
-/// One worker's handle on its current claim: lists the claimed tasks,
-/// hands out their slots and records their failures.
+/// One worker's handle on its current claim — one task: names it,
+/// hands out its slot and records its failure.
 pub struct Claim<'a, O, E> {
-    tasks: &'a [u32],
-    next: usize,
+    task: u32,
     slots: &'a O,
     failure: &'a mut Option<(u32, E)>,
     bound: &'a AtomicU32,
 }
 
-impl<'a, O: TaskSlots, E> Claim<'a, O, E> {
-    /// The claimed task indices, in claim order, minus any above the
-    /// smallest failure seen when the claim was made.
-    pub fn tasks(&self) -> &'a [u32] {
-        self.tasks
+impl<O: TaskSlots, E> Claim<'_, O, E> {
+    /// The claimed task index.
+    pub fn task(&self) -> u32 {
+        self.task
     }
 
-    /// The slot of claimed task `i`. Slots are taken in claim order,
-    /// each at most once; tasks may be passed over (a failed one has
-    /// no output).
-    ///
-    /// # Panics
-    ///
-    /// If `i` is not in the claim after every task whose slot was
-    /// already taken — the check that keeps the view exclusive.
-    pub fn slot<'s>(&'s mut self, i: u32) -> O::Slot<'s> {
-        let at = self.tasks[self.next..]
-            .iter()
-            .position(|&t| t == i)
-            .expect("slot taken outside the claim or out of claim order");
-        self.next += at + 1;
-        let slots: &'s O = self.slots;
-        // SAFETY: `i` is in this claim, which no other worker holds, and
-        // the cursor just moved past it, so no other view of its slot
-        // can be taken.
-        unsafe { slots.slot(i as usize) }
+    /// The claimed task's slot. The view borrows the claim, so no two
+    /// views of it are ever live at once.
+    pub fn slot(&mut self) -> O::Slot<'_> {
+        // SAFETY: the task is in this claim alone — every index is
+        // claimed exactly once — and the view borrows the claim
+        // mutably, so it is the only live view of the slot.
+        unsafe { self.slots.slot(self.task as usize) }
     }
 
-    /// Records that claimed task `i` failed with `e`. Workers then skip
-    /// every task above the smallest failing index seen so far, and
-    /// the run returns that index's error.
-    pub fn fail(&mut self, i: u32, e: E) {
+    /// Records that the claimed task failed with `e`. Workers then
+    /// skip every task above the smallest failing index seen so far,
+    /// and the run returns that index's error.
+    pub fn fail(&mut self, e: E) {
+        let i = self.task;
         self.bound.fetch_min(i, Ordering::Relaxed);
         if self.failure.as_ref().is_none_or(|&(at, _)| i < at) {
             *self.failure = Some((i, e));
@@ -226,13 +203,13 @@ impl<'a, O: TaskSlots, E> Claim<'a, O, E> {
 }
 
 /// Runs tasks `0..tasks` on up to `threads` workers, which claim them
-/// `grain` at a time in LPT order of `cost` (descending cost, index as
+/// one at a time in LPT order of `cost` (descending cost, index as
 /// tiebreak) — on the calling thread, in ascending order, when
 /// `threads <= 1`. Slots are keyed by task index, so the order moves
 /// wall-clock only. Each worker builds its state with `init` once,
-/// then calls `body` on every claim with a [`Claim`] that lists the
-/// claimed tasks and through which each task writes its output into
-/// its own slot of `slots`.
+/// then calls `body` on every claim with a [`Claim`] that names the
+/// claimed task and through which it writes its output into its own
+/// slot of `slots`.
 ///
 /// Returns `slots` filled, or the error of the smallest failing task.
 /// After a failure, workers skip every task above the smallest
@@ -242,7 +219,6 @@ impl<'a, O: TaskSlots, E> Claim<'a, O, E> {
 pub fn steal<O: TaskSlots, W, E: Send>(
     tasks: usize,
     cost: impl Fn(usize) -> u64,
-    grain: usize,
     threads: usize,
     slots: O,
     init: impl Fn() -> W + Sync,
@@ -250,7 +226,6 @@ pub fn steal<O: TaskSlots, W, E: Send>(
 ) -> Result<O, E> {
     // Distinct claim positions must map to distinct task indices.
     assert!(u32::try_from(tasks).is_ok(), "task indices must fit in u32");
-    let grain = grain.max(1);
     let threads = threads.clamp(1, tasks.max(1));
     // One worker gains nothing from a cost order, and the ascending
     // one needs no permutation built.
@@ -266,12 +241,13 @@ pub fn steal<O: TaskSlots, W, E: Send>(
     let bound = AtomicU32::new(u32::MAX);
     let work = || {
         let mut state = init();
-        let mut claim = Vec::with_capacity(grain.min(tasks));
         let mut failure = None;
-        while queue.claim(grain, bound.load(Ordering::Relaxed), &mut claim) {
+        while let Some(task) = queue.claim() {
+            if task >= bound.load(Ordering::Relaxed) {
+                continue;
+            }
             let mut handle = Claim {
-                tasks: &claim,
-                next: 0,
+                task,
                 slots: &slots,
                 failure: &mut failure,
                 bound: &bound,
@@ -341,7 +317,6 @@ mod tests {
     use std::convert::Infallible;
 
     const THREADS: [usize; 3] = [1, 2, 8];
-    const GRAINS: [usize; 3] = [1, 3, 16];
 
     #[test]
     fn resolve_zero_is_auto_and_positive() {
@@ -359,22 +334,16 @@ mod tests {
     }
 
     #[test]
-    fn grain_claims_are_consecutive_runs_of_the_order() {
-        // The batched kernel's claim contract: every claim is a
-        // contiguous run of the order, so lane groups inherit the
-        // LPT sort's similar-cost adjacency.
+    fn claims_follow_the_order_once_each() {
         let cost = |i: usize| i as u64;
         let q = IndexQueue {
             order: Some(lpt_order(100, &cost)),
             len: 100,
             cursor: AtomicUsize::new(0),
         };
-        let (mut seen, mut claim) = (Vec::new(), Vec::new());
-        while q.claim(16, u32::MAX, &mut claim) {
-            assert!(claim.len() == 16 || seen.len() + claim.len() == 100);
-            seen.extend_from_slice(&claim);
-        }
+        let seen: Vec<u32> = std::iter::from_fn(|| q.claim()).collect();
         assert_eq!(seen, (0..100).rev().collect::<Vec<u32>>());
+        assert_eq!(q.claim(), None);
     }
 
     #[test]
@@ -385,30 +354,25 @@ mod tests {
         let costs: [&dyn Fn(usize) -> u64; 2] = [&|_| 0, &skewed];
         for cost in costs {
             for threads in THREADS {
-                for grain in GRAINS {
-                    let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                    let Ok(out) = steal(
-                        n,
-                        cost,
-                        grain,
-                        threads,
-                        SharedSlots::new(n, 2, 0u64),
-                        || (),
-                        |(), claim: &mut Claim<'_, _, Infallible>| {
-                            assert!(claim.tasks().len() <= grain);
-                            for &i in claim.tasks() {
-                                runs[i as usize].fetch_add(1, Ordering::Relaxed);
-                                let slot = claim.slot(i);
-                                slot[0] = u64::from(i);
-                                slot[1] = u64::from(i) * 10;
-                            }
-                        },
-                    );
-                    let ctx = format!("threads={threads} grain={grain}");
-                    assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{ctx}");
-                    let want: Vec<u64> = (0..n as u64).flat_map(|i| [i, i * 10]).collect();
-                    assert_eq!(out.into_vec(), want, "{ctx}");
-                }
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let Ok(out) = steal(
+                    n,
+                    cost,
+                    threads,
+                    SharedSlots::new(n, 2, 0u64),
+                    || (),
+                    |(), claim: &mut Claim<'_, _, Infallible>| {
+                        let i = claim.task();
+                        runs[i as usize].fetch_add(1, Ordering::Relaxed);
+                        let slot = claim.slot();
+                        slot[0] = u64::from(i);
+                        slot[1] = u64::from(i) * 10;
+                    },
+                );
+                let ctx = format!("threads={threads}");
+                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{ctx}");
+                let want: Vec<u64> = (0..n as u64).flat_map(|i| [i, i * 10]).collect();
+                assert_eq!(out.into_vec(), want, "{ctx}");
             }
         }
     }
@@ -417,37 +381,28 @@ mod tests {
     fn worker_state_is_built_once_per_worker() {
         let n = 50;
         for threads in THREADS {
-            for grain in GRAINS {
-                let inits = AtomicUsize::new(0);
-                // Each slot records its worker's id and how many tasks
-                // that worker had run before it: a state rebuilt per
-                // claim would restart the count, and the per-worker
-                // totals would no longer sum to n.
-                let Ok(out) = steal(
-                    n,
-                    |_| 0,
-                    grain,
-                    threads,
-                    SharedSlots::new(n, 1, (0usize, 0usize)),
-                    || (inits.fetch_add(1, Ordering::Relaxed), 0usize),
-                    |(worker, done), claim: &mut Claim<'_, _, Infallible>| {
-                        for &i in claim.tasks() {
-                            claim.slot(i)[0] = (*worker, *done);
-                            *done += 1;
-                        }
-                    },
-                );
-                assert_eq!(
-                    inits.load(Ordering::Relaxed),
-                    threads,
-                    "t={threads} g={grain}"
-                );
-                let mut per_worker = vec![0usize; threads];
-                for (worker, done) in out.into_vec() {
-                    per_worker[worker] = per_worker[worker].max(done + 1);
-                }
-                assert_eq!(per_worker.iter().sum::<usize>(), n, "t={threads} g={grain}");
+            let inits = AtomicUsize::new(0);
+            // Each slot records its worker's id and how many tasks
+            // that worker had run before it: a state rebuilt per
+            // claim would restart the count, and the per-worker
+            // totals would no longer sum to n.
+            let Ok(out) = steal(
+                n,
+                |_| 0,
+                threads,
+                SharedSlots::new(n, 1, (0usize, 0usize)),
+                || (inits.fetch_add(1, Ordering::Relaxed), 0usize),
+                |(worker, done), claim: &mut Claim<'_, _, Infallible>| {
+                    claim.slot()[0] = (*worker, *done);
+                    *done += 1;
+                },
+            );
+            assert_eq!(inits.load(Ordering::Relaxed), threads, "t={threads}");
+            let mut per_worker = vec![0usize; threads];
+            for (worker, done) in out.into_vec() {
+                per_worker[worker] = per_worker[worker].max(done + 1);
             }
+            assert_eq!(per_worker.iter().sum::<usize>(), n, "t={threads}");
         }
     }
 
@@ -459,39 +414,32 @@ mod tests {
         let costs: [&dyn Fn(usize) -> u64; 2] = [&|_| 0, &skewed];
         for cost in costs {
             for threads in THREADS {
-                for grain in GRAINS {
-                    let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                    let got = steal(
-                        n,
-                        cost,
-                        grain,
-                        threads,
-                        SharedSlots::new(n, 1, 0u32),
-                        || (),
-                        |(), claim| {
-                            for &i in claim.tasks() {
-                                runs[i as usize].fetch_add(1, Ordering::Relaxed);
-                                match i {
-                                    7 | 40 => claim.fail(i, format!("task {i}")),
-                                    _ => claim.slot(i)[0] = i,
-                                }
-                            }
-                        },
-                    );
-                    let ctx = format!("threads={threads} grain={grain}");
-                    assert_eq!(got.err().as_deref(), Some("task 7"), "{ctx}");
-                    // Every task below the failure still ran; on one
-                    // thread nothing past the failing claim did.
-                    assert!(
-                        runs[..7].iter().all(|r| r.load(Ordering::Relaxed) == 1),
-                        "{ctx}"
-                    );
-                    if threads == 1 {
-                        let end = (7 / grain + 1) * grain;
-                        assert!(runs[end.min(n)..]
-                            .iter()
-                            .all(|r| r.load(Ordering::Relaxed) == 0));
-                    }
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let got = steal(
+                    n,
+                    cost,
+                    threads,
+                    SharedSlots::new(n, 1, 0u32),
+                    || (),
+                    |(), claim| {
+                        let i = claim.task();
+                        runs[i as usize].fetch_add(1, Ordering::Relaxed);
+                        match i {
+                            7 | 40 => claim.fail(format!("task {i}")),
+                            _ => claim.slot()[0] = i,
+                        }
+                    },
+                );
+                let ctx = format!("threads={threads}");
+                assert_eq!(got.err().as_deref(), Some("task 7"), "{ctx}");
+                // Every task below the failure still ran; on one
+                // thread nothing past the failing task did.
+                assert!(
+                    runs[..7].iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "{ctx}"
+                );
+                if threads == 1 {
+                    assert!(runs[8..].iter().all(|r| r.load(Ordering::Relaxed) == 0));
                 }
             }
         }

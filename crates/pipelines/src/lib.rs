@@ -52,14 +52,14 @@ mod tests {
     use xdrop_core::xdrop2::BandPolicy;
     use xdrop_core::XDropParams;
 
-    /// The pipelines' extension outcomes under `kernel`, and the claim
-    /// size.
+    /// The pipelines' extension outcomes under `kernel`, through one
+    /// reused extender.
     fn outcomes<S: Scorer>(
         w: &Workload,
         scorer: &S,
         x: i32,
         kernel: KernelKind,
-    ) -> (usize, Vec<ExtendOutcome>) {
+    ) -> Vec<ExtendOutcome> {
         let mut ext = Extender::new(
             XDropParams::new(x).with_kernel(kernel),
             Backend::for_kind(AlignerKind::XDrop2, x, BandPolicy::Grow(256)),
@@ -69,7 +69,7 @@ mod tests {
             assert_eq!(ci, outs.len(), "outcomes arrive in comparison order");
             outs.push(out.unwrap());
         });
-        (ext.grain(), outs)
+        outs
     }
 
     /// Both pipelines accept a comparison on its score and spans
@@ -87,15 +87,9 @@ mod tests {
         }
         let w = overlap::detect_overlaps(&seqs, &ecfg.overlap);
         let scorer = MatchMismatch::dna_default();
-        let (grain, batched) = outcomes(&w, &scorer, ecfg.x, KernelKind::Batched);
-        assert!(
-            grain > 1 && w.comparisons.len() > grain,
-            "several batched claims"
-        );
-        assert_eq!(
-            (1, batched.clone()),
-            outcomes(&w, &scorer, ecfg.x, KernelKind::Scalar)
-        );
+        let batched = outcomes(&w, &scorer, ecfg.x, KernelKind::Batched);
+        assert!(w.comparisons.len() > 1, "several comparisons");
+        assert_eq!(batched, outcomes(&w, &scorer, ecfg.x, KernelKind::Scalar));
         let run = elba::run_elba_from_workload(sim, w, &ecfg);
         assert_eq!(
             run.scores,
@@ -107,15 +101,9 @@ mod tests {
         let (seqs, families) = pastis::generate_families(&mut rng, &pcfg);
         let w = overlap::detect_overlaps(&seqs, &pcfg.overlap);
         let scorer = Blosum62::new(pcfg.gap);
-        let (grain, batched) = outcomes(&w, &scorer, pcfg.x, KernelKind::Batched);
-        assert!(
-            grain > 1 && w.comparisons.len() > grain,
-            "several batched claims"
-        );
-        assert_eq!(
-            (1, batched.clone()),
-            outcomes(&w, &scorer, pcfg.x, KernelKind::Scalar)
-        );
+        let batched = outcomes(&w, &scorer, pcfg.x, KernelKind::Batched);
+        assert!(w.comparisons.len() > 1, "several comparisons");
+        assert_eq!(batched, outcomes(&w, &scorer, pcfg.x, KernelKind::Scalar));
         let run = pastis::run_pastis_from_workload(w, families, &pcfg);
         assert_eq!(
             run.scores,

@@ -6,7 +6,7 @@
 //! xdrop simulate --genome-len N [--coverage C] [--read-len L]
 //!                [--error hifi|noisy|exact] [--seed S] --out reads.fa
 //! xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner KIND] [--out contigs.fa]
-//! xdrop stats <seqs.fasta> [--protein]
+//! xdrop stats <seqs.fasta>
 //! ```
 //!
 //! `align` aligns the first record of `a` against every record of
@@ -34,7 +34,7 @@ use xdrop_ipu::pipelines::overlap::{detect_overlaps, OverlapConfig};
 fn usage() -> ! {
     let aligners: Vec<&str> = AlignerKind::ALL.iter().map(|k| k.name()).collect();
     eprintln!(
-        "usage:\n  xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--delta-b N] [--exact] [--traceback]\n  xdrop simulate --genome-len N [--coverage C] [--read-len L] [--error hifi|noisy|exact] [--seed S] --out reads.fa\n  xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner {}] [--out contigs.fa]\n  xdrop stats <seqs.fasta> [--protein]",
+        "usage:\n  xdrop align <a.fasta> <b.fasta> [--x N] [--protein] [--delta-b N] [--exact] [--traceback]\n  xdrop simulate --genome-len N [--coverage C] [--read-len L] [--error hifi|noisy|exact] [--seed S] --out reads.fa\n  xdrop assemble <reads.fasta> [--x N] [--k K] [--aligner {}] [--out contigs.fa]\n  xdrop stats <seqs.fasta>",
         aligners.join("|")
     );
     exit(2)
@@ -323,7 +323,7 @@ fn cmd_assemble(args: &[String]) {
 }
 
 fn cmd_stats(args: &[String]) {
-    let o = parse(args, &[], &["protein"]);
+    let o = parse(args, &[], &[]);
     if o.positional.len() != 1 {
         usage();
     }

@@ -498,9 +498,8 @@ fn hirschberg_edge_cases_match_oracle() {
 
 /// An ineligible scorer (BLOSUM62 has no match/mismatch form, so the
 /// batched i16 lanes cannot encode it) routed through `XDrop2` +
-/// `Batched` must take the per-task scalar fallback — same results,
-/// same typed errors as the direct scalar call, with the fallback
-/// visible in `BatchReport::fallbacks`.
+/// `Batched` must take the `Simd` fallback — same results, same typed
+/// errors as the direct scalar call.
 #[test]
 fn batched_fallback_precedence_for_ineligible_scorer() {
     let scorer = Blosum62::new(-2);
@@ -602,7 +601,7 @@ fn env_resolution_maps_onto_request_kernels() {
     }
     assert_eq!(
         kernel::KernelKind::resolve_env_value(None),
-        KernelKind::Simd
+        KernelKind::Batched
     );
 }
 
@@ -648,18 +647,16 @@ fn extension_seeds(h: &[u8], v: &[u8], k: usize) -> Vec<SeedMatch> {
 
 /// `Extender::extend_each` over a workload cycling through `jobs`
 /// hands out exactly `Extender::extend`'s outcome per comparison, in
-/// the order given, for 0, 1, grain − 1, grain, grain + 1 and
-/// 3·grain + 2 comparisons taken in a non-ascending order (as the LPT
-/// claims are), with one out-of-bounds seed mid-claim failing its own
-/// comparison alone.
+/// the order given, for 0, 1, 2 and 2·|jobs| + 1 comparisons taken in
+/// a non-ascending order (as the LPT claims are), with one
+/// out-of-bounds seed failing its own comparison alone.
 fn check_extend_each<S: Scorer>(
     ext: &mut xdrop_ipu::core::extension::Extender,
     jobs: &[(&[u8], &[u8], SeedMatch)],
     scorer: &S,
     cell: &str,
 ) {
-    let grain = ext.grain();
-    let m = 3 * grain + 2;
+    let m = 2 * jobs.len() + 1;
     // Alternately the largest and the smallest index not yet taken.
     let order: Vec<usize> = (0..m)
         .map(|i| if i % 2 == 0 { m - 1 - i / 2 } else { i / 2 })
@@ -670,7 +667,7 @@ fn check_extend_each<S: Scorer>(
         let (h, v) = (w.seqs.push(h.to_vec()), w.seqs.push(v.to_vec()));
         w.comparisons.push(Comparison::new(h, v, seed));
     }
-    let bad = order[grain / 2];
+    let bad = order[1];
     w.comparisons[bad].seed.h_pos = w.seqs.seq_len(w.comparisons[bad].h);
     let want: Vec<_> = w
         .comparisons
@@ -678,7 +675,7 @@ fn check_extend_each<S: Scorer>(
         .map(|c| ext.extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, scorer))
         .collect();
     assert!(matches!(want[bad], Err(AlignError::SeedOutOfBounds { .. })));
-    for count in [0, 1, grain - 1, grain, grain + 1, m] {
+    for count in [0, 1, 2, m] {
         let mut seen = Vec::new();
         ext.extend_each(&w, order[..count].iter().copied(), scorer, |ci, got| {
             assert_eq!(got, want[ci], "{cell} count={count} comparison {ci}");
@@ -694,7 +691,7 @@ fn check_extend_each<S: Scorer>(
 /// suffixes after it, under the same engine, kernel, band policy and
 /// `x`. A band overflow
 /// surfaces as the same typed error, the left side's first, and
-/// `extend_batch` and `extend_each` equal `extend` job by job.
+/// `extend_each` equals `extend` job by job.
 #[test]
 fn extender_sides_match_facade_requests() {
     use xdrop_ipu::core::extension::{Backend, Extender};
@@ -747,11 +744,6 @@ fn extender_sides_match_facade_requests() {
                                 assert_eq!(got.right, r.output, "{cell} {seed:?} right");
                             }
                         }
-                    }
-                    let batch = ext.extend_batch(&jobs, &scorer);
-                    assert_eq!(batch.len(), jobs.len());
-                    for (i, (&(h, v, seed), got)) in jobs.iter().zip(batch).enumerate() {
-                        assert_eq!(got, ext.extend(h, v, seed, &scorer), "{cell} job {i}");
                     }
                     check_extend_each(&mut ext, &jobs, &scorer, &cell);
                 }

@@ -15,9 +15,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xdrop_ipu::core::aligner::logan_band_width;
 use xdrop_ipu::core::batched::{
-    align_batch, align_batch_with_backend, align_batch_with_lanes, BatchTask, SweepBackend,
-    TaskView,
+    self, align_batch, align_batch_with_backend, align_batch_with_lanes, BatchTask, SweepBackend,
+    TaskView, BURST_ROUNDS,
 };
 use xdrop_ipu::core::kernel::{self, KernelKind};
 use xdrop_ipu::core::scoring::MatchMismatch;
@@ -68,6 +69,35 @@ impl TaskSpec {
             }
             (true, true) => {
                 xdrop2::align_views_ty(&Rev(&self.h), &Rev(&self.v), &sc, params, policy, &mut ws)
+            }
+        }
+    }
+}
+
+impl TaskSpec {
+    /// The one-pair kernel ([`batched::align_views`]) at `backend` in
+    /// the caller's workspace `ws`.
+    fn one_pair(
+        &self,
+        params: XDropParams,
+        policy: BandPolicy,
+        backend: SweepBackend,
+        ws: &mut Workspace<i32>,
+    ) -> Result<AlignOutput> {
+        let sc = MatchMismatch::dna_default();
+        let (h, v) = (&self.h[..], &self.v[..]);
+        match (self.h_rev, self.v_rev) {
+            (false, false) => {
+                batched::align_views(&Fwd(h), &Fwd(v), &sc, params, policy, backend, ws)
+            }
+            (false, true) => {
+                batched::align_views(&Fwd(h), &Rev(v), &sc, params, policy, backend, ws)
+            }
+            (true, false) => {
+                batched::align_views(&Rev(h), &Fwd(v), &sc, params, policy, backend, ws)
+            }
+            (true, true) => {
+                batched::align_views(&Rev(h), &Rev(v), &sc, params, policy, backend, ws)
             }
         }
     }
@@ -291,8 +321,8 @@ proptest! {
     }
 
     /// The f32 cell type reaches the batched kernel through the
-    /// generic dispatch (where it takes the definitional scalar
-    /// fallback) and stays bit-identical.
+    /// generic dispatch (where it runs the `Simd` kernel, which has
+    /// no `i16` mapping to lose) and stays bit-identical.
     #[test]
     fn batched_kernel_dispatch_is_identical_for_f32(
         batch in task_batch(),
@@ -414,4 +444,157 @@ fn masked_tail_row_widths_are_bit_identical_per_backend() {
             }
         }
     }
+}
+
+/// A random read of `h_len` symbols and a mutated copy of it (`err`
+/// substitution/indel rate).
+fn related(rng: &mut StdRng, h_len: usize, err: f64) -> (Vec<u8>, Vec<u8>) {
+    let h: Vec<u8> = (0..h_len).map(|_| rng.gen_range(0..4)).collect();
+    let mut v = Vec::with_capacity(h_len + 8);
+    for &b in &h {
+        let r: f64 = rng.gen();
+        if r < err * 0.6 {
+            v.push((b + 1) % 4);
+        } else if r < err * 0.8 {
+            v.push(rng.gen_range(0..4));
+            v.push(b);
+        } else if r >= err {
+            v.push(b);
+        }
+    }
+    (h, v)
+}
+
+/// Window-edge differential for the one-pair kernel: every case, run
+/// through one reused workspace per supported sweep backend, equals
+/// the scalar reference on a fresh workspace — result, every stats
+/// field, and errors. The cases sit on the edges of the per-burst
+/// sequence windows: flank lengths 0, 1, `BURST_ROUNDS − 1`,
+/// `BURST_ROUNDS`, `BURST_ROUNDS + 1` and `3 × BURST_ROUNDS` on each
+/// side in every direction pairing; seeds at both sequence ends (one
+/// side empty, the other the whole read); Grow re-pitches in
+/// mid-burst (δ_b ∈ {1, 2} on long identical reads); LOGAN's
+/// saturating window; `Exact` band overflow errors; and an `i16`
+/// guard-band overflow that forces the rerun in the same workspace.
+#[test]
+fn one_pair_window_edges_match_the_scalar_reference() {
+    let mut rng = StdRng::seed_from_u64(0x3D6E);
+    let r = BURST_ROUNDS;
+    let flanks = [0, 1, r - 1, r, r + 1, 3 * r];
+    let mut cases: Vec<(TaskSpec, XDropParams, BandPolicy)> = Vec::new();
+    let spec = |h: &[u8], v: &[u8], h_rev: bool, v_rev: bool| TaskSpec {
+        h: h.to_vec(),
+        v: v.to_vec(),
+        h_rev,
+        v_rev,
+    };
+    for &m in &flanks {
+        for &n in &flanks {
+            let (h, v) = related(&mut rng, m.max(n), 0.05);
+            let (h, v) = (&h[..m], &v[..n.min(v.len())]);
+            for (h_rev, v_rev) in [(false, false), (true, true), (false, true), (true, false)] {
+                for policy in [
+                    BandPolicy::Grow(4),
+                    BandPolicy::Exact(3),
+                    BandPolicy::Saturate(5),
+                ] {
+                    cases.push((spec(h, v, h_rev, v_rev), XDropParams::new(20), policy));
+                }
+            }
+        }
+    }
+    // Seeds at both ends of a read: the left side of a seed at 0 and
+    // the right side of a seed at the end are empty, the other side
+    // is the whole read (reversed on the left).
+    let (h, v) = related(&mut rng, 700, 0.02);
+    for rev in [false, true] {
+        cases.push((
+            spec(&h, &v, rev, rev),
+            XDropParams::new(15),
+            BandPolicy::Grow(512),
+        ));
+        cases.push((
+            spec(&[], &v, rev, rev),
+            XDropParams::new(15),
+            BandPolicy::Grow(512),
+        ));
+        cases.push((
+            spec(&h, &[], rev, rev),
+            XDropParams::new(15),
+            BandPolicy::Grow(512),
+        ));
+    }
+    // Grow re-pitches: a one- or two-cell band on long identical or
+    // near-identical reads outgrows the row pitch within a burst,
+    // more than once.
+    let (h, v) = related(&mut rng, 5 * r + 3, 0.01);
+    for db in [1, 2] {
+        for x in [4, 30, 200] {
+            cases.push((
+                spec(&h, &h, false, false),
+                XDropParams::new(x),
+                BandPolicy::Grow(db),
+            ));
+            cases.push((
+                spec(&h, &v, true, true),
+                XDropParams::new(x),
+                BandPolicy::Grow(db),
+            ));
+        }
+    }
+    // LOGAN's saturating window, and a window small enough to clip.
+    let (h, v) = related(&mut rng, 6 * r, 0.08);
+    for x in [8, 15, 100_000] {
+        let policy = BandPolicy::Saturate(logan_band_width(x));
+        cases.push((spec(&h, &v, false, false), XDropParams::new(x), policy));
+        cases.push((
+            spec(&h, &v, true, true),
+            XDropParams::new(x),
+            BandPolicy::Saturate(3),
+        ));
+    }
+    // `Exact` overflow errors on divergent reads.
+    let (h, v) = related(&mut rng, 4 * r, 0.25);
+    for db in [1, 2, 5] {
+        cases.push((
+            spec(&h, &v, false, false),
+            XDropParams::new(25),
+            BandPolicy::Exact(db),
+        ));
+    }
+    // An all-match pair past the `i16` domain reruns in `ws`.
+    let long: Vec<u8> = (0..34_000).map(|i| (i % 4) as u8).collect();
+    let overflow = spec(&long, &long, false, false);
+    let (params, policy) = (XDropParams::new(4), BandPolicy::Grow(4));
+    let best = overflow
+        .scalar(params, policy)
+        .expect("aligns")
+        .result
+        .best_score;
+    assert!(
+        best > i16::MAX as i32,
+        "the rerun case leaves the i16 domain: {best}"
+    );
+    cases.push((overflow, params, policy));
+    cases.push((
+        spec(&h, &v, true, false),
+        XDropParams::new(25),
+        BandPolicy::Grow(8),
+    ));
+
+    // Each case runs on a fresh workspace (so a small δ_b re-pitches)
+    // and on one reused across all cases (stale rows and windows).
+    let mut errors = 0;
+    for backend in SweepBackend::supported() {
+        let mut reused = Workspace::<i32>::new();
+        for (i, (spec, params, policy)) in cases.iter().enumerate() {
+            let want = spec.scalar(*params, *policy);
+            errors += usize::from(want.is_err());
+            for ws in [&mut Workspace::new(), &mut reused] {
+                let got = spec.one_pair(*params, *policy, backend, ws);
+                assert_eq!(want, got, "case {i} {backend:?} {policy:?} x={}", params.x);
+            }
+        }
+    }
+    assert!(errors > 0, "no Exact overflow exercised");
 }

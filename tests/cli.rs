@@ -139,6 +139,24 @@ fn unknown_options_are_usage_errors() {
     std::fs::remove_file(b).unwrap();
 }
 
+/// `stats` reads no alphabet, so `--protein` is an option it does not
+/// take: exit code 2, and the error names it (the usage text alone
+/// mentions `--protein` under `align`).
+#[test]
+fn stats_rejects_protein() {
+    let f = fasta("stats-protein", &[("a", &random_seq("ACGT", 60, 3))]);
+    let out = xdrop(&["stats", f.to_str().unwrap(), "--protein"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --protein"), "{stderr}");
+    assert!(
+        !stderr.contains("stats <seqs.fasta> [--protein]"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+    std::fs::remove_file(f).unwrap();
+}
+
 /// Sums the run lengths of each CIGAR operation: `(M, I, D)`.
 fn cigar_counts(cigar: &str) -> (usize, usize, usize) {
     let (mut counts, mut n) = ((0, 0, 0), 0usize);

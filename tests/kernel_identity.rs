@@ -86,7 +86,7 @@ fn assert_identical<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The tentpole property: Simd and Batched (as a batch of one)
+    /// The tentpole property: Simd and Batched (the one-pair i16 sweep)
     /// are bit-identical to Scalar across all three band
     /// policies, in both extension directions, for i32 cells.
     #[test]
@@ -203,7 +203,7 @@ fn env_probe() {
 #[test]
 fn env_knob_end_to_end() {
     let exe = std::env::current_exe().expect("test binary path");
-    for name in ["scalar", "simd", "batched"] {
+    for name in ["scalar", "simd", "batched", "auto"] {
         let out = std::process::Command::new(&exe)
             .args(["--exact", "env_probe", "--ignored"])
             .env(KERNEL_ENV, name)
@@ -216,7 +216,7 @@ fn env_knob_end_to_end() {
             String::from_utf8_lossy(&out.stderr),
         );
     }
-    // Unset: the resolution falls back to `simd`.
+    // Unset: the resolution falls back to `batched`.
     let out = std::process::Command::new(&exe)
         .args(["--exact", "detect_probe", "--ignored"])
         .env_remove(KERNEL_ENV)
@@ -235,5 +235,5 @@ fn env_knob_end_to_end() {
 #[ignore = "subprocess probe driven by env_knob_end_to_end"]
 fn detect_probe() {
     assert!(std::env::var(KERNEL_ENV).is_err());
-    assert_eq!(XDropParams::new(20).kernel, KernelKind::Simd);
+    assert_eq!(XDropParams::new(20).kernel, KernelKind::Batched);
 }

@@ -34,7 +34,7 @@ fn fixture_path() -> PathBuf {
 
 #[test]
 fn modeled_paper_figures_match_the_golden() {
-    let table1 = table1::run(0.0005, 15);
+    let table1 = table1::run(0.0005, 15).expect("Table 1 datasets generate comparisons");
     let fig5_datasets = [
         Dataset::new(DatasetKind::Simulated85, 0.0001),
         Dataset::new(DatasetKind::Ecoli, 0.001).with_max_comparisons(8),

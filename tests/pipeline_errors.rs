@@ -387,11 +387,6 @@ fn overflowing_seed_end_is_a_typed_error() {
         }
     };
     assert_eq!(w.validate().unwrap_err(), oob(5));
-    let jobs: Vec<(&[u8], &[u8], SeedMatch)> = w
-        .comparisons
-        .iter()
-        .map(|c| (w.seqs.get(c.h), w.seqs.get(c.v), c.seed))
-        .collect();
     for kind in [
         AlignerKind::XDrop2,
         AlignerKind::LoganBand,
@@ -400,10 +395,11 @@ fn overflowing_seed_end_is_a_typed_error() {
         for kernel in KernelKind::ALL {
             let params = XDropParams::new(15).with_kernel(kernel);
             let mut ext = Extender::new(params, Backend::for_kind(kind, 15, BandPolicy::Grow(64)));
-            let batch = ext.extend_batch(&jobs, &sc);
-            for (ci, &(h, v, seed)) in jobs.iter().enumerate() {
-                let one = ext.extend(h, v, seed, &sc);
-                assert_eq!(one, batch[ci], "{kind:?} {kernel:?} comparison {ci}");
+            let mut each = Vec::new();
+            ext.extend_each(&w, 0..w.comparisons.len(), &sc, |_, out| each.push(out));
+            for (ci, c) in w.comparisons.iter().enumerate() {
+                let one = ext.extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, &sc);
+                assert_eq!(one, each[ci], "{kind:?} {kernel:?} comparison {ci}");
                 if bad.iter().any(|&(b, _)| b == ci) {
                     assert_eq!(one.unwrap_err(), oob(ci), "{kind:?} {kernel:?}");
                 } else {
