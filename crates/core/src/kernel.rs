@@ -21,17 +21,18 @@
 //!    candidate interval (the cells whose three neighbours are all
 //!    stored: a contiguous range, because each guard is an interval)
 //!    in fixed-width [`CHUNK`]-cell slices with no per-cell guards.
-//!    The few boundary cells keep the scalar per-cell path.
-//!    [`KernelKind::Simd`] issues explicit SSE4.1 (or NEON)
-//!    `std::arch` intrinsics for the `i32` match/mismatch (DNA) case,
-//!    turning the scoring into a vector compare-and-select instead of
-//!    a gather; every other case (and a host without those ISAs)
-//!    takes the type-generic chunk loop written for the
-//!    autovectorizer.
+//!    The few boundary cells keep the scalar per-cell path, and the
+//!    chunk loop is type-generic, written for the autovectorizer.
 //! 3. **Cutoff** — apply the X-Drop threshold and fold the liveness
 //!    reductions (band bounds, per-diagonal best, global best) chunk
 //!    at a time: a per-chunk max-reduction decides whether the
 //!    strictly-ordered "first maximum wins" scan needs to run at all.
+//!    For `i32` cells on x86-64 with SSE4.1 (detected at runtime) the
+//!    cutoff runs explicit `std::arch` intrinsics.
+//!
+//! DNA (`i32` match/mismatch) runs through [`KernelKind::Batched`]'s
+//! `i16` fused sweep by default; this kernel serves the scorers those
+//! lanes cannot take (BLOSUM62) and `f32` cells.
 //!
 //! ## Bit-identity is the contract
 //!
@@ -46,18 +47,10 @@
 //! both score cell types, and both extension directions. Kernel
 //! choice may therefore only ever change host wall-clock, never
 //! results and never modeled time.
-//!
-//! The one numeric subtlety: the scalar kernel uses `saturating_add`
-//! for `i32` cells while the SIMD lanes use wrapping `padd`. These
-//! agree because every stored cell is bounded below by
-//! `NEG_INF + k·min(gap, mis)` with `k` at most the number of sweeps
-//! (sequences would need to be ~10⁹ symbols long before a sum could
-//! reach `i32::MIN`), and `NEG_INF = i32::MIN / 4` leaves exactly
-//! that headroom by design.
 
 use crate::error::{AlignError, Result};
 use crate::scorety::ScoreTy;
-use crate::scoring::{MatchMismatch, Scorer};
+use crate::scoring::Scorer;
 use crate::seqview::SeqView;
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
 use crate::xdrop2::{self, BandPolicy, DiagMeta, Workspace};
@@ -80,11 +73,10 @@ pub enum KernelKind {
     /// The reference per-cell loop of
     /// [`crate::xdrop2::align_views_ty`].
     Scalar,
-    /// Branch-free fixed-width chunks over contiguous slices, with
-    /// explicit `std::arch` SSE4.1/NEON lanes for the `i32`
-    /// match/mismatch (DNA) case where the host has them (detected at
-    /// runtime); every other configuration takes the type-generic
-    /// chunk loop, written for the autovectorizer.
+    /// Branch-free fixed-width chunks over contiguous slices: a
+    /// type-generic sweep written for the autovectorizer and, for
+    /// `i32` cells on an SSE4.1 host (detected at runtime), an
+    /// explicit-SIMD cutoff.
     Simd,
     /// The `i16` fused sweep ([`crate::batched::align_views`]): one
     /// pair at a time, reading the views in place, in the caller's
@@ -99,12 +91,7 @@ fn simd_available() -> bool {
     std::arch::is_x86_feature_detected!("sse4.1")
 }
 
-#[cfg(target_arch = "aarch64")]
-fn simd_available() -> bool {
-    std::arch::is_aarch64_feature_detected!("neon")
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn simd_available() -> bool {
     false
 }
@@ -329,12 +316,11 @@ fn boundary_cell<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     cur[w] = diag.maxv(left).maxv(up);
 }
 
-/// Interior sweep, type-generic chunked variant: all guards hold for
-/// every cell of `[int_lo, int_hi]`, so the chunk body is a straight
-/// select/add/max chain over contiguous slices that the compiler can
-/// keep in lanes.
+/// Interior sweep: all guards hold for every cell of
+/// `[int_lo, int_hi]`, so the chunk body is a straight select/add/max
+/// chain over contiguous slices that the compiler can keep in lanes.
 #[allow(clippy::too_many_arguments)]
-fn sweep_interior_chunked<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+fn sweep_interior<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     int_lo: usize,
     int_hi: usize,
     d: usize,
@@ -367,94 +353,6 @@ fn sweep_interior_chunked<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
             let left = prev[w + off].add_i32(gap);
             let up = prev[w + off - 1].add_i32(gap);
             cur[w] = diag.maxv(left).maxv(up);
-        }
-        i0 += clen;
-    }
-}
-
-/// Interior sweep dispatch. For `i32` cells with a match/mismatch
-/// scorer on a host with the detected ISA, the sweep runs explicit
-/// `std::arch` intrinsics. Every other configuration (f32 cells,
-/// matrix scorers, hosts without SSE4.1/NEON) takes the fully
-/// generic chunked sweep, which produces the same bytes.
-#[allow(clippy::too_many_arguments)]
-fn sweep_interior<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
-    int_lo: usize,
-    int_hi: usize,
-    d: usize,
-    cand_lo: usize,
-    off: usize,
-    cur: &mut [T],
-    prev: &[T],
-    scratch: &[T],
-    h: &HV,
-    v: &VV,
-    scorer: &S,
-    gap: i32,
-    mm: Option<MatchMismatch>,
-    explicit_simd: bool,
-) {
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    if let (true, Some(mm)) = (explicit_simd, mm) {
-        if let (Some(prev_i), Some(scr_i)) = (T::as_i32_slice(prev), T::as_i32_slice(scratch)) {
-            if let Some(cur_i) = T::as_i32_slice_mut(&mut *cur) {
-                sweep_interior_simd(
-                    int_lo, int_hi, d, cand_lo, off, cur_i, prev_i, scr_i, h, v, mm,
-                );
-                return;
-            }
-        }
-    }
-    let _ = (mm, explicit_simd);
-    sweep_interior_chunked(
-        int_lo, int_hi, d, cand_lo, off, cur, prev, scratch, h, v, scorer, gap,
-    );
-}
-
-/// Explicit-SIMD interior sweep for `i32` DNA scoring: stages each
-/// chunk's symbols (one [`SeqView::fill_fwd`]/[`SeqView::fill_rev`]
-/// call per view), then hands contiguous lanes to the ISA-specific
-/// kernel.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-#[allow(clippy::too_many_arguments)]
-fn sweep_interior_simd<HV: SeqView, VV: SeqView>(
-    int_lo: usize,
-    int_hi: usize,
-    d: usize,
-    cand_lo: usize,
-    off: usize,
-    cur: &mut [i32],
-    prev: &[i32],
-    scratch: &[i32],
-    h: &HV,
-    v: &VV,
-    mm: MatchMismatch,
-) {
-    let mut vbuf = [0u8; CHUNK];
-    let mut hbuf = [0u8; CHUNK];
-    let mut i0 = int_lo;
-    while i0 <= int_hi {
-        let clen = CHUNK.min(int_hi - i0 + 1);
-        v.fill_fwd(i0 - 1, &mut vbuf[..clen]);
-        h.fill_rev(d - i0 - 1, &mut hbuf[..clen]);
-        // SAFETY: the dispatcher only selects this path after runtime
-        // detection of the target feature; all slice accesses are in
-        // bounds for the interior range (see the interval proof in
-        // `lane_parallel`).
-        unsafe {
-            isa::sweep_chunk(
-                cur,
-                prev,
-                scratch,
-                &vbuf,
-                &hbuf,
-                clen,
-                i0 - cand_lo,
-                off,
-                mm.match_score,
-                mm.mismatch_score,
-                mm.gap_penalty,
-            );
         }
         i0 += clen;
     }
@@ -533,7 +431,6 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     ws.ensure(delta_b);
     let gap = scorer.gap();
     let x = params.x;
-    let mm = scorer.as_match_mismatch();
 
     let mut metas = [
         DiagMeta {
@@ -648,20 +545,7 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
                 debug_assert!(cand_lo >= meta_prev.cand_lo);
                 let off = cand_lo - meta_prev.cand_lo;
                 sweep_interior(
-                    int_lo,
-                    int_hi,
-                    d,
-                    cand_lo,
-                    off,
-                    cur,
-                    prev,
-                    scratch,
-                    h,
-                    v,
-                    scorer,
-                    gap,
-                    mm,
-                    explicit_simd,
+                    int_lo, int_hi, d, cand_lo, off, cur, prev, scratch, h, v, scorer, gap,
                 );
             }
             for i in (int_hi + 1).max(pro_end)..=cand_hi {
@@ -672,13 +556,12 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 
             // Phase 3: X-Drop cutoff + reductions, chunk at a time.
             let thr = t_best - x;
-            let use_simd_cut = explicit_simd;
             let mut base = 0usize;
             while base < width {
                 let clen = CHUNK.min(width - base);
                 stats.cells_computed += clen as u64;
                 let (live_mask, chunk_max, drops) =
-                    cutoff_chunk(cur, base, clen, thr, use_simd_cut);
+                    cutoff_chunk(cur, base, clen, thr, explicit_simd);
                 stats.cells_dropped += u64::from(drops);
                 if live_mask != 0 {
                     any_live = true;
@@ -732,87 +615,11 @@ fn lane_parallel<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     })
 }
 
-/// SSE4.1 lanes for the `i32` DNA case (x86-64).
+/// SSE4.1 cutoff for `i32` cells (x86-64).
 #[cfg(target_arch = "x86_64")]
 mod isa {
-    use super::CHUNK;
     use crate::NEG_INF;
     use std::arch::x86_64::*;
-
-    /// Phase-2 chunk: compare-and-select scoring, select-based `-∞`
-    /// absorption, unguarded neighbour loads. Wrapping `padd` is
-    /// exact here (see the module docs on saturation headroom).
-    ///
-    /// # Safety
-    /// Requires SSE4.1 and `wbase + clen ≤ cur.len()`,
-    /// `wbase + off + clen ≤ prev.len()`, `wbase + off ≥ 1`.
-    #[target_feature(enable = "sse4.1")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn sweep_chunk(
-        cur: &mut [i32],
-        prev: &[i32],
-        scratch: &[i32],
-        vsym: &[u8; CHUNK],
-        hsym: &[u8; CHUNK],
-        clen: usize,
-        wbase: usize,
-        off: usize,
-        mat: i32,
-        mis: i32,
-        gap: i32,
-    ) {
-        debug_assert!(wbase + clen <= cur.len() && wbase + clen <= scratch.len());
-        debug_assert!(wbase + off + clen <= prev.len() && wbase + off >= 1);
-        let vmat = _mm_set1_epi32(mat);
-        let vmis = _mm_set1_epi32(mis);
-        let vgap = _mm_set1_epi32(gap);
-        let vneg = _mm_set1_epi32(NEG_INF);
-        let vliv = _mm_set1_epi32(NEG_INF / 2);
-        let mut k = 0usize;
-        while k + 4 <= clen {
-            let w = wbase + k;
-            let dold = _mm_loadu_si128(scratch.as_ptr().add(w) as *const __m128i);
-            let a = _mm_setr_epi32(
-                vsym[k] as i32,
-                vsym[k + 1] as i32,
-                vsym[k + 2] as i32,
-                vsym[k + 3] as i32,
-            );
-            let b = _mm_setr_epi32(
-                hsym[k] as i32,
-                hsym[k + 1] as i32,
-                hsym[k + 2] as i32,
-                hsym[k + 3] as i32,
-            );
-            let sim = _mm_blendv_epi8(vmis, vmat, _mm_cmpeq_epi32(a, b));
-            let live = _mm_cmpgt_epi32(dold, vliv);
-            let diag = _mm_blendv_epi8(vneg, _mm_add_epi32(dold, sim), live);
-            let left = _mm_add_epi32(
-                _mm_loadu_si128(prev.as_ptr().add(w + off) as *const __m128i),
-                vgap,
-            );
-            let up = _mm_add_epi32(
-                _mm_loadu_si128(prev.as_ptr().add(w + off - 1) as *const __m128i),
-                vgap,
-            );
-            let score = _mm_max_epi32(diag, _mm_max_epi32(left, up));
-            _mm_storeu_si128(cur.as_mut_ptr().add(w) as *mut __m128i, score);
-            k += 4;
-        }
-        while k < clen {
-            let w = wbase + k;
-            let dold = scratch[w];
-            let diag = if dold > NEG_INF / 2 {
-                dold.saturating_add(if vsym[k] == hsym[k] { mat } else { mis })
-            } else {
-                NEG_INF
-            };
-            let left = prev[w + off].saturating_add(gap);
-            let up = prev[w + off - 1].saturating_add(gap);
-            cur[w] = diag.max(left).max(up);
-            k += 1;
-        }
-    }
 
     /// Phase-3 chunk: vector cutoff + movemask liveness +
     /// max-reduction. Returns `(live_mask, chunk_max, drops)` with
@@ -866,85 +673,6 @@ mod isa {
             k += 1;
         }
         (live_mask, chunk_max, drops)
-    }
-}
-
-/// NEON lanes for the `i32` DNA case (aarch64). Mirrors the SSE4.1
-/// phase-2 sweep; phase 3 stays on the scalar chunk reduction there.
-#[cfg(target_arch = "aarch64")]
-mod isa {
-    use super::CHUNK;
-    use crate::NEG_INF;
-    use std::arch::aarch64::*;
-
-    /// See the SSE4.1 `sweep_chunk`: same contract, NEON intrinsics.
-    ///
-    /// # Safety
-    /// Requires NEON and the same bounds as the SSE4.1 variant.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn sweep_chunk(
-        cur: &mut [i32],
-        prev: &[i32],
-        scratch: &[i32],
-        vsym: &[u8; CHUNK],
-        hsym: &[u8; CHUNK],
-        clen: usize,
-        wbase: usize,
-        off: usize,
-        mat: i32,
-        mis: i32,
-        gap: i32,
-    ) {
-        debug_assert!(wbase + clen <= cur.len() && wbase + clen <= scratch.len());
-        debug_assert!(wbase + off + clen <= prev.len() && wbase + off >= 1);
-        let vmat = vdupq_n_s32(mat);
-        let vmis = vdupq_n_s32(mis);
-        let vgap = vdupq_n_s32(gap);
-        let vneg = vdupq_n_s32(NEG_INF);
-        let vliv = vdupq_n_s32(NEG_INF / 2);
-        let mut k = 0usize;
-        while k + 4 <= clen {
-            let w = wbase + k;
-            let dold = vld1q_s32(scratch.as_ptr().add(w));
-            let a = [
-                vsym[k] as i32,
-                vsym[k + 1] as i32,
-                vsym[k + 2] as i32,
-                vsym[k + 3] as i32,
-            ];
-            let b = [
-                hsym[k] as i32,
-                hsym[k + 1] as i32,
-                hsym[k + 2] as i32,
-                hsym[k + 3] as i32,
-            ];
-            let sim = vbslq_s32(
-                vceqq_s32(vld1q_s32(a.as_ptr()), vld1q_s32(b.as_ptr())),
-                vmat,
-                vmis,
-            );
-            let live = vcgtq_s32(dold, vliv);
-            let diag = vbslq_s32(live, vaddq_s32(dold, sim), vneg);
-            let left = vaddq_s32(vld1q_s32(prev.as_ptr().add(w + off)), vgap);
-            let up = vaddq_s32(vld1q_s32(prev.as_ptr().add(w + off - 1)), vgap);
-            let score = vmaxq_s32(diag, vmaxq_s32(left, up));
-            vst1q_s32(cur.as_mut_ptr().add(w), score);
-            k += 4;
-        }
-        while k < clen {
-            let w = wbase + k;
-            let dold = scratch[w];
-            let diag = if dold > NEG_INF / 2 {
-                dold.saturating_add(if vsym[k] == hsym[k] { mat } else { mis })
-            } else {
-                NEG_INF
-            };
-            let left = prev[w + off].saturating_add(gap);
-            let up = prev[w + off - 1].saturating_add(gap);
-            cur[w] = diag.max(left).max(up);
-            k += 1;
-        }
     }
 }
 

@@ -115,14 +115,13 @@ impl SeqView for Rev<'_> {
     }
 }
 
-/// Materializes a view into an owned `Vec` (tests and debugging).
-pub fn collect_view<S: SeqView>(view: &S) -> Vec<u8> {
-    (0..view.len()).map(|i| view.at(i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn collect_view<S: SeqView>(view: &S) -> Vec<u8> {
+        (0..view.len()).map(|i| view.at(i)).collect()
+    }
 
     #[test]
     fn forward_is_identity() {

@@ -247,7 +247,7 @@ pub fn execute_workload_reference<S: Scorer + Sync>(
 ///
 /// Runs on [`pool::steal`]: comparisons are claimed one at a time in
 /// LPT order of their `|H|×|V|` bound and aligned by
-/// [`Extender::extend_each`] with one extender per worker. Each
+/// [`Extender::extend`] with one extender per worker. Each
 /// comparison writes its result and units straight into its slots of
 /// the final vectors, so the output is identical for any thread count
 /// and any claim interleaving.
@@ -274,7 +274,8 @@ pub fn execute_workload<S: Scorer + Sync>(
         || Extender::new(cfg.params, cfg.backend()),
         |ext, claim| {
             let ci = claim.task() as usize;
-            ext.extend_each(w, [ci], scorer, |ci, out| match out {
+            let c = &w.comparisons[ci];
+            match ext.extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, scorer) {
                 Ok(out) => {
                     let (result, units) = claim.slot();
                     let (r, u0, u1) = aligned_units(w, cfg.lr_split, ci, &out);
@@ -285,7 +286,7 @@ pub fn execute_workload<S: Scorer + Sync>(
                     }
                 }
                 Err(e) => claim.fail(e),
-            });
+            }
         },
     )?;
     Ok(ExecOutput {
