@@ -16,10 +16,7 @@
 //!   elba       §6.3.1   ELBA alignment phase CPU/GPU/IPUs
 //!   pastis     §6.3.2   PASTIS alignment step CPU vs IPU
 //!   bench      host-kernel A/B (scalar/simd/batched)
-//!              plus the batched lanes x dispersion sweep
-//!   sweep-backends  print the fused-sweep register backends this
-//!              host supports, one per line (CI loops over them
-//!              with XDROP_SWEEP forced to each)
+//!              plus the i16 sweep per register backend
 //!   e2e        host pipeline: pooled vs static-chunk reference
 //!   faults     fault recovery: fault-free vs one device lost
 //!   scaling    fleet scaling: windowed out-of-core pipeline,
@@ -32,11 +29,12 @@
 //! that keep the simulated machine saturated (the regime the
 //! paper's figures live in); `--scale` multiplies them.
 
+use ipu_sim::spec::IpuSpec;
 use seqdata::{Dataset, DatasetKind};
 use xdrop_bench::exp;
 use xdrop_bench::exp::{
-    batchbench, compare, e2e, faultbench, fleetscale, kernelbench, partbench, realworld, scaling,
-    search_space, table1, table2, tilesched,
+    compare, e2e, faultbench, fleetscale, kernelbench, partbench, realworld, scaling, search_space,
+    table1, table2, tilesched,
 };
 use xdrop_bench::svg;
 use xdrop_pipelines::elba::ElbaConfig;
@@ -105,11 +103,12 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage: experiments <table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|sec61|partition|elba|pastis|bench|sweep-backends|e2e|faults|scaling|all> [--scale F] [--threads N] [--iters N] [--trace] [--bench-json]\n\
+        "usage: experiments <table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|sec61|partition|elba|pastis|bench|e2e|faults|scaling|all> [--scale F] [--threads N] [--iters N] [--trace] [--bench-json]\n\
          \n\
-         --iters       with `bench`/`e2e`/`partition`/`faults`: timing\n\
+         --iters       with `e2e`/`partition`/`faults`: timing\n\
          \x20             iterations per configuration (default 3;\n\
-         \x20             `scaling` is modeled time and ignores it)\n\
+         \x20             `bench` times each row for at least 0.2 s and\n\
+         \x20             `scaling` is modeled time; both ignore it)\n\
          --trace       also dump a Chrome trace_event timeline to\n\
          \x20             results/<name>.trace.json (fig4, fig7, elba, pastis)\n\
          --bench-json  with `bench`/`e2e`/`partition`/`faults`/`scaling`:\n\
@@ -131,16 +130,6 @@ fn scaled(kind: DatasetKind, mult: f64) -> Dataset {
 
 fn main() {
     let args = parse_args();
-    if args.name == "sweep-backends" {
-        // Bare lines, no banner or timing: bench-smoke CI does
-        // `for b in $(experiments sweep-backends); do
-        //    XDROP_SWEEP=$b ... bench ...; done`
-        // and shell word-splitting must see only backend names.
-        for b in xdrop_core::batched::SweepBackend::supported() {
-            println!("{}", b.name());
-        }
-        return;
-    }
     let names: Vec<&str> = if args.name == "all" {
         vec![
             "table2",
@@ -170,7 +159,12 @@ fn run_one(name: &str, args: &Args) {
     println!("==> {name}");
     match name {
         "table1" => {
-            let rows = table1::run(0.0, 15).unwrap_or_else(|e| {
+            let workloads = [
+                ("15% error", DatasetKind::Simulated85),
+                ("ELBA Ecoli", DatasetKind::Ecoli),
+            ]
+            .map(|(label, kind)| (label, scaled(kind, args.scale).generate()));
+            let rows = table1::run_on(&workloads, 15, IpuSpec::gc200()).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(1)
             });
@@ -459,20 +453,15 @@ fn run_one(name: &str, args: &Args) {
             }
         }
         "bench" => {
-            let rows = kernelbench::run(args.scale);
+            let (rows, backends) = kernelbench::run(args.scale);
             println!("Host-kernel A/B: DP cells/second per kernel");
             print!("{}", kernelbench::render(&rows));
             exp::save_json("bench_kernel", &rows);
-            let brows = batchbench::run(args.scale, args.iters);
-            println!("Batched inter-sequence kernel: lanes × length-dispersion sweep");
-            print!("{}", batchbench::render(&brows));
-            exp::save_json("bench_batched", &brows);
+            println!("One pair through the i16 fused sweep, per register backend");
+            print!("{}", kernelbench::render_backends(&backends));
+            exp::save_json("bench_batched", &backends);
             if args.bench_json {
-                match kernelbench::write_bench_json(&rows) {
-                    Ok(path) => println!("   wrote {}", path.display()),
-                    Err(e) => eprintln!("   could not write BENCH_xdrop.json: {e}"),
-                }
-                match kernelbench::write_batched_json(&brows) {
+                match kernelbench::write_bench_json(&rows, &backends) {
                     Ok(path) => println!("   wrote {}", path.display()),
                     Err(e) => eprintln!("   could not write BENCH_xdrop.json: {e}"),
                 }

@@ -6,9 +6,11 @@
 //! `BandPolicy::Saturate(w)` on identical sequences with an
 //! effectively unbounded X, so every kernel sweeps exactly `w` cells
 //! per antidiagonal) and per sequence length, plus one realistic
-//! 10%-error `Grow` configuration. All kernels are bit-identical —
-//! the `kernel_bit_identity` proptest enforces that — so the only
-//! thing measured here is host wall-clock.
+//! 10%-error `Grow` configuration. On the `Grow` configurations the
+//! `i16` fused sweep ([`batched::align_views`]) is also timed once per
+//! register backend the host supports. All kernels and backends are
+//! bit-identical — `kernel_identity.rs` and `batched_identity.rs`
+//! enforce that — so the only thing measured here is host wall-clock.
 //!
 //! Reproduce with:
 //!
@@ -21,8 +23,10 @@ use rand::SeedableRng;
 use seqdata::gen::{generate_pair, MutationProfile, PairSpec};
 use std::time::Instant;
 use xdrop_core::alphabet::Alphabet;
+use xdrop_core::batched::{self, SweepBackend};
 use xdrop_core::kernel::{self, KernelKind};
 use xdrop_core::seqview::Fwd;
+use xdrop_core::stats::AlignOutput;
 use xdrop_core::xdrop2::{BandPolicy, Workspace};
 use xdrop_core::XDropParams;
 
@@ -47,6 +51,22 @@ pub struct Row {
     /// Throughput in DP cells per second.
     pub cells_per_sec: f64,
     /// Throughput relative to the scalar kernel on this config.
+    pub speedup_vs_scalar: f64,
+}
+
+/// One pair through the `i16` fused sweep at one register backend.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct BackendRow {
+    /// Kernel-grid configuration label (a `grow10pct/…` config).
+    pub config: String,
+    /// Register backend the sweep ran at ([`SweepBackend::name`]).
+    pub sweep_backend: String,
+    /// DP cells computed per alignment (equal to the config's scalar
+    /// row).
+    pub cells: u64,
+    /// Wall-clock seconds per alignment (mean over iterations).
+    pub seconds: f64,
+    /// The config's scalar seconds over these seconds.
     pub speedup_vs_scalar: f64,
 }
 
@@ -82,12 +102,10 @@ pub struct BenchFile {
     /// Fault-recovery overhead measurements (`experiments faults`):
     /// fault-free vs one device lost mid-run.
     pub faults: Vec<super::faultbench::FaultBenchRow>,
-    /// The command that regenerates the batched section.
-    pub batched_command: String,
-    /// Batched inter-sequence kernel measurements (`experiments
-    /// bench`): lanes × length-dispersion sweep of
-    /// `batched::align_batch` vs the scalar per-comparison loop.
-    pub batched: Vec<super::batchbench::BatchedRow>,
+    /// The `i16` fused sweep per register backend on the `Grow`
+    /// configurations, written with the kernel rows by
+    /// [`REPRO_COMMAND`].
+    pub batched: Vec<BackendRow>,
     /// The command that regenerates the scaling section.
     pub scaling_command: String,
     /// Fleet-scale strong scaling (`experiments scaling`): modeled
@@ -110,26 +128,22 @@ fn pair(len: usize, err: f64) -> (Vec<u8>, Vec<u8>) {
     (p.h, p.v)
 }
 
-/// Times one (kernel, config): repeats the alignment until ≥ 0.2 s
-/// or ≥ 3 iterations, whichever is later, and reports the mean.
+/// Times one alignment in a reused workspace: repeats it until
+/// ≥ 0.2 s or ≥ 3 iterations, whichever is later, and returns its
+/// cell count and mean seconds.
 fn measure(
-    kind: KernelKind,
-    h: &[u8],
-    v: &[u8],
-    params: XDropParams,
-    policy: BandPolicy,
+    mut align: impl FnMut(&mut Workspace<i32>) -> xdrop_core::Result<AlignOutput>,
 ) -> (u64, f64) {
-    let sc = super::dna_scorer();
     let mut ws = Workspace::<i32>::new();
     // Warm-up (also grows the workspace so allocation is excluded).
-    let out = kernel::align_views(kind, &Fwd(h), &Fwd(v), &sc, params, policy, &mut ws)
-        .expect("bench alignment");
-    let cells = out.stats.cells_computed;
+    let cells = align(&mut ws)
+        .expect("bench alignment")
+        .stats
+        .cells_computed;
     let mut iters = 0u32;
     let start = Instant::now();
     loop {
-        let o = kernel::align_views(kind, &Fwd(h), &Fwd(v), &sc, params, policy, &mut ws)
-            .expect("bench alignment");
+        let o = align(&mut ws).expect("bench alignment");
         std::hint::black_box(&o);
         iters += 1;
         if iters >= 3 && start.elapsed().as_secs_f64() >= 0.2 {
@@ -142,9 +156,13 @@ fn measure(
     (cells, start.elapsed().as_secs_f64() / f64::from(iters))
 }
 
-/// Runs the full grid. `scale` multiplies the sequence lengths.
-pub fn run(scale: f64) -> Vec<Row> {
+/// Runs the full grid: the kernel rows, then one [`BackendRow`] per
+/// supported register backend on each `Grow` configuration. `scale`
+/// multiplies the sequence lengths.
+pub fn run(scale: f64) -> (Vec<Row>, Vec<BackendRow>) {
+    let sc = super::dna_scorer();
     let mut rows = Vec::new();
+    let mut backends = Vec::new();
     let lens: Vec<usize> = [1_000usize, 10_000]
         .iter()
         .map(|&l| ((l as f64 * scale) as usize).max(64))
@@ -163,26 +181,44 @@ pub fn run(scale: f64) -> Vec<Row> {
                 len,
                 w,
                 params.x,
-                |kind| measure(kind, &h, &h, params.with_kernel(kind), policy),
+                |kind| {
+                    measure(|ws| {
+                        let p = params.with_kernel(kind);
+                        kernel::align_views(kind, &Fwd(&h), &Fwd(&h), &sc, p, policy, ws)
+                    })
+                },
             );
         }
     }
 
-    // Axis 2: realistic X-Drop extension (10% error, growing band).
+    // Axis 2: realistic X-Drop extension (10% error, growing band),
+    // per kernel and then per sweep backend.
     for &len in &lens {
         let (h, v) = pair(len, 0.10);
         let params = XDropParams::new(50);
         let policy = BandPolicy::Grow(256);
-        push_config(
-            &mut rows,
-            &format!("grow10pct/len{len}"),
-            len,
-            0,
-            params.x,
-            |kind| measure(kind, &h, &v, params.with_kernel(kind), policy),
-        );
+        let config = format!("grow10pct/len{len}");
+        push_config(&mut rows, &config, len, 0, params.x, |kind| {
+            measure(|ws| {
+                let p = params.with_kernel(kind);
+                kernel::align_views(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy, ws)
+            })
+        });
+        let scalar_seconds = rows[rows.len() - KernelKind::ALL.len()].seconds;
+        for backend in SweepBackend::supported() {
+            let (cells, seconds) = measure(|ws| {
+                batched::align_views(&Fwd(&h), &Fwd(&v), &sc, params, policy, backend, ws)
+            });
+            backends.push(BackendRow {
+                config: config.clone(),
+                sweep_backend: backend.name().to_string(),
+                cells,
+                seconds,
+                speedup_vs_scalar: scalar_seconds / seconds,
+            });
+        }
     }
-    rows
+    (rows, backends)
 }
 
 fn push_config(
@@ -237,8 +273,21 @@ pub fn render(rows: &[Row]) -> String {
     s
 }
 
-/// The command documented to regenerate the kernel rows of
-/// `BENCH_xdrop.json`.
+/// Renders the backend rows as an aligned text table.
+pub fn render_backends(rows: &[BackendRow]) -> String {
+    let mut s =
+        String::from("config               backend   cells/align      s/align   vs scalar\n");
+    for r in rows {
+        s.push_str(&format!(
+            "{:<20} {:<8} {:>12} {:>12.6} {:>10.2}x\n",
+            r.config, r.sweep_backend, r.cells, r.seconds, r.speedup_vs_scalar
+        ));
+    }
+    s
+}
+
+/// The command documented to regenerate the kernel and backend rows
+/// of `BENCH_xdrop.json`.
 pub const REPRO_COMMAND: &str =
     "cargo run --release -p xdrop-bench --bin experiments -- bench --bench-json";
 
@@ -249,8 +298,9 @@ pub const REPRO_COMMAND: &str =
 /// `occupancy`/`staged_bytes_per_cell`/`refills`/`rounds` counters
 /// from the persistent-staging kernel, v7 the top-level `host_simd`
 /// capability string and the batched rows' `sweep_backend` column
-/// from the multiversioned sweep dispatch).
-pub const SCHEMA: &str = "xdrop-kernel-bench/v7";
+/// from the multiversioned sweep dispatch, v8 replaced the batched
+/// lanes × dispersion sweep with one-pair [`BackendRow`]s).
+pub const SCHEMA: &str = "xdrop-kernel-bench/v8";
 
 fn bench_json_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_xdrop.json")
@@ -287,7 +337,6 @@ fn base_file() -> BenchFile {
         partition: Vec::new(),
         faults_command: super::faultbench::FAULTS_REPRO_COMMAND.to_string(),
         faults: Vec::new(),
-        batched_command: super::batchbench::BATCHED_REPRO_COMMAND.to_string(),
         batched: Vec::new(),
         scaling_command: super::fleetscale::SCALING_REPRO_COMMAND.to_string(),
         scaling: super::fleetscale::ScalingSection::default(),
@@ -299,13 +348,17 @@ fn base_file() -> BenchFile {
     file
 }
 
-/// Writes the kernel rows of the machine-readable baseline at the
-/// repository root, preserving any committed e2e and partition
-/// sections.
-pub fn write_bench_json(rows: &[Row]) -> std::io::Result<std::path::PathBuf> {
+/// Writes the kernel and backend rows of the machine-readable
+/// baseline at the repository root, preserving every other committed
+/// section.
+pub fn write_bench_json(
+    rows: &[Row],
+    backends: &[BackendRow],
+) -> std::io::Result<std::path::PathBuf> {
     let mut file = base_file();
     file.detected_kernel = KernelKind::auto().name().to_string();
     file.rows = rows.to_vec();
+    file.batched = backends.to_vec();
     write_file(&file)
 }
 
@@ -338,17 +391,6 @@ pub fn write_faults_json(
     write_file(&file)
 }
 
-/// Writes the batched section of the baseline, preserving every
-/// other committed section.
-pub fn write_batched_json(
-    batched: &[super::batchbench::BatchedRow],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut file = base_file();
-    file.batched_command = super::batchbench::BATCHED_REPRO_COMMAND.to_string();
-    file.batched = batched.to_vec();
-    write_file(&file)
-}
-
 /// Writes the fleet-scaling section of the baseline, preserving
 /// every other committed section.
 pub fn write_scaling_json(
@@ -368,7 +410,7 @@ mod tests {
     fn grid_covers_all_kernels_and_reports_identical_cells() {
         // Tiny scale so the test stays fast; the structure (not the
         // timing) is what's asserted.
-        let rows = run(0.08);
+        let (rows, backends) = run(0.08);
         assert_eq!(rows.len() % KernelKind::ALL.len(), 0);
         for chunk in rows.chunks(KernelKind::ALL.len()) {
             assert_eq!(chunk[0].kernel, "scalar");
@@ -378,7 +420,20 @@ mod tests {
                 assert!(r.speedup_vs_scalar > 0.0);
             }
         }
-        let txt = render(&rows);
-        assert!(txt.contains("vs scalar"));
+        // One row per supported backend on each Grow config, doing the
+        // scalar row's work.
+        let supported = SweepBackend::supported();
+        assert_eq!(backends.len(), 2 * supported.len());
+        for (r, b) in backends.iter().zip(supported.iter().cycle()) {
+            assert_eq!(r.sweep_backend, b.name());
+            let scalar = rows
+                .iter()
+                .find(|s| s.config == r.config && s.kernel == "scalar")
+                .expect("scalar row of the config");
+            assert_eq!(r.cells, scalar.cells, "{} {}", r.config, r.sweep_backend);
+            assert!(r.seconds > 0.0 && r.speedup_vs_scalar > 0.0);
+        }
+        assert!(render(&rows).contains("vs scalar"));
+        assert!(render_backends(&backends).contains("generic"));
     }
 }

@@ -1,6 +1,5 @@
 //! Experiment modules, one per table/figure (see `DESIGN.md` §4).
 
-pub mod batchbench;
 pub mod compare;
 pub mod e2e;
 pub mod faultbench;

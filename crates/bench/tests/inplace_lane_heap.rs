@@ -1,18 +1,13 @@
-//! Peak-heap assertions for the `i16` fused-sweep kernel reading its
+//! Peak-heap assertion for the `i16` fused-sweep kernel reading its
 //! sequences in place.
 //!
 //! The kernel keeps the paper's δ_b-bounded working memory: three
 //! `i16` rows of `δ_b + 2` cells and two sequence windows of
-//! `stride + BURST_ROUNDS` bytes per lane, never a copy of a flank.
-//! On Ecoli100-shaped pairs (`Grow(512)`, flanks of 7–25 kb):
-//!
-//! * the default kernel's first `Extender::extend` allocates no more
-//!   than the `Simd` kernel's workspace for the same δ_b, and later
-//!   calls allocate nothing;
-//! * `align_batch_with_lanes`' peak heap does not grow with flank
-//!   length: at most `lanes × (3 × stride × 2 + 2 × (stride +
-//!   BURST_ROUNDS + 2))` bytes plus the result vectors and the
-//!   per-slot lane state.
+//! `stride − 2 + BURST_ROUNDS` bytes, never a copy of a flank.
+//! On Ecoli100-shaped pairs (`Grow(512)`, flanks of 7–25 kb), the
+//! default kernel's first `Extender::extend` allocates no more than
+//! the `Simd` kernel's workspace for the same δ_b, and later calls
+//! allocate nothing.
 //!
 //! This integration test installs
 //! [`xdrop_bench::alloc::TrackingAllocator`] as the global allocator
@@ -24,13 +19,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xdrop_bench::alloc::{self, TrackingAllocator};
 use xdrop_core::aligner::AlignerKind;
-use xdrop_core::batched::{align_batch_with_lanes, BatchTask, TaskView, BURST_ROUNDS};
 use xdrop_core::extension::{Backend, Extender, SeedMatch};
 use xdrop_core::kernel::KernelKind;
 use xdrop_core::scoring::MatchMismatch;
-use xdrop_core::stats::AlignOutput;
 use xdrop_core::xdrop2::BandPolicy;
-use xdrop_core::{Result, XDropParams};
+use xdrop_core::XDropParams;
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -78,7 +71,14 @@ fn extender(kernel: KernelKind) -> Extender {
     )
 }
 
-fn default_kernel_extends_in_a_bounded_reused_workspace(pairs: &[(Vec<u8>, Vec<u8>, SeedMatch)]) {
+#[test]
+fn in_place_lanes_keep_the_working_set_bounded() {
+    let mut rng = StdRng::seed_from_u64(0x1EC0);
+    let pairs: Vec<_> = [7_000, 25_000, 12_000]
+        .into_iter()
+        .map(|flank| pair(&mut rng, flank))
+        .collect();
+    assert!(alloc::peak_bytes() > 0, "tracking allocator installed");
     let sc = MatchMismatch::dna_default();
     let default = KernelKind::resolve_env_value(None);
     assert_eq!(default, KernelKind::Batched, "the default kernel");
@@ -98,67 +98,4 @@ fn default_kernel_extends_in_a_bounded_reused_workspace(pairs: &[(Vec<u8>, Vec<u
         assert_eq!(out, simd.extend(h, v, *seed, &sc), "pair {i}");
         assert_eq!(later, 0, "warm extend of pair {i} allocated {later} B");
     }
-}
-
-fn batch_heap_does_not_grow_with_flank_length(rng: &mut StdRng) {
-    const LANES: usize = 8;
-    let sc = MatchMismatch::dna_default();
-    let stride = (DELTA_B + 2) as u64;
-    let per_lane = 3 * stride * 2 + 2 * (stride + BURST_ROUNDS as u64 + 2);
-    let mut peaks = Vec::new();
-    for flank in [7_000, 25_000] {
-        let pairs: Vec<_> = (0..LANES).map(|_| pair(rng, flank)).collect();
-        let tasks: Vec<BatchTask<'_>> = pairs
-            .iter()
-            .flat_map(|(h, v, s)| {
-                let (hs, vs) = (s.h_pos + K, s.v_pos + K);
-                [
-                    BatchTask {
-                        h: TaskView::Rev(&h[..s.h_pos]),
-                        v: TaskView::Rev(&v[..s.v_pos]),
-                    },
-                    BatchTask {
-                        h: TaskView::Fwd(&h[hs..]),
-                        v: TaskView::Fwd(&v[vs..]),
-                    },
-                ]
-            })
-            .collect();
-        let params = XDropParams::new(X);
-        let policy = BandPolicy::Grow(DELTA_B);
-        let (peak, (outs, report)) =
-            peak_of(|| align_batch_with_lanes(&tasks, &sc, params, policy, LANES));
-        assert!(outs
-            .iter()
-            .all(|o| o.as_ref().is_ok_and(|o| o.stats.delta_w < DELTA_B)));
-        assert_eq!(report.reruns, 0);
-        // The scheduling order, the slot and final result vectors, and
-        // under 256 B of state per lane slot.
-        let results = tasks.len()
-            * (std::mem::size_of::<usize>()
-                + std::mem::size_of::<Option<Result<AlignOutput>>>()
-                + std::mem::size_of::<Result<AlignOutput>>());
-        let bound = LANES as u64 * (per_lane + 256) + results as u64;
-        assert!(
-            peak <= bound,
-            "flank {flank}: peak {peak} B over the {bound} B lane bound"
-        );
-        peaks.push(peak);
-    }
-    assert!(
-        peaks[1] <= peaks[0],
-        "peak grew with flank length: {peaks:?}"
-    );
-}
-
-#[test]
-fn in_place_lanes_keep_the_working_set_bounded() {
-    let mut rng = StdRng::seed_from_u64(0x1EC0);
-    let pairs: Vec<_> = [7_000, 25_000, 12_000]
-        .into_iter()
-        .map(|flank| pair(&mut rng, flank))
-        .collect();
-    assert!(alloc::peak_bytes() > 0, "tracking allocator installed");
-    default_kernel_extends_in_a_bounded_reused_workspace(&pairs);
-    batch_heap_does_not_grow_with_flank_length(&mut rng);
 }

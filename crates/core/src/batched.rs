@@ -9,37 +9,21 @@
 //! (§6.1). This kernel fuses each round into one `i16` pass and keeps
 //! the paper's δ_b-bounded working memory:
 //!
-//! * **Persistent lane-major staging** — each lane owns one row in a
-//!   three-plane rolling arena (row pitch = band capacity + 2 pad
+//! * **Persistent three-plane rows** — the lane owns one row in each
+//!   of three rolling planes (row pitch = band capacity + 2 pad
 //!   cells). Round *d* writes its classified antidiagonal into plane
 //!   `d mod 3`; the `sl`/`su` operands of round *d* are index-shifted
 //!   *views* of the plane written in round *d−1* and the `sd` operand
-//!   a view of round *d−2* — the per-operand `copy_from_slice`
-//!   staging of the earlier kernel (≈14 B of buffer traffic per
-//!   staged cell) disappears. Even the substitution scores are never
-//!   staged: the sweep compares the symbols in-register, reading them
-//!   from two small per-lane **sequence windows** (see below), so no
-//!   sequence is ever copied whole.
-//! * **One pair in place, or many per pack** — the default
-//!   [`crate::kernel::KernelKind::Batched`] entry, [`align_views`],
-//!   runs a single lane to completion in the caller's reused
-//!   [`Workspace`]: three `i16` rows of `δ_b + 2` cells and the two
-//!   windows, no allocation once warm. Each lane vectorizes along its
-//!   own band row, so one lane runs as fast as a full pack (DESIGN.md
-//!   records the measurement). The multi-lane [`align_batch`] family
-//!   packs many tasks into one arena and is kept as the bench API.
-//! * **Live-lane compaction with mid-flight refill** (multi-lane
-//!   [`align_batch`] only) — X-Drop's early
-//!   exits retire lanes at wildly different rounds. Instead of
-//!   sweeping a pack until its slowest member terminates, a lane that
-//!   terminates (or leaves for the overflow rerun) is finalized and
-//!   its slot refilled from the pending task queue at the top of the
-//!   next round, continuous-batching style, so occupancy stays near
-//!   1.0 instead of draining to a single straggler. Refill timing
-//!   cannot affect results: every lane's computation is a pure
-//!   function of its own task (lanes share no state, only the arena
-//!   allocation), so each task sees exactly the rounds the scalar
-//!   reference would run — see [`BatchReport::occupancy`].
+//!   a view of round *d−2*, so no operand is ever staged. Even the
+//!   substitution scores are never staged: the sweep compares the
+//!   symbols in-register, reading them from two small **sequence
+//!   windows** (see below), so no sequence is ever copied whole.
+//! * **One pair in place** — [`align_views`] runs one lane to
+//!   completion in the caller's reused [`Workspace`]: three `i16`
+//!   rows of `δ_b + 2` cells and the two windows, no allocation once
+//!   warm. The lane vectorizes along its own band row, so packing
+//!   several pairs into a register group buys nothing (DESIGN.md
+//!   §14.2 records the measurement).
 //! * **i16 lanes, fully fused rounds in bursts** — cell values are
 //!   stored as `i16`, doubling the cells per register over the `i32`
 //!   kernels. Each round is **one** branch-free saturating-`i16`
@@ -49,10 +33,10 @@
 //!   in; only three short positional scans follow, reproducing the
 //!   scalar reference's first-maximum-wins reductions exactly (the
 //!   first slot holding the diagonal maximum *is* the first-max-wins
-//!   argmax). Lanes advance `BURST_ROUNDS` rounds per engine
-//!   iteration so lane state stays in registers and the per-lane loop
-//!   overhead amortizes — the bands are only a few vectors wide, so
-//!   fixed costs, not arithmetic, bound the round rate.
+//!   argmax). The lane advances `BURST_ROUNDS` rounds per call so its
+//!   state stays in registers and the per-call overhead amortizes —
+//!   the bands are only a few vectors wide, so fixed costs, not
+//!   arithmetic, bound the round rate.
 //! * **Overflow detection and rerun** — `i16` can hold scores the
 //!   `i32` reference cannot. A guard band bounds every *live* stored
 //!   value away from the representable edges by the maximum per-round
@@ -73,24 +57,24 @@
 //! `cand_hi(d) ≤ cand_hi(d−1) + 1 ≤ cand_hi(d−2) + 2` (the live
 //! interval is a subinterval of the stored row, and the next
 //! candidate widens it by at most one on the right). Stale cells
-//! beyond the trailing pad — left over from round `d−3` of the same
-//! lane or from a previous slot occupant — are therefore never read,
-//! and a lane entering a slot writes only the seed row (`−∞, 0, −∞`)
-//! and the two pads round 1 reads as its empty `d − 2` row.
+//! beyond the trailing pad — left over from round `d−3` or from an
+//! earlier pair in the same workspace — are therefore never read, and
+//! a new lane writes only the seed row (`−∞, 0, −∞`) and the two pads
+//! round 1 reads as its empty `d − 2` row.
 //!
 //! ## Sequence windows
 //!
 //! The sweep reads `V[i − 1]` and `H[d − i − 1]` for every cell `i` of
 //! round *d*: `V` ascending and `H` descending in `i`. Neither view is
-//! copied whole. Once per burst of [`BURST_ROUNDS`] rounds, each lane
+//! copied whole. Once per burst of [`BURST_ROUNDS`] rounds, the lane
 //! stages the symbols the burst can touch into two windows — `V`
 //! ascending and `H` descending, so both compare operands are forward
 //! slices. A burst starting after round `d₀` with live interval
 //! `[lo, hi]` only visits cells `i ∈ [lo, hi + BURST_ROUNDS]` (the
 //! candidate interval moves right by at most one cell per round and
 //! never left), so a window of `BURST_ROUNDS + hi − lo + 1 ≤
-//! BURST_ROUNDS + stride − 2` symbols covers it. The window pitch is
-//! `stride + BURST_ROUNDS`; a Grow re-pitch ends the burst, and the
+//! BURST_ROUNDS + stride − 2` symbols covers it — exactly the window
+//! length the arena holds. A Grow re-pitch ends the burst, and the
 //! next burst restages. One sequence is read forward and one backward
 //! per side (`V` on right extensions, `H` on left ones).
 //!
@@ -103,23 +87,22 @@
 //!
 //! ## Bit-identity is still the contract
 //!
-//! Exactly as for the intra-antidiagonal kernels, every task's
+//! Exactly as for the intra-antidiagonal kernels, every pair's
 //! [`AlignOutput`] (result *and* every [`AlignStats`] field) and
 //! every [`BandPolicy::Exact`] error must match what the scalar
-//! reference [`xdrop2::align_views_ty`] produces for that task on a
-//! fresh workspace. Lanes that cannot be proven exact (overflow) are
+//! reference [`xdrop2::align_views_ty`] produces for that pair on a
+//! fresh workspace. A lane that cannot be proven exact (overflow) is
 //! re-run through that reference, so the contract holds by
 //! construction on the rerun path and by the guard-band argument on
 //! the fast path. Configurations the `i16` domain cannot model at
 //! all (matrix scorers, score steps above [`MAX_STEP`], positive gap
-//! penalties) run the `Simd` kernel in [`align_views`] and the scalar
-//! reference in [`align_batch`] (counted in [`BatchReport::fallbacks`]).
+//! penalties) run the `Simd` kernel.
 
 use crate::error::{AlignError, Result};
 use crate::kernel::KernelKind;
 use crate::scorety::ScoreTy;
 use crate::scoring::{MatchMismatch, Scorer};
-use crate::seqview::{Fwd, Rev, SeqView};
+use crate::seqview::SeqView;
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
 use crate::xdrop2::{self, BandPolicy, Workspace};
 use crate::XDropParams;
@@ -135,10 +118,10 @@ const DROP16: i16 = NEG_INF16 / 2;
 
 /// Largest per-round score step the `i16` lane path accepts:
 /// `|match|`, `|mismatch|` and `|gap|` must all be at most this for a
-/// batch to run in `i16` lanes (otherwise the whole batch takes the
-/// scalar fallback). One antidiagonal round changes a cell by exactly
-/// one `sim` or one `gap` application, so this bounds how far a value
-/// can move per round — the quantity the guard band is built from.
+/// pair to run in `i16` lanes (otherwise it runs the `Simd` kernel).
+/// One antidiagonal round changes a cell by exactly one `sim` or one
+/// `gap` application, so this bounds how far a value can move per
+/// round — the quantity the guard band is built from.
 pub const MAX_STEP: i32 = 1024;
 
 /// Upper guard of the live-value band: `i16::MAX − MAX_STEP`.
@@ -161,163 +144,6 @@ const HIGH_GUARD: i32 = i16::MAX as i32 - MAX_STEP;
 /// Lower guard of the live-value band: `DROP16 + MAX_STEP`.
 const LOW_GUARD: i32 = DROP16 as i32 + MAX_STEP;
 
-/// A directional byte-slice view of one task sequence — the owned
-/// (lifetime-bound, object-safe-free) analogue of
-/// [`crate::seqview::SeqView`] the batch API takes, so a batch can
-/// mix left extensions (reverse access) and right extensions
-/// (forward access) in the same lane group.
-#[derive(Debug, Clone, Copy)]
-pub enum TaskView<'a> {
-    /// Forward access: logical index `i` is physical index `i`.
-    Fwd(&'a [u8]),
-    /// Reverse access: logical index `i` is physical `len − 1 − i`.
-    Rev(&'a [u8]),
-}
-
-impl SeqView for TaskView<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        match self {
-            TaskView::Fwd(s) | TaskView::Rev(s) => s.len(),
-        }
-    }
-
-    #[inline(always)]
-    fn at(&self, idx: usize) -> u8 {
-        match *self {
-            TaskView::Fwd(s) => Fwd(s).at(idx),
-            TaskView::Rev(s) => Rev(s).at(idx),
-        }
-    }
-
-    #[inline(always)]
-    fn fill_fwd(&self, start: usize, out: &mut [u8]) {
-        match *self {
-            TaskView::Fwd(s) => Fwd(s).fill_fwd(start, out),
-            TaskView::Rev(s) => Rev(s).fill_fwd(start, out),
-        }
-    }
-
-    #[inline(always)]
-    fn fill_rev(&self, start: usize, out: &mut [u8]) {
-        match *self {
-            TaskView::Fwd(s) => Fwd(s).fill_rev(start, out),
-            TaskView::Rev(s) => Rev(s).fill_rev(start, out),
-        }
-    }
-}
-
-/// One alignment task of a batch: an `H` view × `V` view extension.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchTask<'a> {
-    /// Horizontal sequence view.
-    pub h: TaskView<'a>,
-    /// Vertical sequence view.
-    pub v: TaskView<'a>,
-}
-
-/// What the batched kernel did with a batch — lane configuration,
-/// occupancy/staging counters, and how many lanes left the `i16` fast
-/// path.
-///
-/// The occupancy and staging counters are *observations*, never
-/// inputs: no per-task value depends on them, which is why extending
-/// the report cannot perturb the bit-identity contract.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct BatchReport {
-    /// Lane count used (vector width in `i16` cells).
-    pub lanes: usize,
-    /// Register backend the fused sweep ran at ([`SweepBackend`];
-    /// results are backend-independent, only wall-clock moves).
-    pub sweep_backend: SweepBackend,
-    /// Lanes that overflowed the `i16` guard band and were re-run
-    /// through the scalar `i32` reference.
-    pub reruns: usize,
-    /// Tasks that never entered the `i16` path (ineligible scorer or
-    /// score magnitudes) and ran the scalar reference directly.
-    pub fallbacks: usize,
-    /// Engine rounds that swept at least one lane.
-    pub rounds: u64,
-    /// Sum over rounds of lanes swept that round — the occupancy
-    /// numerator ([`BatchReport::occupancy`]).
-    pub lane_rounds: u64,
-    /// `i16` cells scored in lanes (Σ of swept candidate widths; the
-    /// overflow-rerun and fallback cells are not lane cells).
-    pub lane_cells: u64,
-    /// Bytes written into staging state: the sequence windows, staged
-    /// once per burst; the seed and pad cells a lane writes on entry;
-    /// and arena re-pitch row moves. Per-round staging is zero —
-    /// operands are views of persistent rows and the substitution
-    /// compare is fused into the sweep. The pre-refill kernel's
-    /// equivalent figure was ≈14 B per staged slot (seven operand
-    /// buffers re-filled per round); see
-    /// [`BatchReport::staged_bytes_per_cell`].
-    pub staged_bytes: u64,
-    /// Mid-flight slot refills: lanes entered while the pack was
-    /// already live.
-    pub refills: usize,
-}
-
-impl BatchReport {
-    /// Mean lane occupancy: swept lane-rounds over `rounds × lanes`.
-    /// 1.0 means every slot swept a live task every round; the
-    /// pre-refill kernel drained towards `1/lanes` at each bucket
-    /// tail. 0.0 when the engine never ran a round.
-    pub fn occupancy(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.lane_rounds as f64 / (self.rounds * self.lanes as u64) as f64
-        }
-    }
-
-    /// Staging traffic per scored lane cell, in bytes
-    /// (`staged_bytes / lane_cells`; 0.0 when no lane cells ran).
-    pub fn staged_bytes_per_cell(&self) -> f64 {
-        if self.lane_cells == 0 {
-            0.0
-        } else {
-            self.staged_bytes as f64 / self.lane_cells as f64
-        }
-    }
-}
-
-/// Runtime lane-width detection: how many `i16` cells one vector
-/// register holds on this host — 32 under AVX-512BW, 16 under AVX2,
-/// 8 under SSE4.1/NEON, and a generic 8 elsewhere (the flat staged
-/// pass still autovectorizes to whatever the target offers).
-#[cfg(target_arch = "x86_64")]
-pub fn lane_width() -> usize {
-    if std::arch::is_x86_feature_detected!("avx512bw") {
-        32
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        16
-    } else {
-        8
-    }
-}
-
-/// Runtime lane-width detection (aarch64): NEON holds 8 × `i16`.
-#[cfg(target_arch = "aarch64")]
-pub fn lane_width() -> usize {
-    8
-}
-
-/// Runtime lane-width detection (other targets): generic 8.
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub fn lane_width() -> usize {
-    8
-}
-
-/// Environment variable forcing the fused-sweep register backend,
-/// overriding hardware detection: `generic`, `sse2`, `avx2`,
-/// `avx512`, or `auto`. A backend the host cannot run (or an unknown
-/// value) produces a loud one-time stderr warning and falls back to
-/// detection — never a crash, and never a silent misconfiguration.
-/// Resolved once per process and cached; intended for the
-/// differential test suites and for per-backend bench rows.
-pub const SWEEP_ENV: &str = "XDROP_SWEEP";
-
 /// Which register width the fused `sweep_row` pass runs at.
 ///
 /// All backends execute the identical per-cell arithmetic (saturating
@@ -325,10 +151,10 @@ pub const SWEEP_ENV: &str = "XDROP_SWEEP";
 /// lanewise-exact operations), so every backend is bit-identical to
 /// the scalar reference — the choice moves host wall-clock only.
 /// Enforced by `tests/batched_identity.rs`, which runs every backend
-/// the host supports through the differential suites.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+/// the host supports through the differential suites. Callers pin a
+/// backend through [`align_views`]' `backend` argument; the default
+/// kernel runs [`SweepBackend::detect`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum SweepBackend {
     /// The portable scalar body (`sweep_row_generic`), lanes as far
     /// as the autovectorizer allows.
@@ -366,20 +192,6 @@ impl SweepBackend {
         }
     }
 
-    /// Parses a backend name as accepted by [`SWEEP_ENV`]. `auto`
-    /// resolves through hardware detection; unknown names are `None`
-    /// (the env reader warns loudly and falls back to detection).
-    pub fn parse(s: &str) -> Option<SweepBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "generic" => Some(SweepBackend::Generic),
-            "sse2" => Some(SweepBackend::Sse2),
-            "avx2" => Some(SweepBackend::Avx2),
-            "avx512" | "avx512bw" => Some(SweepBackend::Avx512),
-            "auto" => Some(SweepBackend::detect()),
-            _ => None,
-        }
-    }
-
     /// Whether this host can execute the backend.
     pub fn is_supported(self) -> bool {
         match self {
@@ -403,65 +215,23 @@ impl SweepBackend {
             .collect()
     }
 
-    /// Hardware detection: the widest supported backend.
+    /// Hardware detection: the widest supported backend. Runs on every
+    /// default-kernel alignment, so it allocates nothing (`std` caches
+    /// the feature probes).
     pub fn detect() -> SweepBackend {
-        *SweepBackend::supported()
-            .last()
-            .expect("generic always runs")
+        SweepBackend::Avx512.clamp_to_host()
     }
 
     /// The widest supported backend at or below this one — the
-    /// dispatch guarantee that an explicitly requested (or
-    /// env-forced) backend never executes intrinsics the host lacks.
+    /// dispatch guarantee that an explicitly requested backend never
+    /// executes intrinsics the host lacks.
     pub fn clamp_to_host(self) -> SweepBackend {
-        if self.is_supported() {
-            return self;
-        }
-        let mut best = SweepBackend::Generic;
-        for b in SweepBackend::ALL {
-            if b == self {
-                break;
-            }
-            if b.is_supported() {
-                best = b;
-            }
-        }
-        best
-    }
-
-    /// [`SweepBackend::detect`] unless [`SWEEP_ENV`] forces a
-    /// backend, resolved once per process and cached. Unknown or
-    /// host-unsupported values warn on stderr (once) and fall back —
-    /// the silent-fallback failure mode of the historical
-    /// `XDROP_KERNEL` reader is explicitly not reproduced here.
-    pub fn resolved() -> SweepBackend {
-        static RESOLVED: std::sync::OnceLock<SweepBackend> = std::sync::OnceLock::new();
-        *RESOLVED.get_or_init(|| match std::env::var(SWEEP_ENV) {
-            Ok(v) => match SweepBackend::parse(&v) {
-                Some(b) => {
-                    let clamped = b.clamp_to_host();
-                    if clamped != b {
-                        eprintln!(
-                            "warning: {SWEEP_ENV}={v} requests the {} sweep backend but this \
-                             host cannot run it; using {}",
-                            b.name(),
-                            clamped.name()
-                        );
-                    }
-                    clamped
-                }
-                None => {
-                    let det = SweepBackend::detect();
-                    eprintln!(
-                        "warning: unknown {SWEEP_ENV} value {v:?} (expected generic, sse2, \
-                         avx2, avx512, or auto); using auto-detected {}",
-                        det.name()
-                    );
-                    det
-                }
-            },
-            Err(_) => SweepBackend::detect(),
-        })
+        // `ALL` lists the variants in declaration order.
+        SweepBackend::ALL[..=self as usize]
+            .iter()
+            .copied()
+            .rfind(|b| b.is_supported())
+            .unwrap_or_default()
     }
 }
 
@@ -503,186 +273,81 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     let Some(mm) = mm else {
         return crate::kernel::align_views(KernelKind::Simd, h, v, scorer, params, policy, ws);
     };
-    let delta_b = policy.delta_b();
-    if delta_b == 0 {
+    if policy.delta_b() == 0 {
         return Err(AlignError::InvalidConfig("δ_b must be nonzero"));
     }
-    let backend = backend.clamp_to_host();
     let arena: &mut LaneArena = ws.lanes.get_or_insert_with(Box::default);
-    arena.ensure(1, delta_b + 2);
-    arena.enter(0);
-    let mut lane = Lane::enter(0, h.len(), v.len(), delta_b);
-    let mut report = BatchReport::default();
+    match run_lane(h, v, &mm, params, policy, backend.clamp_to_host(), arena) {
+        Some(out) => out,
+        None => xdrop2::align_views_ty(h, v, scorer, params, policy, ws),
+    }
+}
+
+/// Runs one lane over `h` × `v` to completion in `arena`: the lane's
+/// result or [`BandPolicy::Exact`] error, or `None` if a live value
+/// left the `i16` guard band and the pair must re-run in `i32`.
+/// `backend` must be clamped to the host.
+fn run_lane<HV: SeqView, VV: SeqView>(
+    h: &HV,
+    v: &VV,
+    mm: &MatchMismatch,
+    params: XDropParams,
+    policy: BandPolicy,
+    backend: SweepBackend,
+    arena: &mut LaneArena,
+) -> Option<Result<AlignOutput>> {
+    let delta_b = policy.delta_b();
+    arena.ensure(delta_b + 2);
+    arena.enter();
+    let mut lane = Lane::enter(h.len(), v.len(), delta_b);
     loop {
-        arena.stage(0, &mut lane, h, v);
-        let mut need_stride = 0;
-        lane_burst(
-            &mut lane,
-            arena,
-            0,
-            &mm,
-            params,
-            policy,
-            backend,
-            &mut need_stride,
-            &mut report,
-        );
-        if need_stride > arena.stride {
-            arena.repitch(1, need_stride, |_| true);
+        arena.stage(&mut lane, h, v);
+        if let Some(min_stride) = lane_burst(&mut lane, arena, mm, params, policy, backend) {
+            // Grow outgrew the row pitch: widen it (at least doubling)
+            // and let the paused round re-run its prologue.
+            arena.ensure(min_stride.max(2 * arena.stride));
         }
         match lane.state {
             LaneState::Active => {}
-            LaneState::Done => return Ok(lane.output()),
-            LaneState::Failed(e) => return Err(e),
-            LaneState::Overflowed => {
-                return xdrop2::align_views_ty(h, v, scorer, params, policy, ws)
-            }
+            LaneState::Done => return Some(Ok(lane.output())),
+            LaneState::Failed(e) => return Some(Err(e)),
+            LaneState::Overflowed => return None,
         }
     }
 }
 
-/// The deterministic task schedule of a batch: indices sorted by
-/// descending `|H| + |V|`, tie-broken by **ascending original task
-/// index**. The explicit index tiebreak makes the schedule a total
-/// order — equal-length tasks always enter lanes in submission order,
-/// so bucketing and mid-flight refill are reproducible run to run
-/// (and results never depend on the schedule at all; lanes are
-/// independent).
-pub fn task_order(tasks: &[BatchTask<'_>]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_unstable_by_key(|&t| (std::cmp::Reverse(tasks[t].h.len() + tasks[t].v.len()), t));
-    order
-}
-
-/// Aligns a batch of tasks with the hardware-detected lane width.
-///
-/// Returns one [`Result`] per task, in task order, plus a
-/// [`BatchReport`]. Every outcome is bit-identical to running that
-/// task alone through the scalar reference on a fresh workspace.
-pub fn align_batch<S: Scorer>(
-    tasks: &[BatchTask<'_>],
-    scorer: &S,
-    params: XDropParams,
-    policy: BandPolicy,
-) -> (Vec<Result<AlignOutput>>, BatchReport) {
-    align_batch_with_lanes(tasks, scorer, params, policy, lane_width())
-}
-
-/// [`align_batch`] with an explicit lane count (bench lane sweeps and
-/// tests; results never depend on the lane count, only wall-clock
-/// does).
-pub fn align_batch_with_lanes<S: Scorer>(
-    tasks: &[BatchTask<'_>],
-    scorer: &S,
-    params: XDropParams,
-    policy: BandPolicy,
-    lanes: usize,
-) -> (Vec<Result<AlignOutput>>, BatchReport) {
-    align_batch_with_backend(
-        tasks,
-        scorer,
-        params,
-        policy,
-        lanes,
-        SweepBackend::resolved(),
-    )
-}
-
-/// [`align_batch_with_lanes`] with the fused-sweep register backend
-/// pinned explicitly (differential tests and per-backend bench rows;
-/// results never depend on the backend, only wall-clock does). A
-/// backend the host cannot execute is clamped to the widest supported
-/// one at or below it — the report records what actually ran.
-pub fn align_batch_with_backend<S: Scorer>(
-    tasks: &[BatchTask<'_>],
-    scorer: &S,
-    params: XDropParams,
-    policy: BandPolicy,
-    lanes: usize,
-    backend: SweepBackend,
-) -> (Vec<Result<AlignOutput>>, BatchReport) {
-    let lanes = lanes.max(1);
-    let backend = backend.clamp_to_host();
-    let mut report = BatchReport {
-        lanes,
-        sweep_backend: backend,
-        ..Default::default()
-    };
-    let mut out: Vec<Option<Result<AlignOutput>>> = (0..tasks.len()).map(|_| None).collect();
-    match eligible(scorer) {
-        Some(mm) => {
-            let order = task_order(tasks);
-            run_engine(
-                tasks,
-                &order,
-                &mm,
-                params,
-                policy,
-                lanes,
-                backend,
-                &mut out,
-                &mut report,
-            );
-        }
-        None => {
-            // The scalar reference reads the views in place; a reused
-            // workspace gives fresh-workspace results.
-            let mut ws = Workspace::<i32>::new();
-            for (t, slot) in tasks.iter().zip(out.iter_mut()) {
-                *slot = Some(xdrop2::align_views_ty(
-                    &t.h, &t.v, scorer, params, policy, &mut ws,
-                ));
-                report.fallbacks += 1;
-            }
-        }
-    }
-    (
-        out.into_iter()
-            .map(|slot| slot.expect("every task resolved"))
-            .collect(),
-        report,
-    )
-}
-
-/// The `i16` working set of a lane pack, reused across calls: per
-/// slot, one row in each of three rolling DP planes and the two
-/// sequence windows (module docs). [`Workspace`] holds one for the
-/// one-pair kernel; [`align_batch`] builds one per batch.
+/// The `i16` working set of the lane, reused across calls: one row in
+/// each of three rolling DP planes and the two sequence windows
+/// (module docs). [`Workspace`] holds one.
 #[derive(Debug, Default)]
 pub(crate) struct LaneArena {
-    /// Three planes of `slots` rows of `stride` cells. Row layout:
-    /// slot 0 = leading −∞ pad, slots 1..=width = the stored row,
-    /// slot width+1 = trailing −∞ pad (module docs).
+    /// Three rows of `stride` cells. Row layout: slot 0 = leading −∞
+    /// pad, slots 1..=width = the stored row, slot width+1 = trailing
+    /// −∞ pad (module docs).
     planes: [Vec<i16>; 3],
-    /// `slots` windows of [`LaneArena::window_pitch`] staged `V`
-    /// symbols, ascending.
+    /// `stride − 2 + BURST_ROUNDS` staged `V` symbols, ascending: the
+    /// widest burst reach (module docs).
     vwin: Vec<u8>,
     /// The same for `H`, descending.
     hwin: Vec<u8>,
-    /// Row pitch in cells: at least every occupant's band capacity
-    /// plus the two pads. Kept across calls: re-pitching never
-    /// shrinks it.
+    /// Row pitch in cells: at least the lane's band capacity plus the
+    /// two pads. Kept across calls: it never shrinks.
     stride: usize,
 }
 
 impl LaneArena {
-    /// Bytes per slot window: covers a burst's reach (module docs).
-    fn window_pitch(&self) -> usize {
-        self.stride + BURST_ROUNDS
-    }
-
-    /// Sizes the arena for `slots` slots at a row pitch of at least
-    /// `min_stride`, keeping a wider pitch from an earlier call.
-    /// Allocates only to grow; contents are not preserved.
-    fn ensure(&mut self, slots: usize, min_stride: usize) {
+    /// Widens the row pitch to at least `min_stride`, keeping a wider
+    /// pitch from an earlier call. Allocates only to grow; the rows
+    /// keep their cells (growth appends −∞), so a live lane survives a
+    /// re-pitch. Windows are restaged by the next burst.
+    fn ensure(&mut self, min_stride: usize) {
         self.stride = self.stride.max(min_stride);
-        let cells = slots * self.stride;
         for p in &mut self.planes {
-            if p.len() < cells {
-                p.resize(cells, NEG_INF16);
+            if p.len() < self.stride {
+                p.resize(self.stride, NEG_INF16);
             }
         }
-        let bytes = slots * self.window_pitch();
+        let bytes = self.stride - 2 + BURST_ROUNDS;
         for w in [&mut self.vwin, &mut self.hwin] {
             if w.len() < bytes {
                 w.resize(bytes, SEQ_PAD);
@@ -690,58 +355,27 @@ impl LaneArena {
         }
     }
 
-    /// Writes the cells a lane entering slot `s` reads before it has
-    /// written them: the seed row `H[0] = {0}` with its pads in plane
-    /// 0, and the empty `d − 2` row's two pads in plane 2 (module
-    /// docs). Returns the bytes written.
-    fn enter(&mut self, s: usize) -> u64 {
-        let rb = s * self.stride;
-        self.planes[0][rb..rb + 3].copy_from_slice(&[NEG_INF16, 0, NEG_INF16]);
-        self.planes[2][rb..rb + 2].fill(NEG_INF16);
-        5 * 2
+    /// Writes the cells a new lane reads before it has written them:
+    /// the seed row `H[0] = {0}` with its pads in plane 0, and the
+    /// empty `d − 2` row's two pads in plane 2 (module docs).
+    fn enter(&mut self) {
+        self.planes[0][..3].copy_from_slice(&[NEG_INF16, 0, NEG_INF16]);
+        self.planes[2][..2].fill(NEG_INF16);
     }
 
-    /// Stages slot `s`'s sequence windows for the next burst of
-    /// `lane` over `h` × `v`, from the lane's current round and live
-    /// interval (module docs). Returns the bytes staged.
-    fn stage<HV: SeqView, VV: SeqView>(
-        &mut self,
-        s: usize,
-        lane: &mut Lane,
-        h: &HV,
-        v: &VV,
-    ) -> u64 {
+    /// Stages the sequence windows for the next burst of `lane` over
+    /// `h` × `v`, from the lane's current round and live interval
+    /// (module docs).
+    fn stage<HV: SeqView, VV: SeqView>(&mut self, lane: &mut Lane, h: &HV, v: &VV) {
         let len = BURST_ROUNDS + lane.live_hi - lane.live_lo + 1;
-        let wb = s * self.window_pitch();
         let lo = lane.live_lo as isize;
         // Slot t holds V[lo − 1 + t] (cell i = lo + t) ...
-        stage_window(v, lo - 1, true, &mut self.vwin[wb..wb + len]);
+        stage_window(v, lo - 1, true, &mut self.vwin[..len]);
         // ... and H[d + BURST_ROUNDS − lo − 1 − t].
         let top = (lane.d + BURST_ROUNDS) as isize - lo - 1;
-        stage_window(h, top, false, &mut self.hwin[wb..wb + len]);
+        stage_window(h, top, false, &mut self.hwin[..len]);
         lane.win_lo = lane.live_lo;
         lane.win_d = lane.d;
-        2 * len as u64
-    }
-
-    /// Re-pitches to at least `min_stride` cells (at least doubling),
-    /// keeping the three rows of every slot `live` names. Windows are
-    /// restaged by the next burst. Returns the bytes moved.
-    fn repitch(&mut self, slots: usize, min_stride: usize, live: impl Fn(usize) -> bool) -> u64 {
-        let old = self.stride;
-        let new = min_stride.max(2 * old);
-        let mut moved = 0;
-        for p in &mut self.planes {
-            let mut np = vec![NEG_INF16; slots * new];
-            for s in (0..slots).filter(|&s| live(s)) {
-                np[s * new..s * new + old].copy_from_slice(&p[s * old..(s + 1) * old]);
-                moved += 2 * old as u64;
-            }
-            *p = np;
-        }
-        self.stride = new;
-        self.ensure(slots, new);
-        moved
     }
 }
 
@@ -770,17 +404,12 @@ fn stage_window<V: SeqView>(view: &V, first: isize, ascending: bool, out: &mut [
     }
 }
 
-/// Per-lane DP state — one task's complete scalar-reference state
-/// machine, advanced one antidiagonal per round. Lanes are fully
-/// independent: the only shared structure is the arena allocation,
-/// in which each lane owns its own rows and windows.
+/// Lane DP state — one pair's complete scalar-reference state
+/// machine, advanced one antidiagonal per round.
 struct Lane {
-    task: usize,
     m: usize,
     n: usize,
-    /// The lane's own antidiagonal counter. Refill desynchronizes
-    /// lane rounds, so the arena ring rotation is driven by this,
-    /// never by a global round number.
+    /// Current antidiagonal; drives the arena ring rotation.
     d: usize,
     /// `live_lo` and `d` when the windows were last staged: window
     /// slot `t` holds `V[win_lo − 1 + t]` and
@@ -828,11 +457,10 @@ enum LaneState {
 const SEQ_PAD: u8 = u8::MAX;
 
 impl Lane {
-    /// The state of task `task` (an `m` × `n` pair) before round 1;
-    /// its slot's seed cells are written by [`LaneArena::enter`].
-    fn enter(task: usize, m: usize, n: usize, delta_b: usize) -> Lane {
+    /// The state of an `m` × `n` pair before round 1; its seed cells
+    /// are written by [`LaneArena::enter`].
+    fn enter(m: usize, n: usize, delta_b: usize) -> Lane {
         Lane {
-            task,
             m,
             n,
             d: 0,
@@ -873,131 +501,12 @@ const CELL_BYTES: usize = std::mem::size_of::<i32>();
 
 /// Rounds a lane advances per burst before control returns to the
 /// caller, and the reach of its sequence windows. Large enough to
-/// amortize per-lane fixed costs (slot dispatch, plane selection,
-/// lane-state loads and stores, window staging) over many rounds —
-/// the live bands are only a few vectors wide, so those fixed costs,
-/// not arithmetic, would otherwise bound the round rate — and small
-/// enough that a vacated slot waits at most this many rounds for its
-/// refill and a window stays a few cache lines.
+/// amortize per-burst fixed costs (backend dispatch, lane-state loads
+/// and stores, window staging) over many rounds — the live bands are
+/// only a few vectors wide, so those fixed costs, not arithmetic,
+/// would otherwise bound the round rate — and small enough that a
+/// window stays a few cache lines.
 pub const BURST_ROUNDS: usize = 64;
-
-/// Runs the whole batch through one persistent lane pack: the scalar
-/// reference's control flow replicated per lane over the three-plane
-/// rolling arena, with terminated lanes compacted out and their slots
-/// refilled from `order`. Lanes advance in [`BURST_ROUNDS`]-round
-/// bursts ([`lane_burst`]); lanes are pure functions of their own
-/// task, so neither burst nor refill scheduling is observable in any
-/// result.
-#[allow(clippy::too_many_arguments)]
-fn run_engine(
-    tasks: &[BatchTask<'_>],
-    order: &[usize],
-    mm: &MatchMismatch,
-    params: XDropParams,
-    policy: BandPolicy,
-    k: usize,
-    backend: SweepBackend,
-    out: &mut [Option<Result<AlignOutput>>],
-    report: &mut BatchReport,
-) {
-    let delta_b = policy.delta_b();
-    if delta_b == 0 {
-        for &t in order {
-            out[t] = Some(Err(AlignError::InvalidConfig("δ_b must be nonzero")));
-        }
-        return;
-    }
-
-    // A batch smaller than the lane width leaves slots that no task
-    // ever fills: size the arena to the batch. `report.lanes` keeps
-    // the requested width.
-    let k = k.min(tasks.len());
-    let mut arena = LaneArena::default();
-    arena.ensure(k, delta_b + 2);
-    let mut slots: Vec<Option<Lane>> = (0..k).map(|_| None).collect();
-    let mut rerun_ws = Workspace::<i32>::new();
-    let mut next = 0usize;
-
-    loop {
-        // ---- Refill: admit pending tasks into vacated slots.
-        if next < order.len() {
-            let pack_live = slots.iter().any(Option::is_some);
-            for (s, slot) in slots.iter_mut().enumerate() {
-                if slot.is_none() && next < order.len() {
-                    let t = order[next];
-                    next += 1;
-                    let (m, n) = (tasks[t].h.len(), tasks[t].v.len());
-                    report.staged_bytes += arena.enter(s);
-                    if pack_live {
-                        report.refills += 1;
-                    }
-                    *slot = Some(Lane::enter(t, m, n, delta_b));
-                }
-            }
-        }
-        if slots.iter().all(Option::is_none) {
-            break;
-        }
-
-        // ---- Bursts: advance every occupied lane up to
-        // [`BURST_ROUNDS`] rounds. A lane stops early only to
-        // terminate or to request a wider arena pitch (Grow policy),
-        // in which case it resumes — with no state committed for the
-        // paused round — after the re-pitch below.
-        let mut max_exec = 0u64;
-        let mut need_stride = 0usize;
-        for (s, slot) in slots.iter_mut().enumerate() {
-            let Some(lane) = slot.as_mut() else { continue };
-            let task = &tasks[lane.task];
-            report.staged_bytes += arena.stage(s, lane, &task.h, &task.v);
-            let exec = lane_burst(
-                lane,
-                &mut arena,
-                s,
-                mm,
-                params,
-                policy,
-                backend,
-                &mut need_stride,
-                report,
-            );
-            report.lane_rounds += exec;
-            max_exec = max_exec.max(exec);
-        }
-        // The engine iteration spans `max_exec` logical rounds; a lane
-        // that terminated earlier leaves its slot idle for the rest of
-        // the iteration (the occupancy denominator sees that).
-        report.rounds += max_exec;
-
-        // A lane's band outgrew the row pitch (Grow policy): re-pitch
-        // the arena, then let the paused lane re-run its prologue.
-        if need_stride > arena.stride {
-            report.staged_bytes += arena.repitch(k, need_stride, |s| slots[s].is_some());
-        }
-
-        // ---- Compact: finalize terminated lanes and vacate their
-        // slots for the next iteration's refill.
-        for slot in slots.iter_mut() {
-            let finished = slot
-                .as_ref()
-                .is_some_and(|lane| !matches!(lane.state, LaneState::Active));
-            if !finished {
-                continue;
-            }
-            let lane = slot.take().expect("checked occupied");
-            out[lane.task] = Some(match lane.state {
-                LaneState::Done => Ok(lane.output()),
-                LaneState::Overflowed => {
-                    report.reruns += 1;
-                    let t = &tasks[lane.task];
-                    xdrop2::align_views_ty(&t.h, &t.v, mm, params, policy, &mut rerun_ws)
-                }
-                LaneState::Failed(e) => Err(e),
-                LaneState::Active => unreachable!("finished lanes are not active"),
-            });
-        }
-    }
-}
 
 /// [`LOW_GUARD`] in the `i16` domain, for in-register guard tests.
 /// The cast is exact: `DROP16 + MAX_STEP = −3072` is well inside
@@ -1470,9 +979,9 @@ unsafe fn sweep_row_avx512(
 }
 
 /// One fused-sweep row at the selected register backend. The `unsafe`
-/// intrinsic bodies are sound to call here because
-/// [`align_batch_with_backend`] clamps the backend to host support
-/// before the engine runs a single round. Marked `#[inline(always)]`
+/// intrinsic bodies are sound to call here because [`align_views`]
+/// clamps the backend to host support before the lane runs a single
+/// round. Marked `#[inline(always)]`
 /// so the `backend` match folds away inside the per-backend
 /// [`lane_burst`] bodies, letting the intrinsic sweeps inline into
 /// their feature-matched burst loop (which hoists the broadcast
@@ -1601,15 +1110,14 @@ fn row_argmax(backend: SweepBackend, row: &[i16], mx: i16) -> usize {
     }
 }
 
-/// Advances one lane by up to [`BURST_ROUNDS`] antidiagonal rounds —
+/// Advances the lane by up to [`BURST_ROUNDS`] antidiagonal rounds —
 /// prologue, fused sweep, and reductions per round, exactly the
-/// scalar reference's control flow — and returns the number of rounds
-/// executed. Stops early when the lane leaves [`LaneState::Active`]
-/// or when [`BandPolicy::Grow`] needs a wider arena pitch than
-/// `stride`: `need_stride` is raised and the paused round commits
-/// **nothing** (prologue mutations happen only once the round is sure
-/// to execute), so re-running the prologue after the re-pitch is
-/// exact.
+/// scalar reference's control flow. Stops early when the lane leaves
+/// [`LaneState::Active`], or when [`BandPolicy::Grow`] needs a wider
+/// arena pitch than `stride`: that returns the pitch needed, and the
+/// paused round commits **nothing** (prologue mutations happen only
+/// once the round is sure to execute), so re-running the prologue
+/// after the re-pitch is exact.
 ///
 /// This is the dispatcher: the burst body itself lives in
 /// [`lane_burst_impl`] and is compiled once **per backend** behind a
@@ -1619,66 +1127,30 @@ fn row_argmax(backend: SweepBackend, row: &[i16], mx: i16) -> usize {
 /// constants across rounds — at the ~40-cell row widths the X-Drop
 /// band typically settles into, those per-row fixed costs are a
 /// double-digit fraction of the kernel.
-#[allow(clippy::too_many_arguments)]
 fn lane_burst(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    slot: usize,
     mm: &MatchMismatch,
     params: XDropParams,
     policy: BandPolicy,
     backend: SweepBackend,
-    need_stride: &mut usize,
-    report: &mut BatchReport,
-) -> u64 {
+) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     match backend {
         // SAFETY: `clamp_to_host` admitted the backend, so the
         // required target features were runtime-detected.
-        SweepBackend::Avx512 => unsafe {
-            lane_burst_avx512(lane, arena, slot, mm, params, policy, need_stride, report)
-        },
+        SweepBackend::Avx512 => unsafe { lane_burst_avx512(lane, arena, mm, params, policy) },
         // SAFETY: as above — AVX2 was runtime-detected.
-        SweepBackend::Avx2 => unsafe {
-            lane_burst_avx2(lane, arena, slot, mm, params, policy, need_stride, report)
-        },
-        SweepBackend::Sse2 => lane_burst_impl(
-            lane,
-            arena,
-            slot,
-            mm,
-            params,
-            policy,
-            SweepBackend::Sse2,
-            need_stride,
-            report,
-        ),
-        SweepBackend::Generic => lane_burst_impl(
-            lane,
-            arena,
-            slot,
-            mm,
-            params,
-            policy,
-            SweepBackend::Generic,
-            need_stride,
-            report,
-        ),
+        SweepBackend::Avx2 => unsafe { lane_burst_avx2(lane, arena, mm, params, policy) },
+        SweepBackend::Sse2 => lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Sse2),
+        SweepBackend::Generic => {
+            lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Generic)
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = backend;
-        lane_burst_impl(
-            lane,
-            arena,
-            slot,
-            mm,
-            params,
-            policy,
-            SweepBackend::Generic,
-            need_stride,
-            report,
-        )
+        lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Generic)
     }
 }
 
@@ -1686,84 +1158,51 @@ fn lane_burst(
 /// masked sweep and argmax inline into the burst loop.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn lane_burst_avx512(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    slot: usize,
     mm: &MatchMismatch,
     params: XDropParams,
     policy: BandPolicy,
-    need_stride: &mut usize,
-    report: &mut BatchReport,
-) -> u64 {
-    lane_burst_impl(
-        lane,
-        arena,
-        slot,
-        mm,
-        params,
-        policy,
-        SweepBackend::Avx512,
-        need_stride,
-        report,
-    )
+) -> Option<usize> {
+    lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Avx512)
 }
 
 /// [`lane_burst_impl`] compiled with AVX2 enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn lane_burst_avx2(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    slot: usize,
     mm: &MatchMismatch,
     params: XDropParams,
     policy: BandPolicy,
-    need_stride: &mut usize,
-    report: &mut BatchReport,
-) -> u64 {
-    lane_burst_impl(
-        lane,
-        arena,
-        slot,
-        mm,
-        params,
-        policy,
-        SweepBackend::Avx2,
-        need_stride,
-        report,
-    )
+) -> Option<usize> {
+    lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Avx2)
 }
 
 /// The burst body shared by every backend; see [`lane_burst`].
 /// `#[inline(always)]` + a literal `backend` at each call site fold
 /// the [`sweep_row`]/[`row_argmax`] dispatch matches at compile time
 /// inside each `#[target_feature]` wrapper.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn lane_burst_impl(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    slot: usize,
     mm: &MatchMismatch,
     params: XDropParams,
     policy: BandPolicy,
     backend: SweepBackend,
-    need_stride: &mut usize,
-    report: &mut BatchReport,
-) -> u64 {
+) -> Option<usize> {
     let x = params.x;
     let gap16 = mm.gap_penalty as i16;
     let (mat16, mis16) = (mm.match_score as i16, mm.mismatch_score as i16);
-    let (stride, wp) = (arena.stride, arena.window_pitch());
-    let rb = slot * stride;
     let LaneArena {
-        planes, vwin, hwin, ..
+        planes,
+        vwin,
+        hwin,
+        stride,
     } = arena;
-    let (vwin, hwin) = (&vwin[slot * wp..][..wp], &hwin[slot * wp..][..wp]);
-    let mut exec = 0u64;
     for _ in 0..BURST_ROUNDS {
         // ---- Prologue: candidate interval and band policy on
         // locals; nothing commits before the arena-pitch check.
@@ -1797,9 +1236,8 @@ fn lane_burst_impl(
                 }
                 BandPolicy::Grow(_) => {
                     let new_cap = width.max(2 * lane.cap);
-                    if new_cap + 2 > stride {
-                        *need_stride = (*need_stride).max(new_cap + 2);
-                        break;
+                    if new_cap + 2 > *stride {
+                        return Some(new_cap + 2);
                     }
                     lane.cap = new_cap;
                     lane.stats.work_bytes = 2 * new_cap * CELL_BYTES;
@@ -1817,7 +1255,6 @@ fn lane_burst_impl(
             }
         }
         lane.d = d;
-        exec += 1;
 
         // ---- Fused sweep: one branch-free saturating pass whose
         // operands are index-shifted views of the rows written in
@@ -1852,19 +1289,18 @@ fn lane_burst_impl(
         // `hs[w]` = H[d−i−1], for i = cand_lo + w — read from the
         // burst's windows (module docs), whose [`SEQ_PAD`] cells sit
         // exactly where the diagonal parent is a pad.
-        let r1s = &r1[rb + off1..rb + off1 + width + 1];
-        let r2s = &r2[rb + off2..rb + off2 + width];
+        let r1s = &r1[off1..off1 + width + 1];
+        let r2s = &r2[off2..off2 + width];
         let t0 = cand_lo - lane.win_lo;
         let vs = &vwin[t0..t0 + width];
         let hs = &hwin[lane.win_d + BURST_ROUNDS - d + t0..][..width];
-        let orow = &mut outp[rb..rb + width + 2];
+        let orow = &mut outp[..width + 2];
         let sw = sweep_row(
             backend, r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16,
         );
         orow[0] = NEG_INF16; // leading pad
         orow[width + 1] = NEG_INF16; // trailing pad
         lane.bases[cur] = cand_lo;
-        report.lane_cells += width as u64;
 
         // ---- Reduce: stats bookkeeping on the sweep's fused
         // reductions plus one short argmax scan over the just-written
@@ -1905,201 +1341,163 @@ fn lane_burst_impl(
         lane.stats.delta_w = lane.stats.delta_w.max(hi_w - lo_w + 1);
         lane.t_best = lane.t_best.max(smax);
     }
-    exec
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alphabet::encode_dna;
+    use crate::seqview::{Fwd, Rev};
 
     fn sc() -> MatchMismatch {
         MatchMismatch::dna_default()
     }
 
     /// The scalar reference on a fresh workspace.
-    fn scalar<S: Scorer>(
-        task: &BatchTask<'_>,
+    fn scalar<S: Scorer, HV: SeqView, VV: SeqView>(
+        h: &HV,
+        v: &VV,
         scorer: &S,
         params: XDropParams,
         policy: BandPolicy,
     ) -> Result<AlignOutput> {
-        xdrop2::align_views_ty(
-            &task.h,
-            &task.v,
-            scorer,
-            params,
-            policy,
-            &mut Workspace::<i32>::new(),
-        )
+        xdrop2::align_views_ty(h, v, scorer, params, policy, &mut Workspace::<i32>::new())
     }
 
-    fn assert_batch_matches_scalar(
-        tasks: &[BatchTask<'_>],
-        scorer: &MatchMismatch,
+    /// Every supported backend, in `ws`, against the scalar reference.
+    fn assert_matches_scalar<S: Scorer, HV: SeqView, VV: SeqView>(
+        h: &HV,
+        v: &VV,
+        scorer: &S,
         params: XDropParams,
         policy: BandPolicy,
-        lanes: usize,
-    ) -> BatchReport {
-        let (got, report) = align_batch_with_lanes(tasks, scorer, params, policy, lanes);
-        assert_eq!(got.len(), tasks.len());
-        for (t, g) in tasks.iter().zip(&got) {
-            let reference = scalar(t, scorer, params, policy);
-            assert_eq!(&reference, g, "lane vs scalar, lanes={lanes}");
+        ws: &mut Workspace<i32>,
+    ) {
+        let want = scalar(h, v, scorer, params, policy);
+        for backend in SweepBackend::supported() {
+            let got = align_views(h, v, scorer, params, policy, backend, ws);
+            assert_eq!(want, got, "{backend:?} {policy:?}");
         }
-        report
+    }
+
+    /// The lane alone (no rerun) at the detected backend, on a fresh
+    /// arena.
+    fn lane(h: &[u8], v: &[u8], params: XDropParams, policy: BandPolicy) -> Option<AlignOutput> {
+        let mut arena = LaneArena::default();
+        run_lane(
+            &Fwd(h),
+            &Fwd(v),
+            &sc(),
+            params,
+            policy,
+            SweepBackend::detect(),
+            &mut arena,
+        )
+        .map(|out| out.expect("lane aligns"))
     }
 
     #[test]
-    fn mixed_direction_batch_matches_scalar() {
+    fn mixed_direction_pairs_match_scalar() {
         let a = encode_dna(b"ACGTACGTACGTACGTACGTACGTACGT");
         let b = encode_dna(b"ACGTACGAACGTACTTACGTACGAACGT");
         let c = encode_dna(b"TTGGACGTACAA");
-        let tasks = [
-            BatchTask {
-                h: TaskView::Fwd(&a),
-                v: TaskView::Fwd(&b),
-            },
-            BatchTask {
-                h: TaskView::Rev(&a),
-                v: TaskView::Rev(&b),
-            },
-            BatchTask {
-                h: TaskView::Fwd(&c),
-                v: TaskView::Rev(&a),
-            },
-            BatchTask {
-                h: TaskView::Fwd(&a),
-                v: TaskView::Fwd(&a),
-            },
-        ];
-        for lanes in [1, 2, 8, 16] {
-            for policy in [
-                BandPolicy::Grow(4),
-                BandPolicy::Exact(3),
-                BandPolicy::Saturate(5),
-            ] {
-                let report =
-                    assert_batch_matches_scalar(&tasks, &sc(), XDropParams::new(12), policy, lanes);
-                assert_eq!(report.lanes, lanes);
-                assert_eq!(report.fallbacks, 0);
-            }
+        let mut ws = Workspace::new();
+        for policy in [
+            BandPolicy::Grow(4),
+            BandPolicy::Exact(3),
+            BandPolicy::Saturate(5),
+        ] {
+            let p = XDropParams::new(12);
+            assert_matches_scalar(&Fwd(&a), &Fwd(&b), &sc(), p, policy, &mut ws);
+            assert_matches_scalar(&Rev(&a), &Rev(&b), &sc(), p, policy, &mut ws);
+            assert_matches_scalar(&Fwd(&c), &Rev(&a), &sc(), p, policy, &mut ws);
+            assert_matches_scalar(&Fwd(&a), &Fwd(&a), &sc(), p, policy, &mut ws);
         }
     }
 
     #[test]
-    fn empty_and_tiny_tasks() {
+    fn empty_and_tiny_pairs() {
         let a = encode_dna(b"ACGT");
         let empty: [u8; 0] = [];
-        let tasks = [
-            BatchTask {
-                h: TaskView::Fwd(&empty),
-                v: TaskView::Fwd(&a),
-            },
-            BatchTask {
-                h: TaskView::Fwd(&a),
-                v: TaskView::Fwd(&empty),
-            },
-            BatchTask {
-                h: TaskView::Fwd(&empty),
-                v: TaskView::Fwd(&empty),
-            },
-            BatchTask {
-                h: TaskView::Fwd(&a[..1]),
-                v: TaskView::Fwd(&a[..1]),
-            },
-        ];
-        assert_batch_matches_scalar(&tasks, &sc(), XDropParams::new(5), BandPolicy::Exact(2), 4);
+        let (p, policy) = (XDropParams::new(5), BandPolicy::Exact(2));
+        let mut ws = Workspace::new();
+        for (h, v) in [
+            (&empty[..], &a[..]),
+            (&a, &empty),
+            (&empty, &empty),
+            (&a[..1], &a[..1]),
+        ] {
+            assert_matches_scalar(&Fwd(h), &Fwd(v), &sc(), p, policy, &mut ws);
+        }
     }
 
     #[test]
     fn zero_delta_b_is_the_scalar_error() {
         let a = encode_dna(b"ACGT");
-        let tasks = [BatchTask {
-            h: TaskView::Fwd(&a),
-            v: TaskView::Fwd(&a),
-        }];
-        let (got, _) = align_batch(&tasks, &sc(), XDropParams::new(5), BandPolicy::Exact(0));
-        assert_eq!(
-            got[0],
-            Err(AlignError::InvalidConfig("δ_b must be nonzero"))
+        let got = align_views(
+            &Fwd(&a),
+            &Fwd(&a),
+            &sc(),
+            XDropParams::new(5),
+            BandPolicy::Exact(0),
+            SweepBackend::detect(),
+            &mut Workspace::<i32>::new(),
         );
+        assert_eq!(got, Err(AlignError::InvalidConfig("δ_b must be nonzero")));
     }
 
+    /// A positive gap penalty breaks the `i16` dropped-sentinel
+    /// argument and an oversized step the guard band, so both run the
+    /// `Simd` kernel — no lane arena is ever built — and still match
+    /// the reference bit for bit.
     #[test]
-    fn ineligible_scorer_falls_back_per_task() {
-        // Positive gap penalty: the i16 dropped-sentinel argument
-        // breaks, so the whole batch must take the scalar fallback —
-        // and still match the reference bit for bit.
+    fn ineligible_scorer_runs_simd() {
         let a = encode_dna(b"ACGTACGTACGTACGT");
         let b = encode_dna(b"ACGAACGTACTTACGT");
-        let weird = MatchMismatch::new(2, -3, 1);
-        let tasks = [
-            BatchTask {
-                h: TaskView::Fwd(&a),
-                v: TaskView::Fwd(&b),
-            },
-            BatchTask {
-                h: TaskView::Rev(&a),
-                v: TaskView::Rev(&b),
-            },
-        ];
-        let report = assert_batch_matches_scalar(
-            &tasks,
-            &weird,
-            XDropParams::new(9),
-            BandPolicy::Grow(4),
-            8,
-        );
-        assert_eq!(report.fallbacks, tasks.len());
-        // Oversized score steps likewise.
-        let big = MatchMismatch::new(MAX_STEP + 1, -1, -1);
-        let (_, report) = align_batch(&tasks, &big, XDropParams::new(9), BandPolicy::Grow(4));
-        assert_eq!(report.fallbacks, tasks.len());
+        for scorer in [
+            MatchMismatch::new(2, -3, 1),
+            MatchMismatch::new(MAX_STEP + 1, -1, -1),
+        ] {
+            assert!(eligible(&scorer).is_none());
+            let mut ws = Workspace::new();
+            let (p, policy) = (XDropParams::new(9), BandPolicy::Grow(4));
+            assert_matches_scalar(&Fwd(&a), &Fwd(&b), &scorer, p, policy, &mut ws);
+            assert_matches_scalar(&Rev(&a), &Rev(&b), &scorer, p, policy, &mut ws);
+            assert!(ws.lanes.is_none(), "{scorer:?} must not enter the lanes");
+        }
     }
 
     /// Overflow boundary, high side: identical sequences long enough
     /// for the running best score to land exactly on `i16::MAX`. The
-    /// guard band must flag the lane *before* any saturating add can
-    /// go inexact, the rerun count must be reported, and the result
-    /// must bit-match the `i32` scalar reference (whose best score is
-    /// exactly `i16::MAX`).
+    /// guard band must stop the lane *before* any saturating add can
+    /// go inexact, and the rerun must bit-match the `i32` scalar
+    /// reference (whose best score is exactly `i16::MAX`).
     #[test]
     fn overflow_at_i16_max_triggers_rerun_and_matches_scalar() {
-        let len = i16::MAX as usize; // +1 per matched symbol
-        let s: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
-        let tasks = [BatchTask {
-            h: TaskView::Fwd(&s),
-            v: TaskView::Fwd(&s),
-        }];
-        let (got, report) = align_batch(&tasks, &sc(), XDropParams::new(4), BandPolicy::Grow(4));
-        assert_eq!(report.reruns, 1, "guard band must trip the rerun path");
-        let out = got[0].as_ref().expect("alignment succeeds");
-        assert_eq!(out.result.best_score, i16::MAX as i32);
-        let reference = scalar(&tasks[0], &sc(), XDropParams::new(4), BandPolicy::Grow(4));
-        assert_eq!(reference.as_ref().expect("reference"), out);
+        let s: Vec<u8> = (0..i16::MAX as usize).map(|i| (i % 4) as u8).collect();
+        let (p, policy) = (XDropParams::new(4), BandPolicy::Grow(4));
+        assert_eq!(lane(&s, &s, p, policy), None, "guard band must trip");
+        let want = scalar(&Fwd(&s), &Fwd(&s), &sc(), p, policy);
+        assert_eq!(
+            want.as_ref().expect("aligns").result.best_score,
+            i32::from(i16::MAX)
+        );
+        assert_matches_scalar(&Fwd(&s), &Fwd(&s), &sc(), p, policy, &mut Workspace::new());
     }
 
     /// Overflow boundary, low side: with pruning effectively disabled
     /// and nothing but mismatches, live scores march down towards
-    /// `i16::MIN`. The low guard must flag the lane while values are
+    /// `i16::MIN`. The low guard must stop the lane while values are
     /// still exact, and the rerun must bit-match the reference —
     /// including every stats field of the wide saturate band.
     #[test]
     fn overflow_towards_i16_min_triggers_rerun_and_matches_scalar() {
         // h is all-0s, v all-1s: every cell is a mismatch.
-        let h = vec![0u8; 3600];
-        let v = vec![1u8; 3600];
-        let tasks = [BatchTask {
-            h: TaskView::Fwd(&h),
-            v: TaskView::Fwd(&v),
-        }];
-        let params = XDropParams::new(1_000_000);
-        let policy = BandPolicy::Saturate(8);
-        let (got, report) = align_batch(&tasks, &sc(), params, policy);
-        assert_eq!(report.reruns, 1, "low guard must trip the rerun path");
-        let reference = scalar(&tasks[0], &sc(), params, policy);
-        assert_eq!(&reference, &got[0]);
+        let (h, v) = (vec![0u8; 3600], vec![1u8; 3600]);
+        let (p, policy) = (XDropParams::new(1_000_000), BandPolicy::Saturate(8));
+        assert_eq!(lane(&h, &v, p, policy), None, "low guard must trip");
+        assert_matches_scalar(&Fwd(&h), &Fwd(&v), &sc(), p, policy, &mut Workspace::new());
     }
 
     /// Scores inside the guard band never rerun: the fast path is
@@ -2107,132 +1505,23 @@ mod tests {
     #[test]
     fn in_range_scores_stay_on_the_fast_path() {
         let s: Vec<u8> = (0..2000).map(|i| (i % 4) as u8).collect();
-        let tasks = [BatchTask {
-            h: TaskView::Fwd(&s),
-            v: TaskView::Fwd(&s),
-        }];
-        let (got, report) = align_batch(&tasks, &sc(), XDropParams::new(4), BandPolicy::Grow(4));
-        assert_eq!(report.reruns, 0);
-        assert_eq!(report.fallbacks, 0);
-        assert_eq!(got[0].as_ref().unwrap().result.best_score, 2000);
+        let out = lane(&s, &s, XDropParams::new(4), BandPolicy::Grow(4));
+        assert_eq!(out.expect("no rerun").result.best_score, 2000);
     }
 
-    #[test]
-    fn bucketing_is_deterministic_and_by_length() {
-        // 5 tasks, lane width 2: the longest two enter first, etc.
-        let s: Vec<u8> = (0..64).map(|i| (i % 4) as u8).collect();
-        let lens = [60usize, 8, 32, 8, 50];
-        let tasks: Vec<BatchTask<'_>> = lens
-            .iter()
-            .map(|&l| BatchTask {
-                h: TaskView::Fwd(&s[..l]),
-                v: TaskView::Fwd(&s[..l]),
-            })
-            .collect();
-        let report = assert_batch_matches_scalar(
-            &tasks,
-            &sc(),
-            XDropParams::new(10),
-            BandPolicy::Grow(4),
-            2,
-        );
-        assert_eq!(report.reruns, 0);
-        // Descending length, equal lengths in submission order.
-        assert_eq!(task_order(&tasks), vec![0, 4, 2, 1, 3]);
-    }
-
-    /// The schedule tiebreak is the original task index: a batch of
-    /// all-equal lengths must keep submission order exactly, however
-    /// the contents are shuffled.
-    #[test]
-    fn equal_length_tasks_schedule_in_submission_order() {
-        let s: Vec<u8> = (0..48).map(|i| (i % 4) as u8).collect();
-        let shuffles: [&[usize]; 3] = [
-            &[0, 1, 2, 3, 4, 5],
-            &[5, 3, 1, 0, 2, 4],
-            &[2, 0, 5, 4, 3, 1],
-        ];
-        for starts in shuffles {
-            let tasks: Vec<BatchTask<'_>> = starts
-                .iter()
-                .map(|&o| BatchTask {
-                    h: TaskView::Fwd(&s[o..o + 24]),
-                    v: TaskView::Fwd(&s[o..o + 24]),
-                })
-                .collect();
-            assert_eq!(
-                task_order(&tasks),
-                (0..tasks.len()).collect::<Vec<_>>(),
-                "equal lengths must schedule by submission index"
-            );
-            assert_batch_matches_scalar(&tasks, &sc(), XDropParams::new(8), BandPolicy::Grow(4), 4);
-        }
-    }
-
-    /// The one-pair kernel in a reused workspace: an overflowing pair
-    /// reruns in it, and every pair before and after still equals the
-    /// scalar reference on a fresh workspace — directions mixed, for
-    /// every supported backend.
+    /// An overflowing pair reruns in the reused workspace, and every
+    /// pair before and after still equals the scalar reference on a
+    /// fresh workspace — directions mixed, for every supported
+    /// backend.
     #[test]
     fn one_pair_reuses_the_workspace_across_reruns() {
         let long: Vec<u8> = (0..i16::MAX as usize).map(|i| (i % 4) as u8).collect();
         let short = encode_dna(b"ACGTACGTAACGTACGTTACGT");
         let other = encode_dna(b"ACGTTCGTAACGTACCTTACGA");
-        let tasks = [
-            BatchTask {
-                h: TaskView::Rev(&short),
-                v: TaskView::Fwd(&other),
-            },
-            BatchTask {
-                h: TaskView::Fwd(&long),
-                v: TaskView::Fwd(&long),
-            },
-            BatchTask {
-                h: TaskView::Fwd(&short),
-                v: TaskView::Rev(&other),
-            },
-        ];
-        let (params, policy) = (XDropParams::new(4), BandPolicy::Grow(4));
-        for backend in SweepBackend::supported() {
-            let mut ws = Workspace::<i32>::new();
-            for t in &tasks {
-                let got = align_views(&t.h, &t.v, &sc(), params, policy, backend, &mut ws);
-                assert_eq!(scalar(t, &sc(), params, policy), got, "{backend:?}");
-            }
-        }
-    }
-
-    /// Mid-flight refill keeps the pack occupied: a mixed-length
-    /// batch over few lanes must report high occupancy, count its
-    /// refills, and stage only the substitution bytes per cell.
-    #[test]
-    fn refill_keeps_occupancy_high_and_staging_lean() {
-        let s: Vec<u8> = (0..4096).map(|i| (i % 4) as u8).collect();
-        let lens = [4000usize, 600, 550, 500, 450, 400, 350, 300, 250, 200];
-        let tasks: Vec<BatchTask<'_>> = lens
-            .iter()
-            .map(|&l| BatchTask {
-                h: TaskView::Fwd(&s[..l]),
-                v: TaskView::Fwd(&s[..l]),
-            })
-            .collect();
-        let (_, report) =
-            align_batch_with_lanes(&tasks, &sc(), XDropParams::new(20), BandPolicy::Grow(8), 2);
-        assert!(report.rounds > 0);
-        assert!(
-            report.refills > 0,
-            "short lanes must refill while the long lane runs"
-        );
-        let occ = report.occupancy();
-        assert!(
-            occ > 0.9 && occ <= 1.0,
-            "refill should keep both slots busy, got {occ}"
-        );
-        assert!(report.lane_cells > 0);
-        let spc = report.staged_bytes_per_cell();
-        assert!(
-            spc < 7.0,
-            "persistent staging must beat the 14 B/cell operand-copy kernel, got {spc}"
-        );
+        let (p, policy) = (XDropParams::new(4), BandPolicy::Grow(4));
+        let mut ws = Workspace::new();
+        assert_matches_scalar(&Rev(&short), &Fwd(&other), &sc(), p, policy, &mut ws);
+        assert_matches_scalar(&Fwd(&long), &Fwd(&long), &sc(), p, policy, &mut ws);
+        assert_matches_scalar(&Fwd(&short), &Rev(&other), &sc(), p, policy, &mut ws);
     }
 }

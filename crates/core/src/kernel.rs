@@ -101,8 +101,8 @@ fn simd_available() -> bool {
 /// (x86-64), `"neon"` (aarch64), or `"generic"`. This is the
 /// *capability report* — what the hardware offers — as recorded in
 /// `BENCH_xdrop.json`'s host section and the trace meta events; which
-/// backend a kernel actually ran is reported separately (e.g.
-/// [`crate::batched::BatchReport::sweep_backend`]).
+/// backend the default kernel runs is
+/// [`crate::batched::SweepBackend::detect`].
 pub fn host_simd() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
@@ -143,17 +143,6 @@ pub fn host_simd_tier() -> u32 {
     }
 }
 
-/// Warns on stderr — once per process per variable — that an
-/// environment override held an unrecognized value and what was used
-/// instead. Silent fallback hid typos like `XDROP_KERNEL=simd128` for
-/// three releases; every env-dispatch path (kernel kind, sweep
-/// backend) now routes its unknown-value case through here.
-pub(crate) fn warn_unknown_env(once: &std::sync::Once, var: &str, value: &str, fallback: &str) {
-    once.call_once(|| {
-        eprintln!("warning: unrecognized {var}={value:?}; falling back to {fallback}");
-    });
-}
-
 impl KernelKind {
     /// Every kernel, scalar first (bench/report ordering).
     pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Batched];
@@ -181,8 +170,7 @@ impl KernelKind {
     /// [`KernelKind::Batched`] unless [`KERNEL_ENV`] forces a kernel.
     ///
     /// The environment variable is read **once per process** and the
-    /// resolution cached (same discipline as
-    /// [`crate::batched::SweepBackend::resolved`]): mutating
+    /// resolution cached: mutating
     /// `XDROP_KERNEL` at runtime — e.g. from one test while another
     /// builds an [`XDropParams`] on a sibling thread — cannot change
     /// which kernel later calls select. Programmatic selection goes
@@ -208,7 +196,9 @@ impl KernelKind {
         static WARNED: std::sync::Once = std::sync::Once::new();
         match value {
             Some(v) => KernelKind::parse(v).unwrap_or_else(|| {
-                warn_unknown_env(&WARNED, KERNEL_ENV, v, KernelKind::Batched.name());
+                WARNED.call_once(|| {
+                    eprintln!("warning: unrecognized {KERNEL_ENV}={v:?}; falling back to batched");
+                });
                 KernelKind::Batched
             }),
             None => KernelKind::Batched,
@@ -238,7 +228,7 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
             scorer,
             params,
             policy,
-            crate::batched::SweepBackend::resolved(),
+            crate::batched::SweepBackend::detect(),
             ws,
         ),
     }

@@ -87,11 +87,10 @@ impl Batch {
     }
 }
 
-/// Sequence bytes one unit ships under the naive scheme: both full
-/// sequences, per unit (no reuse).
+/// Sequence bytes one unit ships under the naive scheme: its
+/// comparison's sequences, per unit (no reuse).
 fn unit_seq_bytes(w: &Workload, u: &WorkUnit) -> usize {
-    let c = &w.comparisons[u.cmp as usize];
-    w.seqs.seq_len(c.h) + w.seqs.seq_len(c.v)
+    mem::comparison_seq_bytes(w, &w.comparisons[u.cmp as usize])
 }
 
 /// Packs `units` into batches for a device with `spec.tiles` tiles:

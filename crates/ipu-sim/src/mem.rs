@@ -6,6 +6,8 @@
 //! alignment with no sharing — *six* copies of the `2δ_b` band
 //! workspace.
 
+use xdrop_core::workload::{Comparison, Workload};
+
 /// Bytes of one seed-extension descriptor as laid out on the tile:
 /// two sequence references, two seed positions, seed length and
 /// flags — comfortably 24 bytes.
@@ -17,6 +19,17 @@ pub const OUTPUT_ENTRY_BYTES: usize = 24;
 
 /// Score cell size in bytes (`f32`/`i32`).
 pub const CELL_BYTES: usize = 4;
+
+/// Sequence bytes a tile holds for one comparison: both sequences,
+/// or one when the comparison is a self-comparison (`h == v`).
+pub fn comparison_seq_bytes(w: &Workload, c: &Comparison) -> usize {
+    let h = w.seqs.seq_len(c.h);
+    if c.h == c.v {
+        h
+    } else {
+        h + w.seqs.seq_len(c.v)
+    }
+}
 
 /// Working memory of one thread's kernel: two band antidiagonals.
 pub fn thread_workspace_bytes(delta_b: usize) -> usize {

@@ -61,10 +61,7 @@ pub(crate) fn comparison_fit_error(
     let base = mem::tile_bytes(0, 0, threads, delta_b);
     let per_edge = mem::SEED_ENTRY_BYTES + mem::OUTPUT_ENTRY_BYTES;
     for (ci, c) in w.comparisons.iter().enumerate() {
-        let mut needed = base + per_edge + w.seqs.seq_len(c.h);
-        if c.h != c.v {
-            needed += w.seqs.seq_len(c.v);
-        }
+        let needed = base + per_edge + mem::comparison_seq_bytes(w, c);
         if needed > budget_bytes {
             return Some(PartitionError::OversizedComparison {
                 comparison: ci as u32,

@@ -26,7 +26,6 @@ use rand::{Rng, SeedableRng};
 use xdrop_ipu::core::aligner::{
     logan_band_width, AlignRequest, Aligner, AlignerKind, Direction, ScoreKind,
 };
-use xdrop_ipu::core::batched::{self, BatchTask, TaskView};
 use xdrop_ipu::core::hirschberg::hirschberg;
 use xdrop_ipu::core::kernel::KernelKind;
 use xdrop_ipu::core::ksw2::{affine_extend_full, Ksw2Params};
@@ -555,27 +554,6 @@ fn batched_fallback_precedence_for_ineligible_scorer() {
     .unwrap_err();
     assert_eq!(err_facade, err_direct);
     assert!(matches!(err_facade, AlignError::BandExceeded { .. }));
-
-    // And the fallback is observable: a direct batch call with the
-    // ineligible scorer reports one fallback per task.
-    let tasks = [
-        BatchTask {
-            h: TaskView::Fwd(&h),
-            v: TaskView::Fwd(&v),
-        },
-        BatchTask {
-            h: TaskView::Rev(&h),
-            v: TaskView::Rev(&v),
-        },
-    ];
-    let (outs, report) = batched::align_batch(
-        &tasks,
-        &scorer,
-        XDropParams::new(30).with_kernel(KernelKind::Batched),
-        BandPolicy::Grow(8),
-    );
-    assert_eq!(report.fallbacks, tasks.len());
-    assert!(outs.iter().all(|o| o.is_ok()));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,22 @@
-//! Differential bit-identity proptest for the batched inter-sequence
-//! kernel.
+//! Differential bit-identity suite for the `i16` fused-sweep kernel.
 //!
-//! `batched::align_batch` packs many independent comparisons into
-//! `i16` SIMD lanes; its contract is that every lane's outcome is
-//! byte-identical to running that comparison alone through the scalar
-//! `i32` reference on a fresh workspace — the same score and end
-//! position, every [`AlignStats`](xdrop_ipu::core::stats::AlignStats)
-//! field, and, under `BandPolicy::Exact`, the same error. These
-//! properties drive the batch entry point over random batches of
-//! mixed-length related pairs (sizes 1..64) across all band policies
-//! and extension directions, for arbitrary lane counts, plus batches
-//! with lanes forced through the `i16`-overflow rerun path.
+//! `batched::align_views` runs one pair at a time in `i16` lanes, in
+//! the caller's reused workspace; its contract is that every outcome
+//! is byte-identical to running that pair through the scalar `i32`
+//! reference on a fresh workspace — the same score and end position,
+//! every [`AlignStats`](xdrop_ipu::core::stats::AlignStats) field,
+//! and, under `BandPolicy::Exact`, the same error. These tests run
+//! random lists of mixed-length related pairs (1..64 pairs) across
+//! all band policies and extension directions through one reused
+//! workspace per sweep backend, as the `Extender` runs them, plus
+//! pairs forced through the `i16`-overflow rerun, masked tail widths
+//! and the arena's re-pitch boundaries.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xdrop_ipu::core::aligner::logan_band_width;
-use xdrop_ipu::core::batched::{
-    self, align_batch, align_batch_with_backend, align_batch_with_lanes, BatchTask, SweepBackend,
-    TaskView, BURST_ROUNDS,
-};
+use xdrop_ipu::core::batched::{self, SweepBackend, BURST_ROUNDS};
 use xdrop_ipu::core::kernel::{self, KernelKind};
 use xdrop_ipu::core::scoring::MatchMismatch;
 use xdrop_ipu::core::seqview::{Fwd, Rev};
@@ -27,8 +24,8 @@ use xdrop_ipu::core::stats::AlignOutput;
 use xdrop_ipu::core::xdrop2::{self, BandPolicy, Workspace};
 use xdrop_ipu::core::{Result, XDropParams};
 
-/// One comparison of a batch: a root, a mutated relative, and the
-/// direction each side is traversed in.
+/// One comparison: a root, a mutated relative, and the direction
+/// each side is traversed in.
 #[derive(Debug, Clone)]
 struct TaskSpec {
     h: Vec<u8>,
@@ -38,22 +35,8 @@ struct TaskSpec {
 }
 
 impl TaskSpec {
-    fn task(&self) -> BatchTask<'_> {
-        let h = if self.h_rev {
-            TaskView::Rev(&self.h)
-        } else {
-            TaskView::Fwd(&self.h)
-        };
-        let v = if self.v_rev {
-            TaskView::Rev(&self.v)
-        } else {
-            TaskView::Fwd(&self.v)
-        };
-        BatchTask { h, v }
-    }
-
     /// The scalar `i32` reference on a fresh workspace — the oracle
-    /// every batched lane is pinned to.
+    /// every lane is pinned to.
     fn scalar(&self, params: XDropParams, policy: BandPolicy) -> Result<AlignOutput> {
         let sc = MatchMismatch::dna_default();
         let mut ws = Workspace::<i32>::new();
@@ -103,9 +86,9 @@ impl TaskSpec {
     }
 }
 
-/// A batch of 1..64 comparisons with deliberately dispersed lengths
-/// (each task draws its own length cap), so lane groups mix long and
-/// short sequences and lanes retire at different rounds.
+/// A list of 1..64 comparisons with deliberately dispersed lengths
+/// (each draws its own length cap), so a reused workspace sees long
+/// and short pairs, wide and narrow bands, in any order.
 fn task_batch() -> impl Strategy<Value = Vec<TaskSpec>> {
     let one = (
         any::<u64>(),
@@ -144,7 +127,7 @@ fn task_batch() -> impl Strategy<Value = Vec<TaskSpec>> {
     prop::collection::vec(one, 1..64)
 }
 
-/// Asserts one lane's batched outcome bit-matches its scalar oracle —
+/// Asserts one pair's lane outcome bit-matches its scalar oracle —
 /// result, then every `AlignStats` field by name, then errors.
 fn assert_lane_identical(
     t: usize,
@@ -180,9 +163,9 @@ fn assert_lane_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The tentpole property: every lane of a mixed-length batch is
-    /// bit-identical to its scalar reference, for every band policy
-    /// (Exact errors included), any lane count, all four direction
+    /// Every pair of a mixed-length list, run through one reused
+    /// workspace, is bit-identical to its scalar reference, for every
+    /// band policy (Exact errors included), all four direction
     /// combinations, and every fused-sweep register backend the host
     /// supports (the backends must also be bit-identical to each
     /// other, which the shared oracle transitively enforces).
@@ -191,32 +174,23 @@ proptest! {
         batch in task_batch(),
         x in 0i32..60,
         db in 1usize..24,
-        lanes in 1usize..33,
     ) {
-        let sc = MatchMismatch::dna_default();
         let p = XDropParams::new(x);
-        let tasks: Vec<BatchTask<'_>> = batch.iter().map(TaskSpec::task).collect();
         for policy in [
             BandPolicy::Grow(db),
             BandPolicy::Exact(db),      // may legitimately error
             BandPolicy::Saturate(db),   // exercises the clipping path
         ] {
             let mut reference: Option<Vec<Result<AlignOutput>>> = None;
-            for &backend in &SweepBackend::supported() {
-                let (got, report) =
-                    align_batch_with_backend(&tasks, &sc, p, policy, lanes, backend);
-                prop_assert_eq!(got.len(), tasks.len());
-                prop_assert_eq!(report.lanes, lanes.max(1));
-                prop_assert_eq!(report.fallbacks, 0);
-                prop_assert_eq!(
-                    report.sweep_backend, backend,
-                    "a supported backend must run unclamped"
-                );
+            for backend in SweepBackend::supported() {
+                let mut ws = Workspace::new();
+                let got: Vec<_> =
+                    batch.iter().map(|t| t.one_pair(p, policy, backend, &mut ws)).collect();
                 match &reference {
                     None => {
-                        // Oracle-check the narrowest backend's lanes;
-                        // wider backends are then held to byte
-                        // equality with it.
+                        // Oracle-check the narrowest backend; wider
+                        // backends are then held to byte equality
+                        // with it.
                         for (t, spec) in batch.iter().enumerate() {
                             assert_lane_identical(t, policy, &spec.scalar(p, policy), &got[t])?;
                         }
@@ -228,95 +202,6 @@ proptest! {
                     ),
                 }
             }
-        }
-    }
-
-    /// Mid-flight refill is invisible in the results: batches built
-    /// to churn the lane slots — a spread of short early-terminating
-    /// tasks (high divergence, tight x), plus an optional forced
-    /// `i16`-overflow lane leaving through the rerun path — are
-    /// bit-identical to the scalar reference and across lane widths
-    /// {8, 16, 32} × every supported register backend, for every band
-    /// policy.
-    #[test]
-    fn midflight_refill_is_bit_identical(
-        batch in task_batch(),
-        x in 0i32..12,
-        db in 1usize..16,
-        force_overflow in any::<bool>(),
-    ) {
-        let sc = MatchMismatch::dna_default();
-        let p = XDropParams::new(x);
-        let mut batch = batch;
-        if force_overflow {
-            // An all-match pair past the i16 domain: this lane leaves
-            // its slot through the overflow rerun, so refill also
-            // covers slots vacated by non-terminal exits.
-            let long: Vec<u8> = (0..34_000).map(|i| (i % 4) as u8).collect();
-            batch.insert(batch.len() / 2, TaskSpec {
-                h: long.clone(),
-                v: long,
-                h_rev: false,
-                v_rev: false,
-            });
-        }
-        let tasks: Vec<BatchTask<'_>> = batch.iter().map(TaskSpec::task).collect();
-        for policy in [
-            BandPolicy::Grow(db),
-            BandPolicy::Exact(db),
-            BandPolicy::Saturate(db),
-        ] {
-            let mut previous: Option<Vec<Result<AlignOutput>>> = None;
-            for lanes in [8usize, 16, 32] {
-                let mut first: Option<Vec<Result<AlignOutput>>> = None;
-                for &backend in &SweepBackend::supported() {
-                    let (got, report) =
-                        align_batch_with_backend(&tasks, &sc, p, policy, lanes, backend);
-                    prop_assert_eq!(report.sweep_backend, backend);
-                    if force_overflow && policy == BandPolicy::Grow(db) {
-                        prop_assert!(report.reruns >= 1, "forced lane must rerun");
-                    }
-                    match &first {
-                        None => {
-                            // Oracle-check the narrowest backend once
-                            // per lane width; wider backends are then
-                            // held to byte equality with it.
-                            for (t, spec) in batch.iter().enumerate() {
-                                assert_lane_identical(t, policy, &spec.scalar(p, policy), &got[t])?;
-                            }
-                            first = Some(got);
-                        }
-                        Some(first) => prop_assert_eq!(
-                            first, &got,
-                            "backend {:?} lanes={} {:?}", backend, lanes, policy
-                        ),
-                    }
-                }
-                let got = first.expect("the generic backend always runs");
-                if let Some(prev) = &previous {
-                    prop_assert_eq!(prev, &got, "lane width changed results");
-                }
-                previous = Some(got);
-            }
-        }
-    }
-
-    /// The hardware-width entry point agrees with the explicit-lane
-    /// one: results never depend on the lane count.
-    #[test]
-    fn lane_count_never_changes_results(
-        batch in task_batch(),
-        x in 0i32..40,
-        db in 1usize..16,
-    ) {
-        let sc = MatchMismatch::dna_default();
-        let p = XDropParams::new(x);
-        let tasks: Vec<BatchTask<'_>> = batch.iter().map(TaskSpec::task).collect();
-        let policy = BandPolicy::Grow(db);
-        let (hw, _) = align_batch(&tasks, &sc, p, policy);
-        for lanes in [1usize, 3, 8] {
-            let (got, _) = align_batch_with_lanes(&tasks, &sc, p, policy, lanes);
-            prop_assert_eq!(&hw, &got, "lanes={}", lanes);
         }
     }
 
@@ -347,14 +232,13 @@ proptest! {
     }
 }
 
-/// A batch where one lane's running score is forced through the
-/// `i16` guard band (an all-match pair longer than `i16::MAX`) while
-/// its lane-group neighbours stay comfortably in range: the
-/// overflowed lane is re-run through the scalar path, the report says
-/// so, and every lane still bit-matches its oracle.
+/// A list where one pair's running score is forced through the `i16`
+/// guard band (an all-match pair longer than `i16::MAX`) between
+/// pairs that stay comfortably in range: the overflowed lane is
+/// re-run through the scalar path in the same workspace, and every
+/// pair before and after it still bit-matches its oracle.
 #[test]
 fn forced_overflow_lane_is_rerun_and_still_identical() {
-    let sc = MatchMismatch::dna_default();
     let p = XDropParams::new(4);
     let policy = BandPolicy::Grow(4);
     let long: Vec<u8> = (0..40_000).map(|i| (i % 4) as u8).collect();
@@ -379,21 +263,21 @@ fn forced_overflow_lane_is_rerun_and_still_identical() {
             v_rev: false,
         },
     );
-    let tasks: Vec<BatchTask<'_>> = batch.iter().map(TaskSpec::task).collect();
-    let (got, report) = align_batch_with_lanes(&tasks, &sc, p, policy, 8);
-    assert_eq!(report.reruns, 1, "exactly the long lane overflows");
-    assert_eq!(report.fallbacks, 0);
-    for (t, spec) in batch.iter().enumerate() {
-        let want = spec.scalar(p, policy);
-        let (want, got) = (want.unwrap(), got[t].clone().unwrap());
-        assert_eq!(want.result, got.result, "lane {t}");
-        assert_eq!(want.stats, got.stats, "lane {t}");
-        if t == 3 {
-            assert!(
-                want.result.best_score > i16::MAX as i32,
-                "the forced lane must actually exceed the i16 domain, got {}",
-                want.result.best_score
-            );
+    for backend in SweepBackend::supported() {
+        let mut ws = Workspace::new();
+        for (t, spec) in batch.iter().enumerate() {
+            let want = spec.scalar(p, policy).expect("oracle aligns");
+            let got = spec
+                .one_pair(p, policy, backend, &mut ws)
+                .expect("lane aligns");
+            assert_eq!(want, got, "pair {t} {backend:?}");
+            if t == 3 {
+                assert!(
+                    want.result.best_score > i16::MAX as i32,
+                    "the forced pair must actually exceed the i16 domain, got {}",
+                    want.result.best_score
+                );
+            }
         }
     }
 }
@@ -409,7 +293,6 @@ fn forced_overflow_lane_is_rerun_and_still_identical() {
 /// shows up here as a score or stats divergence).
 #[test]
 fn masked_tail_row_widths_are_bit_identical_per_backend() {
-    let sc = MatchMismatch::dna_default();
     let p = XDropParams::new(100_000);
     let mut rng = StdRng::seed_from_u64(97);
     let batch: Vec<TaskSpec> = (0..6)
@@ -423,24 +306,16 @@ fn masked_tail_row_widths_are_bit_identical_per_backend() {
             }
         })
         .collect();
-    let tasks: Vec<BatchTask<'_>> = batch.iter().map(TaskSpec::task).collect();
     for w in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64] {
         let policy = BandPolicy::Saturate(w);
-        for &backend in &SweepBackend::supported() {
-            let (got, report) = align_batch_with_backend(&tasks, &sc, p, policy, 8, backend);
-            assert_eq!(report.sweep_backend, backend);
-            assert_eq!(report.fallbacks, 0);
+        for backend in SweepBackend::supported() {
+            let mut ws = Workspace::new();
             for (t, spec) in batch.iter().enumerate() {
                 let want = spec.scalar(p, policy).expect("oracle aligns");
-                let got = got[t].clone().expect("lane aligns");
-                assert_eq!(
-                    want.result, got.result,
-                    "width {w} backend {backend:?} lane {t}"
-                );
-                assert_eq!(
-                    want.stats, got.stats,
-                    "width {w} backend {backend:?} lane {t}"
-                );
+                let got = spec
+                    .one_pair(p, policy, backend, &mut ws)
+                    .expect("lane aligns");
+                assert_eq!(want, got, "width {w} backend {backend:?} pair {t}");
             }
         }
     }
@@ -597,4 +472,68 @@ fn one_pair_window_edges_match_the_scalar_reference() {
         }
     }
     assert!(errors > 0, "no Exact overflow exercised");
+}
+
+/// Pitch-boundary differential for the `unsafe` sweeps. Under
+/// `Grow(δ_b)` the arena's row pitch starts at `δ_b + 2`; a row of
+/// `δ_b + 1` cells forces the first re-pitch and one of `2·δ_b + 1`
+/// the second. With X unbounded nothing is dropped, so an `m × n`
+/// pair's widest row is exactly `min(m, n) + 1` cells — each case
+/// below pins its widest row to `δ_b`, `δ_b + 1` or `2·δ_b + 1`
+/// (checked through the oracle's `delta_w`), at register-sized δ_b
+/// and one short of them. Square pairs reach the width once; pairs
+/// with one side `2·BURST_ROUNDS` longer hold it across burst starts,
+/// where a lane at full band stages the longest sequence windows.
+/// Every case runs on a fresh workspace and on one whose pitch an
+/// earlier, wider pair left larger, in all four directions; every
+/// supported backend must equal both the `Generic` backend and the
+/// scalar reference, so a masked tail or window pitch that is off by
+/// one shows up as a divergence or a bounds panic.
+#[test]
+fn pitch_boundaries_are_bit_identical_per_backend() {
+    let p = XDropParams::unbounded();
+    let mut rng = StdRng::seed_from_u64(0x9_17C4);
+    let (wide_h, wide_v) = related(&mut rng, 300, 0.05);
+    let wide = TaskSpec {
+        h: wide_h,
+        v: wide_v,
+        h_rev: false,
+        v_rev: false,
+    };
+    let mut random = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen_range(0..4)).collect() };
+    for db in [7usize, 8, 15, 16, 31, 32] {
+        let policy = BandPolicy::Grow(db);
+        for width in [db, db + 1, 2 * db + 1] {
+            let (short, long) = (width - 1, width - 1 + 2 * BURST_ROUNDS);
+            for (m, n) in [(short, short), (long, short), (short, long)] {
+                let (h, v) = (random(m), random(n));
+                for (h_rev, v_rev) in [(false, false), (true, true), (false, true), (true, false)] {
+                    let spec = TaskSpec {
+                        h: h.clone(),
+                        v: v.clone(),
+                        h_rev,
+                        v_rev,
+                    };
+                    let case = format!("δ_b {db} width {width} {m}×{n} ({h_rev}, {v_rev})");
+                    let want = spec.scalar(p, policy);
+                    let delta_w = want.as_ref().expect("oracle aligns").stats.delta_w;
+                    assert_eq!(delta_w, width, "{case}: the case must reach its width");
+                    let generic =
+                        spec.one_pair(p, policy, SweepBackend::Generic, &mut Workspace::new());
+                    assert_eq!(want, generic, "{case} generic");
+                    for backend in SweepBackend::supported() {
+                        let mut widened = Workspace::new();
+                        wide.one_pair(p, BandPolicy::Grow(64), backend, &mut widened)
+                            .expect("wide pair aligns");
+                        for (ws, label) in
+                            [(&mut Workspace::new(), "fresh"), (&mut widened, "widened")]
+                        {
+                            let got = spec.one_pair(p, policy, backend, ws);
+                            assert_eq!(generic, got, "{case} {backend:?} {label} ws");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -12,21 +12,19 @@
 //! lanes × length-dispersion section (`batched`); v5 adds the
 //! fleet-scale strong-scaling section (`scaling`) with the
 //! host-link-contention device sweep; v6 adds the batched rows'
-//! `occupancy` / `staged_bytes_per_cell` / `refills` / `rounds`
-//! counters from the persistent-staging + mid-flight-refill kernel,
-//! gated here against the pre-refill kernel's ~14 B/cell staging
-//! traffic; v7 adds the top-level `host_simd` capability string, the
-//! batched rows' `sweep_backend` column, and one pinned `backend-*`
-//! row per register backend the producing host supports — the
-//! batched-win bar is gated on the recorded SIMD tier (the win is
-//! lane-level and single-threaded, so core counts are irrelevant).
-//! Regenerate the kernel rows and
-//! the batched section with `cargo run --release -p xdrop-bench
-//! --bin experiments -- bench --bench-json` and the
-//! e2e/partition/faults/scaling rows with the same command using
-//! `e2e`, `partition`, `faults` or `scaling`.
+//! occupancy and staging counters of the multi-lane kernel; v7 adds
+//! the top-level `host_simd` capability string and the batched rows'
+//! `sweep_backend` column; v8 replaces the lanes × dispersion sweep
+//! with one-pair rows — the `i16` fused sweep on each `grow10pct`
+//! kernel config, once per register backend the producing host
+//! supports — whose batched-win bar is gated on the recorded SIMD
+//! tier (the win is register-level and single-threaded, so core
+//! counts are irrelevant). Regenerate the kernel rows and the batched
+//! section with `cargo run --release -p xdrop-bench --bin experiments
+//! -- bench --bench-json` and the e2e/partition/faults/scaling rows
+//! with the same command using `e2e`, `partition`, `faults` or
+//! `scaling`.
 
-use xdrop_bench::exp::batchbench::{BATCHED_REPRO_COMMAND, V5_STAGED_BYTES_PER_CELL};
 use xdrop_bench::exp::e2e::E2E_REPRO_COMMAND;
 use xdrop_bench::exp::faultbench::{FAULTS_REPRO_COMMAND, FAULT_DEVICES};
 use xdrop_bench::exp::fleetscale::{
@@ -45,7 +43,7 @@ fn load() -> BenchFile {
              a stale baseline is missing a section — regenerate the kernel rows \
              with `{REPRO_COMMAND}`, then the other sections with \
              `{E2E_REPRO_COMMAND}`, `{PARTITION_REPRO_COMMAND}`, \
-             `{FAULTS_REPRO_COMMAND}` and `{BATCHED_REPRO_COMMAND}` (a \
+             `{FAULTS_REPRO_COMMAND}` and `{SCALING_REPRO_COMMAND}` (a \
              file that does not parse is rewritten from empty sections, \
              so regenerate every section)"
         )
@@ -212,164 +210,72 @@ fn faults_section_is_well_formed() {
     );
 }
 
+/// The batched section holds, per `grow10pct` kernel config, one
+/// one-pair row per register backend the *producing* host supports
+/// (keyed on its recorded `host_simd`, not on the testing host's
+/// architecture), each doing exactly its config's scalar work.
 #[test]
 fn batched_section_is_well_formed() {
     let file = load();
-    assert_eq!(file.batched_command, BATCHED_REPRO_COMMAND);
     assert!(
         !file.batched.is_empty(),
-        "batched section missing from BENCH_xdrop.json; regenerate with \
-         `{BATCHED_REPRO_COMMAND}`"
+        "batched section missing from BENCH_xdrop.json; regenerate with `{REPRO_COMMAND}`"
     );
-    // Row-level invariants hold for the whole section, sweep and
-    // pinned backend rows alike.
-    for r in &file.batched {
-        assert!(r.comparisons > 0 && r.cells > 0, "{}", r.config);
-        assert!(r.seconds_scalar > 0.0 && r.seconds_batched > 0.0);
-        assert!(r.speedup_vs_scalar > 0.0);
-        assert_eq!(
-            r.reruns, 0,
-            "bench pool scores fit i16; a rerun flags a guard-band bug"
-        );
-        assert!(r.hw_lanes >= 1 && r.host_cores >= 1);
-        // v6 counters: occupancy is a fraction, and the staging
-        // and round counters must have actually been measured.
-        assert!(
-            r.occupancy > 0.0 && r.occupancy <= 1.0,
-            "{}: occupancy {} out of (0, 1]",
-            r.config,
-            r.occupancy
-        );
-        assert!(r.rounds > 0, "{}", r.config);
-        assert!(r.staged_bytes_per_cell > 0.0, "{}", r.config);
-        // v7: every row names the register backend that produced it.
-        assert!(
-            ["generic", "sse2", "avx2", "avx512"].contains(&r.sweep_backend.as_str()),
-            "{}: unknown sweep backend {:?}",
-            r.config,
-            r.sweep_backend
-        );
-    }
-    // The lanes × dispersion sweep leads the section: 3 lane counts
-    // per dispersion, ascending lane order within each block, then
-    // the pinned per-backend rows.
-    let split = file
-        .batched
-        .iter()
-        .position(|r| r.config.starts_with("backend-"))
-        .unwrap_or(file.batched.len());
-    let (sweep, pinned) = file.batched.split_at(split);
-    assert_eq!(sweep.len() % 3, 0);
-    for block in sweep.chunks(3) {
-        assert_eq!(
-            block.iter().map(|r| r.lanes).collect::<Vec<_>>(),
-            vec![4, 8, 16]
-        );
-        for r in block {
-            assert_eq!(r.dispersion_pct, block[0].dispersion_pct);
-            assert_eq!(
-                r.config,
-                format!("lanes{}/disp{}", r.lanes, r.dispersion_pct)
-            );
-            // Bit-identity: the counted work never depends on lanes.
-            assert_eq!(r.cells, block[0].cells, "{}", r.config);
-        }
-    }
-    let disps: Vec<u32> = sweep.chunks(3).map(|b| b[0].dispersion_pct).collect();
-    assert_eq!(disps, vec![0, 25, 75]);
-    // v7 pinned rows: at least the portable backends on every host,
-    // one row per backend, each recording the backend it was forced
-    // to and doing the same counted work as the disp25 sweep.
-    assert!(
-        pinned.len() >= 2,
-        "pinned backend rows missing; regenerate with `{BATCHED_REPRO_COMMAND}`"
-    );
-    let disp25_cells = sweep
-        .iter()
-        .find(|r| r.dispersion_pct == 25)
-        .map(|r| r.cells)
-        .expect("disp25 sweep block");
-    let mut seen = Vec::new();
-    for r in pinned {
-        assert_eq!(r.config, format!("backend-{}/disp25", r.sweep_backend));
-        assert_eq!(r.dispersion_pct, 25, "{}", r.config);
-        assert_eq!(r.cells, disp25_cells, "{}", r.config);
-        assert!(
-            !seen.contains(&r.sweep_backend),
-            "duplicate pinned backend row {}",
-            r.config
-        );
-        seen.push(r.sweep_backend.clone());
-    }
-    // Key the expected coverage on the *producing* host's recorded
-    // capability, not on the testing host's architecture.
-    assert!(
-        seen.iter().any(|s| s == "generic"),
-        "every baseline must pin the generic backend"
-    );
+    let mut want = vec!["generic"];
     if ["sse2", "sse4.1", "avx2", "avx512bw"].contains(&file.host_simd.as_str()) {
-        assert!(
-            seen.iter().any(|s| s == "sse2"),
-            "an x86_64 baseline must pin the sse2 backend"
-        );
+        want.push("sse2");
+    }
+    if file.host_simd == "avx2" {
+        want.push("avx2");
     }
     if file.host_simd == "avx512bw" {
-        assert!(
-            seen.iter().any(|s| s == "avx2") && seen.iter().any(|s| s == "avx512"),
-            "an avx512bw baseline must pin the avx2 and avx512 backends"
-        );
+        want.extend(["avx2", "avx512"]);
     }
-}
-
-/// The v6 acceptance gates on the persistent-staging kernel's own
-/// counters. Both are host-independent (they count deterministic
-/// bytes and rounds, not wall-clock), so they hold unconditionally:
-/// staging traffic per scored cell must be at least halved versus the
-/// v5 operand-copy kernel's ≈14 B/cell, and mid-flight refill must
-/// hold mean lane occupancy at ≥ 0.8 on the high-dispersion buckets
-/// it exists for.
-#[test]
-fn committed_baseline_shows_staging_reduction_and_occupancy() {
-    let file = load();
-    assert!(!file.batched.is_empty());
-    for r in &file.batched {
-        assert!(
-            r.staged_bytes_per_cell <= V5_STAGED_BYTES_PER_CELL / 2.0,
-            "{}: staged {} B/cell, above half the v5 kernel's {} B/cell",
-            r.config,
-            r.staged_bytes_per_cell,
-            V5_STAGED_BYTES_PER_CELL
-        );
-    }
-    let high_disp: Vec<_> = file
-        .batched
+    let configs: Vec<&str> = file
+        .rows
         .iter()
-        .filter(|r| r.dispersion_pct >= 75)
+        .filter(|r| r.kernel == "scalar" && r.config.starts_with("grow10pct/"))
+        .map(|r| r.config.as_str())
         .collect();
-    assert!(!high_disp.is_empty(), "high-dispersion block missing");
-    for r in high_disp {
-        assert!(
-            r.occupancy >= 0.8,
-            "{}: mean lane occupancy {:.3} below the 0.8 refill bar",
-            r.config,
-            r.occupancy
+    assert!(!configs.is_empty(), "kernel grid has no grow10pct config");
+    assert_eq!(file.batched.len(), configs.len() * want.len());
+    for (block, config) in file.batched.chunks(want.len()).zip(&configs) {
+        let scalar = file
+            .rows
+            .iter()
+            .find(|r| r.kernel == "scalar" && r.config == *config)
+            .expect("scalar row");
+        let backends: Vec<&str> = block.iter().map(|r| r.sweep_backend.as_str()).collect();
+        assert_eq!(
+            backends, want,
+            "{config}: backends of a {} host",
+            file.host_simd
         );
-        assert!(
-            r.refills > 0,
-            "{}: dispersed buckets must exercise mid-flight refill",
-            r.config
-        );
+        for r in block {
+            assert_eq!(r.config, *config);
+            assert_eq!(r.cells, scalar.cells, "{config} {}", r.sweep_backend);
+            assert!(r.seconds > 0.0, "{config} {}", r.sweep_backend);
+            let speedup = scalar.seconds / r.seconds;
+            assert!(
+                (r.speedup_vs_scalar - speedup).abs() <= 1e-9 * speedup,
+                "{config} {}: speedup {} is not scalar {} s / {} s",
+                r.sweep_backend,
+                r.speedup_vs_scalar,
+                scalar.seconds,
+                r.seconds
+            );
+        }
     }
 }
 
-/// The v7 acceptance bar is keyed on the producing host's recorded
-/// SIMD capability, not on its core count: the batched win is
-/// register-level and single-threaded (the engine never spawns a
-/// thread), so a 1-core AVX-512 box must clear the same bar as a
-/// 64-core one. The tiers track the committed wide-host baseline —
-/// avx512bw measures ~9x on the reference container, avx2-only hosts
-/// land ~6-7x, and the SSE floor keeps the historical 3x bar so a
-/// staging regression can't slip through anywhere.
+/// The acceptance bar is keyed on the producing host's recorded SIMD
+/// capability, not on its core count: the batched win is
+/// register-level and single-threaded, so a 1-core AVX-512 box must
+/// clear the same bar as a 64-core one. The tiers track the committed
+/// wide-host baseline — avx512bw measures ~9x on the reference
+/// container, avx2-only hosts land ~6-7x, and the SSE floor keeps the
+/// historical 3x bar so a sweep regression can't slip through
+/// anywhere.
 #[test]
 fn committed_baseline_shows_batched_win() {
     let file = load();

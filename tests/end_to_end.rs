@@ -166,3 +166,27 @@ fn single_tile_flag_is_honoured_by_every_entry_point() {
     let ooc = run_pipeline_out_of_core(&w, windows, &sc, &sys.spec, &cfg, 1).unwrap();
     assert_eq!(ooc.report, in_core.report);
 }
+
+/// A self-comparison (`h == v`) holds its one sequence on the tile
+/// once, so one of `budget/2 + 8` bytes fits an empty tile: the
+/// single-tile planner must place it like the partitioned planners'
+/// fit check does, not count the sequence twice and fail.
+#[test]
+fn single_tile_plans_a_self_comparison_that_fits_once() {
+    use rand::{Rng, SeedableRng};
+    use xdrop_ipu::partition::{run_pipeline, PipelineConfig};
+    let spec = IpuSpec::bow();
+    let mut cfg = PipelineConfig::new(15);
+    cfg.flags = OptFlags::single_tile();
+    let len = cfg.plan.batch.tile_budget(&spec) / 2 + 8;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E1F);
+    let mut w = Dataset::new(DatasetKind::Ecoli, 0.01)
+        .with_max_comparisons(12)
+        .generate();
+    let long = w.seqs.push((0..len).map(|_| rng.gen_range(0..4)).collect());
+    let seed = SeedMatch::new(len / 2, len / 2, 17);
+    w.comparisons.insert(7, Comparison::new(long, long, seed));
+    let out = run_pipeline(&w, &MatchMismatch::dna_default(), &spec, &cfg)
+        .expect("the self-comparison fits one tile");
+    assert_eq!(out.exec.results.len(), w.comparisons.len());
+}
