@@ -375,7 +375,8 @@ fn run_one(name: &str, args: &Args) {
             }
         }
         "sec61" => {
-            let rows = search_space::sec61(&[10, 15, 30]);
+            let rows =
+                search_space::sec61(&Dataset::bench_default(DatasetKind::Ecoli), &[10, 15, 30]);
             println!("§6.1: δ_w and memory on E. coli-shaped data");
             for r in &rows {
                 println!(

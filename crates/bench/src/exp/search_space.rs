@@ -5,7 +5,7 @@ use crate::exp::dna_scorer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqdata::gen::{generate_pair, MutationProfile, PairSpec};
-use seqdata::{Dataset, DatasetKind};
+use seqdata::Dataset;
 use xdrop_baselines::banded::banded_extend;
 use xdrop_core::alphabet::Alphabet;
 use xdrop_core::reference::extend_full;
@@ -159,12 +159,14 @@ fn memory_row(label: String, x: i32, delta: usize, delta_w: usize) -> MemoryRow 
     }
 }
 
-/// §6.1: δ_w on E. coli-shaped data for realistic X values.
-/// A ~300-comparison sample, spread across the whole workload (true
-/// overlaps come first, false seed matches last — both kinds must be
-/// represented because the false ones dominate the maximum).
-pub fn sec61(xs: &[i32]) -> Vec<MemoryRow> {
-    let w = Dataset::bench_default(DatasetKind::Ecoli).generate();
+/// §6.1: δ_w on E. coli-shaped data for realistic X values, over
+/// the workload `dataset` generates (the experiment runs
+/// `Dataset::bench_default(DatasetKind::Ecoli)`). A ~300-comparison
+/// sample, spread across the whole workload (true overlaps come
+/// first, false seed matches last — both kinds must be represented
+/// because the false ones dominate the maximum).
+pub fn sec61(dataset: &Dataset, xs: &[i32]) -> Vec<MemoryRow> {
+    let w = dataset.generate();
     let sc = dna_scorer();
     let stride = (w.comparisons.len() / 300).max(1);
     xs.iter()
@@ -264,6 +266,7 @@ pub fn fig6(len: usize, xs: &[i32], seed: u64) -> Vec<Fig6Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqdata::DatasetKind;
 
     #[test]
     fn fig1_band_misses_xdrop_finds() {
@@ -317,7 +320,7 @@ mod tests {
 
     #[test]
     fn sec61_memory_saving_shape() {
-        let rows = sec61(&[10, 15, 30]);
+        let rows = sec61(&Dataset::bench_default(DatasetKind::Ecoli), &[10, 15, 30]);
         assert_eq!(rows.len(), 3);
         // δ_w grows with X.
         assert!(rows[0].delta_w <= rows[1].delta_w);
