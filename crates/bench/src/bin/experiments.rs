@@ -15,7 +15,7 @@
 //!   partition  §4.3     batch counts and sequence reuse
 //!   elba       §6.3.1   ELBA alignment phase CPU/GPU/IPUs
 //!   pastis     §6.3.2   PASTIS alignment step CPU vs IPU
-//!   bench      host-kernel A/B (scalar/simd/batched)
+//!   bench      host-kernel A/B (scalar/batched)
 //!              plus the i16 sweep per register backend
 //!   e2e        host pipeline: pooled vs static-chunk reference
 //!   faults     fault recovery: fault-free vs one device lost

@@ -2,15 +2,17 @@
 //! (`BENCH_xdrop.json`).
 //!
 //! Measures cells/second of every [`KernelKind`] on a deterministic
-//! DNA grid: per steady band width (pinned via
+//! grid: DNA per steady band width (pinned via
 //! `BandPolicy::Saturate(w)` on identical sequences with an
 //! effectively unbounded X, so every kernel sweeps exactly `w` cells
-//! per antidiagonal) and per sequence length, plus one realistic
-//! 10%-error `Grow` configuration. On the `Grow` configurations the
+//! per antidiagonal) and per sequence length, one realistic
+//! 10%-error DNA `Grow` configuration per length, and one
+//! family-like BLOSUM62 protein pair at the paper's PASTIS setting
+//! (X = 49, gap −2). On the `Grow` and BLOSUM62 configurations the
 //! `i16` fused sweep ([`batched::align_views`]) is also timed once per
 //! register backend the host supports. All kernels and backends are
-//! bit-identical — `kernel_identity.rs` and `batched_identity.rs`
-//! enforce that — so the only thing measured here is host wall-clock.
+//! bit-identical — `batched_identity.rs` enforces that — so the only
+//! thing measured here is host wall-clock.
 //!
 //! Reproduce with:
 //!
@@ -25,6 +27,7 @@ use std::time::Instant;
 use xdrop_core::alphabet::Alphabet;
 use xdrop_core::batched::{self, SweepBackend};
 use xdrop_core::kernel::{self, KernelKind};
+use xdrop_core::scoring::{Blosum62, Scorer};
 use xdrop_core::seqview::Fwd;
 use xdrop_core::stats::AlignOutput;
 use xdrop_core::xdrop2::{BandPolicy, Workspace};
@@ -33,7 +36,7 @@ use xdrop_core::XDropParams;
 /// One measured (kernel × configuration) cell.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Row {
-    /// Kernel name (`scalar` / `simd` / `batched`).
+    /// Kernel name (`scalar` / `batched`).
     pub kernel: String,
     /// Benchmark configuration label.
     pub config: String,
@@ -57,7 +60,8 @@ pub struct Row {
 /// One pair through the `i16` fused sweep at one register backend.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BackendRow {
-    /// Kernel-grid configuration label (a `grow10pct/…` config).
+    /// Kernel-grid configuration label (a `grow10pct/…` or
+    /// `blosum62/…` config).
     pub config: String,
     /// Register backend the sweep ran at ([`SweepBackend::name`]).
     pub sweep_backend: String,
@@ -102,8 +106,8 @@ pub struct BenchFile {
     /// Fault-recovery overhead measurements (`experiments faults`):
     /// fault-free vs one device lost mid-run.
     pub faults: Vec<super::faultbench::FaultBenchRow>,
-    /// The `i16` fused sweep per register backend on the `Grow`
-    /// configurations, written with the kernel rows by
+    /// The `i16` fused sweep per register backend on the `Grow` and
+    /// BLOSUM62 configurations, written with the kernel rows by
     /// [`REPRO_COMMAND`].
     pub batched: Vec<BackendRow>,
     /// The command that regenerates the scaling section.
@@ -116,13 +120,17 @@ pub struct BenchFile {
 }
 
 fn pair(len: usize, err: f64) -> (Vec<u8>, Vec<u8>) {
+    pair_of(len, Alphabet::Dna, MutationProfile::uniform_mismatch(err))
+}
+
+fn pair_of(len: usize, alphabet: Alphabet, errors: MutationProfile) -> (Vec<u8>, Vec<u8>) {
     let mut rng = StdRng::seed_from_u64(7);
     let spec = PairSpec {
         len,
         seed_len: 17,
         seed_frac: 0.0,
-        errors: MutationProfile::uniform_mismatch(err),
-        alphabet: Alphabet::Dna,
+        errors,
+        alphabet,
     };
     let p = generate_pair(&mut rng, &spec);
     (p.h, p.v)
@@ -157,8 +165,8 @@ fn measure(
 }
 
 /// Runs the full grid: the kernel rows, then one [`BackendRow`] per
-/// supported register backend on each `Grow` configuration. `scale`
-/// multiplies the sequence lengths.
+/// supported register backend on each `Grow` configuration and on the
+/// BLOSUM62 configuration. `scale` multiplies the sequence lengths.
 pub fn run(scale: f64) -> (Vec<Row>, Vec<BackendRow>) {
     let sc = super::dna_scorer();
     let mut rows = Vec::new();
@@ -195,30 +203,67 @@ pub fn run(scale: f64) -> (Vec<Row>, Vec<BackendRow>) {
     // per kernel and then per sweep backend.
     for &len in &lens {
         let (h, v) = pair(len, 0.10);
-        let params = XDropParams::new(50);
-        let policy = BandPolicy::Grow(256);
         let config = format!("grow10pct/len{len}");
-        push_config(&mut rows, &config, len, 0, params.x, |kind| {
-            measure(|ws| {
-                let p = params.with_kernel(kind);
-                kernel::align_views(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy, ws)
-            })
-        });
-        let scalar_seconds = rows[rows.len() - KernelKind::ALL.len()].seconds;
-        for backend in SweepBackend::supported() {
-            let (cells, seconds) = measure(|ws| {
-                batched::align_views(&Fwd(&h), &Fwd(&v), &sc, params, policy, backend, ws)
-            });
-            backends.push(BackendRow {
-                config: config.clone(),
-                sweep_backend: backend.name().to_string(),
-                cells,
-                seconds,
-                speedup_vs_scalar: scalar_seconds / seconds,
-            });
-        }
+        let params = XDropParams::new(50);
+        grow_config(&mut rows, &mut backends, &config, len, &h, &v, &sc, params);
     }
+
+    // Axis 3: a family-like protein pair under BLOSUM62 at the
+    // paper's PASTIS setting, with indels, so the band grows.
+    let len = lens[0];
+    let (h, v) = pair_of(
+        len,
+        Alphabet::Protein,
+        MutationProfile::noisy_long_read(0.3),
+    );
+    let config = format!("blosum62/len{len}");
+    let params = XDropParams::new(49);
+    let blosum = Blosum62::pastis_default();
+    grow_config(
+        &mut rows,
+        &mut backends,
+        &config,
+        len,
+        &h,
+        &v,
+        &blosum,
+        params,
+    );
     (rows, backends)
+}
+
+/// One `Grow(256)` configuration: its kernel rows, then one
+/// [`BackendRow`] per supported register backend.
+#[allow(clippy::too_many_arguments)]
+fn grow_config<S: Scorer>(
+    rows: &mut Vec<Row>,
+    backends: &mut Vec<BackendRow>,
+    config: &str,
+    len: usize,
+    h: &[u8],
+    v: &[u8],
+    sc: &S,
+    params: XDropParams,
+) {
+    let policy = BandPolicy::Grow(256);
+    push_config(rows, config, len, 0, params.x, |kind| {
+        measure(|ws| {
+            let p = params.with_kernel(kind);
+            kernel::align_views(kind, &Fwd(h), &Fwd(v), sc, p, policy, ws)
+        })
+    });
+    let scalar_seconds = rows[rows.len() - KernelKind::ALL.len()].seconds;
+    for backend in SweepBackend::supported() {
+        let (cells, seconds) =
+            measure(|ws| batched::align_views(&Fwd(h), &Fwd(v), sc, params, policy, backend, ws));
+        backends.push(BackendRow {
+            config: config.to_string(),
+            sweep_backend: backend.name().to_string(),
+            cells,
+            seconds,
+            speedup_vs_scalar: scalar_seconds / seconds,
+        });
+    }
 }
 
 fn push_config(
@@ -299,8 +344,9 @@ pub const REPRO_COMMAND: &str =
 /// from the persistent-staging kernel, v7 the top-level `host_simd`
 /// capability string and the batched rows' `sweep_backend` column
 /// from the multiversioned sweep dispatch, v8 replaced the batched
-/// lanes × dispersion sweep with one-pair [`BackendRow`]s).
-pub const SCHEMA: &str = "xdrop-kernel-bench/v8";
+/// lanes × dispersion sweep with one-pair [`BackendRow`]s, v9 dropped
+/// the `simd` kernel rows and added the `blosum62` configuration).
+pub const SCHEMA: &str = "xdrop-kernel-bench/v9";
 
 fn bench_json_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_xdrop.json")
@@ -420,10 +466,10 @@ mod tests {
                 assert!(r.speedup_vs_scalar > 0.0);
             }
         }
-        // One row per supported backend on each Grow config, doing the
-        // scalar row's work.
+        // One row per supported backend on each Grow config and the
+        // BLOSUM62 config, doing the scalar row's work.
         let supported = SweepBackend::supported();
-        assert_eq!(backends.len(), 2 * supported.len());
+        assert_eq!(backends.len(), 3 * supported.len());
         for (r, b) in backends.iter().zip(supported.iter().cycle()) {
             assert_eq!(r.sweep_backend, b.name());
             let scalar = rows

@@ -496,7 +496,7 @@ mod tests {
     fn undefined_cells_are_typed_errors() {
         let (h, v) = pair();
         let mut a = Aligner::new();
-        let req = AlignRequest::new(AlignerKind::XDrop3, 10).kernel(KernelKind::Simd);
+        let req = AlignRequest::new(AlignerKind::XDrop3, 10).kernel(KernelKind::Batched);
         assert!(matches!(
             a.align(&h, &v, &sc(), &req).unwrap_err(),
             AlignError::InvalidConfig(_)

@@ -117,6 +117,11 @@ pub fn reverse_complement(codes: &[u8]) -> Vec<u8> {
 ///
 /// Convenience for literals and tests; use [`Alphabet::encode`] for
 /// untrusted input.
+///
+/// # Panics
+///
+/// On a byte that is not a DNA symbol.
+#[allow(clippy::expect_used)] // a documented panicking helper
 pub fn encode_dna(ascii: &[u8]) -> Vec<u8> {
     Alphabet::Dna.encode(ascii).expect("valid DNA")
 }
@@ -127,6 +132,14 @@ pub fn decode_dna(codes: &[u8]) -> Vec<u8> {
 }
 
 /// Encodes an ASCII protein sequence, panicking on invalid bytes.
+///
+/// Convenience for literals and tests; use [`Alphabet::encode`] for
+/// untrusted input.
+///
+/// # Panics
+///
+/// On a byte that is not a protein symbol.
+#[allow(clippy::expect_used)] // a documented panicking helper
 pub fn encode_protein(ascii: &[u8]) -> Vec<u8> {
     Alphabet::Protein.encode(ascii).expect("valid protein")
 }

@@ -1,23 +1,30 @@
 //! The `i16` fused-sweep kernel ([`crate::kernel::KernelKind::Batched`],
-//! the default for DNA).
+//! the default).
 //!
-//! The lane-parallel kernels of [`crate::kernel`] stage, sweep and
-//! cut off each antidiagonal in three `i32` passes. Scrooge
-//! (Lindegger et al.) and LOGAN (Zeni et al.) show that X-Drop on
-//! commodity CPUs is bound by fixed per-round costs once the live band
-//! is narrow — which on real long-read data it almost always is
-//! (§6.1). This kernel fuses each round into one `i16` pass and keeps
-//! the paper's δ_b-bounded working memory:
+//! The scalar reference [`xdrop2::align_views_ty`] pays a per-cell
+//! branch for every liveness guard, a per-cell [`SeqView`] fetch and
+//! a per-cell [`Scorer`] call. Scrooge (Lindegger et al.) and LOGAN
+//! (Zeni et al.) show that X-Drop on commodity CPUs is bound by fixed
+//! per-round costs once the live band is narrow — which on real
+//! long-read data it almost always is (§6.1). This kernel fuses each
+//! round into one `i16` pass and keeps the paper's δ_b-bounded working
+//! memory:
 //!
 //! * **Persistent three-plane rows** — the lane owns one row in each
 //!   of three rolling planes (row pitch = band capacity + 2 pad
 //!   cells). Round *d* writes its classified antidiagonal into plane
 //!   `d mod 3`; the `sl`/`su` operands of round *d* are index-shifted
 //!   *views* of the plane written in round *d−1* and the `sd` operand
-//!   a view of round *d−2*, so no operand is ever staged. Even the
-//!   substitution scores are never staged: the sweep compares the
-//!   symbols in-register, reading them from two small **sequence
-//!   windows** (see below), so no sequence is ever copied whole.
+//!   a view of round *d−2*, so no operand is ever staged. The
+//!   symbols are read from two small **sequence windows** (see
+//!   below), so no sequence is ever copied whole.
+//! * **Two substitution sources, one sweep body** — a match/mismatch
+//!   scorer (DNA) compares the window symbols in-register; a matrix
+//!   scorer (BLOSUM62) first gathers the round's scores
+//!   `matrix[V[i−1]][H[j−1]]` into one more `i16` row, as ksw2 does,
+//!   and the sweep adds that row. Each register backend compiles one
+//!   sweep body per source (`SubSource`); only matrix scorers
+//!   allocate the extra row.
 //! * **One pair in place** — [`align_views`] runs one lane to
 //!   completion in the caller's reused [`Workspace`]: three `i16`
 //!   rows of `δ_b + 2` cells and the two windows, no allocation once
@@ -25,14 +32,14 @@
 //!   several pairs into a register group buys nothing (DESIGN.md
 //!   §14.2 records the measurement).
 //! * **i16 lanes, fully fused rounds in bursts** — cell values are
-//!   stored as `i16`, doubling the cells per register over the `i32`
-//!   kernels. Each round is **one** branch-free saturating-`i16`
-//!   pass per lane over contiguous slices (the autovectorizer turns it
-//!   into `vpaddsw`/`vpmaxsw` chains) with the substitution compare,
-//!   the X-Drop cutoff, *and* the max/live-min reductions all fused
-//!   in; only three short positional scans follow, reproducing the
-//!   scalar reference's first-maximum-wins reductions exactly (the
-//!   first slot holding the diagonal maximum *is* the first-max-wins
+//!   stored as `i16`, doubling the cells per register over `i32`.
+//!   Each round is **one** branch-free saturating-`i16` pass over
+//!   contiguous slices (the register backends lane it into
+//!   `vpaddsw`/`vpmaxsw` chains) with the substitution, the X-Drop
+//!   cutoff, *and* the max/low-guard reductions all fused in; only
+//!   three short positional scans follow, reproducing the scalar
+//!   reference's first-maximum-wins reductions exactly (the first
+//!   slot holding the diagonal maximum *is* the first-max-wins
 //!   argmax). The lane advances `BURST_ROUNDS` rounds per call so its
 //!   state stays in registers and the per-call overhead amortizes —
 //!   the bands are only a few vectors wide, so fixed costs, not
@@ -68,40 +75,40 @@
 //! round *d*: `V` ascending and `H` descending in `i`. Neither view is
 //! copied whole. Once per burst of [`BURST_ROUNDS`] rounds, the lane
 //! stages the symbols the burst can touch into two windows — `V`
-//! ascending and `H` descending, so both compare operands are forward
-//! slices. A burst starting after round `d₀` with live interval
-//! `[lo, hi]` only visits cells `i ∈ [lo, hi + BURST_ROUNDS]` (the
-//! candidate interval moves right by at most one cell per round and
-//! never left), so a window of `BURST_ROUNDS + hi − lo + 1 ≤
+//! ascending and `H` descending, so both substitution operands are
+//! forward slices. A burst starting after round `d₀` with live
+//! interval `[lo, hi]` only visits cells `i ∈ [lo, hi + BURST_ROUNDS]`
+//! (the candidate interval moves right by at most one cell per round
+//! and never left), so a window of `BURST_ROUNDS + hi − lo + 1 ≤
 //! BURST_ROUNDS + stride − 2` symbols covers it — exactly the window
 //! length the arena holds. A Grow re-pitch ends the burst, and the
 //! next burst restages. One sequence is read forward and one backward
 //! per side (`V` on right extensions, `H` on left ones).
 //!
-//! The substitution compare runs unconditionally over the whole
-//! candidate interval; where a sequence index leaves the real
-//! symbols, the window holds the `SEQ_PAD` sentinel. There the
-//! compared `sd` parent is a pad or canonical dropped cell, and
-//! `NEG_INF16 + s ≤ DROP16` for every `|s| ≤ MAX_STEP`, so the
-//! compare's outcome is never observable.
+//! The substitution runs unconditionally over the whole candidate
+//! interval; where a sequence index leaves the real symbols, the
+//! window holds the `SEQ_PAD` sentinel (a matrix gather clamps it to
+//! the matrix's last row or column). There the `sd` parent is a pad
+//! or canonical dropped cell, and `NEG_INF16 + s ≤ DROP16` for every
+//! `|s| ≤ MAX_STEP`, so the substitution score is never observable.
 //!
-//! ## Bit-identity is still the contract
+//! ## Bit-identity is the contract
 //!
-//! Exactly as for the intra-antidiagonal kernels, every pair's
-//! [`AlignOutput`] (result *and* every [`AlignStats`] field) and
-//! every [`BandPolicy::Exact`] error must match what the scalar
-//! reference [`xdrop2::align_views_ty`] produces for that pair on a
-//! fresh workspace. A lane that cannot be proven exact (overflow) is
-//! re-run through that reference, so the contract holds by
-//! construction on the rerun path and by the guard-band argument on
-//! the fast path. Configurations the `i16` domain cannot model at
-//! all (matrix scorers, score steps above [`MAX_STEP`], positive gap
-//! penalties) run the `Simd` kernel.
+//! Every pair's [`AlignOutput`] (result *and* every [`AlignStats`]
+//! field) and every [`BandPolicy::Exact`] error must match what the
+//! scalar reference [`xdrop2::align_views_ty`] produces for that pair
+//! on a fresh workspace. A lane that cannot be proven exact
+//! (overflow) is re-run through that reference, so the contract holds
+//! by construction on the rerun path and by the guard-band argument
+//! on the fast path. Configurations the `i16` domain cannot model at
+//! all (a scorer without [`Scorer::substitution`], score steps above
+//! [`MAX_STEP`], positive gap penalties, `f32` cells) run the scalar
+//! reference.
 
+use crate::alphabet::PROTEIN_CODES;
 use crate::error::{AlignError, Result};
-use crate::kernel::KernelKind;
 use crate::scorety::ScoreTy;
-use crate::scoring::{MatchMismatch, Scorer};
+use crate::scoring::{Scorer, Substitution};
 use crate::seqview::SeqView;
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
 use crate::xdrop2::{self, BandPolicy, Workspace};
@@ -116,9 +123,9 @@ pub const NEG_INF16: i16 = i16::MIN / 4;
 /// mirroring [`crate::is_dropped`].
 const DROP16: i16 = NEG_INF16 / 2;
 
-/// Largest per-round score step the `i16` lane path accepts:
-/// `|match|`, `|mismatch|` and `|gap|` must all be at most this for a
-/// pair to run in `i16` lanes (otherwise it runs the `Simd` kernel).
+/// Largest per-round score step the `i16` lane path accepts: every
+/// substitution score and `|gap|` must be at most this for a pair to
+/// run in `i16` lanes (otherwise it runs the scalar reference).
 /// One antidiagonal round changes a cell by exactly one `sim` or one
 /// `gap` application, so this bounds how far a value can move per
 /// round — the quantity the guard band is built from.
@@ -235,31 +242,46 @@ impl SweepBackend {
     }
 }
 
-/// Whether `scorer` can run in `i16` lanes: a plain match/mismatch
-/// scheme whose scores fit the guard-band arithmetic. `gap ≤ 0` is
-/// required because a positive gap could walk a canonical dropped
-/// value back into the live range in `i16` where the `i32` sentinel
-/// would have stayed dropped.
-fn eligible<S: Scorer>(scorer: &S) -> Option<MatchMismatch> {
-    let mm = scorer.as_match_mismatch()?;
-    let ok = mm.match_score.abs() <= MAX_STEP
-        && mm.mismatch_score.abs() <= MAX_STEP
-        && mm.gap_penalty.abs() <= MAX_STEP
-        && mm.gap_penalty <= 0;
-    ok.then_some(mm)
+/// The substitution source of `scorer` if it can run in `i16` lanes:
+/// every score and the gap within [`MAX_STEP`] (the guard-band
+/// arithmetic), and `gap ≤ 0`, because a positive gap could walk a
+/// canonical dropped value back into the live range in `i16` where the
+/// `i32` sentinel would have stayed dropped. A matrix's `i8` entries
+/// are within [`MAX_STEP`] by type.
+fn eligible<S: Scorer>(scorer: &S) -> Option<Substitution<'_>> {
+    const _: () = assert!(i8::MIN.unsigned_abs() as i32 <= MAX_STEP);
+    let sub = scorer.substitution()?;
+    let scores_fit = match sub {
+        Substitution::MatchMismatch {
+            match_score,
+            mismatch_score,
+        } => match_score.abs() <= MAX_STEP && mismatch_score.abs() <= MAX_STEP,
+        Substitution::Matrix(_) => true,
+    };
+    let gap = scorer.gap();
+    (scores_fit && gap.abs() <= MAX_STEP && gap <= 0).then_some(sub)
+}
+
+/// A lane's scores in the `i16` domain: the substitution source and
+/// the gap.
+#[derive(Debug, Clone, Copy)]
+struct LaneScores<Q> {
+    sub: Q,
+    gap: i16,
 }
 
 /// The `i16` fused-sweep kernel on one pair, in the caller's reused
 /// workspace — what [`crate::kernel::KernelKind::Batched`] runs.
 ///
 /// One lane runs to completion over three `i16` rows and the two
-/// sequence windows held in `ws`, reading `h` and `v` in place; once
-/// `ws` is warm for the band the pair needs, nothing is allocated. An
-/// overflowed lane is re-run through the scalar reference in `ws`.
-/// Configurations the lanes cannot take (an ineligible scorer, or
-/// non-`i32` cells) run the `Simd` kernel in `ws` instead. Results
-/// are bit-identical to [`xdrop2::align_views_ty`] on a fresh
-/// workspace whatever `backend` (clamped to the host) runs the sweep.
+/// sequence windows held in `ws` (plus a substitution row for a
+/// matrix scorer), reading `h` and `v` in place; once `ws` is warm for
+/// the band the pair needs, nothing is allocated. An overflowed lane
+/// is re-run through the scalar reference in `ws`. Configurations the
+/// lanes cannot take (an ineligible scorer, or non-`i32` cells) run
+/// the scalar reference in `ws` instead. Results are bit-identical to
+/// [`xdrop2::align_views_ty`] on a fresh workspace whatever `backend`
+/// (clamped to the host) runs the sweep.
 pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     h: &HV,
     v: &VV,
@@ -269,15 +291,40 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     backend: SweepBackend,
     ws: &mut Workspace<T>,
 ) -> Result<AlignOutput> {
-    let mm = eligible(scorer).filter(|_| T::as_i32_slice(&[]).is_some());
-    let Some(mm) = mm else {
-        return crate::kernel::align_views(KernelKind::Simd, h, v, scorer, params, policy, ws);
+    let Some(sub) = eligible(scorer).filter(|_| T::IS_I32) else {
+        return xdrop2::align_views_ty(h, v, scorer, params, policy, ws);
     };
     if policy.delta_b() == 0 {
         return Err(AlignError::InvalidConfig("δ_b must be nonzero"));
     }
     let arena: &mut LaneArena = ws.lanes.get_or_insert_with(Box::default);
-    match run_lane(h, v, &mm, params, policy, backend.clamp_to_host(), arena) {
+    let backend = backend.clamp_to_host();
+    // `eligible` bounds every score and the gap by `MAX_STEP`, so the
+    // casts are exact.
+    #[allow(clippy::cast_possible_truncation)]
+    let gap = scorer.gap() as i16;
+    #[allow(clippy::cast_possible_truncation)]
+    let out = match sub {
+        Substitution::MatchMismatch {
+            match_score,
+            mismatch_score,
+        } => {
+            let (mat, mis) = (match_score as i16, mismatch_score as i16);
+            let scores = LaneScores {
+                sub: MatchMismatch16 { mat, mis },
+                gap,
+            };
+            run_lane(h, v, scores, params, policy, backend, arena)
+        }
+        Substitution::Matrix(m) => {
+            let scores = LaneScores {
+                sub: Matrix(m),
+                gap,
+            };
+            run_lane(h, v, scores, params, policy, backend, arena)
+        }
+    };
+    match out {
         Some(out) => out,
         None => xdrop2::align_views_ty(h, v, scorer, params, policy, ws),
     }
@@ -287,25 +334,25 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
 /// result or [`BandPolicy::Exact`] error, or `None` if a live value
 /// left the `i16` guard band and the pair must re-run in `i32`.
 /// `backend` must be clamped to the host.
-fn run_lane<HV: SeqView, VV: SeqView>(
+fn run_lane<HV: SeqView, VV: SeqView, Q: SubSource>(
     h: &HV,
     v: &VV,
-    mm: &MatchMismatch,
+    scores: LaneScores<Q>,
     params: XDropParams,
     policy: BandPolicy,
     backend: SweepBackend,
     arena: &mut LaneArena,
 ) -> Option<Result<AlignOutput>> {
     let delta_b = policy.delta_b();
-    arena.ensure(delta_b + 2);
+    arena.ensure(delta_b + 2, Q::ROW);
     arena.enter();
     let mut lane = Lane::enter(h.len(), v.len(), delta_b);
     loop {
         arena.stage(&mut lane, h, v);
-        if let Some(min_stride) = lane_burst(&mut lane, arena, mm, params, policy, backend) {
+        if let Some(min_stride) = lane_burst(&mut lane, arena, scores, params, policy, backend) {
             // Grow outgrew the row pitch: widen it (at least doubling)
             // and let the paused round re-run its prologue.
-            arena.ensure(min_stride.max(2 * arena.stride));
+            arena.ensure(min_stride.max(2 * arena.stride()), Q::ROW);
         }
         match lane.state {
             LaneState::Active => {}
@@ -320,38 +367,45 @@ fn run_lane<HV: SeqView, VV: SeqView>(
 /// each of three rolling DP planes and the two sequence windows
 /// (module docs). [`Workspace`] holds one.
 #[derive(Debug, Default)]
-pub(crate) struct LaneArena {
-    /// Three rows of `stride` cells. Row layout: slot 0 = leading −∞
-    /// pad, slots 1..=width = the stored row, slot width+1 = trailing
-    /// −∞ pad (module docs).
+pub struct LaneArena {
+    /// Three rows of [`LaneArena::stride`] cells. Row layout: slot 0 =
+    /// leading −∞ pad, slots 1..=width = the stored row, slot width+1
+    /// = trailing −∞ pad (module docs).
     planes: [Vec<i16>; 3],
     /// `stride − 2 + BURST_ROUNDS` staged `V` symbols, ascending: the
-    /// widest burst reach (module docs).
-    vwin: Vec<u8>,
+    /// widest burst reach (module docs). Restaged before every burst.
+    vwin: Box<[u8]>,
     /// The same for `H`, descending.
-    hwin: Vec<u8>,
-    /// Row pitch in cells: at least the lane's band capacity plus the
-    /// two pads. Kept across calls: it never shrinks.
-    stride: usize,
+    hwin: Box<[u8]>,
+    /// `stride` gathered substitution scores, one round's worth — kept
+    /// only for matrix scorers ([`Matrix`]); empty otherwise.
+    sub: Vec<i16>,
 }
 
 impl LaneArena {
+    /// Row pitch in cells: at least the lane's band capacity plus the
+    /// two pads. Kept across calls: it never shrinks.
+    fn stride(&self) -> usize {
+        self.planes[0].len()
+    }
+
     /// Widens the row pitch to at least `min_stride`, keeping a wider
-    /// pitch from an earlier call. Allocates only to grow; the rows
-    /// keep their cells (growth appends −∞), so a live lane survives a
-    /// re-pitch. Windows are restaged by the next burst.
-    fn ensure(&mut self, min_stride: usize) {
-        self.stride = self.stride.max(min_stride);
+    /// pitch from an earlier call, and sizes the substitution row too
+    /// when `sub_row`. Allocates only to grow; the rows keep their
+    /// cells (growth appends −∞), so a live lane survives a re-pitch.
+    /// Windows are restaged by the next burst.
+    fn ensure(&mut self, min_stride: usize, sub_row: bool) {
+        let stride = self.stride().max(min_stride);
         for p in &mut self.planes {
-            if p.len() < self.stride {
-                p.resize(self.stride, NEG_INF16);
-            }
+            p.resize(stride, NEG_INF16);
         }
-        let bytes = self.stride - 2 + BURST_ROUNDS;
-        for w in [&mut self.vwin, &mut self.hwin] {
-            if w.len() < bytes {
-                w.resize(bytes, SEQ_PAD);
-            }
+        if sub_row && self.sub.len() < stride {
+            self.sub.resize(stride, 0);
+        }
+        let bytes = stride - 2 + BURST_ROUNDS;
+        if self.vwin.len() < bytes {
+            self.vwin = vec![SEQ_PAD; bytes].into();
+            self.hwin = vec![SEQ_PAD; bytes].into();
         }
     }
 
@@ -516,21 +570,17 @@ const LOW_GUARD16: i16 = LOW_GUARD as i16;
 
 /// Everything one fused-sweep row hands back to the reduce step.
 ///
-/// `low_hit` replaces the old live-minimum reduction: the reduce step
-/// only ever compared that minimum against [`LOW_GUARD`], so the
-/// sweep now answers the question directly ("did any kept cell land
-/// at or under the guard?") instead of carrying a horizontal `min`
-/// chain per row. `lo_w`/`hi_w` are the first/last kept slots (the
-/// next round's live interval) **when the backend's classify masks
-/// expose positions for free** (the k-register AVX-512 path); the
-/// narrow backends leave the `usize::MAX` sentinel and the reduce
-/// step recovers the bounds with [`live_bounds`]' end scans, which
-/// are O(1) on the typical almost-fully-live row.
+/// `lo_w`/`hi_w` are the first/last kept slots (the next round's live
+/// interval) **when the backend's classify masks expose positions for
+/// free** (the k-register AVX-512 path); the narrow backends leave
+/// the `usize::MAX` sentinel and the reduce step recovers the bounds
+/// with [`live_bounds`]' end scans, which are O(1) on the typical
+/// almost-fully-live row.
 #[derive(Debug, Clone, Copy)]
 struct RowSweep {
     /// Row maximum over stored values ([`NEG_INF16`] if none kept).
     mx: i16,
-    /// Whether any kept cell is `≤ LOW_GUARD` (≡ old `mn ≤ LOW_GUARD`).
+    /// Whether any kept cell is `≤ LOW_GUARD`.
     low_hit: bool,
     /// Cells alive before classification but under the X-Drop
     /// threshold (`stats.cells_dropped` contribution).
@@ -570,10 +620,216 @@ fn live_bounds(row: &[i16]) -> (usize, usize) {
     (lo, hi)
 }
 
-/// One row of the fused sweep, scalar: per cell `i = cand_lo + w`,
-/// substitution compare, saturating DP `max`, X-Drop classification,
-/// and store — with the row maximum, live minimum, and pruned count
-/// accumulated in the same pass. The body is branch-free so the
+/// Where the fused sweep's diagonal substitution scores come from,
+/// one round at a time. DNA compares the two window symbols
+/// in-register ([`MatchMismatch16`]); a matrix scorer gathers the
+/// round's scores into the arena's substitution row first
+/// ([`Matrix`]), and the sweep adds that row. Either way each backend
+/// runs one sweep body, generic over the [`SubRow`] it reads.
+trait SubSource: Copy {
+    /// Whether the lane needs the arena's substitution row.
+    const ROW: bool;
+    /// The substitution scores of one round.
+    type Row<'a>: SubRow;
+    /// The scores of cells `vs[w]` × `hs[w]`; `sub` is the arena's
+    /// substitution row (empty unless [`SubSource::ROW`]).
+    fn row<'a>(self, vs: &'a [u8], hs: &'a [u8], sub: &'a mut [i16]) -> Self::Row<'a>;
+}
+
+/// One round's substitution scores, read by every register width.
+///
+/// # Safety
+///
+/// The vector loaders read memory unchecked: callers keep every cell
+/// a loader reads below [`SubRow::len`] and call it only on a host
+/// with the loader's target features.
+trait SubRow: Copy {
+    /// Cells in the row.
+    fn len(self) -> usize;
+    /// The score of cell `w`.
+    fn at(self, w: usize) -> i16;
+    /// Cells `w .. w + 8`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn sse2(self, w: usize) -> std::arch::x86_64::__m128i;
+    /// Cells `w .. w + 16`; needs AVX2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn avx2(self, w: usize) -> std::arch::x86_64::__m256i;
+    /// Cells `w + j` for every set bit `j` of `k`, zero elsewhere;
+    /// needs AVX-512BW.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn avx512(self, w: usize, k: u32) -> std::arch::x86_64::__m512i;
+}
+
+/// A match/mismatch scorer in the `i16` domain: the sweep compares
+/// the symbols in-register, so there is no row to fill.
+#[derive(Debug, Clone, Copy)]
+struct MatchMismatch16 {
+    mat: i16,
+    mis: i16,
+}
+
+impl SubSource for MatchMismatch16 {
+    const ROW: bool = false;
+    type Row<'a> = Compare<'a>;
+
+    #[inline(always)]
+    fn row<'a>(self, vs: &'a [u8], hs: &'a [u8], _sub: &'a mut [i16]) -> Compare<'a> {
+        Compare {
+            vs,
+            hs,
+            mat: self.mat,
+            mis: self.mis,
+        }
+    }
+}
+
+/// [`MatchMismatch16`]'s round: `mat` where `vs[w] == hs[w]`, else
+/// `mis`.
+#[derive(Debug, Clone, Copy)]
+struct Compare<'a> {
+    vs: &'a [u8],
+    hs: &'a [u8],
+    mat: i16,
+    mis: i16,
+}
+
+impl SubRow for Compare<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.vs.len().min(self.hs.len())
+    }
+
+    #[inline(always)]
+    fn at(self, w: usize) -> i16 {
+        if self.vs[w] == self.hs[w] {
+            self.mat
+        } else {
+            self.mis
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn sse2(self, w: usize) -> std::arch::x86_64::__m128i {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller keeps `w + 8 ≤ len`; SSE2 is x86-64
+        // baseline.
+        unsafe {
+            let zero = _mm_setzero_si128();
+            let v16 = _mm_unpacklo_epi8(_mm_loadl_epi64(self.vs.as_ptr().add(w).cast()), zero);
+            let h16 = _mm_unpacklo_epi8(_mm_loadl_epi64(self.hs.as_ptr().add(w).cast()), zero);
+            let eq = _mm_cmpeq_epi16(v16, h16);
+            _mm_or_si128(
+                _mm_and_si128(eq, _mm_set1_epi16(self.mat)),
+                _mm_andnot_si128(eq, _mm_set1_epi16(self.mis)),
+            )
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn avx2(self, w: usize) -> std::arch::x86_64::__m256i {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller keeps `w + 16 ≤ len`.
+        unsafe {
+            let v16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(self.vs.as_ptr().add(w).cast()));
+            let h16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(self.hs.as_ptr().add(w).cast()));
+            let eq = _mm256_cmpeq_epi16(v16, h16);
+            _mm256_blendv_epi8(_mm256_set1_epi16(self.mis), _mm256_set1_epi16(self.mat), eq)
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    #[inline]
+    unsafe fn avx512(self, w: usize, k: u32) -> std::arch::x86_64::__m512i {
+        use std::arch::x86_64::*;
+        // SAFETY: the byte loads are masked by `k`, whose set bits the
+        // caller keeps below `len − w`.
+        unsafe {
+            let vb = _mm512_maskz_loadu_epi8(u64::from(k), self.vs.as_ptr().add(w).cast());
+            let hb = _mm512_maskz_loadu_epi8(u64::from(k), self.hs.as_ptr().add(w).cast());
+            let eqk = _mm512_cmpeq_epi16_mask(
+                _mm512_cvtepu8_epi16(_mm512_castsi512_si256(vb)),
+                _mm512_cvtepu8_epi16(_mm512_castsi512_si256(hb)),
+            );
+            _mm512_mask_blend_epi16(
+                eqk,
+                _mm512_set1_epi16(self.mis),
+                _mm512_set1_epi16(self.mat),
+            )
+        }
+    }
+}
+
+/// A substitution matrix in the lane domain: each round gathers
+/// `matrix[vs[w]][hs[w]]` into the arena's substitution row (as
+/// ksw2 does), and the sweep adds the row.
+#[derive(Debug, Clone, Copy)]
+struct Matrix<'m>(&'m [[i8; PROTEIN_CODES]; PROTEIN_CODES]);
+
+impl SubSource for Matrix<'_> {
+    const ROW: bool = true;
+    type Row<'a> = Gathered<'a>;
+
+    #[inline(always)]
+    fn row<'a>(self, vs: &'a [u8], hs: &'a [u8], sub: &'a mut [i16]) -> Gathered<'a> {
+        // A [`SEQ_PAD`] byte indexes the last row or column, whose
+        // score the sweep never observes there (module docs).
+        let code = |c: u8| usize::from(c).min(PROTEIN_CODES - 1);
+        let sub = &mut sub[..vs.len()];
+        for ((s, &a), &b) in sub.iter_mut().zip(vs).zip(hs) {
+            *s = i16::from(self.0[code(a)][code(b)]);
+        }
+        Gathered(sub)
+    }
+}
+
+/// [`Matrix`]'s round: the gathered substitution row.
+#[derive(Debug, Clone, Copy)]
+struct Gathered<'a>(&'a [i16]);
+
+impl SubRow for Gathered<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn at(self, w: usize) -> i16 {
+        self.0[w]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn sse2(self, w: usize) -> std::arch::x86_64::__m128i {
+        // SAFETY: the caller keeps `w + 8 ≤ len`.
+        unsafe { std::arch::x86_64::_mm_loadu_si128(self.0.as_ptr().add(w).cast()) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn avx2(self, w: usize) -> std::arch::x86_64::__m256i {
+        // SAFETY: the caller keeps `w + 16 ≤ len`.
+        unsafe { std::arch::x86_64::_mm256_loadu_si256(self.0.as_ptr().add(w).cast()) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    #[inline]
+    unsafe fn avx512(self, w: usize, k: u32) -> std::arch::x86_64::__m512i {
+        // SAFETY: the load is masked by `k`, whose set bits the caller
+        // keeps below `len − w`.
+        unsafe { std::arch::x86_64::_mm512_maskz_loadu_epi16(k, self.0.as_ptr().add(w).cast()) }
+    }
+}
+
+/// Cells `from..width` of one row of the fused sweep, scalar: per
+/// cell `i = cand_lo + w`, substitution score, saturating DP `max`,
+/// X-Drop classification, and store — with the row maximum, low-guard
+/// hit and pruned count accumulated into `acc` in the same pass. The body is branch-free so the
 /// autovectorizer can lane it on targets without an explicit backend.
 /// This is the reference body; the wide backends lane the identical
 /// per-cell arithmetic (saturating adds, `max` chains and the
@@ -581,25 +837,19 @@ fn live_bounds(row: &[i16]) -> (usize, usize) {
 /// is bit-identical).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn sweep_row_generic(
+fn sweep_row_generic<R: SubRow>(
     r1s: &[i16],
     r2s: &[i16],
-    vs: &[u8],
-    hs: &[u8],
+    sub: R,
     orow: &mut [i16],
     from: usize,
     width: usize,
-    mat16: i16,
-    mis16: i16,
     gap16: i16,
     thr16: i16,
-    mx: &mut i16,
-    mn: &mut i16,
-    dropped: &mut u64,
+    acc: &mut RowSweep,
 ) {
     for w in from..width {
-        let simw = if vs[w] == hs[w] { mat16 } else { mis16 };
-        let diag = r2s[w].saturating_add(simw);
+        let diag = r2s[w].saturating_add(sub.at(w));
         let up = r1s[w].saturating_add(gap16);
         let lft = r1s[w + 1].saturating_add(gap16);
         let r = diag.max(lft).max(up);
@@ -607,51 +857,44 @@ fn sweep_row_generic(
         let kept = alive & (r >= thr16);
         let v = if kept { r } else { NEG_INF16 };
         orow[w + 1] = v;
-        *dropped += u64::from(alive & !kept);
-        *mx = (*mx).max(v);
-        *mn = (*mn).min(if kept { r } else { i16::MAX });
+        acc.dropped += u64::from(alive & !kept);
+        acc.mx = acc.mx.max(v);
+        acc.low_hit |= kept & (r <= LOW_GUARD16);
     }
 }
 
 /// One row of the fused sweep over explicit SSE2 `i16` lanes — SSE2
 /// is x86-64 baseline, so this backend is always available. Eight
-/// cells per step: byte compare → select, three `paddsw`, two
+/// cells per step: substitution scores, three `paddsw`, two
 /// `pmaxsw`, classification by mask, and the row max / low-guard hit
 /// / pruned count reduced in-register (the count via `-=` of the
 /// all-ones mask, flushed to the wide accumulator every 2¹⁶ cells so
 /// the `i16` segment counters cannot wrap). The autovectorizer
 /// refused this factor on its own: the `u64` count accumulator pins
 /// loop-wide vectorization at two lanes, which is why the kernel
-/// lanes the body by hand exactly like [`crate::kernel`]'s `isa`
-/// modules do.
+/// lanes the body by hand.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[inline]
-fn sweep_row_sse2(
+fn sweep_row_sse2<R: SubRow>(
     r1s: &[i16],
     r2s: &[i16],
-    vs: &[u8],
-    hs: &[u8],
+    sub: R,
     orow: &mut [i16],
     width: usize,
-    mat16: i16,
-    mis16: i16,
     gap16: i16,
     thr16: i16,
 ) -> RowSweep {
     use std::arch::x86_64::*;
     debug_assert!(r1s.len() > width && r2s.len() >= width);
-    debug_assert!(vs.len() >= width && hs.len() >= width && orow.len() >= width + 2);
+    debug_assert!(sub.len() >= width && orow.len() >= width + 2);
     let mut acc = RowSweep::new();
     let vect = width & !7;
     // SAFETY: every load reads at most 16 B ending at index `w + 8`
-    // of `r2s`/`vs`/`hs` (length ≥ `width ≥ vect ≥ w + 8`) or
-    // `w + 9` of `r1s` (length ≥ `width + 1`); the store writes
+    // of `r2s`/`sub` (length ≥ `width ≥ vect ≥ w + 8`) or `w + 9` of
+    // `r1s` (length ≥ `width + 1`); the store writes
     // `orow[w + 1 .. w + 9]` (length ≥ `width + 2 ≥ w + 10`). SSE2 is
     // unconditionally available on `x86_64`.
     unsafe {
-        let vmat = _mm_set1_epi16(mat16);
-        let vmis = _mm_set1_epi16(mis16);
         let vgap = _mm_set1_epi16(gap16);
         let vthr = _mm_set1_epi16(thr16);
         let vdrop = _mm_set1_epi16(DROP16);
@@ -665,11 +908,7 @@ fn sweep_row_sse2(
             let seg = (w + (1 << 16)).min(vect);
             let mut dcnt = zero;
             while w < seg {
-                let v16 = _mm_unpacklo_epi8(_mm_loadl_epi64(vs.as_ptr().add(w).cast()), zero);
-                let h16 = _mm_unpacklo_epi8(_mm_loadl_epi64(hs.as_ptr().add(w).cast()), zero);
-                let eq = _mm_cmpeq_epi16(v16, h16);
-                let sim = _mm_or_si128(_mm_and_si128(eq, vmat), _mm_andnot_si128(eq, vmis));
-                let diag = _mm_adds_epi16(_mm_loadu_si128(r2s.as_ptr().add(w).cast()), sim);
+                let diag = _mm_adds_epi16(_mm_loadu_si128(r2s.as_ptr().add(w).cast()), sub.sse2(w));
                 let up = _mm_adds_epi16(_mm_loadu_si128(r1s.as_ptr().add(w).cast()), vgap);
                 let lft = _mm_adds_epi16(_mm_loadu_si128(r1s.as_ptr().add(w + 1).cast()), vgap);
                 let r = _mm_max_epi16(diag, _mm_max_epi16(lft, up));
@@ -692,63 +931,25 @@ fn sweep_row_sse2(
         acc.mx = hmax_epi16(vmx);
         acc.low_hit = _mm_movemask_epi8(vlowacc) != 0;
     }
-    let mut mn = i16::MAX;
-    sweep_row_generic(
-        r1s,
-        r2s,
-        vs,
-        hs,
-        orow,
-        vect,
-        width,
-        mat16,
-        mis16,
-        gap16,
-        thr16,
-        &mut acc.mx,
-        &mut mn,
-        &mut acc.dropped,
-    );
-    acc.low_hit |= mn <= LOW_GUARD16;
+    sweep_row_generic(r1s, r2s, sub, orow, vect, width, gap16, thr16, &mut acc);
     acc
 }
 
 /// One row of the fused sweep, portable: the scalar body, which the
 /// autovectorizer lanes as far as the target allows. The only backend
 /// on non-x86 targets; [`SweepBackend::Generic`] everywhere.
-#[allow(clippy::too_many_arguments)]
 #[inline]
-fn sweep_row_portable(
+fn sweep_row_portable<R: SubRow>(
     r1s: &[i16],
     r2s: &[i16],
-    vs: &[u8],
-    hs: &[u8],
+    sub: R,
     orow: &mut [i16],
     width: usize,
-    mat16: i16,
-    mis16: i16,
     gap16: i16,
     thr16: i16,
 ) -> RowSweep {
     let mut acc = RowSweep::new();
-    let mut mn = i16::MAX;
-    sweep_row_generic(
-        r1s,
-        r2s,
-        vs,
-        hs,
-        orow,
-        0,
-        width,
-        mat16,
-        mis16,
-        gap16,
-        thr16,
-        &mut acc.mx,
-        &mut mn,
-        &mut acc.dropped,
-    );
-    acc.low_hit = mn <= LOW_GUARD16;
+    sweep_row_generic(r1s, r2s, sub, orow, 0, width, gap16, thr16, &mut acc);
     acc
 }
 
@@ -778,34 +979,28 @@ fn hmax_epi16(v: std::arch::x86_64::__m128i) -> i16 {
 /// reductions equal [`sweep_row_generic`]'s.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 #[inline]
-unsafe fn sweep_row_avx2(
+unsafe fn sweep_row_avx2<R: SubRow>(
     r1s: &[i16],
     r2s: &[i16],
-    vs: &[u8],
-    hs: &[u8],
+    sub: R,
     orow: &mut [i16],
     width: usize,
-    mat16: i16,
-    mis16: i16,
     gap16: i16,
     thr16: i16,
 ) -> RowSweep {
     use std::arch::x86_64::*;
     debug_assert!(r1s.len() > width && r2s.len() >= width);
-    debug_assert!(vs.len() >= width && hs.len() >= width && orow.len() >= width + 2);
+    debug_assert!(sub.len() >= width && orow.len() >= width + 2);
     let mut acc = RowSweep::new();
     let vect = width & !15;
     // SAFETY (in addition to the caller-proved AVX2 availability):
-    // every 32 B load ends at index `w + 16` of `r2s`/`vs`/`hs`
-    // (length ≥ `width ≥ vect ≥ w + 16`) or `w + 17` of `r1s` (length
-    // ≥ `width + 1`); the 32 B store writes `orow[w + 1 .. w + 17]`
-    // (length ≥ `width + 2 ≥ w + 18`). The byte loads read 16 B from
-    // `vs`/`hs` ending at `w + 16 ≤ width`.
+    // every 32 B load ends at index `w + 16` of `r2s` (length ≥
+    // `width ≥ vect ≥ w + 16`) or `w + 17` of `r1s` (length ≥
+    // `width + 1`), and the substitution loads end at cell `w + 16 ≤
+    // width ≤ sub.len()`; the 32 B store writes `orow[w + 1 .. w + 17]`
+    // (length ≥ `width + 2 ≥ w + 18`).
     unsafe {
-        let vmat = _mm256_set1_epi16(mat16);
-        let vmis = _mm256_set1_epi16(mis16);
         let vgap = _mm256_set1_epi16(gap16);
         let vthr = _mm256_set1_epi16(thr16);
         let vdrop = _mm256_set1_epi16(DROP16);
@@ -816,11 +1011,8 @@ unsafe fn sweep_row_avx2(
         let mut dropped = 0u32;
         let mut w = 0usize;
         while w < vect {
-            let v16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(vs.as_ptr().add(w).cast()));
-            let h16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(hs.as_ptr().add(w).cast()));
-            let eq = _mm256_cmpeq_epi16(v16, h16);
-            let sim = _mm256_blendv_epi8(vmis, vmat, eq);
-            let diag = _mm256_adds_epi16(_mm256_loadu_si256(r2s.as_ptr().add(w).cast()), sim);
+            let diag =
+                _mm256_adds_epi16(_mm256_loadu_si256(r2s.as_ptr().add(w).cast()), sub.avx2(w));
             let up = _mm256_adds_epi16(_mm256_loadu_si256(r1s.as_ptr().add(w).cast()), vgap);
             let lft = _mm256_adds_epi16(_mm256_loadu_si256(r1s.as_ptr().add(w + 1).cast()), vgap);
             let r = _mm256_max_epi16(diag, _mm256_max_epi16(lft, up));
@@ -847,24 +1039,7 @@ unsafe fn sweep_row_avx2(
         ));
         acc.low_hit = _mm256_movemask_epi8(vlowacc) != 0;
     }
-    let mut mn = i16::MAX;
-    sweep_row_generic(
-        r1s,
-        r2s,
-        vs,
-        hs,
-        orow,
-        vect,
-        width,
-        mat16,
-        mis16,
-        gap16,
-        thr16,
-        &mut acc.mx,
-        &mut mn,
-        &mut acc.dropped,
-    );
-    acc.low_hit |= mn <= LOW_GUARD16;
+    sweep_row_generic(r1s, r2s, sub, orow, vect, width, gap16, thr16, &mut acc);
     acc
 }
 
@@ -891,34 +1066,28 @@ unsafe fn sweep_row_avx2(
 /// [`sweep_row_generic`]'s.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
-#[allow(clippy::too_many_arguments)]
 #[inline]
-unsafe fn sweep_row_avx512(
+unsafe fn sweep_row_avx512<R: SubRow>(
     r1s: &[i16],
     r2s: &[i16],
-    vs: &[u8],
-    hs: &[u8],
+    sub: R,
     orow: &mut [i16],
     width: usize,
-    mat16: i16,
-    mis16: i16,
     gap16: i16,
     thr16: i16,
 ) -> RowSweep {
     use std::arch::x86_64::*;
     debug_assert!(r1s.len() > width && r2s.len() >= width);
-    debug_assert!(vs.len() >= width && hs.len() >= width && orow.len() >= width + 2);
+    debug_assert!(sub.len() >= width && orow.len() >= width + 2);
     let mut acc = RowSweep::new();
     // SAFETY (in addition to the caller-proved AVX-512BW
     // availability): every load and the store are masked by
     // `k = (1 << min(rem, 32)) − 1`, so lane `j` is touched only when
-    // `w + j < width` — `r2s`/`vs`/`hs` indices stay `< width ≤ len`,
+    // `w + j < width` — `r2s`/`sub` indices stay `< width ≤ len`,
     // `r1s` indices stay `< width + 1 ≤ len`, and the store writes
     // `orow[w + 1 + j]` with `w + 1 + j ≤ width < len`. Masked lanes
     // of `vmovdqu16{z}`/`vmovdqu8{z}` perform no memory access.
     unsafe {
-        let vmat = _mm512_set1_epi16(mat16);
-        let vmis = _mm512_set1_epi16(mis16);
         let vgap = _mm512_set1_epi16(gap16);
         let vthr = _mm512_set1_epi16(thr16);
         let vdrop = _mm512_set1_epi16(DROP16);
@@ -931,14 +1100,10 @@ unsafe fn sweep_row_avx512(
         while w < width {
             let rem = width - w;
             let k: __mmask32 = if rem >= 32 { !0u32 } else { (1u32 << rem) - 1 };
-            let vb = _mm512_maskz_loadu_epi8(k as u64, vs.as_ptr().add(w).cast());
-            let v16 = _mm512_cvtepu8_epi16(_mm512_castsi512_si256(vb));
-            let hb = _mm512_maskz_loadu_epi8(k as u64, hs.as_ptr().add(w).cast());
-            let h16 = _mm512_cvtepu8_epi16(_mm512_castsi512_si256(hb));
-            let eqk = _mm512_cmpeq_epi16_mask(v16, h16);
-            let sim = _mm512_mask_blend_epi16(eqk, vmis, vmat);
-            let diag =
-                _mm512_adds_epi16(_mm512_maskz_loadu_epi16(k, r2s.as_ptr().add(w).cast()), sim);
+            let diag = _mm512_adds_epi16(
+                _mm512_maskz_loadu_epi16(k, r2s.as_ptr().add(w).cast()),
+                sub.avx512(w, k),
+            );
             let up = _mm512_adds_epi16(
                 _mm512_maskz_loadu_epi16(k, r1s.as_ptr().add(w).cast()),
                 vgap,
@@ -988,16 +1153,13 @@ unsafe fn sweep_row_avx512(
 /// constants out of the round loop).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn sweep_row(
+fn sweep_row<R: SubRow>(
     backend: SweepBackend,
     r1s: &[i16],
     r2s: &[i16],
-    vs: &[u8],
-    hs: &[u8],
+    sub: R,
     orow: &mut [i16],
     width: usize,
-    mat16: i16,
-    mis16: i16,
     gap16: i16,
     thr16: i16,
 ) -> RowSweep {
@@ -1006,28 +1168,24 @@ fn sweep_row(
         // SAFETY: `clamp_to_host` admitted the backend, so the
         // required target features were runtime-detected.
         SweepBackend::Avx512 => unsafe {
-            sweep_row_avx512(r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16)
+            sweep_row_avx512(r1s, r2s, sub, orow, width, gap16, thr16)
         },
         // SAFETY: as above — AVX2 was runtime-detected.
-        SweepBackend::Avx2 => unsafe {
-            sweep_row_avx2(r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16)
-        },
-        SweepBackend::Sse2 => {
-            sweep_row_sse2(r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16)
-        }
-        SweepBackend::Generic => {
-            sweep_row_portable(r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16)
-        }
+        SweepBackend::Avx2 => unsafe { sweep_row_avx2(r1s, r2s, sub, orow, width, gap16, thr16) },
+        SweepBackend::Sse2 => sweep_row_sse2(r1s, r2s, sub, orow, width, gap16, thr16),
+        SweepBackend::Generic => sweep_row_portable(r1s, r2s, sub, orow, width, gap16, thr16),
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = backend;
-        sweep_row_portable(r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16)
+        sweep_row_portable(r1s, r2s, sub, orow, width, gap16, thr16)
     }
 }
 
 /// First slot of `row` equal to `mx` — the scalar reference's
-/// first-maximum-wins argmax. Caller guarantees `mx` is present.
+/// first-maximum-wins argmax. Caller guarantees `mx` is present: it
+/// is the maximum the sweep just stored in this row.
+#[allow(clippy::expect_used)] // `mx` is a stored value of `row`
 fn row_argmax_generic(row: &[i16], mx: i16) -> usize {
     row.iter().position(|&v| v == mx).expect("live max present")
 }
@@ -1060,6 +1218,8 @@ unsafe fn row_argmax_avx512(row: &[i16], mx: i16) -> usize {
             w += 32;
         }
     }
+    // The caller's `mx` is a stored value of `row`, so some step above
+    // returned.
     unreachable!("live max present")
 }
 
@@ -1127,10 +1287,10 @@ fn row_argmax(backend: SweepBackend, row: &[i16], mx: i16) -> usize {
 /// constants across rounds — at the ~40-cell row widths the X-Drop
 /// band typically settles into, those per-row fixed costs are a
 /// double-digit fraction of the kernel.
-fn lane_burst(
+fn lane_burst<Q: SubSource>(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    mm: &MatchMismatch,
+    scores: LaneScores<Q>,
     params: XDropParams,
     policy: BandPolicy,
     backend: SweepBackend,
@@ -1139,18 +1299,20 @@ fn lane_burst(
     match backend {
         // SAFETY: `clamp_to_host` admitted the backend, so the
         // required target features were runtime-detected.
-        SweepBackend::Avx512 => unsafe { lane_burst_avx512(lane, arena, mm, params, policy) },
+        SweepBackend::Avx512 => unsafe { lane_burst_avx512(lane, arena, scores, params, policy) },
         // SAFETY: as above — AVX2 was runtime-detected.
-        SweepBackend::Avx2 => unsafe { lane_burst_avx2(lane, arena, mm, params, policy) },
-        SweepBackend::Sse2 => lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Sse2),
+        SweepBackend::Avx2 => unsafe { lane_burst_avx2(lane, arena, scores, params, policy) },
+        SweepBackend::Sse2 => {
+            lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Sse2)
+        }
         SweepBackend::Generic => {
-            lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Generic)
+            lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Generic)
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = backend;
-        lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Generic)
+        lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Generic)
     }
 }
 
@@ -1158,27 +1320,27 @@ fn lane_burst(
 /// masked sweep and argmax inline into the burst loop.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn lane_burst_avx512(
+unsafe fn lane_burst_avx512<Q: SubSource>(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    mm: &MatchMismatch,
+    scores: LaneScores<Q>,
     params: XDropParams,
     policy: BandPolicy,
 ) -> Option<usize> {
-    lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Avx512)
+    lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Avx512)
 }
 
 /// [`lane_burst_impl`] compiled with AVX2 enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lane_burst_avx2(
+unsafe fn lane_burst_avx2<Q: SubSource>(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    mm: &MatchMismatch,
+    scores: LaneScores<Q>,
     params: XDropParams,
     policy: BandPolicy,
 ) -> Option<usize> {
-    lane_burst_impl(lane, arena, mm, params, policy, SweepBackend::Avx2)
+    lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Avx2)
 }
 
 /// The burst body shared by every backend; see [`lane_burst`].
@@ -1186,23 +1348,22 @@ unsafe fn lane_burst_avx2(
 /// the [`sweep_row`]/[`row_argmax`] dispatch matches at compile time
 /// inside each `#[target_feature]` wrapper.
 #[inline(always)]
-fn lane_burst_impl(
+fn lane_burst_impl<Q: SubSource>(
     lane: &mut Lane,
     arena: &mut LaneArena,
-    mm: &MatchMismatch,
+    scores: LaneScores<Q>,
     params: XDropParams,
     policy: BandPolicy,
     backend: SweepBackend,
 ) -> Option<usize> {
     let x = params.x;
-    let gap16 = mm.gap_penalty as i16;
-    let (mat16, mis16) = (mm.match_score as i16, mm.mismatch_score as i16);
     let LaneArena {
         planes,
         vwin,
         hwin,
-        stride,
+        sub,
     } = arena;
+    let stride = planes[0].len();
     for _ in 0..BURST_ROUNDS {
         // ---- Prologue: candidate interval and band policy on
         // locals; nothing commits before the arena-pitch check.
@@ -1236,7 +1397,7 @@ fn lane_burst_impl(
                 }
                 BandPolicy::Grow(_) => {
                     let new_cap = width.max(2 * lane.cap);
-                    if new_cap + 2 > *stride {
+                    if new_cap + 2 > stride {
                         return Some(new_cap + 2);
                     }
                     lane.cap = new_cap;
@@ -1260,8 +1421,9 @@ fn lane_burst_impl(
         // operands are index-shifted views of the rows written in
         // rounds d−1 (plane (d+2)%3) and d−2 (plane (d+1)%3), written
         // straight into plane d%3 — no operand staging, no writeback.
-        // The substitution compare reads the lane's sequence windows,
-        // and the row max / live-min reductions ride in the same pass.
+        // The substitution scores come from the lane's sequence
+        // windows, and the row max / low-guard reductions ride in the
+        // same pass.
         let cur = d % 3;
         let [a, b, c] = planes;
         // (write plane, d−1 plane, d−2 plane) for this lane's ring
@@ -1294,10 +1456,9 @@ fn lane_burst_impl(
         let t0 = cand_lo - lane.win_lo;
         let vs = &vwin[t0..t0 + width];
         let hs = &hwin[lane.win_d + BURST_ROUNDS - d + t0..][..width];
+        let subs = scores.sub.row(vs, hs, sub);
         let orow = &mut outp[..width + 2];
-        let sw = sweep_row(
-            backend, r1s, r2s, vs, hs, orow, width, mat16, mis16, gap16, thr16,
-        );
+        let sw = sweep_row(backend, r1s, r2s, subs, orow, width, scores.gap, thr16);
         orow[0] = NEG_INF16; // leading pad
         orow[width + 1] = NEG_INF16; // trailing pad
         lane.bases[cur] = cand_lo;
@@ -1347,7 +1508,8 @@ fn lane_burst_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alphabet::encode_dna;
+    use crate::alphabet::{encode_dna, encode_protein};
+    use crate::scoring::{Blosum62, MatchMismatch};
     use crate::seqview::{Fwd, Rev};
 
     fn sc() -> MatchMismatch {
@@ -1381,14 +1543,15 @@ mod tests {
         }
     }
 
-    /// The lane alone (no rerun) at the detected backend, on a fresh
-    /// arena.
+    /// The DNA lane alone (no rerun) at the detected backend, on a
+    /// fresh arena.
     fn lane(h: &[u8], v: &[u8], params: XDropParams, policy: BandPolicy) -> Option<AlignOutput> {
         let mut arena = LaneArena::default();
+        let sub = MatchMismatch16 { mat: 1, mis: -1 };
         run_lane(
             &Fwd(h),
             &Fwd(v),
-            &sc(),
+            LaneScores { sub, gap: -1 },
             params,
             policy,
             SweepBackend::detect(),
@@ -1449,10 +1612,10 @@ mod tests {
 
     /// A positive gap penalty breaks the `i16` dropped-sentinel
     /// argument and an oversized step the guard band, so both run the
-    /// `Simd` kernel — no lane arena is ever built — and still match
-    /// the reference bit for bit.
+    /// scalar reference — no lane arena is ever built — and still
+    /// match it bit for bit.
     #[test]
-    fn ineligible_scorer_runs_simd() {
+    fn ineligible_scorer_runs_the_scalar_reference() {
         let a = encode_dna(b"ACGTACGTACGTACGT");
         let b = encode_dna(b"ACGAACGTACTTACGT");
         for scorer in [
@@ -1466,6 +1629,50 @@ mod tests {
             assert_matches_scalar(&Rev(&a), &Rev(&b), &scorer, p, policy, &mut ws);
             assert!(ws.lanes.is_none(), "{scorer:?} must not enter the lanes");
         }
+    }
+
+    /// BLOSUM62 pairs run in the lanes, gathering a substitution row
+    /// (a DNA scorer allocates none), and match the reference in every
+    /// direction — including one-residue and empty sides, where the
+    /// windows hold pad bytes next to real residues.
+    #[test]
+    fn blosum62_runs_in_the_lanes_and_matches_scalar() {
+        let a = encode_protein(&b"MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ".repeat(3));
+        let mut b = a.clone();
+        for i in (5..b.len()).step_by(11) {
+            b[i] = (b[i] + 1) % 20;
+        }
+        b.insert(40, 7);
+        let w = encode_protein(b"W");
+        let scorer = Blosum62::pastis_default();
+        assert!(eligible(&scorer).is_some());
+        let mut ws = Workspace::new();
+        for policy in [
+            BandPolicy::Grow(4),
+            BandPolicy::Exact(6),
+            BandPolicy::Saturate(5),
+        ] {
+            for x in [3, 49, 1_000] {
+                let p = XDropParams::new(x);
+                assert_matches_scalar(&Fwd(&a), &Fwd(&b), &scorer, p, policy, &mut ws);
+                assert_matches_scalar(&Rev(&a), &Rev(&b), &scorer, p, policy, &mut ws);
+                assert_matches_scalar(&Fwd(&w), &Rev(&a), &scorer, p, policy, &mut ws);
+                assert_matches_scalar(&Fwd(&[]), &Fwd(&w), &scorer, p, policy, &mut ws);
+            }
+        }
+        let arena = ws.lanes.as_ref().expect("the lanes ran");
+        assert_eq!(arena.sub.len(), arena.stride(), "one substitution row");
+        let mut dna = Workspace::new();
+        let s = encode_dna(b"ACGTACGTTACG");
+        assert_matches_scalar(
+            &Fwd(&s),
+            &Fwd(&s),
+            &sc(),
+            XDropParams::new(5),
+            BandPolicy::Grow(4),
+            &mut dna,
+        );
+        assert!(dna.lanes.expect("the lanes ran").sub.is_empty());
     }
 
     /// Overflow boundary, high side: identical sequences long enough

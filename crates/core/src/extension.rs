@@ -272,12 +272,19 @@ impl ExtenderPool {
         }
     }
 
+    /// The idle list. A panic while it is locked cannot leave it
+    /// half-updated (it is only ever pushed or popped whole), so a
+    /// poisoned lock is taken over rather than propagated.
+    fn idle_list(&self) -> std::sync::MutexGuard<'_, Vec<Extender>> {
+        self.free
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Takes an idle extender, or creates one when none is free.
     pub fn checkout(&self) -> PooledExtender<'_> {
         let ext = self
-            .free
-            .lock()
-            .expect("extender pool poisoned")
+            .idle_list()
             .pop()
             .unwrap_or_else(|| Extender::new(self.params, self.backend));
         PooledExtender {
@@ -288,7 +295,7 @@ impl ExtenderPool {
 
     /// Number of idle extenders currently parked in the pool.
     pub fn idle(&self) -> usize {
-        self.free.lock().expect("extender pool poisoned").len()
+        self.idle_list().len()
     }
 }
 
@@ -302,12 +309,14 @@ pub struct PooledExtender<'a> {
 
 impl std::ops::Deref for PooledExtender<'_> {
     type Target = Extender;
+    #[allow(clippy::expect_used)] // `ext` is `Some` from checkout until drop
     fn deref(&self) -> &Extender {
         self.ext.as_ref().expect("extender taken")
     }
 }
 
 impl std::ops::DerefMut for PooledExtender<'_> {
+    #[allow(clippy::expect_used)] // `ext` is `Some` from checkout until drop
     fn deref_mut(&mut self) -> &mut Extender {
         self.ext.as_mut().expect("extender taken")
     }
@@ -316,9 +325,7 @@ impl std::ops::DerefMut for PooledExtender<'_> {
 impl Drop for PooledExtender<'_> {
     fn drop(&mut self) {
         if let Some(ext) = self.ext.take() {
-            if let Ok(mut free) = self.pool.free.lock() {
-                free.push(ext);
-            }
+            self.pool.idle_list().push(ext);
         }
     }
 }

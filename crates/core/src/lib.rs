@@ -46,6 +46,8 @@
 //! assert!(out.result.best_score > 0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 #[cfg(test)]
 mod algorithm1;
 pub mod aligner;

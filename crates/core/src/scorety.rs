@@ -28,32 +28,9 @@ pub trait ScoreTy: Copy + PartialOrd + std::fmt::Debug {
     /// Whether this cell counts as pruned.
     fn is_dropped(self) -> bool;
 
-    /// Views a cell buffer as raw `i32` lanes when the concrete cell
-    /// type *is* `i32`.
-    ///
-    /// This is the hook the explicit-SIMD kernel uses to reach the
-    /// integer compare/blend instructions without `unsafe` transmutes
-    /// or specialization: the `i32` impl returns the slice unchanged,
-    /// every other cell type returns `None` and the caller falls back
-    /// to the type-generic chunked sweep.
-    #[inline(always)]
-    fn as_i32_slice(cells: &[Self]) -> Option<&[i32]>
-    where
-        Self: Sized,
-    {
-        let _ = cells;
-        None
-    }
-
-    /// Mutable variant of [`ScoreTy::as_i32_slice`].
-    #[inline(always)]
-    fn as_i32_slice_mut(cells: &mut [Self]) -> Option<&mut [i32]>
-    where
-        Self: Sized,
-    {
-        let _ = cells;
-        None
-    }
+    /// Whether this is the `i32` cell type: the only one whose
+    /// alignments the `i16` lanes of [`crate::batched`] stand in for.
+    const IS_I32: bool = false;
 }
 
 impl ScoreTy for i32 {
@@ -87,15 +64,7 @@ impl ScoreTy for i32 {
         crate::is_dropped(self)
     }
 
-    #[inline(always)]
-    fn as_i32_slice(cells: &[Self]) -> Option<&[i32]> {
-        Some(cells)
-    }
-
-    #[inline(always)]
-    fn as_i32_slice_mut(cells: &mut [Self]) -> Option<&mut [i32]> {
-        Some(cells)
-    }
+    const IS_I32: bool = true;
 }
 
 impl ScoreTy for f32 {
@@ -167,16 +136,6 @@ mod tests {
             assert_eq!(<i32 as ScoreTy>::from_i32(s).to_i32(), s);
             assert_eq!(<f32 as ScoreTy>::from_i32(s).to_i32(), s);
         }
-    }
-
-    #[test]
-    fn i32_downcast_hook() {
-        let mut a = [1i32, 2, 3];
-        assert_eq!(<i32 as ScoreTy>::as_i32_slice(&a), Some(&[1, 2, 3][..]));
-        assert!(<i32 as ScoreTy>::as_i32_slice_mut(&mut a).is_some());
-        let mut b = [1.0f32, 2.0];
-        assert!(<f32 as ScoreTy>::as_i32_slice(&b).is_none());
-        assert!(<f32 as ScoreTy>::as_i32_slice_mut(&mut b).is_none());
     }
 
     #[test]

@@ -37,17 +37,31 @@ pub trait Scorer {
             .sum()
     }
 
-    /// Returns the scheme's parameters if it is a plain
-    /// match/mismatch scheme.
-    ///
-    /// The explicit-SIMD kernel uses this to replace the per-cell
-    /// `sim` call (a table gather for matrix scorers) with a vector
-    /// compare-and-select. Matrix scorers return `None` and keep the
-    /// generic per-cell path.
+    /// The scheme's substitution scores in a form the `i16` lanes of
+    /// [`crate::batched`] tabulate: a match/mismatch pair they compare
+    /// in-register, or a matrix they gather one row at a time. It
+    /// must agree with [`Scorer::sim`] on every code pair. `None` (the
+    /// default) keeps the scorer on the scalar reference.
     #[inline(always)]
-    fn as_match_mismatch(&self) -> Option<MatchMismatch> {
+    fn substitution(&self) -> Option<Substitution<'_>> {
         None
     }
+}
+
+/// Where a scorer's substitution scores come from
+/// ([`Scorer::substitution`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Substitution<'a> {
+    /// `sim(a, b)` is `match_score` when `a == b` and `mismatch_score`
+    /// otherwise.
+    MatchMismatch {
+        /// Score for `a == b`.
+        match_score: i32,
+        /// Score for `a != b`.
+        mismatch_score: i32,
+    },
+    /// `sim(a, b)` is `matrix[a][b]`.
+    Matrix(&'a [[i8; PROTEIN_CODES]; PROTEIN_CODES]),
 }
 
 /// Match/mismatch scoring for DNA with a linear gap penalty.
@@ -101,8 +115,11 @@ impl Scorer for MatchMismatch {
     }
 
     #[inline(always)]
-    fn as_match_mismatch(&self) -> Option<MatchMismatch> {
-        Some(*self)
+    fn substitution(&self) -> Option<Substitution<'_>> {
+        Some(Substitution::MatchMismatch {
+            match_score: self.match_score,
+            mismatch_score: self.mismatch_score,
+        })
     }
 }
 
@@ -173,6 +190,11 @@ impl Scorer for Blosum62 {
     fn alphabet(&self) -> Alphabet {
         Alphabet::Protein
     }
+
+    #[inline(always)]
+    fn substitution(&self) -> Option<Substitution<'_>> {
+        Some(Substitution::Matrix(&BLOSUM62))
+    }
 }
 
 #[cfg(test)]
@@ -225,10 +247,24 @@ mod tests {
     }
 
     #[test]
-    fn match_mismatch_downcast_hook() {
+    fn substitution_agrees_with_sim() {
         let s = MatchMismatch::new(2, -3, -4);
-        assert_eq!(s.as_match_mismatch(), Some(s));
-        assert_eq!(Blosum62::pastis_default().as_match_mismatch(), None);
+        assert_eq!(
+            s.substitution(),
+            Some(Substitution::MatchMismatch {
+                match_score: 2,
+                mismatch_score: -3
+            })
+        );
+        let p = Blosum62::pastis_default();
+        let Some(Substitution::Matrix(m)) = p.substitution() else {
+            panic!("BLOSUM62 is a matrix scorer");
+        };
+        for a in 0..PROTEIN_CODES as u8 {
+            for b in 0..PROTEIN_CODES as u8 {
+                assert_eq!(i32::from(m[usize::from(a)][usize::from(b)]), p.sim(a, b));
+            }
+        }
     }
 
     #[test]

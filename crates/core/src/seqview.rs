@@ -26,10 +26,9 @@ pub trait SeqView {
     /// Fills `out` with the symbols at logical positions
     /// `start, start + 1, …, start + out.len() − 1`.
     ///
-    /// The whole range must be in bounds. The lane-parallel kernels
-    /// use this to stage one chunk of symbols per fixed-width sweep
-    /// instead of issuing a generic `at` per cell; implementors
-    /// override it with a bulk copy.
+    /// The whole range must be in bounds. The `i16` lanes use this to
+    /// stage one burst's sequence window instead of issuing a generic
+    /// `at` per cell; implementors override it with a bulk copy.
     #[inline(always)]
     fn fill_fwd(&self, start: usize, out: &mut [u8]) {
         for (k, o) in out.iter_mut().enumerate() {

@@ -65,20 +65,16 @@ impl BandPolicy {
 
 /// Reusable band buffers for [`align_with_workspace`].
 ///
-/// `bufs` are the two antidiagonal buffers of Algorithm 1; `scratch`
-/// is a third, host-side staging buffer used only by the
-/// lane-parallel kernels ([`crate::kernel`]) to snapshot the `d − 2`
-/// segment before the in-place overwrite. `lanes` holds the `i16`
-/// rows and sequence windows of the default fused-sweep kernel
-/// ([`crate::batched::align_views`]) once it has run here, boxed so
-/// that a workspace the kernel never uses stays small. Neither is
-/// part of the modeled `2 δ_b` working set
+/// `bufs` are the two antidiagonal buffers of Algorithm 1. `lanes`
+/// holds the `i16` rows and sequence windows of the default
+/// fused-sweep kernel ([`crate::batched::align_views`]) once it has
+/// run here, boxed so that a workspace the kernel never uses stays
+/// small; it is not part of the modeled `2 δ_b` working set
 /// ([`AlignStats::work_bytes`]), which describes the device kernel's
 /// footprint.
 #[derive(Debug, Default)]
 pub struct Workspace<T: ScoreTy> {
     pub(crate) bufs: [Vec<T>; 2],
-    pub(crate) scratch: Vec<T>,
     pub(crate) lanes: Option<Box<crate::batched::LaneArena>>,
 }
 
@@ -87,63 +83,40 @@ impl<T: ScoreTy> Workspace<T> {
     pub fn new() -> Self {
         Self {
             bufs: [Vec::new(), Vec::new()],
-            scratch: Vec::new(),
             lanes: None,
         }
     }
 
-    /// Grows every buffer to at least `cap` cells.
+    /// Grows both band buffers to at least `cap` cells.
     ///
     /// Already-sized workspaces take the early return and never touch
     /// the vectors — `ensure` sits on the per-alignment hot path and
-    /// batches reuse one workspace across thousands of calls. The
-    /// fast path deliberately checks the scratch buffer *and* the
-    /// band capacity: a workspace that last served a wide alignment
-    /// may satisfy `capacity() >= cap` while a desynchronized scratch
-    /// is still sized for a narrower one, and the lane-parallel
-    /// staging (`stage_diag2`) writes `scratch[..width]` for every
-    /// `width` up to `cap`.
+    /// extenders reuse one workspace across thousands of calls.
     #[inline(always)]
     pub(crate) fn ensure(&mut self, cap: usize) {
-        if self.capacity() >= cap && self.scratch.len() >= cap {
-            return;
+        if self.capacity() < cap {
+            self.grow_to(cap);
         }
-        self.grow_to(cap);
     }
 
     #[cold]
     fn grow_to(&mut self, cap: usize) {
-        // Lockstep growth: all three buffers settle at one common
-        // length, restoring the invariant `scratch.len() >=
-        // capacity()` even if a caller (or an earlier partial resize)
-        // desynchronized them. Growing only the lagging buffers to
-        // `cap` would leave a larger band buffer un-mirrored by
-        // scratch, which the next `ensure` fast path would then
-        // accept — the stale-capacity surface the cross-batch
-        // regression tests pin down.
-        let cap = cap
-            .max(self.bufs[0].len())
-            .max(self.bufs[1].len())
-            .max(self.scratch.len());
         for b in &mut self.bufs {
             if b.len() < cap {
                 b.resize(cap, T::neg_inf());
             }
         }
-        if self.scratch.len() < cap {
-            self.scratch.resize(cap, T::neg_inf());
-        }
     }
 
     /// Usable band capacity: the size of the smaller antidiagonal
-    /// buffer (the scratch buffer is excluded — it mirrors them).
+    /// buffer.
     #[inline(always)]
     pub(crate) fn capacity(&self) -> usize {
         self.bufs[0].len().min(self.bufs[1].len())
     }
 
-    /// Truncates the band and scratch buffers to length zero (capacity
-    /// is kept; the `i16` lane rows of `lanes` are untouched).
+    /// Truncates the band buffers to length zero (capacity is kept;
+    /// the `i16` lane rows of `lanes` are untouched).
     ///
     /// Calling this between alignments is **never required for
     /// correctness**: every read of a band slot is guarded by the
@@ -160,7 +133,6 @@ impl<T: ScoreTy> Workspace<T> {
         for b in &mut self.bufs {
             b.clear();
         }
-        self.scratch.clear();
     }
 }
 
@@ -187,7 +159,7 @@ impl DiagMeta {
 /// Memory-restricted X-Drop extension with `i32` scores and forward
 /// sequence access.
 ///
-/// Runs the lane-parallel kernel selected by `params.kernel`
+/// Runs the kernel selected by `params.kernel`
 /// (bit-identical to the scalar reference; see [`crate::kernel`]).
 pub fn align<S: Scorer>(
     h: &[u8],
@@ -670,95 +642,8 @@ mod tests {
         ws.ensure(16); // smaller: must be a no-op
         ws.ensure(64); // equal: must be a no-op
         assert_eq!([ws.bufs[0].as_ptr(), ws.bufs[1].as_ptr()], ptrs);
-        ws.ensure(65); // larger: must grow all buffers in lockstep
+        ws.ensure(65); // larger: must grow both buffers
         assert!(ws.capacity() >= 65);
-        assert!(ws.scratch.len() >= 65);
-    }
-
-    /// Regression for the stale-capacity surface: a workspace whose
-    /// buffers were desynchronized (here by hand; historically by a
-    /// partial resize) must come out of the next `ensure` with the
-    /// `scratch.len() >= capacity()` invariant restored, so the
-    /// lane-parallel staging can write as much scratch as the band
-    /// buffers hold.
-    #[test]
-    fn ensure_restores_lockstep_after_desync() {
-        let mut ws = Workspace::<i32>::new();
-        ws.ensure(16);
-        // Desynchronize: one band buffer races ahead of scratch.
-        ws.bufs[0].resize(128, crate::NEG_INF);
-        assert!(ws.scratch.len() < ws.bufs[0].len());
-        ws.ensure(32);
-        assert!(ws.scratch.len() >= ws.capacity());
-        assert_eq!(ws.capacity(), 128, "lockstep settles on the maximum");
-        assert_eq!(ws.scratch.len(), 128);
-        // And the other direction: an oversized scratch drags the
-        // band buffers up rather than shadowing a too-small band.
-        let mut ws = Workspace::<i32>::new();
-        ws.ensure(8);
-        ws.scratch.resize(64, crate::NEG_INF);
-        ws.ensure(9);
-        assert_eq!(ws.capacity(), 64);
-        assert!(ws.scratch.len() >= ws.capacity());
-    }
-
-    /// Regression for scratch reuse across batches of differing
-    /// maximum length: one workspace serving interleaved long and
-    /// short alignments through the lane-parallel kernel (which
-    /// stages into scratch every sweep) must stay bit-identical to
-    /// fresh-workspace runs, and the lockstep invariant must hold
-    /// after every call.
-    #[test]
-    fn workspace_reuse_across_batches_of_differing_max_length() {
-        let long = encode_dna(&b"ACGTACGTGGATCCAT".repeat(32)); // 512 bp
-        let short = encode_dna(b"ACGTACGTACGTACGT");
-        let mut ws = Workspace::<i32>::new();
-        // Batch lengths alternate between extremes, as when a length
-        // bucketed batch of long comparisons is followed by a batch
-        // of short ones.
-        for round in 0..3 {
-            for s in [&long, &short, &long[..33].to_vec(), &short] {
-                let mut h = s.clone();
-                h[0] = (h[0] + 1) % 4;
-                for policy in [
-                    BandPolicy::Grow(2),
-                    BandPolicy::Saturate(7),
-                    BandPolicy::Exact(1024),
-                ] {
-                    let p = XDropParams::new(30).with_kernel(crate::kernel::KernelKind::Simd);
-                    let reused = crate::kernel::align_views(
-                        p.kernel,
-                        &Fwd(&h),
-                        &Fwd(s),
-                        &sc(),
-                        p,
-                        policy,
-                        &mut ws,
-                    )
-                    .unwrap();
-                    let mut fresh_ws = Workspace::<i32>::new();
-                    let fresh = crate::kernel::align_views(
-                        p.kernel,
-                        &Fwd(&h),
-                        &Fwd(s),
-                        &sc(),
-                        p,
-                        policy,
-                        &mut fresh_ws,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        fresh.result, reused.result,
-                        "round {round} policy {policy:?}"
-                    );
-                    assert_eq!(fresh.stats, reused.stats, "round {round} policy {policy:?}");
-                    assert!(
-                        ws.scratch.len() >= ws.capacity(),
-                        "lockstep invariant after round {round} policy {policy:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

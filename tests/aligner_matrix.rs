@@ -100,7 +100,7 @@ fn policies_for(kind: AlignerKind) -> &'static [BandPolicy] {
 
 /// Every cell of the request grid is either run or skipped with a
 /// typed reason — and the split is exactly the documented one:
-/// 24 cells total, 15 runnable, 9 skipped (DESIGN.md §15).
+/// 16 cells total, 11 runnable, 5 skipped (DESIGN.md §15).
 #[test]
 fn matrix_covers_every_cell_with_skip_accounting() {
     let (h, v) = fixture_pair();
@@ -150,21 +150,21 @@ fn matrix_covers_every_cell_with_skip_accounting() {
             }
         }
     }
-    // The documented grid: 4 engines × 3 kernels × 2 score types.
-    assert_eq!(total_cells, 4 * 3 * 2);
-    // XDrop2 + LoganBand run everywhere (2×3×2); XDrop3 is
+    // The documented grid: 4 engines × 2 kernels × 2 score types.
+    assert_eq!(total_cells, 4 * 2 * 2);
+    // XDrop2 + LoganBand run everywhere (2×2×2); XDrop3 is
     // scalar-only but score-generic (2); Ksw2 is scalar+i32 only (1).
     assert_eq!(
         run_cells,
-        12 + 2 + 1,
+        8 + 2 + 1,
         "runnable cells changed — update DESIGN.md §15"
     );
     assert_eq!(skipped_cells, total_cells - run_cells);
-    assert_eq!((total_cells, run_cells, skipped_cells), (24, 15, 9));
+    assert_eq!((total_cells, run_cells, skipped_cells), (16, 11, 5));
     // Sub-cell smoke: XDrop2 cells sweep 3 policies × 2 directions,
     // everything else its intrinsic policy × 2 directions.
-    assert_eq!(run_subcells, 6 * 6 + 6 * 2 + 2 * 2 + 2);
-    assert_eq!(run_subcells, 54);
+    assert_eq!(run_subcells, 4 * 6 + 4 * 2 + 2 * 2 + 2);
+    assert_eq!(run_subcells, 38);
 }
 
 /// The skip rules and `AlignRequest::validate` agree cell by cell.
@@ -495,36 +495,43 @@ fn hirschberg_edge_cases_match_oracle() {
 // Satellite: batched-kernel fallback precedence through the facade
 // ---------------------------------------------------------------------------
 
-/// An ineligible scorer (BLOSUM62 has no match/mismatch form, so the
-/// batched i16 lanes cannot encode it) routed through `XDrop2` +
-/// `Batched` must take the `Simd` fallback — same results, same typed
-/// errors as the direct scalar call.
+/// A scorer the batched i16 lanes cannot take (its scores step past
+/// `batched::MAX_STEP`) routed through `XDrop2` + `Batched` must take
+/// the scalar fallback — same results, same typed errors as the
+/// direct scalar call. BLOSUM62, which the lanes do take, must match
+/// the direct scalar call as well.
 #[test]
 fn batched_fallback_precedence_for_ineligible_scorer() {
-    let scorer = Blosum62::new(-2);
-    assert!(
-        scorer.as_match_mismatch().is_none(),
-        "Blosum62 must be batch-ineligible"
-    );
+    let step = xdrop_ipu::core::batched::MAX_STEP;
+    let ineligible = MatchMismatch::new(step + 1, -(step + 1), -1);
+    assert!(ineligible.substitution().is_some());
+    let (h, v) = fixture_pair();
+    precedence_matches_scalar(&ineligible, &h, &v);
     let h = encode_protein(b"MKVLAARST".repeat(4).as_slice());
     let v = encode_protein(b"MKVLEARST".repeat(4).as_slice());
+    precedence_matches_scalar(&Blosum62::new(-2), &h, &v);
+}
+
+/// The facade's `XDrop2` + `Batched` route against the direct scalar
+/// call, on a success and on an `Exact` band overflow.
+fn precedence_matches_scalar<S: Scorer>(scorer: &S, h: &[u8], v: &[u8]) {
     let mut a = Aligner::new();
 
     // Success path: facade + Batched ≡ direct scalar, bit for bit.
     let via_facade = a
         .align(
-            &h,
-            &v,
-            &scorer,
+            h,
+            v,
+            scorer,
             &AlignRequest::new(AlignerKind::XDrop2, 30)
                 .kernel(KernelKind::Batched)
                 .policy(BandPolicy::Grow(8)),
         )
         .unwrap();
     let direct = xdrop2::align(
-        &h,
-        &v,
-        &scorer,
+        h,
+        v,
+        scorer,
         XDropParams::new(30).with_kernel(KernelKind::Scalar),
         BandPolicy::Grow(8),
     )
@@ -536,18 +543,18 @@ fn batched_fallback_precedence_for_ineligible_scorer() {
     // scalar call — fallback must not change error precedence.
     let err_facade = a
         .align(
-            &h,
-            &v,
-            &scorer,
+            h,
+            v,
+            scorer,
             &AlignRequest::new(AlignerKind::XDrop2, 1000)
                 .kernel(KernelKind::Batched)
                 .policy(BandPolicy::Exact(2)),
         )
         .unwrap_err();
     let err_direct = xdrop2::align(
-        &h,
-        &v,
-        &scorer,
+        h,
+        v,
+        scorer,
         XDropParams::new(1000).with_kernel(KernelKind::Scalar),
         BandPolicy::Exact(2),
     )
@@ -563,7 +570,7 @@ fn batched_fallback_precedence_for_ineligible_scorer() {
 /// The matrix never touches `XDROP_KERNEL`: requests pin kernels
 /// programmatically, and the env resolution (read once per process)
 /// maps to exactly the same `KernelKind` values the requests use.
-/// The end-to-end subprocess check lives in `kernel_identity.rs`.
+/// The end-to-end subprocess check lives in `batched_identity.rs`.
 #[test]
 fn env_resolution_maps_onto_request_kernels() {
     use xdrop_ipu::core::kernel;

@@ -19,7 +19,9 @@
 //! kernel config, once per register backend the producing host
 //! supports — whose batched-win bar is gated on the recorded SIMD
 //! tier (the win is register-level and single-threaded, so core
-//! counts are irrelevant). Regenerate the kernel rows and the batched
+//! counts are irrelevant); v9 drops the `simd` kernel rows and adds a
+//! BLOSUM62 protein config to the kernel grid and the batched
+//! section, whose rows must beat scalar on every backend. Regenerate the kernel rows and the batched
 //! section with `cargo run --release -p xdrop-bench --bin experiments
 //! -- bench --bench-json` and the e2e/partition/faults/scaling rows
 //! with the same command using `e2e`, `partition`, `faults` or
@@ -63,7 +65,7 @@ fn baseline_parses_and_is_well_formed() {
     );
     assert!(!file.rows.is_empty());
 
-    let kernels = ["scalar", "simd", "batched"];
+    let kernels = ["scalar", "batched"];
     assert_eq!(file.rows.len() % kernels.len(), 0);
     for group in file.rows.chunks(kernels.len()) {
         for (row, expected) in group.iter().zip(kernels) {
@@ -210,10 +212,11 @@ fn faults_section_is_well_formed() {
     );
 }
 
-/// The batched section holds, per `grow10pct` kernel config, one
-/// one-pair row per register backend the *producing* host supports
-/// (keyed on its recorded `host_simd`, not on the testing host's
-/// architecture), each doing exactly its config's scalar work.
+/// The batched section holds, per `grow10pct` DNA kernel config and
+/// per `blosum62` protein config, one one-pair row per register
+/// backend the *producing* host supports (keyed on its recorded
+/// `host_simd`, not on the testing host's architecture), each doing
+/// exactly its config's scalar work.
 #[test]
 fn batched_section_is_well_formed() {
     let file = load();
@@ -234,10 +237,22 @@ fn batched_section_is_well_formed() {
     let configs: Vec<&str> = file
         .rows
         .iter()
-        .filter(|r| r.kernel == "scalar" && r.config.starts_with("grow10pct/"))
+        .filter(|r| r.kernel == "scalar")
         .map(|r| r.config.as_str())
+        .filter(|c| c.starts_with("grow10pct/") || c.starts_with("blosum62/"))
         .collect();
-    assert!(!configs.is_empty(), "kernel grid has no grow10pct config");
+    assert!(
+        configs.iter().any(|c| c.starts_with("grow10pct/")),
+        "kernel grid has no grow10pct config"
+    );
+    assert_eq!(
+        configs
+            .iter()
+            .filter(|c| c.starts_with("blosum62/"))
+            .count(),
+        1,
+        "kernel grid has no BLOSUM62 config; regenerate with `{REPRO_COMMAND}`"
+    );
     assert_eq!(file.batched.len(), configs.len() * want.len());
     for (block, config) in file.batched.chunks(want.len()).zip(&configs) {
         let scalar = file
@@ -295,6 +310,33 @@ fn committed_baseline_shows_batched_win() {
          (host_simd={}), best was {best:.2}x",
         file.host_simd
     );
+}
+
+/// BLOSUM62 runs in the `i16` lanes: on the committed protein config
+/// every recorded backend beats the scalar reference (the lanes
+/// replaced a kernel that ran protein at ~1.2× scalar, so anything
+/// slower than scalar is a regression whatever the host).
+#[test]
+fn committed_baseline_shows_protein_lanes_win() {
+    let file = load();
+    let protein: Vec<_> = file
+        .batched
+        .iter()
+        .filter(|r| r.config.starts_with("blosum62/"))
+        .collect();
+    assert!(
+        !protein.is_empty(),
+        "no BLOSUM62 rows in the batched section; regenerate with `{REPRO_COMMAND}`"
+    );
+    for r in protein {
+        assert!(
+            r.speedup_vs_scalar > 1.0,
+            "{} {}: BLOSUM62 lanes at {:.2}x scalar",
+            r.config,
+            r.sweep_backend,
+            r.speedup_vs_scalar
+        );
+    }
 }
 
 #[test]
