@@ -1,6 +1,5 @@
 //! Criterion A/B of the antidiagonal kernel implementations
-//! (`Scalar` vs `Simd` vs `Batched`, the latter the one-pair `i16` sweep) on
-//! DNA workloads.
+//! (`Scalar` vs `Batched`, the one-pair `i16` sweep) on DNA workloads.
 //!
 //! Two axes: steady band width (pinned with `BandPolicy::Saturate`
 //! on identical sequences and a huge X, so every kernel sweeps
