@@ -367,7 +367,7 @@ fn run_lane<HV: SeqView, VV: SeqView, Q: SubSource>(
 /// each of three rolling DP planes and the two sequence windows
 /// (module docs). [`Workspace`] holds one.
 #[derive(Debug, Default)]
-pub struct LaneArena {
+pub(crate) struct LaneArena {
     /// Three rows of [`LaneArena::stride`] cells. Row layout: slot 0 =
     /// leading −∞ pad, slots 1..=width = the stored row, slot width+1
     /// = trailing −∞ pad (module docs).
@@ -777,7 +777,13 @@ impl SubSource for Matrix<'_> {
     fn row<'a>(self, vs: &'a [u8], hs: &'a [u8], sub: &'a mut [i16]) -> Gathered<'a> {
         // A [`SEQ_PAD`] byte indexes the last row or column, whose
         // score the sweep never observes there (module docs).
-        let code = |c: u8| usize::from(c).min(PROTEIN_CODES - 1);
+        let code = |c: u8| {
+            debug_assert!(
+                usize::from(c) < PROTEIN_CODES || c == SEQ_PAD,
+                "code {c} is outside the {PROTEIN_CODES}-symbol matrix"
+            );
+            usize::from(c).min(PROTEIN_CODES - 1)
+        };
         let sub = &mut sub[..vs.len()];
         for ((s, &a), &b) in sub.iter_mut().zip(vs).zip(hs) {
             *s = i16::from(self.0[code(a)][code(b)]);
