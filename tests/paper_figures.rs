@@ -1,17 +1,20 @@
 //! Golden file for the paper's figures: the modeled rows of Table 1
 //! (`table1::run`), Figure 5 (`compare::run`) and Figure 7
-//! (`scaling::run`), and the kernel-derived search-space rows of
+//! (`scaling::run`), the kernel-derived search-space rows of
 //! Figures 1, 2, 3 and 6 and the §6.1 memory study
-//! (`search_space`), at a small scale, serialized to JSON and
+//! (`search_space`), the tile-scheduling rows of Figure 4
+//! (`tilesched::fig4`) and the dataset statistics of Table 2
+//! (`table2::run`), at a small scale, serialized to JSON and
 //! compared byte for byte. The scale keeps every dataset non-empty
 //! (at smaller scales some generate no comparisons) and the whole
 //! test to about half a minute in a debug build.
 //!
-//! Every field of those rows is modeled or counted — device cycles,
-//! the calibrated CPU/GPU models, the cluster scheduler, DP cells,
-//! scores and band widths — so the fixture is exact on any host,
-//! kernel choice and thread count. No column is derived from host
-//! timing, so none is excluded.
+//! Every field of those rows is modeled, counted or generated —
+//! device cycles, the calibrated CPU/GPU models, the cluster
+//! scheduler, DP cells, scores, band widths and seeded dataset
+//! statistics — so the fixture is exact on any host, kernel choice
+//! and thread count. No column is derived from host timing, so none
+//! is excluded.
 //!
 //! Regenerate the fixture after an intended change to a modeled
 //! figure with `UPDATE_FIXTURES=1 cargo test --test paper_figures`.
@@ -23,6 +26,8 @@ use xdrop_bench::exp::compare::{self, Fig5Row};
 use xdrop_bench::exp::scaling::{self, Fig7Row};
 use xdrop_bench::exp::search_space::{self, Fig1Row, Fig2Row, Fig6Row, MemoryRow};
 use xdrop_bench::exp::table1::{self, Table1Row};
+use xdrop_bench::exp::table2::{self, Table2Row};
+use xdrop_bench::exp::tilesched::{self, Fig4Row};
 use xdrop_ipu::data::{Dataset, DatasetKind};
 
 #[derive(Serialize)]
@@ -35,12 +40,19 @@ struct PaperFigures {
     fig3: Vec<MemoryRow>,
     fig6: Vec<Fig6Row>,
     sec61: Vec<MemoryRow>,
+    fig4: Vec<Fig4Row>,
+    table2: Vec<Table2Row>,
 }
 
 /// The §6.1 study's E. coli workload at golden scale: reads long
 /// enough that δ stays in the paper's 10 kbp range.
 const SEC61_SCALE: f64 = 0.01;
 const SEC61_CAP: usize = 300;
+
+/// Table 2's multiplier of each dataset's bench scale: small enough
+/// for a debug build, large enough that every dataset generates
+/// comparisons.
+const TABLE2_SCALE: f64 = 0.05;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paper_figures.json")
@@ -78,6 +90,13 @@ fn modeled_paper_figures_match_the_golden() {
     assert_eq!(x15.x, 15);
     assert!(x15.saving >= 0.982, "§6.1 saving {}", x15.saving);
     assert!(x15.reduction >= 55.0, "§6.1 reduction {}", x15.reduction);
+    let fig4 = tilesched::fig4(600, 17);
+    let table2 = table2::run(TABLE2_SCALE);
+    assert_eq!((fig4.len(), table2.len()), (3, 4));
+    assert!(
+        table2.iter().all(|r| r.stats.cmp_count > 0),
+        "every Table 2 dataset generates comparisons"
+    );
 
     let json = serde_json::to_string_pretty(&PaperFigures {
         table1,
@@ -88,6 +107,8 @@ fn modeled_paper_figures_match_the_golden() {
         fig3,
         fig6,
         sec61,
+        fig4,
+        table2,
     })
     .expect("serialize");
     let path = fixture_path();
