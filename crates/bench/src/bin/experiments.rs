@@ -17,7 +17,6 @@
 //!   pastis     §6.3.2   PASTIS alignment step CPU vs IPU
 //!   bench      host-kernel A/B (scalar/batched)
 //!              plus the i16 sweep per register backend
-//!   e2e        host pipeline: pooled vs static-chunk reference
 //!   faults     fault recovery: fault-free vs one device lost
 //!   scaling    fleet scaling: windowed out-of-core pipeline,
 //!              4-512 devices with host-link contention
@@ -33,7 +32,7 @@ use ipu_sim::spec::IpuSpec;
 use seqdata::{Dataset, DatasetKind};
 use xdrop_bench::exp;
 use xdrop_bench::exp::{
-    compare, e2e, faultbench, fleetscale, kernelbench, partbench, realworld, scaling, search_space,
+    compare, faultbench, fleetscale, kernelbench, partbench, realworld, scaling, search_space,
     table1, table2, tilesched,
 };
 use xdrop_bench::svg;
@@ -103,15 +102,15 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage: experiments <table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|sec61|partition|elba|pastis|bench|e2e|faults|scaling|all> [--scale F] [--threads N] [--iters N] [--trace] [--bench-json]\n\
+        "usage: experiments <table1|table2|fig1|fig2|fig3|fig4|fig5|fig6|fig7|sec61|partition|elba|pastis|bench|faults|scaling|all> [--scale F] [--threads N] [--iters N] [--trace] [--bench-json]\n\
          \n\
-         --iters       with `e2e`/`partition`/`faults`: timing\n\
+         --iters       with `partition`/`faults`: timing\n\
          \x20             iterations per configuration (default 3;\n\
          \x20             `bench` times each row for at least 0.2 s and\n\
          \x20             `scaling` is modeled time; both ignore it)\n\
          --trace       also dump a Chrome trace_event timeline to\n\
          \x20             results/<name>.trace.json (fig4, fig7, elba, pastis)\n\
-         --bench-json  with `bench`/`e2e`/`partition`/`faults`/`scaling`:\n\
+         --bench-json  with `bench`/`partition`/`faults`/`scaling`:\n\
          \x20             also write the machine-readable perf baseline\n\
          \x20             BENCH_xdrop.json at the repo root (`partition` adds\n\
          \x20             the serial edge-walk front-end benchmark)"
@@ -463,18 +462,6 @@ fn run_one(name: &str, args: &Args) {
             exp::save_json("bench_batched", &backends);
             if args.bench_json {
                 match kernelbench::write_bench_json(&rows, &backends) {
-                    Ok(path) => println!("   wrote {}", path.display()),
-                    Err(e) => eprintln!("   could not write BENCH_xdrop.json: {e}"),
-                }
-            }
-        }
-        "e2e" => {
-            let rows = e2e::run(args.scale, args.iters);
-            println!("End-to-end host pipeline: run_pipeline vs static-chunk reference");
-            print!("{}", e2e::render(&rows));
-            exp::save_json("e2e", &rows);
-            if args.bench_json {
-                match kernelbench::write_e2e_json(&rows) {
                     Ok(path) => println!("   wrote {}", path.display()),
                     Err(e) => eprintln!("   could not write BENCH_xdrop.json: {e}"),
                 }

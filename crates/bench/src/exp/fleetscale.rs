@@ -34,7 +34,7 @@ use ipu_sim::cost::CostModel;
 use ipu_sim::spec::IpuSpec;
 use seqdata::{Dataset, DatasetKind};
 use xdrop_partition::plan::{plan_batches_timed, PlanConfig};
-use xdrop_partition::{run_pipeline_out_of_core, PipelineConfig, WorkloadWindow};
+use xdrop_partition::{run_pipeline_out_of_core, PipelineConfig};
 
 /// Device counts of the fleet sweep.
 pub const SCALING_DEVICE_SWEEP: [usize; 5] = [4, 16, 64, 256, 512];
@@ -114,13 +114,7 @@ pub fn run(scale: f64) -> ScalingSection {
     cfg.devices = SCALING_DEVICE_SWEEP[0];
     cfg.plan = PlanConfig::partitioned(512);
     crate::alloc::reset_peak();
-    let windows = ds
-        .windows(SCALING_WINDOW_COMPARISONS)
-        .map(|w| WorkloadWindow {
-            cmp_base: w.cmp_base,
-            seq_ids: w.seq_ids,
-            workload: w.workload,
-        });
+    let windows = ds.windows(SCALING_WINDOW_COMPARISONS);
     let out = run_pipeline_out_of_core(&skeleton, windows, &sc, &spec, &cfg, 2)
         .expect("bench dataset aligns under the grow policy");
     let peak_rss_bytes = crate::alloc::peak_bytes();

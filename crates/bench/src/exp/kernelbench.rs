@@ -91,11 +91,6 @@ pub struct BenchFile {
     pub host_simd: String,
     /// The kernel measurements.
     pub rows: Vec<Row>,
-    /// The command that regenerates the end-to-end section.
-    pub e2e_command: String,
-    /// End-to-end host-pipeline measurements (`experiments e2e`):
-    /// reference vs `run_pipeline` wall-clock at 1/2/4/8 threads.
-    pub e2e: Vec<super::e2e::E2eRow>,
     /// The command that regenerates the partition section.
     pub partition_command: String,
     /// Partitioner front-end measurement (`experiments partition`):
@@ -345,8 +340,9 @@ pub const REPRO_COMMAND: &str =
 /// capability string and the batched rows' `sweep_backend` column
 /// from the multiversioned sweep dispatch, v8 replaced the batched
 /// lanes × dispersion sweep with one-pair [`BackendRow`]s, v9 dropped
-/// the `simd` kernel rows and added the `blosum62` configuration).
-pub const SCHEMA: &str = "xdrop-kernel-bench/v9";
+/// the `simd` kernel rows and added the `blosum62` configuration, v10
+/// dropped the `e2e` section with the static-chunk pipeline it timed).
+pub const SCHEMA: &str = "xdrop-kernel-bench/v10";
 
 fn bench_json_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_xdrop.json")
@@ -377,8 +373,6 @@ fn base_file() -> BenchFile {
         detected_kernel: KernelKind::auto().name().to_string(),
         host_simd: kernel::host_simd().to_string(),
         rows: Vec::new(),
-        e2e_command: super::e2e::E2E_REPRO_COMMAND.to_string(),
-        e2e: Vec::new(),
         partition_command: super::partbench::PARTITION_REPRO_COMMAND.to_string(),
         partition: Vec::new(),
         faults_command: super::faultbench::FAULTS_REPRO_COMMAND.to_string(),
@@ -408,16 +402,8 @@ pub fn write_bench_json(
     write_file(&file)
 }
 
-/// Writes the e2e section of the baseline, preserving any committed
-/// kernel rows and partition section.
-pub fn write_e2e_json(e2e: &[super::e2e::E2eRow]) -> std::io::Result<std::path::PathBuf> {
-    let mut file = base_file();
-    file.e2e = e2e.to_vec();
-    write_file(&file)
-}
-
-/// Writes the partition section of the baseline, preserving any
-/// committed kernel rows and e2e section.
+/// Writes the partition section of the baseline, preserving every
+/// other committed section.
 pub fn write_partition_json(
     partition: &[super::partbench::PartitionBenchRow],
 ) -> std::io::Result<std::path::PathBuf> {

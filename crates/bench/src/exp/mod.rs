@@ -1,7 +1,6 @@
 //! Experiment modules, one per table/figure (see `DESIGN.md` §4).
 
 pub mod compare;
-pub mod e2e;
 pub mod faultbench;
 pub mod fleetscale;
 pub mod kernelbench;

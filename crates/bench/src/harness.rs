@@ -142,7 +142,7 @@ pub fn run_ipu_from_exec_traced(
     let opts = ClusterOptions {
         host_threads: cfg.host_threads,
         collect_trace,
-        streaming: true,
+        ..ClusterOptions::default()
     };
     let (cluster, mut trace): (ClusterReport, Option<ChromeTrace>) = run_cluster_opts(
         &exec.units,

@@ -225,6 +225,22 @@ impl Workload {
     }
 }
 
+/// One self-contained slice of a workload: a local [`Workload`]
+/// whose sequence slots map to global ids through `seq_ids`, holding
+/// the comparisons `cmp_base .. cmp_base + workload.comparisons.len()`
+/// of the global comparison list (with ids rewritten local).
+/// Bounded-memory generators produce windows and the out-of-core
+/// pipeline consumes them.
+#[derive(Debug, Clone)]
+pub struct Window {
+    /// Global index of the window's first comparison.
+    pub cmp_base: usize,
+    /// Global [`SeqId`] of each local sequence slot.
+    pub seq_ids: Vec<SeqId>,
+    /// The window's comparisons over locally-resident payloads.
+    pub workload: Workload,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

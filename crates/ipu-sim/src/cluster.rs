@@ -26,11 +26,9 @@
 //! the shared-queue pull model of the paper), while the shared host
 //! link serializes transfers and each device double-buffers. Kernel
 //! execution ([`run_batch_on_device`]) is off the scheduling
-//! critical path: every batch report is produced first — by the
-//! work-stealing host pool ([`crate::pool::steal`]), or on the
-//! retained reference path by a static-chunk pre-pass
-//! ([`crate::pool::chunked`]) — and then bound into the
-//! [`BatchScheduler`] strictly in batch order. Either way the host
+//! critical path: every batch report is produced first, on the
+//! work-stealing host pool ([`crate::pool::steal`]), and then bound
+//! into the [`BatchScheduler`] strictly in batch order. The host
 //! thread count changes wall-clock only: report `i` is a pure
 //! function of batch `i` and is bound as batch `i`, so modeled time
 //! is bit-identical for any thread count and any completion
@@ -43,7 +41,7 @@ use std::convert::Infallible;
 
 use crate::batch::Batch;
 use crate::cost::{contended_bandwidth, CostModel, OptFlags};
-use crate::device::{run_batch_on_device, run_batch_on_device_scratch, BatchReport, BatchScratch};
+use crate::device::{run_batch_on_device, BatchReport, BatchScratch};
 use crate::exec::WorkUnit;
 use crate::fault::{ClusterError, FaultPlan, FaultState};
 use crate::pool::{self, resolve_threads, Claim, SharedSlots};
@@ -118,11 +116,9 @@ pub struct ClusterOptions {
     pub host_threads: usize,
     /// Record a Chrome-trace timeline of the run.
     pub collect_trace: bool,
-    /// Produce the batch reports on the work-stealing pool (LPT claim
-    /// order, each report written into its batch's slot). `false`
-    /// selects the reference path: a static-chunk pre-pass. Either
-    /// way every report exists before the scheduler binds them in
-    /// batch order, and both produce bit-identical output.
+    /// Ignored: the batch reports are always produced on the
+    /// work-stealing pool. Kept for the benchmark harness, which
+    /// still names it.
     pub streaming: bool,
 }
 
@@ -362,7 +358,7 @@ impl BatchScheduler {
             // is queued on the same link, derating its bandwidth.
             // The count is a pure function of heap contents (order
             // never matters), so it is deterministic for any host
-            // thread count and either report producer.
+            // thread count.
             let waiters = self
                 .fetch_events
                 .iter()
@@ -528,8 +524,7 @@ impl BatchScheduler {
 
 /// [`run_cluster`] with host-side options: a kernel thread pool
 /// (wall-clock only; modeled time is bit-identical for any
-/// `host_threads`), work-stealing vs reference report production, and
-/// optional Chrome-trace recording.
+/// `host_threads`) and optional Chrome-trace recording.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_opts(
     units: &[WorkUnit],
@@ -564,7 +559,7 @@ pub fn run_cluster_opts(
 /// not complete. Every batch report is produced before the first bind,
 /// so an unrecoverable plan still replays every batch, then fails on
 /// the bind of the smallest failing batch index. Errors and output are
-/// bit-identical for any `host_threads` and either report producer.
+/// bit-identical for any `host_threads`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_faulty(
     units: &[WorkUnit],
@@ -577,37 +572,24 @@ pub fn run_cluster_faulty(
     plan: &FaultPlan,
 ) -> Result<(ClusterReport, Option<ChromeTrace>), ClusterError> {
     let resolved = resolve_threads(opts.host_threads);
-    let reports: Vec<BatchReport> = if opts.streaming {
-        // Heaviest batch (by its slowest-tile load estimate) first,
-        // one reusable scratch per worker.
-        let max_load = |bi: usize| {
-            let tiles = batches[bi].tiles.iter();
-            tiles.map(|t| t.est_load).max().unwrap_or(0)
-        };
-        let Ok(reports) = pool::steal(
-            batches.len(),
-            max_load,
-            resolved,
-            SharedSlots::new(batches.len(), 1, BatchReport::default()),
-            BatchScratch::default,
-            |scratch, claim: &mut Claim<'_, _, Infallible>| {
-                let batch = &batches[claim.task() as usize];
-                claim.slot()[0] =
-                    run_batch_on_device_scratch(units, batch, spec, flags, cost, scratch);
-            },
-        );
-        reports.into_vec()
-    } else {
-        // The reference pre-pass: static contiguous chunks.
-        let chunk = |range: std::ops::Range<usize>| -> Vec<BatchReport> {
-            let batches = batches[range].iter();
-            batches
-                .map(|b| run_batch_on_device(units, b, spec, flags, cost))
-                .collect()
-        };
-        let chunks = pool::chunked(batches.len(), resolved, chunk);
-        chunks.into_iter().flatten().collect()
+    // Heaviest batch (by its slowest-tile load estimate) first, one
+    // reusable scratch per worker.
+    let max_load = |bi: usize| {
+        let tiles = batches[bi].tiles.iter();
+        tiles.map(|t| t.est_load).max().unwrap_or(0)
     };
+    let Ok(reports) = pool::steal(
+        batches.len(),
+        max_load,
+        resolved,
+        SharedSlots::new(batches.len(), 1, BatchReport::default()),
+        BatchScratch::default,
+        |scratch, claim: &mut Claim<'_, _, Infallible>| {
+            let batch = &batches[claim.task() as usize];
+            claim.slot()[0] = run_batch_on_device(units, batch, spec, flags, cost, scratch);
+        },
+    );
+    let reports = reports.into_vec();
     let mut sched = BatchScheduler::with_faults(devices, spec, opts.collect_trace, resolved, plan)
         .with_link_contention(cost.host_link_contention);
     for report in &reports {
@@ -638,9 +620,10 @@ pub fn run_cluster_reference(
     let mut reports = Vec::with_capacity(batches.len());
     let mut host_bytes = 0u64;
     let mut queue_waits = Vec::with_capacity(batches.len());
+    let mut scratch = BatchScratch::default();
 
     for batch in batches {
-        let report = run_batch_on_device(units, batch, spec, flags, cost);
+        let report = run_batch_on_device(units, batch, spec, flags, cost, &mut scratch);
         // Device that can start fetching earliest takes the batch.
         let d = (0..devices)
             .min_by(|&a, &b| {
@@ -870,7 +853,7 @@ mod tests {
         let opts = ClusterOptions {
             host_threads: 1,
             collect_trace: true,
-            streaming: true,
+            ..ClusterOptions::default()
         };
         let (r, trace) = run_cluster_opts(
             &units,
@@ -927,7 +910,7 @@ mod tests {
             &ClusterOptions {
                 host_threads: 1,
                 collect_trace: false,
-                streaming: true,
+                ..ClusterOptions::default()
             },
         )
         .0;
@@ -941,26 +924,35 @@ mod tests {
             &ClusterOptions {
                 host_threads: 8,
                 collect_trace: false,
-                streaming: true,
+                ..ClusterOptions::default()
             },
         )
         .0;
         assert_eq!(serial, pooled);
     }
 
+    /// A trace's events without the `meta` record, which annotates
+    /// the resolved pool size and so varies with the thread count.
+    fn modeled_events(trace: &Option<ChromeTrace>) -> Vec<crate::trace::TraceEvent> {
+        let events = trace.as_ref().expect("trace requested").traceEvents.iter();
+        events.filter(|e| e.cat != "meta").cloned().collect()
+    }
+
     #[test]
-    fn streaming_matches_reference_pre_pass() {
-        // The work-stealing replay must be bit-identical to the
-        // static-chunk reference pre-pass for every report field
-        // and the full trace (including the meta record, which only
-        // depends on the requested thread count).
+    fn pooled_replay_matches_the_static_driver() {
+        // The pooled replay must be bit-identical to the static
+        // argmin driver, which replays every batch serially on its
+        // critical path, for every report field at any thread count;
+        // the trace may differ only in its meta record.
         for (n, bytes, cells) in [(1, 0, 0), (13, 700_000_000, 5_000_000), (32, 1_000, 50_000)] {
             let (units, batches) = mk_batches(n, bytes, cells);
             let spec = IpuSpec::gc200();
             let flags = OptFlags::full();
             let cost = CostModel::default();
+            let oracle = run_cluster_reference(&units, &batches, 3, &spec, &flags, &cost);
+            let mut serial_trace = None;
             for threads in [1usize, 3, 8] {
-                let streamed = run_cluster_opts(
+                let (report, trace) = run_cluster_opts(
                     &units,
                     &batches,
                     3,
@@ -970,24 +962,13 @@ mod tests {
                     &ClusterOptions {
                         host_threads: threads,
                         collect_trace: true,
-                        streaming: true,
+                        ..ClusterOptions::default()
                     },
                 );
-                let reference = run_cluster_opts(
-                    &units,
-                    &batches,
-                    3,
-                    &spec,
-                    &flags,
-                    &cost,
-                    &ClusterOptions {
-                        host_threads: threads,
-                        collect_trace: true,
-                        streaming: false,
-                    },
-                );
-                assert_eq!(streamed.0, reference.0, "n={n} threads={threads}");
-                assert_eq!(streamed.1, reference.1, "n={n} threads={threads}");
+                assert_eq!(report, oracle, "n={n} threads={threads}");
+                let events = modeled_events(&trace);
+                let serial = serial_trace.get_or_insert_with(|| events.clone());
+                assert_eq!(&events, serial, "n={n} threads={threads}");
             }
         }
     }
@@ -1011,7 +992,7 @@ mod tests {
         ClusterOptions {
             host_threads: 1,
             collect_trace: false,
-            streaming: true,
+            ..ClusterOptions::default()
         }
     }
 
@@ -1080,7 +1061,7 @@ mod tests {
     }
 
     #[test]
-    fn faulty_streaming_matches_faulty_reference() {
+    fn faulty_replay_is_thread_count_invariant() {
         use crate::fault::{FaultPlan, FaultPlanSpec};
         let (units, batches) = mk_batches(16, 300_000_000, 3_000_000);
         let spec = IpuSpec::gc200();
@@ -1088,29 +1069,27 @@ mod tests {
         let cost = CostModel::default();
         for seed in [3u64, 11, 42] {
             let plan = FaultPlan::from_seed(seed, &FaultPlanSpec::new(4, batches.len()));
-            let mut outcomes = Vec::new();
-            for streaming in [false, true] {
-                for threads in [1usize, 4, 8] {
-                    let opts = ClusterOptions {
-                        host_threads: threads,
-                        collect_trace: true,
-                        streaming,
-                    };
-                    let (report, trace) =
-                        run_cluster_faulty(&units, &batches, 4, &spec, &flags, &cost, &opts, &plan)
-                            .expect("generated plans are recoverable");
-                    outcomes.push((threads, report, trace));
-                }
-            }
-            // Reports are bit-identical across streaming modes and
-            // thread counts; traces are identical whenever the thread
-            // count matches (the `meta` record annotates the resolved
-            // pool size, so it legitimately varies with it).
-            for (threads, report, trace) in &outcomes[1..] {
-                assert_eq!(report, &outcomes[0].1, "seed {seed}");
-                if *threads == outcomes[0].0 {
-                    assert_eq!(trace, &outcomes[0].2, "seed {seed}");
-                }
+            let run = |threads| {
+                let opts = ClusterOptions {
+                    host_threads: threads,
+                    collect_trace: true,
+                    ..ClusterOptions::default()
+                };
+                run_cluster_faulty(&units, &batches, 4, &spec, &flags, &cost, &opts, &plan)
+                    .expect("generated plans are recoverable")
+            };
+            // The run on the calling thread is the oracle: reports
+            // are bit-identical at any thread count, and traces apart
+            // from their meta record.
+            let (oracle, oracle_trace) = run(1);
+            for threads in [4usize, 8] {
+                let (report, trace) = run(threads);
+                assert_eq!(report, oracle, "seed {seed} threads {threads}");
+                assert_eq!(
+                    modeled_events(&trace),
+                    modeled_events(&oracle_trace),
+                    "seed {seed} threads {threads}"
+                );
             }
         }
     }
@@ -1142,7 +1121,7 @@ mod tests {
             &ClusterOptions {
                 host_threads: 1,
                 collect_trace: true,
-                streaming: true,
+                ..ClusterOptions::default()
             },
             &plan,
         )
@@ -1329,25 +1308,22 @@ mod tests {
             },
         ];
         assert_eq!(plan.first_unrecoverable_batch(8), Some(3));
-        for streaming in [false, true] {
-            for threads in [1usize, 4] {
-                let opts = ClusterOptions {
-                    host_threads: threads,
-                    collect_trace: false,
-                    streaming,
-                };
-                let err =
-                    run_cluster_faulty(&units, &batches, 2, &spec, &flags, &cost, &opts, &plan)
-                        .expect_err("batch 3 exceeds the cap");
-                assert_eq!(
-                    err,
-                    ClusterError::RetriesExhausted {
-                        batch: 3,
-                        attempts: 3
-                    },
-                    "streaming={streaming} threads={threads}"
-                );
-            }
+        for threads in [1usize, 4] {
+            let opts = ClusterOptions {
+                host_threads: threads,
+                collect_trace: false,
+                ..ClusterOptions::default()
+            };
+            let err = run_cluster_faulty(&units, &batches, 2, &spec, &flags, &cost, &opts, &plan)
+                .expect_err("batch 3 exceeds the cap");
+            assert_eq!(
+                err,
+                ClusterError::RetriesExhausted {
+                    batch: 3,
+                    attempts: 3
+                },
+                "threads={threads}"
+            );
         }
     }
 

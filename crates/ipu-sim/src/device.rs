@@ -50,27 +50,10 @@ pub struct BatchScratch {
     instr: Vec<u64>,
 }
 
-/// Executes one batch on one device.
+/// Executes one batch on one device, building each tile's
+/// instruction vector in `scratch` (one per worker, reused across the
+/// batches it replays).
 pub fn run_batch_on_device(
-    units: &[WorkUnit],
-    batch: &Batch,
-    spec: &IpuSpec,
-    flags: &OptFlags,
-    cost: &CostModel,
-) -> BatchReport {
-    run_batch_on_device_scratch(
-        units,
-        batch,
-        spec,
-        flags,
-        cost,
-        &mut BatchScratch::default(),
-    )
-}
-
-/// [`run_batch_on_device`] with caller-provided scratch buffers, for
-/// pooled replay loops that process many batches per thread.
-pub fn run_batch_on_device_scratch(
     units: &[WorkUnit],
     batch: &Batch,
     spec: &IpuSpec,
@@ -139,6 +122,12 @@ mod tests {
         }
     }
 
+    /// One batch under the default cost model, in a fresh scratch.
+    fn run(units: &[WorkUnit], b: &Batch, spec: &IpuSpec, flags: &OptFlags) -> BatchReport {
+        let cost = CostModel::default();
+        run_batch_on_device(units, b, spec, flags, &cost, &mut BatchScratch::default())
+    }
+
     fn batch_of(tiles: Vec<Vec<u32>>) -> Batch {
         Batch {
             tiles: tiles
@@ -157,15 +146,9 @@ mod tests {
         let units = vec![unit(1_000), unit(100_000)];
         let b = batch_of(vec![vec![0], vec![1]]);
         let spec = IpuSpec::gc200();
-        let r = run_batch_on_device(&units, &b, &spec, &OptFlags::full(), &CostModel::default());
+        let r = run(&units, &b, &spec, &OptFlags::full());
         let solo = batch_of(vec![vec![1]]);
-        let r_solo = run_batch_on_device(
-            &units,
-            &solo,
-            &spec,
-            &OptFlags::full(),
-            &CostModel::default(),
-        );
+        let r_solo = run(&units, &solo, &spec, &OptFlags::full());
         assert_eq!(r.compute_cycles, r_solo.compute_cycles);
         assert!(
             r.tile_utilization < 1.0,
@@ -179,9 +162,9 @@ mod tests {
         let b = batch_of(vec![vec![0]]);
         let spec = IpuSpec::gc200();
         let mut flags = OptFlags::full();
-        let fast = run_batch_on_device(&units, &b, &spec, &flags, &CostModel::default());
+        let fast = run(&units, &b, &spec, &flags);
         flags.dual_issue = false;
-        let slow = run_batch_on_device(&units, &b, &spec, &flags, &CostModel::default());
+        let slow = run(&units, &b, &spec, &flags);
         let ratio = slow.compute_cycles as f64 / fast.compute_cycles as f64;
         assert!((ratio - 1.30).abs() < 0.02, "dual issue ratio {ratio}");
     }
@@ -191,8 +174,8 @@ mod tests {
         let units = vec![unit(1_000_000)];
         let b = batch_of(vec![vec![0]]);
         let flags = OptFlags::full();
-        let g = run_batch_on_device(&units, &b, &IpuSpec::gc200(), &flags, &CostModel::default());
-        let w = run_batch_on_device(&units, &b, &IpuSpec::bow(), &flags, &CostModel::default());
+        let g = run(&units, &b, &IpuSpec::gc200(), &flags);
+        let w = run(&units, &b, &IpuSpec::bow(), &flags);
         assert_eq!(g.compute_cycles, w.compute_cycles);
         assert!(w.compute_seconds < g.compute_seconds);
         let ratio = g.compute_seconds / w.compute_seconds;
@@ -201,13 +184,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_free() {
-        let r = run_batch_on_device(
-            &[],
-            &Batch::default(),
-            &IpuSpec::gc200(),
-            &OptFlags::full(),
-            &CostModel::default(),
-        );
+        let r = run(&[], &Batch::default(), &IpuSpec::gc200(), &OptFlags::full());
         assert_eq!(r.compute_cycles, 0);
         assert_eq!(r.host_bytes, 0);
         assert_eq!(r.device_seconds(), 0.0);
@@ -220,9 +197,9 @@ mod tests {
         let spec = IpuSpec::gc200();
         let mut flags = OptFlags::full();
         flags.work_stealing = false;
-        let six = run_batch_on_device(&units, &b, &spec, &flags, &CostModel::default());
+        let six = run(&units, &b, &spec, &flags);
         flags.threads = 1;
-        let one = run_batch_on_device(&units, &b, &spec, &flags, &CostModel::default());
+        let one = run(&units, &b, &spec, &flags);
         let ratio = one.compute_cycles as f64 / six.compute_cycles as f64;
         assert!((ratio - 6.0).abs() < 0.01, "thread scaling ratio {ratio}");
     }

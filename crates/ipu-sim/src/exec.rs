@@ -7,6 +7,9 @@
 //! sees precisely the irregularity (early X-Drop terminations, band
 //! growth on noisy pairs) that makes load balancing hard on the real
 //! machine.
+//!
+//! [`execute_workload`] splits the comparisons over the host pool
+//! ([`pool::steal`]); its output is identical for any thread count.
 
 use crate::pool::{self, resolve_threads, SharedSlots};
 use xdrop_core::aligner::AlignerKind;
@@ -168,11 +171,6 @@ pub fn planning_units(w: &Workload, lr_split: bool) -> Vec<WorkUnit> {
 /// The result and work units of comparison `ci` given its extension
 /// outcome: the [`unit_shells`] filled with each side's stats and
 /// score (or the fused stats and total score without LR splitting).
-///
-/// This is the unit builder of both execution paths — the static-chunk
-/// reference and the work-stealing pool —
-/// so the unit contents cannot depend on which path (or thread) ran
-/// the comparison.
 fn aligned_units(
     w: &Workload,
     lr_split: bool,
@@ -193,50 +191,6 @@ fn aligned_units(
         stats,
     };
     (result, u0, u1)
-}
-
-/// The pre-pool executor: serial below 64 comparisons, otherwise
-/// static contiguous chunks ([`pool::chunked`]), one fresh
-/// [`Extender`] per chunk, one [`Extender::extend`] per comparison.
-/// Retained as the differential oracle for [`execute_workload`] — and
-/// as the baseline the `experiments e2e` benchmark measures the
-/// pooled pipeline against.
-pub fn execute_workload_reference<S: Scorer + Sync>(
-    w: &Workload,
-    scorer: &S,
-    cfg: &ExecConfig,
-) -> Result<ExecOutput> {
-    let n = w.comparisons.len();
-    let threads = if n < 64 {
-        1
-    } else {
-        resolve_threads(cfg.host_threads)
-    };
-    // Each chunk stops at its first failure, so the first failing chunk
-    // in range order carries the smallest failing index.
-    let chunk = |range: std::ops::Range<usize>| -> Result<ExecOutput> {
-        let mut ext = Extender::new(cfg.params, cfg.backend());
-        let upc = if cfg.lr_split { 2 } else { 1 };
-        let mut units = Vec::with_capacity(range.len() * upc);
-        let mut results = Vec::with_capacity(range.len());
-        for ci in range {
-            let c = &w.comparisons[ci];
-            let out = ext.extend(w.seqs.get(c.h), w.seqs.get(c.v), c.seed, scorer)?;
-            let (result, u0, u1) = aligned_units(w, cfg.lr_split, ci, &out);
-            results.push(result);
-            units.push(u0);
-            units.extend(u1);
-        }
-        Ok(ExecOutput { units, results })
-    };
-    let mut chunks = pool::chunked(n, threads, chunk).into_iter();
-    let mut out = chunks.next().expect("at least one chunk")?;
-    for chunk in chunks {
-        let chunk = chunk?;
-        out.units.extend(chunk.units);
-        out.results.extend(chunk.results);
-    }
-    Ok(out)
 }
 
 /// Aligns every comparison of `w` and returns the schedulable units
@@ -330,6 +284,46 @@ mod tests {
         w
     }
 
+    /// A unit's side, stats and score.
+    type UnitView = (Option<Side>, AlignStats, i32);
+
+    /// The serial oracle, independent of the pool and its slots: one
+    /// extender runs [`Extender::extend_each`] over the comparisons in
+    /// index order, and each outcome becomes its result and units by
+    /// hand. The first error in index order wins.
+    fn serial<S: Scorer>(
+        w: &Workload,
+        sc: &S,
+        c: &ExecConfig,
+    ) -> Result<(Vec<UnitResult>, Vec<UnitView>)> {
+        let mut ext = Extender::new(c.params, c.backend());
+        let (mut results, mut units, mut err) = (Vec::new(), Vec::new(), None);
+        ext.extend_each(w, 0..w.comparisons.len(), sc, |_, out| match out {
+            Ok(o) if err.is_none() => {
+                results.push(UnitResult {
+                    score: o.score,
+                    stats: o.stats(),
+                });
+                if c.lr_split {
+                    units.push((Some(Side::Left), o.left.stats, o.left.result.best_score));
+                    units.push((Some(Side::Right), o.right.stats, o.right.result.best_score));
+                } else {
+                    units.push((None, o.stats(), o.score));
+                }
+            }
+            Err(e) if err.is_none() => err = Some(e),
+            _ => {}
+        });
+        err.map_or(Ok((results, units)), Err)
+    }
+
+    fn unit_view(out: &ExecOutput) -> Vec<UnitView> {
+        out.units
+            .iter()
+            .map(|u| (u.side, u.stats, u.score))
+            .collect()
+    }
+
     fn cfg(lr: bool) -> ExecConfig {
         ExecConfig {
             params: XDropParams::new(15),
@@ -388,17 +382,17 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_matches_reference_executor() {
+    fn work_stealing_matches_serial_extension() {
         let w = small_workload();
         let sc = MatchMismatch::dna_default();
         for lr in [false, true] {
+            let (results, units) = serial(&w, &sc, &cfg(lr)).unwrap();
             for threads in [1usize, 3, 8] {
                 let mut c = cfg(lr);
                 c.host_threads = threads;
-                let a = execute_workload_reference(&w, &sc, &c).unwrap();
-                let b = execute_workload(&w, &sc, &c).unwrap();
-                assert_eq!(a.units, b.units, "lr={lr} threads={threads}");
-                assert_eq!(a.results, b.results, "lr={lr} threads={threads}");
+                let got = execute_workload(&w, &sc, &c).unwrap();
+                assert_eq!(unit_view(&got), units, "lr={lr} threads={threads}");
+                assert_eq!(got.results, results, "lr={lr} threads={threads}");
             }
         }
     }
@@ -425,22 +419,17 @@ mod tests {
         let w = small_workload();
         let sc = MatchMismatch::dna_default();
         // Exact(1) band cannot hold 5% error flanks: every comparison
-        // fails, and both executors must blame a comparison
-        // deterministically (the work-stealing pool reports the
-        // smallest failing index it recorded).
+        // fails, and the pool must blame the one the serial pass
+        // blames (the smallest failing index).
         let mut c = cfg(true);
         c.policy = BandPolicy::Exact(1);
-        c.host_threads = 8;
-        let err = execute_workload(&w, &sc, &c).unwrap_err();
-        assert!(matches!(
-            err,
-            xdrop_core::error::AlignError::BandExceeded { .. }
-        ));
-        let err = execute_workload_reference(&w, &sc, &c).unwrap_err();
-        assert!(matches!(
-            err,
-            xdrop_core::error::AlignError::BandExceeded { .. }
-        ));
+        let want = serial(&w, &sc, &c).unwrap_err();
+        assert!(matches!(want, AlignError::BandExceeded { .. }));
+        for threads in [1usize, 8] {
+            c.host_threads = threads;
+            let err = execute_workload(&w, &sc, &c).unwrap_err();
+            assert_eq!(err, want, "threads={threads}");
+        }
     }
 
     #[test]
@@ -469,7 +458,7 @@ mod tests {
                 let got = execute_workload(&w, &sc, &c).unwrap_err();
                 assert_eq!(got, want, "{kernel:?} t={threads}");
             }
-            assert_eq!(execute_workload_reference(&w, &sc, &c).unwrap_err(), want);
+            assert_eq!(serial(&w, &sc, &c).unwrap_err(), want, "{kernel:?} serial");
         }
     }
 
@@ -485,7 +474,7 @@ mod tests {
                 let mut scalar = cfg(lr).with_aligner(aligner);
                 scalar.params = scalar.params.with_kernel(KernelKind::Scalar);
                 scalar.host_threads = 1;
-                let oracle = execute_workload_reference(&w, &sc, &scalar).unwrap();
+                let oracle = execute_workload(&w, &sc, &scalar).unwrap();
                 for threads in [1usize, 3, 8] {
                     let mut c = cfg(lr).with_aligner(aligner);
                     c.params = c.params.with_kernel(KernelKind::Batched);
@@ -508,7 +497,7 @@ mod tests {
         scalar.policy = BandPolicy::Exact(1);
         scalar.params = scalar.params.with_kernel(KernelKind::Scalar);
         scalar.host_threads = 1;
-        let want = execute_workload_reference(&w, &sc, &scalar).unwrap_err();
+        let want = execute_workload(&w, &sc, &scalar).unwrap_err();
         for threads in [1usize, 8] {
             let mut c = cfg(true);
             c.policy = BandPolicy::Exact(1);

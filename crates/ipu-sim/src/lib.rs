@@ -47,9 +47,7 @@ pub use cluster::{
 };
 pub use cost::{CostModel, OptFlags};
 pub use device::{run_batch_on_device, BatchReport, BatchScratch};
-pub use exec::{
-    execute_workload, execute_workload_reference, planning_units, ExecConfig, UnitResult, WorkUnit,
-};
+pub use exec::{execute_workload, planning_units, ExecConfig, UnitResult, WorkUnit};
 pub use fault::{
     BackoffConfig, ClusterError, DeviceDeath, FaultPlan, FaultPlanSpec, LinkStall, TransientFault,
 };

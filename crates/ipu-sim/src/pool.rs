@@ -1,6 +1,5 @@
-//! The host pipeline's one thread pool: every parallel host stage
-//! splits its work through [`steal`], and the reference oracles
-//! through [`chunked`].
+//! The host pipeline's one thread pool: every parallel host stage —
+//! alignment and batch replay — splits its work through [`steal`].
 //!
 //! [`steal`] keeps every output bit-identical for any thread count:
 //! which thread claims which task index is racy, but each task writes
@@ -17,9 +16,7 @@
 
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::thread::ScopedJoinHandle;
 
 /// Resolves a requested host thread count: `0` means "auto" — use
 /// [`std::thread::available_parallelism`] (falling back to 1 when
@@ -260,10 +257,13 @@ pub fn steal<O: TaskSlots, W, E: Send>(
         work()
     } else {
         std::thread::scope(|s| {
-            let workers = (0..threads).map(|_| s.spawn(work)).collect();
-            join_all(workers)
+            let workers: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
+            // Join every worker, re-raising a panicked one's own
+            // payload (a scope left to join them itself would replace
+            // it with "a scoped thread panicked").
+            workers
                 .into_iter()
-                .flatten()
+                .filter_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .min_by_key(|&(i, _)| i)
         })
     };
@@ -271,44 +271,6 @@ pub fn steal<O: TaskSlots, W, E: Send>(
         Some((_, e)) => Err(e),
         None => Ok(slots),
     }
-}
-
-/// Runs `chunk` over `threads` contiguous, near-equal ranges that
-/// cover `0..tasks` in order — the whole range on the calling thread
-/// when `threads <= 1` — and returns the outputs in range order. The
-/// static scheme of the reference oracles; a worker's panic is
-/// re-raised with its own payload.
-pub fn chunked<T: Send>(
-    tasks: usize,
-    threads: usize,
-    chunk: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.clamp(1, tasks.max(1));
-    if threads == 1 {
-        return vec![chunk(0..tasks)];
-    }
-    let len = tasks.div_ceil(threads);
-    let chunk = &chunk;
-    std::thread::scope(|s| {
-        let workers = (0..tasks)
-            .step_by(len)
-            .map(|lo| s.spawn(move || chunk(lo..(lo + len).min(tasks))))
-            .collect();
-        join_all(workers)
-    })
-}
-
-/// Joins `workers` in spawn order, re-raising the first panicked
-/// worker's own payload (a scope left to join them itself would
-/// replace it with "a scoped thread panicked").
-fn join_all<T>(workers: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
-    workers
-        .into_iter()
-        .map(|w| {
-            w.join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -443,27 +405,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn chunks_cover_the_range_in_order() {
-        for threads in THREADS {
-            let ranges = chunked(10, threads, |r| r);
-            assert!(ranges.len() <= threads);
-            assert_eq!(ranges.first().map(|r| r.start), Some(0));
-            assert_eq!(ranges.last().map(|r| r.end), Some(10));
-            assert!(ranges.windows(2).all(|p| p[0].end == p[1].start));
-        }
-        assert_eq!(chunked(0, 8, |r| r), vec![0..0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom in chunk 4..6")]
-    fn chunk_panics_keep_their_payload() {
-        chunked(8, 4, |r| {
-            if r.start == 4 {
-                panic!("boom in chunk {r:?}");
-            }
-        });
     }
 }

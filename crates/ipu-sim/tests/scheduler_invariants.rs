@@ -113,11 +113,11 @@ proptest! {
         let cost = CostModel::default();
         let serial = run_cluster_opts(
             &units, &batches, devices, &spec, &flags, &cost,
-            &ClusterOptions { host_threads: 1, collect_trace: true, streaming: true },
+            &ClusterOptions { host_threads: 1, collect_trace: true, ..ClusterOptions::default() },
         );
         let pooled = run_cluster_opts(
             &units, &batches, devices, &spec, &flags, &cost,
-            &ClusterOptions { host_threads: threads, collect_trace: true, streaming: true },
+            &ClusterOptions { host_threads: threads, collect_trace: true, ..ClusterOptions::default() },
         );
         prop_assert_eq!(&serial.0, &pooled.0);
         // The recorded timeline is part of the deterministic output —
@@ -150,7 +150,7 @@ proptest! {
         let spec = IpuSpec::gc200();
         let (r, trace) = run_cluster_opts(
             &units, &batches, devices, &spec, &OptFlags::full(), &CostModel::default(),
-            &ClusterOptions { host_threads: 1, collect_trace: true, streaming: true },
+            &ClusterOptions { host_threads: 1, collect_trace: true, ..ClusterOptions::default() },
         );
         let trace = trace.expect("trace requested");
         prop_assert_eq!(trace.events_in("fetch").count(), batches.len());

@@ -19,8 +19,8 @@
 //! * [`plan`] — turns partitions (or the naive layout) into
 //!   [`ipu_sim::Batch`]es and reports reuse statistics.
 //! * [`pipeline`] — the host pipeline: align → plan → replay →
-//!   schedule, each stage on a work-stealing pool, bit-identical to
-//!   the static-chunk reference for any thread count.
+//!   schedule, the align and replay stages on the work-stealing
+//!   pool, bit-identical for any thread count.
 //! * [`outofcore`] — the windowed out-of-core pipeline: skeleton
 //!   planning with the in-core partitioner, then bounded-residency
 //!   window execution, each window checked against the skeleton;
@@ -40,10 +40,7 @@ pub use error::{PartitionError, PipelineError, WindowStreamError};
 pub use graph::ComparisonGraph;
 pub use greedy::{greedy_partitions, greedy_partitions_with_load_cap, Partition};
 pub use outofcore::{run_pipeline_out_of_core, windows_of, WorkloadWindow};
-pub use pipeline::{
-    plan_stage, run_pipeline, run_pipeline_faulty, run_pipeline_reference,
-    run_pipeline_reference_faulty, PipelineConfig, PipelineOutput,
-};
+pub use pipeline::{plan_stage, run_pipeline, run_pipeline_faulty, PipelineConfig, PipelineOutput};
 pub use plan::{plan_batches, reuse_stats, PlanConfig, ReuseStats};
 
 use xdrop_core::workload::Workload;

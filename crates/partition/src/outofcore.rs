@@ -47,23 +47,7 @@ use std::sync::mpsc;
 use xdrop_core::scoring::Scorer;
 use xdrop_core::workload::{Comparison, SeqId, Workload};
 
-/// One self-contained slice of a workload: a local [`Workload`]
-/// whose sequence slots map to global ids through `seq_ids`, holding
-/// the comparisons `cmp_base .. cmp_base + workload.comparisons.len()`
-/// of the global comparison list (with ids rewritten local).
-///
-/// This mirrors `seqdata`'s `Window` without depending on the
-/// generator crate — any bounded-memory producer can feed the
-/// windowed pipeline.
-#[derive(Debug, Clone)]
-pub struct WorkloadWindow {
-    /// Global index of the window's first comparison.
-    pub cmp_base: usize,
-    /// Global [`SeqId`] of each local sequence slot.
-    pub seq_ids: Vec<SeqId>,
-    /// The window's comparisons over locally-resident payloads.
-    pub workload: Workload,
-}
+pub use xdrop_core::workload::Window as WorkloadWindow;
 
 /// Chops an in-core workload into [`WorkloadWindow`]s of `target`
 /// comparisons (the last may be short). The differential oracle for
@@ -199,7 +183,6 @@ where
         &timings,
         spec,
         cfg,
-        true,
         &FaultPlan::none(),
     )
 }

@@ -22,7 +22,8 @@
 //! Determinism: every stage writes by task index and the scheduler
 //! consumes reports in batch order, so `ExecOutput`, the batch list
 //! and every `ClusterReport` field (including the trace) are
-//! bit-identical to [`run_pipeline_reference`] for any thread count.
+//! bit-identical for any thread count to the run on the calling
+//! thread, where the pool claims tasks in index order.
 //! `tests/pipeline_determinism.rs` enforces exactly that.
 //!
 //! Errors surface in stage order — the smallest-index alignment
@@ -35,9 +36,7 @@ use crate::plan::{plan_batches_timed, PlanConfig, PlanTimings};
 use ipu_sim::batch::{single_tile_batches, Batch};
 use ipu_sim::cluster::{run_cluster_faulty, ClusterOptions, ClusterReport};
 use ipu_sim::cost::{CostModel, OptFlags};
-use ipu_sim::exec::{
-    execute_workload, execute_workload_reference, ExecConfig, ExecOutput, WorkUnit,
-};
+use ipu_sim::exec::{execute_workload, ExecConfig, ExecOutput, WorkUnit};
 use ipu_sim::fault::FaultPlan;
 use ipu_sim::spec::IpuSpec;
 use ipu_sim::trace::ChromeTrace;
@@ -124,20 +123,17 @@ pub fn plan_stage(
 }
 
 /// The stage every entry point ends with: replays `batches` over the
-/// aligned units on the modeled cluster (`streaming` picks the
-/// cluster layer's work-stealing replay over its static-chunk
-/// pre-pass oracle; either produces every report before binding), then
-/// appends the `partition`/`plan` host phase spans to the trace, laid
-/// out back to back from t = 0 on the [`ipu_sim::trace::TID_HOST`]
-/// track. Those spans are host wall-clock, so determinism comparisons
-/// filter `cat == "host"`.
+/// aligned units on the modeled cluster, then appends the
+/// `partition`/`plan` host phase spans to the trace, laid out back to
+/// back from t = 0 on the [`ipu_sim::trace::TID_HOST`] track. Those
+/// spans are host wall-clock, so determinism comparisons filter
+/// `cat == "host"`.
 pub(crate) fn replay_and_assemble(
     exec: ExecOutput,
     batches: Vec<Batch>,
     timings: &PlanTimings,
     spec: &IpuSpec,
     cfg: &PipelineConfig,
-    streaming: bool,
     faults: &FaultPlan,
 ) -> Result<PipelineOutput, PipelineError> {
     let (report, mut trace) = run_cluster_faulty(
@@ -150,7 +146,7 @@ pub(crate) fn replay_and_assemble(
         &ClusterOptions {
             host_threads: cfg.exec.host_threads,
             collect_trace: cfg.collect_trace,
-            streaming,
+            ..ClusterOptions::default()
         },
         faults,
     )?;
@@ -170,33 +166,6 @@ pub(crate) fn replay_and_assemble(
         report,
         trace,
     })
-}
-
-/// The pre-pool pipeline, kept verbatim as the differential oracle
-/// (and the baseline the `experiments e2e` benchmark measures
-/// [`run_pipeline`] against): static-chunk alignment, full plan,
-/// pre-pass batch replay, then scheduling.
-pub fn run_pipeline_reference<S: Scorer + Sync>(
-    w: &Workload,
-    scorer: &S,
-    spec: &IpuSpec,
-    cfg: &PipelineConfig,
-) -> Result<PipelineOutput, PipelineError> {
-    run_pipeline_reference_faulty(w, scorer, spec, cfg, &FaultPlan::none())
-}
-
-/// [`run_pipeline_reference`] under an injected [`FaultPlan`] — the
-/// oracle of the chaos-conformance harness.
-pub fn run_pipeline_reference_faulty<S: Scorer + Sync>(
-    w: &Workload,
-    scorer: &S,
-    spec: &IpuSpec,
-    cfg: &PipelineConfig,
-    plan: &FaultPlan,
-) -> Result<PipelineOutput, PipelineError> {
-    let exec = execute_workload_reference(w, scorer, &cfg.exec)?;
-    let (batches, timings) = plan_stage(w, &exec.units, spec, &cfg.flags, &cfg.plan)?;
-    replay_and_assemble(exec, batches, &timings, spec, cfg, false, plan)
 }
 
 /// Runs the full pipeline: align → plan → replay → schedule, the
@@ -230,12 +199,13 @@ pub fn run_pipeline_faulty<S: Scorer + Sync>(
 ) -> Result<PipelineOutput, PipelineError> {
     let exec = execute_workload(w, scorer, &cfg.exec)?;
     let (batches, timings) = plan_stage(w, &exec.units, spec, &cfg.flags, &cfg.plan)?;
-    replay_and_assemble(exec, batches, &timings, spec, cfg, true, plan)
+    replay_and_assemble(exec, batches, &timings, spec, cfg, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipu_sim::cluster::run_cluster_reference;
     use ipu_sim::fault::ClusterError;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -278,12 +248,21 @@ mod tests {
         c
     }
 
+    /// The fault-free report of the static argmin driver, an oracle
+    /// independent of the event-driven scheduler, over the run's own
+    /// units and batches.
+    fn static_report(out: &PipelineOutput, spec: &IpuSpec, c: &PipelineConfig) -> ClusterReport {
+        let (units, batches) = (&out.exec.units, &out.batches);
+        run_cluster_reference(units, batches, c.devices, spec, &c.flags, &c.cost)
+    }
+
     #[test]
-    fn pipeline_is_bit_identical_to_reference() {
+    fn pipeline_is_thread_count_invariant() {
         let w = workload(24);
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
-        let oracle = run_pipeline_reference(&w, &sc, &spec, &cfg(1)).unwrap();
+        let oracle = run_pipeline(&w, &sc, &spec, &cfg(1)).unwrap();
+        assert_eq!(oracle.report, static_report(&oracle, &spec, &cfg(1)));
         // Traces agree once the host-meta annotation (which records
         // the *requested* pool size) and the wall-clock host phase
         // spans are filtered; compare modeled span events only.
@@ -294,7 +273,7 @@ mod tests {
                 .cloned()
                 .collect::<Vec<_>>()
         };
-        for threads in [1usize, 3, 8] {
+        for threads in [3usize, 8] {
             let out = run_pipeline(&w, &sc, &spec, &cfg(threads)).unwrap();
             assert_eq!(out.exec.units, oracle.exec.units, "t={threads}");
             assert_eq!(out.exec.results, oracle.exec.results, "t={threads}");
@@ -314,7 +293,9 @@ mod tests {
         let w = workload(24);
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
-        let oracle = run_pipeline_reference(&w, &sc, &spec, &cfg(1)).unwrap();
+        let mut scalar = cfg(1);
+        scalar.exec.params = scalar.exec.params.with_kernel(KernelKind::Scalar);
+        let oracle = run_pipeline(&w, &sc, &spec, &scalar).unwrap();
         for threads in [1usize, 3, 8] {
             let mut c = cfg(threads);
             c.exec.params = c.exec.params.with_kernel(KernelKind::Batched);
@@ -327,28 +308,36 @@ mod tests {
     }
 
     #[test]
-    fn naive_planning_matches_reference() {
+    fn naive_planning_is_thread_count_invariant() {
         let w = workload(20);
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
         let mut c = cfg(8);
         c.plan = PlanConfig::naive(64).with_min_batches(4);
         let out = run_pipeline(&w, &sc, &spec, &c).unwrap();
+        assert_eq!(out.report, static_report(&out, &spec, &c));
         c.exec.host_threads = 1;
-        let oracle = run_pipeline_reference(&w, &sc, &spec, &c).unwrap();
+        let oracle = run_pipeline(&w, &sc, &spec, &c).unwrap();
         assert_eq!(out.report, oracle.report);
         assert_eq!(out.batches, oracle.batches);
     }
 
     #[test]
-    fn align_errors_match_the_reference_for_any_thread_count() {
+    fn align_errors_match_the_serial_pass_for_any_thread_count() {
+        use xdrop_core::extension::Extender;
         let w = workload(24);
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
         let mut c = cfg(1);
         c.exec.policy = BandPolicy::Exact(1);
         c.exec.params = XDropParams::new(1000);
-        let want = run_pipeline_reference(&w, &sc, &spec, &c).unwrap_err();
+        // The serial pass blames the first failing comparison.
+        let mut ext = Extender::new(c.exec.params, c.exec.backend());
+        let mut first = None;
+        ext.extend_each(&w, 0..w.comparisons.len(), &sc, |_, out| {
+            first = first.take().or(out.err());
+        });
+        let want = PipelineError::Align(first.expect("a one-cell band fails"));
         assert!(matches!(
             want,
             PipelineError::Align(AlignError::BandExceeded { .. })
@@ -398,9 +387,8 @@ mod tests {
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
         // Every batch fails more often than the cap allows: the
-        // smallest batch index is blamed for any thread count, by the
-        // pipeline and its oracle alike, and the replay pool aborts
-        // without deadlocking.
+        // smallest batch index is blamed for any thread count, and
+        // the replay pool aborts without deadlocking.
         let mut plan = FaultPlan::none();
         plan.max_retries = 1;
         plan.transients = (0..64)
@@ -417,8 +405,6 @@ mod tests {
             let c = cfg(threads);
             let err = run_pipeline_faulty(&w, &sc, &spec, &c, &plan).unwrap_err();
             assert_eq!(err, want, "t={threads}");
-            let err = run_pipeline_reference_faulty(&w, &sc, &spec, &c, &plan).unwrap_err();
-            assert_eq!(err, want, "reference t={threads}");
         }
     }
 

@@ -39,19 +39,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xdrop_core::alphabet::Alphabet;
 use xdrop_core::extension::SeedMatch;
+pub use xdrop_core::workload::Window;
 use xdrop_core::workload::{Comparison, SeqId, Workload};
-
-/// One self-contained slice of the dataset: a local workload whose
-/// sequence slots map back to global ids via `seq_ids`.
-#[derive(Debug, Clone)]
-pub struct Window {
-    /// Global index of this window's first comparison.
-    pub cmp_base: usize,
-    /// Global [`SeqId`] of each local sequence slot.
-    pub seq_ids: Vec<SeqId>,
-    /// The window's comparisons over locally-resident sequences.
-    pub workload: Workload,
-}
 
 /// Metadata of a whole dataset, gathered by a streaming pass that
 /// never keeps payload bytes: enough to drive batch planning and

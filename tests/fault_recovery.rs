@@ -4,10 +4,12 @@
 //! alignment results, units, batches, and per-batch device reports
 //! bit-for-bit — faults may only move the modeled timeline and the
 //! recovery counters, and those counters must be *exact* against the
-//! injected plan; the timeline itself must match the faulty reference.
+//! injected plan; the timeline itself must match the faulty run on the
+//! calling thread (`host_threads = 1`). The fault-free report is
+//! checked against the static argmin driver `run_cluster_reference`.
 //! Unrecoverable plans must return the typed `ClusterError` naming the
 //! smallest batch index that could not complete, identically for
-//! every thread count and for the reference.
+//! every thread count.
 
 use proptest::prelude::*;
 use xdrop_ipu::core::alphabet::Alphabet;
@@ -16,11 +18,11 @@ use xdrop_ipu::core::scoring::MatchMismatch;
 use xdrop_ipu::core::workload::{Comparison, Workload};
 use xdrop_ipu::core::xdrop2::BandPolicy;
 use xdrop_ipu::partition::pipeline::{
-    run_pipeline_faulty, run_pipeline_reference, run_pipeline_reference_faulty, PipelineConfig,
-    PipelineOutput,
+    run_pipeline, run_pipeline_faulty, PipelineConfig, PipelineOutput,
 };
 use xdrop_ipu::partition::plan::PlanConfig;
 use xdrop_ipu::partition::PipelineError;
+use xdrop_ipu::sim::cluster::run_cluster_reference;
 use xdrop_ipu::sim::fault::{
     BackoffConfig, ClusterError, FaultPlan, FaultPlanSpec, TransientFault,
 };
@@ -143,8 +145,13 @@ proptest! {
         let w = workload(n, wseed, err_pct);
         let sc = MatchMismatch::dna_default();
         let spec = small_spec();
-        let clean =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("clean");
+        let serial = config(1, devices);
+        let clean = run_pipeline(&w, &sc, &spec, &serial).expect("clean");
+        let (units, batches) = (&clean.exec.units, &clean.batches);
+        prop_assert_eq!(
+            &clean.report,
+            &run_cluster_reference(units, batches, devices, &spec, &serial.flags, &serial.cost)
+        );
         let nb = clean.batches.len();
         // min_batches(4) and devices < 4 guarantee nb >= devices, so
         // every dead-on-arrival device is observed (and counted)
@@ -165,11 +172,10 @@ proptest! {
         let (expected_recovery, extra_bytes) = expected_recovery_seconds(&plan, &clean, &spec);
         let dead: Vec<u32> = plan.deaths.iter().map(|d| d.device).collect();
 
-        // The faulty reference is the oracle for the modeled
-        // timeline under this plan (modeled spans; the meta record
-        // tracks the resolved pool size).
-        let oracle = run_pipeline_reference_faulty(&w, &sc, &spec, &config(1, devices), &plan)
-            .expect("recoverable plan must complete");
+        // The faulty run on the calling thread is the oracle for the
+        // modeled timeline under this plan (modeled spans; the meta
+        // record tracks the resolved pool size).
+        let mut oracle: Option<PipelineOutput> = None;
         for threads in [1usize, 4, 8] {
             let out = run_pipeline_faulty(&w, &sc, &spec, &config(threads, devices), &plan)
                 .expect("recoverable plan must complete");
@@ -216,10 +222,11 @@ proptest! {
                 .filter(|e| e.name.starts_with("death"))
                 .count() as u64;
             prop_assert_eq!(deaths, out.report.devices_lost);
-            // Bit-identical to the faulty reference at every thread
+            // Bit-identical to the serial faulty run at every thread
             // count.
-            prop_assert_eq!(&out.report, &oracle.report, "t={}", threads);
-            prop_assert_eq!(spans(&out.trace), spans(&oracle.trace), "t={}", threads);
+            let serial = oracle.get_or_insert_with(|| out.clone());
+            prop_assert_eq!(&out.report, &serial.report, "t={}", threads);
+            prop_assert_eq!(spans(&out.trace), spans(&serial.trace), "t={}", threads);
         }
     }
 
@@ -234,8 +241,7 @@ proptest! {
         let sc = MatchMismatch::dna_default();
         let spec = small_spec();
         let devices = 2;
-        let clean =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("clean");
+        let clean = run_pipeline(&w, &sc, &spec, &config(1, devices)).expect("clean");
         let nb = clean.batches.len() as u32;
         prop_assert!(nb > offset);
         // Two batches exceed the cap; the smaller index must be the
@@ -253,9 +259,6 @@ proptest! {
             batch: blamed,
             attempts: plan.max_retries + 1,
         });
-        let err = run_pipeline_reference_faulty(&w, &sc, &spec, &config(1, devices), &plan)
-            .expect_err("plan exceeds the retry cap");
-        prop_assert_eq!(&err, &want, "reference");
         for threads in [1usize, 4, 8] {
             let err = run_pipeline_faulty(&w, &sc, &spec, &config(threads, devices), &plan)
                 .expect_err("plan exceeds the retry cap");

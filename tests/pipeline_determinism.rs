@@ -2,17 +2,25 @@
 //! workload and any host thread count, the pipeline's entire output —
 //! `ExecOutput`, the planned batches, and every field of the
 //! `ClusterReport`, including the recorded Chrome trace — must be
-//! bit-identical to the static-chunk reference. Host threading is a
-//! wall-clock optimization only; it must never change a modeled bit.
+//! bit-identical to the run on the calling thread (`host_threads =
+//! 1`, where the pool claims tasks in index order). Host threading is
+//! a wall-clock optimization only; it must never change a modeled bit.
+//!
+//! That serial run is itself checked against oracles that share no
+//! code with the pool: each comparison's result against a serial
+//! `Extender::extend_each` loop written here, and the `ClusterReport`
+//! against the static argmin driver `run_cluster_reference`.
 
 use proptest::prelude::*;
 use xdrop_ipu::core::alphabet::Alphabet;
-use xdrop_ipu::core::extension::SeedMatch;
+use xdrop_ipu::core::extension::{Extender, SeedMatch};
 use xdrop_ipu::core::scoring::MatchMismatch;
 use xdrop_ipu::core::workload::{Comparison, Workload};
 use xdrop_ipu::core::xdrop2::BandPolicy;
-use xdrop_ipu::partition::pipeline::{run_pipeline, run_pipeline_reference, PipelineConfig};
+use xdrop_ipu::partition::pipeline::{run_pipeline, PipelineConfig, PipelineOutput};
 use xdrop_ipu::partition::plan::PlanConfig;
+use xdrop_ipu::sim::cluster::{run_cluster_reference, ClusterReport};
+use xdrop_ipu::sim::exec::UnitResult;
 use xdrop_ipu::sim::spec::IpuSpec;
 use xdrop_ipu::sim::trace::{ChromeTrace, TraceEvent};
 
@@ -68,18 +76,38 @@ fn spans(trace: &Option<ChromeTrace>) -> Vec<TraceEvent> {
         .collect()
 }
 
+/// Each comparison's result from one extender running
+/// `Extender::extend_each` over the comparisons in index order.
+fn serial_results(w: &Workload, sc: &MatchMismatch, cfg: &PipelineConfig) -> Vec<UnitResult> {
+    let mut ext = Extender::new(cfg.exec.params, cfg.exec.backend());
+    let mut results = Vec::with_capacity(w.comparisons.len());
+    ext.extend_each(w, 0..w.comparisons.len(), sc, |_, out| {
+        let out = out.expect("grow");
+        results.push(UnitResult {
+            score: out.score,
+            stats: out.stats(),
+        });
+    });
+    results
+}
+
+/// The fault-free report of the static argmin driver over the run's
+/// own units and batches.
+fn static_report(out: &PipelineOutput, spec: &IpuSpec, cfg: &PipelineConfig) -> ClusterReport {
+    let (units, batches) = (&out.exec.units, &out.batches);
+    run_cluster_reference(units, batches, cfg.devices, spec, &cfg.flags, &cfg.cost)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The batched inter-sequence kernel is a wall-clock optimization
-    /// too: the pipeline under `KernelKind::Batched` (where
-    /// workers claim lane-width runs of the LPT order and align them
-    /// in one batch call) produces results, batches, report, and
-    /// trace bit-identical to the scalar barriered reference for any
-    /// thread count.
+    /// The batched lane kernel is a wall-clock optimization too: the
+    /// pipeline under `KernelKind::Batched` produces results, batches,
+    /// report and trace bit-identical to the scalar kernel's serial
+    /// run for any thread count.
     #[test]
     fn batched_kernel_pipeline_is_bit_identical(
-        n in 8usize..17,
+        n in 16usize..40,
         seed in 0u64..1_000,
         err_pct in 0u64..9,
         devices in 1usize..4,
@@ -88,8 +116,9 @@ proptest! {
         let w = workload(n, seed, err_pct);
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
-        let oracle =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("grow");
+        let mut scalar = config(1, devices);
+        scalar.exec.params = scalar.exec.params.with_kernel(KernelKind::Scalar);
+        let oracle = run_pipeline(&w, &sc, &spec, &scalar).expect("grow");
         let oracle_spans = spans(&oracle.trace);
         for threads in [1usize, 3, 8] {
             let mut cfg = config(threads, devices);
@@ -114,7 +143,7 @@ proptest! {
 
     #[test]
     fn pipeline_is_bit_identical_for_any_thread_count(
-        n in 8usize..17,
+        n in 16usize..40,
         seed in 0u64..1_000,
         err_pct in 0u64..9,
         devices in 1usize..4,
@@ -122,10 +151,12 @@ proptest! {
         let w = workload(n, seed, err_pct);
         let sc = MatchMismatch::dna_default();
         let spec = IpuSpec::gc200();
-        let oracle =
-            run_pipeline_reference(&w, &sc, &spec, &config(1, devices)).expect("grow");
+        let serial = config(1, devices);
+        let oracle = run_pipeline(&w, &sc, &spec, &serial).expect("grow");
+        prop_assert_eq!(&oracle.exec.results, &serial_results(&w, &sc, &serial));
+        prop_assert_eq!(&oracle.report, &static_report(&oracle, &spec, &serial));
         let oracle_spans = spans(&oracle.trace);
-        for threads in [1usize, 3, 8] {
+        for threads in [3usize, 8] {
             let out = run_pipeline(&w, &sc, &spec, &config(threads, devices)).expect("grow");
             prop_assert_eq!(&out.exec.units, &oracle.exec.units, "units: threads {}", threads);
             prop_assert_eq!(

@@ -2,9 +2,10 @@
 //!
 //! * Error priority: when a run has both an alignment failure and a
 //!   planning failure, every entry point — `run_pipeline` at any
-//!   thread count, the static-chunk reference and the out-of-core
-//!   pipeline at any window size — surfaces the same error, in stage
-//!   order (alignment first).
+//!   thread count and the out-of-core pipeline at any window size —
+//!   surfaces the same error, in stage order (alignment first): the
+//!   first failure of a serial `Extender::extend_each` pass, else the
+//!   error of planning over the workload's metadata alone.
 //! * Malformed out-of-core window streams — a repeated, skipped or
 //!   overlapping window, a short stream, a stream past the end, a
 //!   window whose contents disagree with the skeleton — are a typed
@@ -26,14 +27,14 @@ use xdrop_ipu::core::scoring::{MatchMismatch, Scorer};
 use xdrop_ipu::core::workload::{Comparison, Workload};
 use xdrop_ipu::core::xdrop2::BandPolicy;
 use xdrop_ipu::core::XDropParams;
-use xdrop_ipu::partition::pipeline::{run_pipeline, run_pipeline_reference, PipelineConfig};
+use xdrop_ipu::partition::pipeline::{plan_stage, run_pipeline, PipelineConfig};
 use xdrop_ipu::partition::plan::PlanConfig;
 use xdrop_ipu::partition::{
     run_pipeline_out_of_core, windows_of, PartitionError, PipelineError, WindowStreamError,
     WorkloadWindow,
 };
 use xdrop_ipu::sim::batch::BatchConfig;
-use xdrop_ipu::sim::exec::{execute_workload, ExecConfig};
+use xdrop_ipu::sim::exec::{execute_workload, planning_units, ExecConfig};
 use xdrop_ipu::sim::spec::IpuSpec;
 
 /// `n` alignable DNA pairs around a protected 17-mer seed.
@@ -118,8 +119,14 @@ fn alignment_errors_outrank_plan_errors_on_every_entry_point() {
     let mut cfg = config(1);
     cfg.exec.policy = BandPolicy::Exact(1);
     cfg.exec.params = XDropParams::new(1000);
+    // The serial pass blames the first failing comparison.
+    let mut ext = Extender::new(cfg.exec.params, cfg.exec.backend());
+    let mut first = None;
     let sc = MatchMismatch::dna_default();
-    let want = run_pipeline_reference(&w, &sc, &IpuSpec::gc200(), &cfg).unwrap_err();
+    ext.extend_each(&w, 0..w.comparisons.len(), &sc, |_, out| {
+        first = first.take().or(out.err());
+    });
+    let want = PipelineError::Align(first.expect("a one-cell band fails"));
     assert!(
         matches!(want, PipelineError::Align(AlignError::BandExceeded { .. })),
         "{want}"
@@ -131,8 +138,10 @@ fn alignment_errors_outrank_plan_errors_on_every_entry_point() {
 fn plan_errors_surface_identically_when_alignment_succeeds() {
     let w = workload_with_oversized(24);
     let cfg = config(1);
-    let sc = MatchMismatch::dna_default();
-    let want = run_pipeline_reference(&w, &sc, &IpuSpec::gc200(), &cfg).unwrap_err();
+    // Planning reads only metadata, so it needs no aligned units.
+    let units = planning_units(&w, cfg.exec.lr_split);
+    let plan = plan_stage(&w, &units, &IpuSpec::gc200(), &cfg.flags, &cfg.plan);
+    let want = PipelineError::from(plan.unwrap_err());
     assert!(
         matches!(
             want,

@@ -65,7 +65,7 @@ fn scenario() -> (ClusterReport, ChromeTrace) {
         &ClusterOptions {
             host_threads: 1,
             collect_trace: true,
-            streaming: true,
+            ..ClusterOptions::default()
         },
     );
     (report, trace.expect("trace requested"))
@@ -103,7 +103,7 @@ fn faulty_scenario() -> (ClusterReport, ChromeTrace) {
         &ClusterOptions {
             host_threads: 1,
             collect_trace: true,
-            streaming: true,
+            ..ClusterOptions::default()
         },
         &plan,
     )
