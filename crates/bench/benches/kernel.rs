@@ -44,7 +44,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     for w in [16usize, 64, 256] {
         for kind in KernelKind::ALL {
             group.bench_with_input(BenchmarkId::new(kind.name(), w), &w, |b, &w| {
-                let mut ws = Workspace::<i32>::new();
+                let mut ws = Workspace::new();
                 b.iter(|| {
                     kernel::align_views(
                         kind,
@@ -67,7 +67,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_grow_10pct");
     for kind in KernelKind::ALL {
         group.bench_function(kind.name(), |b| {
-            let mut ws = Workspace::<i32>::new();
+            let mut ws = Workspace::new();
             b.iter(|| {
                 kernel::align_views(
                     kind,

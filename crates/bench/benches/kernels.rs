@@ -38,23 +38,9 @@ fn bench_kernels(c: &mut Criterion) {
     for x in [10, 30] {
         let params = XDropParams::new(x);
         group.bench_with_input(BenchmarkId::new("xdrop2_grow", x), &x, |b, _| {
-            let mut ws = xdrop2::Workspace::<i32>::new();
+            let mut ws = xdrop2::Workspace::new();
             b.iter(|| {
-                xdrop2::align_views_ty(
-                    &xdrop_core::seqview::Fwd(&h),
-                    &xdrop_core::seqview::Fwd(&v),
-                    &sc,
-                    params,
-                    BandPolicy::Grow(256),
-                    &mut ws,
-                )
-                .unwrap()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("xdrop2_f32", x), &x, |b, _| {
-            let mut ws = xdrop2::Workspace::<f32>::new();
-            b.iter(|| {
-                xdrop2::align_views_ty(
+                xdrop2::align_views(
                     &xdrop_core::seqview::Fwd(&h),
                     &xdrop_core::seqview::Fwd(&v),
                     &sc,
@@ -66,7 +52,7 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("xdrop3", x), &x, |b, _| {
-            let mut ws = xdrop3::Workspace::<i32>::new();
+            let mut ws = xdrop3::Workspace::new();
             b.iter(|| xdrop3::align_with_workspace(&h, &v, &sc, params, &mut ws))
         });
         group.bench_with_input(BenchmarkId::new("ksw2", x), &x, |b, _| {

@@ -127,26 +127,32 @@ fn scaled(kind: DatasetKind, mult: f64) -> Dataset {
     ds
 }
 
+/// The experiments `all` runs, in order.
+const ALL: [&str; 13] = [
+    "table2",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig6",
+    "sec61",
+    "partition",
+    "table1",
+    "fig5",
+    "fig7",
+    "elba",
+    "pastis",
+];
+
+/// The experiments that run only when named.
+const NAMED_ONLY: [&str; 3] = ["bench", "faults", "scaling"];
+
 fn main() {
     let args = parse_args();
-    let names: Vec<&str> = if args.name == "all" {
-        vec![
-            "table2",
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig6",
-            "sec61",
-            "partition",
-            "table1",
-            "fig5",
-            "fig7",
-            "elba",
-            "pastis",
-        ]
-    } else {
-        vec![args.name.as_str()]
+    let names: Vec<&str> = match args.name.as_str() {
+        "all" => ALL.to_vec(),
+        name if ALL.contains(&name) || NAMED_ONLY.contains(&name) => vec![name],
+        other => usage(&format!("unknown experiment {other}")),
     };
     for name in names {
         run_one(name, &args);

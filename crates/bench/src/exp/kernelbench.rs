@@ -134,10 +134,8 @@ fn pair_of(len: usize, alphabet: Alphabet, errors: MutationProfile) -> (Vec<u8>,
 /// Times one alignment in a reused workspace: repeats it until
 /// ≥ 0.2 s or ≥ 3 iterations, whichever is later, and returns its
 /// cell count and mean seconds.
-fn measure(
-    mut align: impl FnMut(&mut Workspace<i32>) -> xdrop_core::Result<AlignOutput>,
-) -> (u64, f64) {
-    let mut ws = Workspace::<i32>::new();
+fn measure(mut align: impl FnMut(&mut Workspace) -> xdrop_core::Result<AlignOutput>) -> (u64, f64) {
+    let mut ws = Workspace::new();
     // Warm-up (also grows the workspace so allocation is excluded).
     let cells = align(&mut ws)
         .expect("bench alignment")

@@ -6,13 +6,13 @@
 //! module puts exactly those four behind a single entry point,
 //! mirroring sigalign's `DynamicAligner::alignment`: a request names
 //! the engine ([`AlignerKind`]), the inner-loop kernel
-//! ([`crate::kernel::KernelKind`]), the band policy, the score cell
-//! type, the sweep direction, and whether a traceback is wanted; the
-//! facade dispatches and returns a uniform [`AlignOutcome`].
+//! ([`crate::kernel::KernelKind`]), the band policy, the sweep
+//! direction, and whether a traceback is wanted; the facade
+//! dispatches and returns a uniform [`AlignOutcome`].
 //!
-//! The engine match lives in one place: a private dispatch, generic
-//! over the score cell type, that both [`Aligner::align`] and
-//! [`crate::extension::Extender`] call with their own workspaces.
+//! The engine match lives in one place: a private dispatch that both
+//! [`Aligner::align`] and [`crate::extension::Extender`] call with
+//! their own workspaces.
 //! The facade adds request validation and traceback-on-demand
 //! (Hirschberg's linear-space global alignment,
 //! [`crate::hirschberg`], over the region the extension reached); an
@@ -34,7 +34,7 @@
 //!   `mis −4`, affine gaps, z-drop): agrees on *biology* (which pairs
 //!   are homologous), not on scores.
 //!
-//! ## Kernel and score-type support
+//! ## Kernel support
 //!
 //! The `KernelKind` axis dispatches the banded two-antidiagonal core,
 //! so it applies to `XDrop2` and `LoganBand` (which *is* `XDrop2`
@@ -42,8 +42,7 @@
 //! one implementation; requesting a non-`Scalar` kernel for them is a
 //! typed [`AlignError::InvalidConfig`], never a silent fallback —
 //! `tests/aligner_matrix.rs` accounts for every such skipped cell
-//! explicitly. Likewise `f32` score cells exist for the
-//! `XDrop2`/`XDrop3`/`LoganBand` family only.
+//! explicitly.
 
 use crate::error::{AlignError, Result};
 use crate::extension::Backend;
@@ -51,7 +50,6 @@ use crate::hirschberg::hirschberg;
 use crate::kernel::{self, KernelKind};
 use crate::ksw2::{ksw2_extend, Ksw2Params};
 use crate::reference::Alignment;
-use crate::scorety::ScoreTy;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, Rev, SeqView};
 use crate::stats::AlignOutput;
@@ -116,51 +114,17 @@ impl AlignerKind {
         matches!(self, AlignerKind::XDrop2 | AlignerKind::LoganBand)
     }
 
-    /// Returns `Err(reason)` when the (engine × kernel × score type)
-    /// cell is undefined. This is the single source of truth the
-    /// scenario matrix's skip accounting checks against.
-    pub fn cell_support(
-        self,
-        kernel: KernelKind,
-        score: ScoreKind,
-    ) -> std::result::Result<(), &'static str> {
-        if self.is_banded_core() {
-            return Ok(()); // every kernel × both score cell types
-        }
-        if kernel != KernelKind::Scalar {
-            return Err(
+    /// Returns `Err(reason)` when the (engine × kernel) cell is
+    /// undefined. This is the single source of truth the scenario
+    /// matrix's skip accounting checks against.
+    pub fn cell_support(self, kernel: KernelKind) -> std::result::Result<(), &'static str> {
+        if self.is_banded_core() || kernel == KernelKind::Scalar {
+            Ok(())
+        } else {
+            Err(
                 "kernel dispatch applies to the banded two-antidiagonal core; \
                  this engine has a single implementation — use KernelKind::Scalar",
-            );
-        }
-        match self {
-            AlignerKind::Ksw2 if score == ScoreKind::F32 => {
-                Err("engine computes i32 score cells only — use ScoreKind::I32")
-            }
-            _ => Ok(()), // XDrop3 is generic over ScoreTy
-        }
-    }
-}
-
-/// Score cell type of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum ScoreKind {
-    /// 32-bit integer cells (the default everywhere).
-    I32,
-    /// 32-bit float cells — the dual-issue variant the paper's IPU
-    /// kernel uses; must produce identical alignments.
-    F32,
-}
-
-impl ScoreKind {
-    /// Both score cell types.
-    pub const ALL: [ScoreKind; 2] = [ScoreKind::I32, ScoreKind::F32];
-
-    /// Stable lower-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScoreKind::I32 => "i32",
-            ScoreKind::F32 => "f32",
+            )
         }
     }
 }
@@ -220,8 +184,6 @@ pub struct AlignRequest {
     /// [`BandPolicy::Saturate`] window and ignores this field;
     /// `XDrop3` and `Ksw2` manage their own windows.
     pub policy: BandPolicy,
-    /// Score cell type.
-    pub score: ScoreKind,
     /// Sweep direction.
     pub direction: Direction,
     /// Compute an explicit operation path (routed through
@@ -232,15 +194,13 @@ pub struct AlignRequest {
 
 impl AlignRequest {
     /// A request for `kind` with X-Drop factor `x` and defaults:
-    /// auto kernel, `Grow(64)` band, `i32` cells, forward sweep, no
-    /// traceback.
+    /// auto kernel, `Grow(64)` band, forward sweep, no traceback.
     pub fn new(kind: AlignerKind, x: i32) -> Self {
         Self {
             kind,
             x,
             kernel: KernelKind::auto(),
             policy: BandPolicy::Grow(64),
-            score: ScoreKind::I32,
             direction: Direction::Forward,
             traceback: false,
         }
@@ -265,12 +225,6 @@ impl AlignRequest {
         self
     }
 
-    /// Sets the score cell type.
-    pub fn score(mut self, score: ScoreKind) -> Self {
-        self.score = score;
-        self
-    }
-
     /// Sets the sweep direction.
     pub fn direction(mut self, direction: Direction) -> Self {
         self.direction = direction;
@@ -291,11 +245,11 @@ impl AlignRequest {
         }
     }
 
-    /// Checks the (engine × kernel × score type) cell exists; the
-    /// typed-error twin of [`AlignerKind::cell_support`].
+    /// Checks the (engine × kernel) cell exists; the typed-error twin
+    /// of [`AlignerKind::cell_support`].
     pub fn validate(&self) -> Result<()> {
         self.kind
-            .cell_support(self.kernel, self.score)
+            .cell_support(self.kernel)
             .map_err(AlignError::InvalidConfig)
     }
 }
@@ -329,8 +283,7 @@ impl AlignOutcome {
 /// [`crate::extension::Extender`] does for seed extension.
 #[derive(Debug, Default)]
 pub struct Aligner {
-    ws_i32: Workspaces<i32>,
-    ws_f32: Workspaces<f32>,
+    ws: Workspaces,
 }
 
 impl Aligner {
@@ -379,10 +332,7 @@ impl Aligner {
     ) -> Result<AlignOutcome> {
         let backend = Backend::for_kind(req.kind, req.x, req.policy);
         let params = req.params();
-        let output = match req.score {
-            ScoreKind::I32 => dispatch(backend, h, v, scorer, params, &mut self.ws_i32)?,
-            ScoreKind::F32 => dispatch(backend, h, v, scorer, params, &mut self.ws_f32)?,
-        };
+        let output = dispatch(backend, h, v, scorer, params, &mut self.ws)?;
         // Traceback-on-demand: the engines track no path, so recover
         // one over the region they aligned (view coordinates) through
         // the linear-space global aligner.
@@ -395,26 +345,25 @@ impl Aligner {
     }
 }
 
-/// The band buffers of the engines that keep them, for one score cell
-/// type: an [`Aligner`] owns one set per cell type, an
-/// [`crate::extension::Extender`] one `i32` set.
+/// The band buffers of the engines that keep them: an [`Aligner`]
+/// and an [`crate::extension::Extender`] own one set each.
 #[derive(Debug, Default)]
-pub(crate) struct Workspaces<T: ScoreTy> {
-    xdrop2: xdrop2::Workspace<T>,
-    xdrop3: xdrop3::Workspace<T>,
+pub(crate) struct Workspaces {
+    xdrop2: xdrop2::Workspace,
+    xdrop3: xdrop3::Workspace,
 }
 
 /// The one engine dispatch behind both [`Aligner::align`] and
 /// [`crate::extension::Extender`]: runs `backend` over `h` × `v` in
 /// the caller's workspaces. The band policy comes resolved in
 /// `backend`.
-pub(crate) fn dispatch<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+pub(crate) fn dispatch<S: Scorer, HV: SeqView, VV: SeqView>(
     backend: Backend,
     h: &HV,
     v: &VV,
     scorer: &S,
     params: XDropParams,
-    ws: &mut Workspaces<T>,
+    ws: &mut Workspaces,
 ) -> Result<AlignOutput> {
     Ok(match backend.kind {
         AlignerKind::XDrop2 | AlignerKind::LoganBand => kernel::align_views(
@@ -426,7 +375,7 @@ pub(crate) fn dispatch<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
             backend.policy,
             &mut ws.xdrop2,
         )?,
-        AlignerKind::XDrop3 => xdrop3::align_views_ty(h, v, scorer, params, &mut ws.xdrop3),
+        AlignerKind::XDrop3 => xdrop3::align_views(h, v, scorer, params, &mut ws.xdrop3),
         AlignerKind::Ksw2 => {
             let (ho, vo) = (materialize(h), materialize(v));
             ksw2_extend(&ho, &vo, &Ksw2Params::from_x(params.x))
@@ -496,18 +445,13 @@ mod tests {
     fn undefined_cells_are_typed_errors() {
         let (h, v) = pair();
         let mut a = Aligner::new();
-        let req = AlignRequest::new(AlignerKind::XDrop3, 10).kernel(KernelKind::Batched);
-        assert!(matches!(
-            a.align(&h, &v, &sc(), &req).unwrap_err(),
-            AlignError::InvalidConfig(_)
-        ));
-        let req = AlignRequest::new(AlignerKind::Ksw2, 10)
-            .kernel(KernelKind::Scalar)
-            .score(ScoreKind::F32);
-        assert!(matches!(
-            a.align(&h, &v, &sc(), &req).unwrap_err(),
-            AlignError::InvalidConfig(_)
-        ));
+        for kind in [AlignerKind::XDrop3, AlignerKind::Ksw2] {
+            let req = AlignRequest::new(kind, 10).kernel(KernelKind::Batched);
+            assert!(matches!(
+                a.align(&h, &v, &sc(), &req).unwrap_err(),
+                AlignError::InvalidConfig(_)
+            ));
+        }
     }
 
     #[test]

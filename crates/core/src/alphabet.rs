@@ -95,24 +95,6 @@ impl Alphabet {
     }
 }
 
-/// Complement of a DNA code (`A↔T`, `C↔G`; `N` maps to itself).
-#[inline(always)]
-pub fn dna_complement(code: u8) -> u8 {
-    match code {
-        0..=3 => 3 - code,
-        other => other,
-    }
-}
-
-/// Reverse complement of an encoded DNA sequence.
-///
-/// Real read sets contain both strands; overlap pipelines canonicalize
-/// k-mers under this operation and align against the reverse
-/// complement when a match is cross-strand.
-pub fn reverse_complement(codes: &[u8]) -> Vec<u8> {
-    codes.iter().rev().map(|&c| dna_complement(c)).collect()
-}
-
 /// Encodes an ASCII DNA sequence, panicking on invalid bytes.
 ///
 /// Convenience for literals and tests; use [`Alphabet::encode`] for
@@ -207,23 +189,6 @@ mod tests {
         assert_eq!(Alphabet::Dna.concrete_codes(), 4);
         assert_eq!(Alphabet::Protein.codes(), 24);
         assert_eq!(Alphabet::Protein.concrete_codes(), 20);
-    }
-
-    #[test]
-    fn complement_pairs() {
-        assert_eq!(dna_complement(0), 3); // A→T
-        assert_eq!(dna_complement(1), 2); // C→G
-        assert_eq!(dna_complement(2), 1); // G→C
-        assert_eq!(dna_complement(3), 0); // T→A
-        assert_eq!(dna_complement(DNA_N), DNA_N);
-    }
-
-    #[test]
-    fn reverse_complement_involution() {
-        let s = encode_dna(b"ACGTTGCAN");
-        let rc = reverse_complement(&s);
-        assert_eq!(Alphabet::Dna.decode(&rc), b"NTGCAACGT".to_vec());
-        assert_eq!(reverse_complement(&rc), s);
     }
 
     #[test]

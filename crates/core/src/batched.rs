@@ -1,7 +1,7 @@
 //! The `i16` fused-sweep kernel ([`crate::kernel::KernelKind::Batched`],
 //! the default).
 //!
-//! The scalar reference [`xdrop2::align_views_ty`] pays a per-cell
+//! The scalar reference [`xdrop2::align_views`] pays a per-cell
 //! branch for every liveness guard, a per-cell [`SeqView`] fetch and
 //! a per-cell [`Scorer`] call. Scrooge (Lindegger et al.) and LOGAN
 //! (Zeni et al.) show that X-Drop on commodity CPUs is bound by fixed
@@ -96,18 +96,16 @@
 //!
 //! Every pair's [`AlignOutput`] (result *and* every [`AlignStats`]
 //! field) and every [`BandPolicy::Exact`] error must match what the
-//! scalar reference [`xdrop2::align_views_ty`] produces for that pair
+//! scalar reference [`xdrop2::align_views`] produces for that pair
 //! on a fresh workspace. A lane that cannot be proven exact
 //! (overflow) is re-run through that reference, so the contract holds
 //! by construction on the rerun path and by the guard-band argument
 //! on the fast path. Configurations the `i16` domain cannot model at
 //! all (a scorer without [`Scorer::substitution`], score steps above
-//! [`MAX_STEP`], positive gap penalties, `f32` cells) run the scalar
-//! reference.
+//! [`MAX_STEP`], positive gap penalties) run the scalar reference.
 
 use crate::alphabet::PROTEIN_CODES;
 use crate::error::{AlignError, Result};
-use crate::scorety::ScoreTy;
 use crate::scoring::{Scorer, Substitution};
 use crate::seqview::SeqView;
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
@@ -277,22 +275,21 @@ struct LaneScores<Q> {
 /// sequence windows held in `ws` (plus a substitution row for a
 /// matrix scorer), reading `h` and `v` in place; once `ws` is warm for
 /// the band the pair needs, nothing is allocated. An overflowed lane
-/// is re-run through the scalar reference in `ws`. Configurations the
-/// lanes cannot take (an ineligible scorer, or non-`i32` cells) run
-/// the scalar reference in `ws` instead. Results are bit-identical to
-/// [`xdrop2::align_views_ty`] on a fresh workspace whatever `backend`
-/// (clamped to the host) runs the sweep.
-pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+/// is re-run through the scalar reference in `ws`. A scorer the lanes
+/// cannot take runs the scalar reference in `ws` instead. Results are
+/// bit-identical to [`xdrop2::align_views`] on a fresh workspace
+/// whatever `backend` (clamped to the host) runs the sweep.
+pub fn align_views<S: Scorer, HV: SeqView, VV: SeqView>(
     h: &HV,
     v: &VV,
     scorer: &S,
     params: XDropParams,
     policy: BandPolicy,
     backend: SweepBackend,
-    ws: &mut Workspace<T>,
+    ws: &mut Workspace,
 ) -> Result<AlignOutput> {
-    let Some(sub) = eligible(scorer).filter(|_| T::IS_I32) else {
-        return xdrop2::align_views_ty(h, v, scorer, params, policy, ws);
+    let Some(sub) = eligible(scorer) else {
+        return xdrop2::align_views(h, v, scorer, params, policy, ws);
     };
     if policy.delta_b() == 0 {
         return Err(AlignError::InvalidConfig("δ_b must be nonzero"));
@@ -326,7 +323,7 @@ pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     };
     match out {
         Some(out) => out,
-        None => xdrop2::align_views_ty(h, v, scorer, params, policy, ws),
+        None => xdrop2::align_views(h, v, scorer, params, policy, ws),
     }
 }
 
@@ -474,7 +471,7 @@ struct Lane {
     bases: [usize; 3],
     /// Virtual workspace capacity with fresh-workspace semantics:
     /// starts at `δ_b`, doubles under [`BandPolicy::Grow`] exactly as
-    /// `align_views_ty` grows a fresh [`Workspace`].
+    /// `xdrop2::align_views` grows a fresh [`Workspace`].
     cap: usize,
     best: AlignResult,
     t_best: i32,
@@ -1530,7 +1527,7 @@ mod tests {
         params: XDropParams,
         policy: BandPolicy,
     ) -> Result<AlignOutput> {
-        xdrop2::align_views_ty(h, v, scorer, params, policy, &mut Workspace::<i32>::new())
+        xdrop2::align_views(h, v, scorer, params, policy, &mut Workspace::new())
     }
 
     /// Every supported backend, in `ws`, against the scalar reference.
@@ -1540,7 +1537,7 @@ mod tests {
         scorer: &S,
         params: XDropParams,
         policy: BandPolicy,
-        ws: &mut Workspace<i32>,
+        ws: &mut Workspace,
     ) {
         let want = scalar(h, v, scorer, params, policy);
         for backend in SweepBackend::supported() {
@@ -1611,7 +1608,7 @@ mod tests {
             XDropParams::new(5),
             BandPolicy::Exact(0),
             SweepBackend::detect(),
-            &mut Workspace::<i32>::new(),
+            &mut Workspace::new(),
         );
         assert_eq!(got, Err(AlignError::InvalidConfig("δ_b must be nonzero")));
     }

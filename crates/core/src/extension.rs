@@ -138,7 +138,7 @@ impl ExtendOutcome {
 pub struct Extender {
     params: XDropParams,
     backend: Backend,
-    ws: Workspaces<i32>,
+    ws: Workspaces,
 }
 
 impl Extender {

@@ -66,7 +66,6 @@ pub fn hirschberg<S: Scorer>(h: &[u8], v: &[u8], scorer: &S) -> Alignment {
     Alignment {
         score,
         ops,
-        start: (0, 0),
         end: (h.len(), v.len()),
     }
 }

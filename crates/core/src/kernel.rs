@@ -1,12 +1,12 @@
 //! Kernel dispatch: the scalar reference or the `i16` fused sweep.
 //!
 //! [`KernelKind::Scalar`] is the per-cell loop of
-//! [`crate::xdrop2::align_views_ty`], the reference every other path
+//! [`crate::xdrop2::align_views`], the reference every other path
 //! is pinned to. [`KernelKind::Batched`], the default, is the `i16`
 //! fused sweep of [`crate::batched`]: DNA and BLOSUM62 run in its
 //! lanes, and whatever the lanes cannot take (a scorer without
-//! [`Scorer::substitution`], out-of-range scores, `f32` cells) runs
-//! the scalar reference.
+//! [`Scorer::substitution`], out-of-range scores) runs the scalar
+//! reference.
 //!
 //! ## Bit-identity is the contract
 //!
@@ -18,13 +18,12 @@
 //! `cells_computed` by one cell, every modeled figure would silently
 //! shift. The contract is enforced by the `kernel_bit_identity` and
 //! `batched_lanes_bit_match_scalar` differential proptests (tier-1)
-//! across all [`BandPolicy`] variants, both score cell types, DNA and
-//! BLOSUM62, and both extension directions. Kernel choice may
+//! across all [`BandPolicy`] variants, DNA and BLOSUM62, and both
+//! extension directions. Kernel choice may
 //! therefore only ever change host wall-clock, never results and
 //! never modeled time.
 
 use crate::error::Result;
-use crate::scorety::ScoreTy;
 use crate::scoring::Scorer;
 use crate::seqview::SeqView;
 use crate::stats::AlignOutput;
@@ -43,7 +42,7 @@ pub const KERNEL_ENV: &str = "XDROP_KERNEL";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum KernelKind {
     /// The reference per-cell loop of
-    /// [`crate::xdrop2::align_views_ty`].
+    /// [`crate::xdrop2::align_views`].
     Scalar,
     /// The `i16` fused sweep ([`crate::batched::align_views`]): one
     /// pair at a time, reading the views in place, in the caller's
@@ -164,17 +163,17 @@ impl KernelKind {
 /// Runs the selected kernel: `Scalar` the reference implementation
 /// unchanged, `Batched` the `i16` fused sweep on this one pair in `ws`
 /// at the detected sweep backend.
-pub fn align_views<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+pub fn align_views<S: Scorer, HV: SeqView, VV: SeqView>(
     kind: KernelKind,
     h: &HV,
     v: &VV,
     scorer: &S,
     params: XDropParams,
     policy: BandPolicy,
-    ws: &mut Workspace<T>,
+    ws: &mut Workspace,
 ) -> Result<AlignOutput> {
     match kind {
-        KernelKind::Scalar => xdrop2::align_views_ty(h, v, scorer, params, policy, ws),
+        KernelKind::Scalar => xdrop2::align_views(h, v, scorer, params, policy, ws),
         KernelKind::Batched => crate::batched::align_views(
             h,
             v,
@@ -206,16 +205,16 @@ mod tests {
         v
     }
 
-    /// Both kernels on fresh workspaces of cell type `T`: the scalar
-    /// reference's outcome must equal the batched kernel's.
-    fn assert_kernels_agree<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+    /// Both kernels on fresh workspaces: the scalar reference's
+    /// outcome must equal the batched kernel's.
+    fn assert_kernels_agree<S: Scorer, HV: SeqView, VV: SeqView>(
         h: &HV,
         v: &VV,
         scorer: &S,
         p: XDropParams,
         policy: BandPolicy,
     ) {
-        let run = |kind| align_views(kind, h, v, scorer, p, policy, &mut Workspace::<T>::new());
+        let run = |kind| align_views(kind, h, v, scorer, p, policy, &mut Workspace::new());
         assert_eq!(
             run(KernelKind::Scalar),
             run(KernelKind::Batched),
@@ -280,9 +279,8 @@ mod tests {
             for policy in policies {
                 for x in [0, 3, 25, 10_000] {
                     let p = XDropParams::new(x);
-                    assert_kernels_agree::<i32, _, _, _>(&Fwd(h), &Fwd(v), &sc(), p, policy);
-                    assert_kernels_agree::<i32, _, _, _>(&Rev(h), &Rev(v), &sc(), p, policy);
-                    assert_kernels_agree::<f32, _, _, _>(&Fwd(h), &Fwd(v), &sc(), p, policy);
+                    assert_kernels_agree(&Fwd(h), &Fwd(v), &sc(), p, policy);
+                    assert_kernels_agree(&Rev(h), &Rev(v), &sc(), p, policy);
                 }
             }
         }
@@ -302,8 +300,8 @@ mod tests {
             BandPolicy::Saturate(6),
         ] {
             let p = XDropParams::new(12);
-            assert_kernels_agree::<i32, _, _, _>(&Fwd(&h), &Fwd(&v), &scb, p, policy);
-            assert_kernels_agree::<f32, _, _, _>(&Rev(&h), &Rev(&v), &scb, p, policy);
+            assert_kernels_agree(&Fwd(&h), &Fwd(&v), &scb, p, policy);
+            assert_kernels_agree(&Rev(&h), &Rev(&v), &scb, p, policy);
         }
     }
 
@@ -314,7 +312,7 @@ mod tests {
         let h = encode_dna(&b"ACGTTGCACAGTCCATGGAT".repeat(6));
         let v = mutated(&h, 4);
         let p = XDropParams::new(15);
-        let mut ws = Workspace::<i32>::new();
+        let mut ws = Workspace::new();
         let want = align_views(
             KernelKind::Scalar,
             &Fwd(&h),
@@ -322,7 +320,7 @@ mod tests {
             &sc(),
             p,
             BandPolicy::Grow(4),
-            &mut Workspace::<i32>::new(),
+            &mut Workspace::new(),
         );
         for kind in [
             KernelKind::Batched,

@@ -9,9 +9,8 @@
 //! contribution:
 //!
 //! * [`reference`](mod@reference) — full dynamic-programming matrices: global
-//!   (Needleman-Wunsch), local (Smith-Waterman), semi-global
-//!   extension, and a full-matrix X-Drop used as ground truth for the
-//!   space-efficient variants.
+//!   (Needleman-Wunsch), semi-global extension, and a full-matrix
+//!   X-Drop used as ground truth for the space-efficient variants.
 //! * [`xdrop3`] — the classical three-antidiagonal X-Drop of Zhang et
 //!   al. (the formulation used by SeqAn and LOGAN), requiring `3δ`
 //!   working memory with `δ = min(|H|, |V|) + 1`.
@@ -59,7 +58,6 @@ pub mod hirschberg;
 pub mod kernel;
 pub mod ksw2;
 pub mod reference;
-pub mod scorety;
 pub mod scoring;
 pub mod seqview;
 pub mod stats;
@@ -69,9 +67,7 @@ pub mod xdrop3;
 
 /// Convenient re-exports of the types needed for everyday use.
 pub mod prelude {
-    pub use crate::aligner::{
-        AlignOutcome, AlignRequest, Aligner, AlignerKind, Direction, ScoreKind,
-    };
+    pub use crate::aligner::{AlignOutcome, AlignRequest, Aligner, AlignerKind, Direction};
     pub use crate::alphabet::{decode_dna, encode_dna, encode_protein, Alphabet};
     pub use crate::error::{AlignError, Result};
     pub use crate::extension::{extend_seed, ExtendOutcome, SeedMatch};

@@ -4,7 +4,6 @@
 //! as ground truth for the space-efficient antidiagonal algorithms:
 //!
 //! * [`needleman_wunsch`] — global alignment.
-//! * [`smith_waterman`] — local alignment.
 //! * [`extend_full`] — semi-global extension (anchored at the origin,
 //!   free at the far end), computed row-wise with *no* pruning; this
 //!   equals X-Drop with `X = ∞`.
@@ -39,9 +38,6 @@ pub struct Alignment {
     pub score: i32,
     /// Path operations from the start of the alignment to its end.
     pub ops: Vec<AlignOp>,
-    /// Start coordinate `(h, v)` of the path (nonzero only for local
-    /// alignment).
-    pub start: (usize, usize),
     /// End coordinate `(h, v)` of the path.
     pub end: (usize, usize),
 }
@@ -136,58 +132,7 @@ pub fn needleman_wunsch<S: Scorer>(h: &[u8], v: &[u8], scorer: &S) -> Alignment 
     Alignment {
         score: dp[n * width + m],
         ops,
-        start: (0, 0),
         end: (m, n),
-    }
-}
-
-/// Local (Smith-Waterman) alignment of `h` against `v` with linear
-/// gaps, returning the best-scoring local path.
-pub fn smith_waterman<S: Scorer>(h: &[u8], v: &[u8], scorer: &S) -> Alignment {
-    let (m, n) = dp_dims(h, v);
-    let gap = scorer.gap();
-    let width = m + 1;
-    let mut dp = vec![0i32; (n + 1) * width];
-    let (mut best, mut best_i, mut best_j) = (0i32, 0usize, 0usize);
-    for i in 1..=n {
-        for j in 1..=m {
-            let diag = dp[(i - 1) * width + (j - 1)] + scorer.sim(v[i - 1], h[j - 1]);
-            let left = dp[i * width + (j - 1)] + gap;
-            let up = dp[(i - 1) * width + j] + gap;
-            let val = diag.max(left).max(up).max(0);
-            dp[i * width + j] = val;
-            if val > best {
-                best = val;
-                best_i = i;
-                best_j = j;
-            }
-        }
-    }
-    // Traceback from the best cell until a zero cell.
-    let mut ops = Vec::new();
-    let (mut i, mut j) = (best_i, best_j);
-    while i > 0 && j > 0 && dp[i * width + j] > 0 {
-        let cur = dp[i * width + j];
-        if cur == dp[(i - 1) * width + (j - 1)] + scorer.sim(v[i - 1], h[j - 1]) {
-            ops.push(AlignOp::Subst);
-            i -= 1;
-            j -= 1;
-        } else if cur == dp[i * width + (j - 1)] + gap {
-            ops.push(AlignOp::InsertH);
-            j -= 1;
-        } else if cur == dp[(i - 1) * width + j] + gap {
-            ops.push(AlignOp::InsertV);
-            i -= 1;
-        } else {
-            break; // restart cell (val came from the 0 clamp)
-        }
-    }
-    ops.reverse();
-    Alignment {
-        score: best,
-        ops,
-        start: (j, i),
-        end: (best_j, best_i),
     }
 }
 
@@ -413,24 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn sw_finds_embedded_match() {
-        let h = encode_dna(b"TTTTACGTACGTTTTT");
-        let v = encode_dna(b"GGGGACGTACGGGGG");
-        let a = smith_waterman(&h, &v, &sc());
-        assert_eq!(a.score, 7); // ACGTACG common
-        assert_eq!(a.substitutions(), 7);
-    }
-
-    #[test]
-    fn sw_no_similarity_scores_low() {
-        let h = encode_dna(b"AAAAAAA");
-        let v = encode_dna(b"CCCCCCC");
-        let a = smith_waterman(&h, &v, &sc());
-        assert_eq!(a.score, 0);
-        assert!(a.ops.is_empty());
-    }
-
-    #[test]
     fn extend_full_identical() {
         let s = encode_dna(b"ACGTACGTAC");
         let out = extend_full(&s, &s, &sc());
@@ -505,7 +432,6 @@ mod tests {
                 AlignOp::InsertV,
                 AlignOp::InsertV,
             ],
-            start: (0, 0),
             end: (4, 3),
         };
         assert_eq!(a.cigar(), "2M1I1M2D");

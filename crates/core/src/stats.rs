@@ -67,27 +67,6 @@ impl AlignStats {
         h_len as u64 * v_len as u64
     }
 
-    /// Fraction of the full matrix that was actually computed.
-    pub fn computed_fraction(&self, h_len: usize, v_len: usize) -> f64 {
-        let total = Self::theoretical_cells(h_len, v_len);
-        if total == 0 {
-            0.0
-        } else {
-            self.cells_computed as f64 / total as f64
-        }
-    }
-
-    /// Memory saved relative to a `3δ` three-antidiagonal layout, as
-    /// a factor (§6.1 reports up to 55×).
-    pub fn memory_reduction_vs_3delta(&self) -> f64 {
-        let three_delta = 3 * self.delta * 4;
-        if self.work_bytes == 0 {
-            0.0
-        } else {
-            three_delta as f64 / self.work_bytes as f64
-        }
-    }
-
     /// Merges another stats record into this one (used when combining
     /// left and right seed extensions).
     pub fn merge(&mut self, other: &AlignStats) {
@@ -125,27 +104,6 @@ mod tests {
     fn theoretical_cells() {
         assert_eq!(AlignStats::theoretical_cells(10, 20), 200);
         assert_eq!(AlignStats::theoretical_cells(0, 20), 0);
-    }
-
-    #[test]
-    fn computed_fraction() {
-        let s = AlignStats {
-            cells_computed: 50,
-            ..Default::default()
-        };
-        assert!((s.computed_fraction(10, 10) - 0.5).abs() < 1e-12);
-        assert_eq!(s.computed_fraction(0, 10), 0.0);
-    }
-
-    #[test]
-    fn memory_reduction() {
-        let s = AlignStats {
-            delta: 1000,
-            work_bytes: 2 * 100 * 4,
-            ..Default::default()
-        };
-        // 3*1000*4 / (2*100*4) = 15×
-        assert!((s.memory_reduction_vs_3delta() - 15.0).abs() < 1e-12);
     }
 
     #[test]

@@ -27,11 +27,10 @@
 //! iteration position", §3).
 
 use crate::error::{AlignError, Result};
-use crate::scorety::ScoreTy;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, SeqView};
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
-use crate::XDropParams;
+use crate::{is_dropped, XDropParams, NEG_INF};
 
 /// What to do when the live band outgrows `δ_b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -73,12 +72,12 @@ impl BandPolicy {
 /// ([`AlignStats::work_bytes`]), which describes the device kernel's
 /// footprint.
 #[derive(Debug, Default)]
-pub struct Workspace<T: ScoreTy> {
-    pub(crate) bufs: [Vec<T>; 2],
+pub struct Workspace {
+    pub(crate) bufs: [Vec<i32>; 2],
     pub(crate) lanes: Option<Box<crate::batched::LaneArena>>,
 }
 
-impl<T: ScoreTy> Workspace<T> {
+impl Workspace {
     /// An empty workspace; buffers are sized on first use.
     pub fn new() -> Self {
         Self {
@@ -103,7 +102,7 @@ impl<T: ScoreTy> Workspace<T> {
     fn grow_to(&mut self, cap: usize) {
         for b in &mut self.bufs {
             if b.len() < cap {
-                b.resize(cap, T::neg_inf());
+                b.resize(cap, NEG_INF);
             }
         }
     }
@@ -168,7 +167,7 @@ pub fn align<S: Scorer>(
     params: XDropParams,
     policy: BandPolicy,
 ) -> Result<AlignOutput> {
-    let mut ws = Workspace::<i32>::new();
+    let mut ws = Workspace::new();
     crate::kernel::align_views(
         params.kernel,
         &Fwd(h),
@@ -187,42 +186,22 @@ pub fn align_with_workspace<S: Scorer>(
     scorer: &S,
     params: XDropParams,
     policy: BandPolicy,
-    ws: &mut Workspace<i32>,
+    ws: &mut Workspace,
 ) -> Result<AlignOutput> {
     crate::kernel::align_views(params.kernel, &Fwd(h), &Fwd(v), scorer, params, policy, ws)
 }
 
-/// [`align`] with `f32` score cells (the dual-issue variant, §4.1.4).
-pub fn align_f32<S: Scorer>(
-    h: &[u8],
-    v: &[u8],
-    scorer: &S,
-    params: XDropParams,
-    policy: BandPolicy,
-) -> Result<AlignOutput> {
-    let mut ws = Workspace::<f32>::new();
-    crate::kernel::align_views(
-        params.kernel,
-        &Fwd(h),
-        &Fwd(v),
-        scorer,
-        params,
-        policy,
-        &mut ws,
-    )
-}
-
-/// The two-antidiagonal kernel: generic over score cell type and
-/// sequence direction (Algorithm 1 with the `op(·)` transform).
+/// The two-antidiagonal kernel, generic over sequence direction
+/// (Algorithm 1 with the `op(·)` transform).
 /// **This scalar implementation is the reference** every kernel in
 /// [`crate::kernel`] is pinned bit-identical to.
-pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+pub fn align_views<S: Scorer, HV: SeqView, VV: SeqView>(
     h: &HV,
     v: &VV,
     scorer: &S,
     params: XDropParams,
     policy: BandPolicy,
-    ws: &mut Workspace<T>,
+    ws: &mut Workspace,
 ) -> Result<AlignOutput> {
     let (m, n) = (h.len(), v.len());
     let delta = m.min(n) + 1;
@@ -242,7 +221,7 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
         },
         DiagMeta::EMPTY,
     ];
-    ws.bufs[0][0] = T::from_i32(0);
+    ws.bufs[0][0] = 0;
     // Degenerate-but-valid: the buffer at index 1 has never been
     // written; its meta is EMPTY so it is never read.
 
@@ -262,7 +241,7 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
         cells_computed: 1,
         delta_w: 1,
         delta,
-        work_bytes: 2 * cap * std::mem::size_of::<T>(),
+        work_bytes: 2 * cap * std::mem::size_of::<i32>(),
         ..Default::default()
     };
 
@@ -287,7 +266,7 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
                 BandPolicy::Grow(_) => {
                     cap = width.max(2 * cap);
                     ws.ensure(cap);
-                    stats.work_bytes = 2 * cap * std::mem::size_of::<T>();
+                    stats.work_bytes = 2 * cap * std::mem::size_of::<i32>();
                 }
                 BandPolicy::Saturate(delta_b) => {
                     // Clip to the δ_b candidates nearest the previous
@@ -320,7 +299,7 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
         let mut best_on_diag = i32::MIN;
         // `saved` carries the pre-overwrite value of the slot written
         // in the previous inner-loop step — the paper's w_last.
-        let mut saved = T::neg_inf();
+        let mut saved = NEG_INF;
 
         for i in cand_lo..=cand_hi {
             let w = i - cand_lo;
@@ -332,46 +311,45 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
                     ws.bufs[cur_idx][(i - 1) - meta_prev2.cand_lo]
                 }
             } else {
-                T::neg_inf()
+                NEG_INF
             };
-            let diag = if diag_old.is_dropped() {
-                T::neg_inf()
+            let diag = if is_dropped(diag_old) {
+                NEG_INF
             } else {
                 // contains(i−1) implies j ≥ 1 on antidiagonal d.
                 let j = d - i;
-                diag_old.add_i32(scorer.sim(v.at(i - 1), h.at(j - 1)))
+                diag_old.saturating_add(scorer.sim(v.at(i - 1), h.at(j - 1)))
             };
             let left = if meta_prev.contains(i) {
-                ws.bufs[prev_idx][i - meta_prev.cand_lo].add_i32(gap)
+                ws.bufs[prev_idx][i - meta_prev.cand_lo].saturating_add(gap)
             } else {
-                T::neg_inf()
+                NEG_INF
             };
             let up = if i >= 1 && meta_prev.contains(i - 1) {
-                ws.bufs[prev_idx][(i - 1) - meta_prev.cand_lo].add_i32(gap)
+                ws.bufs[prev_idx][(i - 1) - meta_prev.cand_lo].saturating_add(gap)
             } else {
-                T::neg_inf()
+                NEG_INF
             };
-            let mut score = diag.maxv(left).maxv(up);
+            let mut score = diag.max(left).max(up);
             stats.cells_computed += 1;
-            if !score.is_dropped() && score.to_i32() < t_best - x {
-                score = T::neg_inf();
+            if !is_dropped(score) && score < t_best - x {
+                score = NEG_INF;
                 stats.cells_dropped += 1;
             }
             saved = ws.bufs[cur_idx][w];
             ws.bufs[cur_idx][w] = score;
-            if !score.is_dropped() {
+            if !is_dropped(score) {
                 any_live = true;
                 new_lo = new_lo.min(i);
                 new_hi = new_hi.max(i);
-                let s = score.to_i32();
-                t_new = t_new.max(s);
-                if s > best_on_diag {
-                    best_on_diag = s;
+                t_new = t_new.max(score);
+                if score > best_on_diag {
+                    best_on_diag = score;
                     new_best_i = i;
                 }
-                if s > best.best_score {
+                if score > best.best_score {
                     best = AlignResult {
-                        best_score: s,
+                        best_score: score,
                         end_h: d - i,
                         end_v: i,
                     };
@@ -542,34 +520,22 @@ mod tests {
     }
 
     #[test]
-    fn f32_matches_i32() {
-        let h = encode_dna(b"ACGTACGTACGTAAGGTACGTACGTTTTACGT");
-        let v = encode_dna(b"ACGTACGAACGTAAGGTACGTACTTTTTACGA");
-        for x in [1, 3, 10, 100] {
-            let a = align(&h, &v, &sc(), XDropParams::new(x), BandPolicy::Grow(8)).unwrap();
-            let b = align_f32(&h, &v, &sc(), XDropParams::new(x), BandPolicy::Grow(8)).unwrap();
-            assert_eq!(a.result, b.result);
-            assert_eq!(a.stats.cells_computed, b.stats.cells_computed);
-        }
-    }
-
-    #[test]
     fn reverse_views_equal_reversed_copies() {
         let h = encode_dna(b"ACGTTACGGTACGTACAA");
         let v = encode_dna(b"ACGTTACGTACGTACAAG");
         let hr: Vec<u8> = h.iter().rev().copied().collect();
         let vr: Vec<u8> = v.iter().rev().copied().collect();
-        let mut ws = Workspace::<i32>::new();
+        let mut ws = Workspace::new();
         let p = XDropParams::new(4);
         let via_view =
-            align_views_ty(&Rev(&h), &Rev(&v), &sc(), p, BandPolicy::Grow(8), &mut ws).unwrap();
+            align_views(&Rev(&h), &Rev(&v), &sc(), p, BandPolicy::Grow(8), &mut ws).unwrap();
         let via_copy = align(&hr, &vr, &sc(), p, BandPolicy::Grow(8)).unwrap();
         assert_eq!(via_view.result, via_copy.result);
     }
 
     #[test]
     fn workspace_reuse_is_clean() {
-        let mut ws = Workspace::<i32>::new();
+        let mut ws = Workspace::new();
         let long = encode_dna(b"ACGTACGTACGTACGTACGTACGTACGTACGT");
         let p = XDropParams::new(100);
         let _ = align_with_workspace(&long, &long, &sc(), p, BandPolicy::Grow(4), &mut ws);
@@ -599,7 +565,7 @@ mod tests {
             BandPolicy::Exact(512),
             BandPolicy::Saturate(3),
         ];
-        let mut ws = Workspace::<i32>::new();
+        let mut ws = Workspace::new();
         // Dirty the workspace with a large, band-heavy alignment.
         let _ = align_with_workspace(
             &big,
@@ -635,7 +601,7 @@ mod tests {
 
     #[test]
     fn ensure_skips_resize_when_already_sized() {
-        let mut ws = Workspace::<i32>::new();
+        let mut ws = Workspace::new();
         ws.ensure(64);
         assert_eq!(ws.capacity(), 64);
         let ptrs = [ws.bufs[0].as_ptr(), ws.bufs[1].as_ptr()];

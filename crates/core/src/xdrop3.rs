@@ -14,21 +14,20 @@
 //! never cleared — reads are guarded by each stored diagonal's
 //! candidate interval instead.
 
-use crate::scorety::ScoreTy;
 use crate::scoring::Scorer;
 use crate::seqview::{Fwd, SeqView};
 use crate::stats::{AlignOutput, AlignResult, AlignStats};
-use crate::XDropParams;
+use crate::{is_dropped, XDropParams, NEG_INF};
 
 /// Reusable buffers for [`align_with_workspace`]; reusing a workspace
 /// across the thousands of alignments of a batch avoids per-call
 /// allocation, as the IPU kernel does with its tile-static arrays.
 #[derive(Debug, Default)]
-pub struct Workspace<T: ScoreTy> {
-    bufs: [Vec<T>; 3],
+pub struct Workspace {
+    bufs: [Vec<i32>; 3],
 }
 
-impl<T: ScoreTy> Workspace<T> {
+impl Workspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self {
@@ -39,7 +38,7 @@ impl<T: ScoreTy> Workspace<T> {
     fn ensure(&mut self, delta: usize) {
         for b in &mut self.bufs {
             if b.len() < delta {
-                b.resize(delta, T::neg_inf());
+                b.resize(delta, NEG_INF);
             }
         }
     }
@@ -62,17 +61,17 @@ impl DiagMeta {
     };
 
     #[inline(always)]
-    fn get<T: ScoreTy>(&self, buf: &[T], i: usize) -> T {
+    fn get(&self, buf: &[i32], i: usize) -> i32 {
         if i >= self.cand_lo && i <= self.cand_hi {
             buf[i - self.geo_lo]
         } else {
-            T::neg_inf()
+            NEG_INF
         }
     }
 }
 
 /// X-Drop extension of `h` × `v` using `i32` scores and forward
-/// access. See [`align_views_ty`] for the general form.
+/// access. See [`align_views`] for the general form.
 ///
 /// # Example
 ///
@@ -87,8 +86,8 @@ impl DiagMeta {
 /// assert_eq!(out.stats.work_bytes, 3 * out.stats.delta * 4); // 3δ memory
 /// ```
 pub fn align<S: Scorer>(h: &[u8], v: &[u8], scorer: &S, params: XDropParams) -> AlignOutput {
-    let mut ws = Workspace::<i32>::new();
-    align_views_ty(&Fwd(h), &Fwd(v), scorer, params, &mut ws)
+    let mut ws = Workspace::new();
+    align_views(&Fwd(h), &Fwd(v), scorer, params, &mut ws)
 }
 
 /// [`align`] reusing a caller-provided workspace.
@@ -97,26 +96,18 @@ pub fn align_with_workspace<S: Scorer>(
     v: &[u8],
     scorer: &S,
     params: XDropParams,
-    ws: &mut Workspace<i32>,
+    ws: &mut Workspace,
 ) -> AlignOutput {
-    align_views_ty(&Fwd(h), &Fwd(v), scorer, params, ws)
+    align_views(&Fwd(h), &Fwd(v), scorer, params, ws)
 }
 
-/// [`align`] with `f32` score cells — the dual-issue variant of
-/// §4.1.4; must produce identical results to the `i32` kernel.
-pub fn align_f32<S: Scorer>(h: &[u8], v: &[u8], scorer: &S, params: XDropParams) -> AlignOutput {
-    let mut ws = Workspace::<f32>::new();
-    align_views_ty(&Fwd(h), &Fwd(v), scorer, params, &mut ws)
-}
-
-/// The three-antidiagonal kernel, generic over score cell type and
-/// sequence direction.
-pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+/// The three-antidiagonal kernel, generic over sequence direction.
+pub fn align_views<S: Scorer, HV: SeqView, VV: SeqView>(
     h: &HV,
     v: &VV,
     scorer: &S,
     params: XDropParams,
-    ws: &mut Workspace<T>,
+    ws: &mut Workspace,
 ) -> AlignOutput {
     let (m, n) = (h.len(), v.len());
     let delta = m.min(n) + 1;
@@ -126,7 +117,7 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     let x = params.x;
 
     // Antidiagonal 0: the origin.
-    b_prev[0] = T::from_i32(0);
+    b_prev[0] = 0;
     let mut meta_prev = DiagMeta {
         cand_lo: 0,
         cand_hi: 0,
@@ -141,7 +132,7 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
         cells_computed: 1,
         delta_w: 1,
         delta,
-        work_bytes: 3 * delta * std::mem::size_of::<T>(),
+        work_bytes: 3 * delta * std::mem::size_of::<i32>(),
         ..Default::default()
     };
 
@@ -166,36 +157,35 @@ pub fn align_views_ty<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
             let j = d - i;
             let diag = if i >= 1 && j >= 1 {
                 let p = meta_prev2.get(b_prev2, i - 1);
-                if p.is_dropped() {
-                    T::neg_inf()
+                if is_dropped(p) {
+                    NEG_INF
                 } else {
-                    p.add_i32(scorer.sim(v.at(i - 1), h.at(j - 1)))
+                    p.saturating_add(scorer.sim(v.at(i - 1), h.at(j - 1)))
                 }
             } else {
-                T::neg_inf()
+                NEG_INF
             };
-            let left = meta_prev.get(b_prev, i).add_i32(gap);
+            let left = meta_prev.get(b_prev, i).saturating_add(gap);
             let up = if i >= 1 {
-                meta_prev.get(b_prev, i - 1).add_i32(gap)
+                meta_prev.get(b_prev, i - 1).saturating_add(gap)
             } else {
-                T::neg_inf()
+                NEG_INF
             };
-            let mut score = diag.maxv(left).maxv(up);
+            let mut score = diag.max(left).max(up);
             stats.cells_computed += 1;
-            if !score.is_dropped() && score.to_i32() < t_best - x {
-                score = T::neg_inf();
+            if !is_dropped(score) && score < t_best - x {
+                score = NEG_INF;
                 stats.cells_dropped += 1;
             }
             b_cur[i - geo_lo] = score;
-            if !score.is_dropped() {
+            if !is_dropped(score) {
                 any_live = true;
                 new_lo = new_lo.min(i);
                 new_hi = new_hi.max(i);
-                let s = score.to_i32();
-                t_new = t_new.max(s);
-                if s > best.best_score {
+                t_new = t_new.max(score);
+                if score > best.best_score {
                     best = AlignResult {
-                        best_score: s,
+                        best_score: score,
                         end_h: j,
                         end_v: i,
                     };
@@ -290,26 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn f32_kernel_matches_i32() {
-        let h = encode_dna(b"ACGTACGTACGTAAGGTACGTACGTTTTACGT");
-        let v = encode_dna(b"ACGTACGAACGTAAGGTACGTACTTTTTACGA");
-        for x in [1, 3, 10, 100] {
-            let a = align(&h, &v, &sc(), XDropParams::new(x));
-            let b = align_f32(&h, &v, &sc(), XDropParams::new(x));
-            assert_eq!(a.result, b.result);
-            assert_eq!(a.stats.cells_computed, b.stats.cells_computed);
-        }
-    }
-
-    #[test]
     fn reverse_views_equal_reversed_copies() {
         let h = encode_dna(b"ACGTTACGGTACGTACAA");
         let v = encode_dna(b"ACGTTACGTACGTACAAG");
         let hr: Vec<u8> = h.iter().rev().copied().collect();
         let vr: Vec<u8> = v.iter().rev().copied().collect();
-        let mut ws = Workspace::<i32>::new();
+        let mut ws = Workspace::new();
         let p = XDropParams::new(4);
-        let via_view = align_views_ty(&Rev(&h), &Rev(&v), &sc(), p, &mut ws);
+        let via_view = align_views(&Rev(&h), &Rev(&v), &sc(), p, &mut ws);
         let via_copy = align(&hr, &vr, &sc(), p);
         assert_eq!(via_view.result, via_copy.result);
         assert_eq!(via_view.stats.cells_computed, via_copy.stats.cells_computed);
@@ -319,7 +297,7 @@ mod tests {
     fn workspace_reuse_is_clean() {
         // A long alignment followed by a short one: stale buffer
         // contents must not leak into the second result.
-        let mut ws = Workspace::<i32>::new();
+        let mut ws = Workspace::new();
         let long = encode_dna(b"ACGTACGTACGTACGTACGTACGTACGTACGT");
         let _ = align_with_workspace(&long, &long, &sc(), XDropParams::new(100), &mut ws);
         let short_h = encode_dna(b"ACGT");

@@ -89,17 +89,6 @@ proptest! {
         prop_assert_eq!(probe.result, exact.result);
     }
 
-    /// The f32 (dual-issue) kernel is bit-equivalent to the i32 one.
-    #[test]
-    fn f32_kernel_equivalent((h, v) in related_pair(), x in 0i32..60) {
-        let sc = MatchMismatch::dna_default();
-        let p = XDropParams::new(x);
-        let a = xdrop2::align(&h, &v, &sc, p, BandPolicy::Grow(4)).unwrap();
-        let b = xdrop2::align_f32(&h, &v, &sc, p, BandPolicy::Grow(4)).unwrap();
-        prop_assert_eq!(a.result, b.result);
-        prop_assert_eq!(a.stats.cells_computed, b.stats.cells_computed);
-    }
-
     /// With an unbounded X, X-Drop equals the full semi-global
     /// extension computed by an entirely independent row-wise DP.
     #[test]

@@ -535,7 +535,7 @@ pub fn run_cluster_opts(
     cost: &CostModel,
     opts: &ClusterOptions,
 ) -> (ClusterReport, Option<ChromeTrace>) {
-    run_cluster_faulty(
+    let run = run_cluster_faulty(
         units,
         batches,
         devices,
@@ -544,8 +544,10 @@ pub fn run_cluster_opts(
         cost,
         opts,
         &FaultPlan::none(),
-    )
-    .expect("fault-free cluster run cannot fail")
+    );
+    // Only an injected fault can fail a batch, and the plan is empty.
+    #[allow(clippy::expect_used)]
+    run.expect("fault-free cluster run cannot fail")
 }
 
 /// [`run_cluster_opts`] under an injected [`FaultPlan`]: the
@@ -625,14 +627,10 @@ pub fn run_cluster_reference(
     for batch in batches {
         let report = run_batch_on_device(units, batch, spec, flags, cost, &mut scratch);
         // Device that can start fetching earliest takes the batch.
+        // `devices >= 1` above, so the range is never empty.
         let d = (0..devices)
-            .min_by(|&a, &b| {
-                fetch_free[a]
-                    .partial_cmp(&fetch_free[b])
-                    .expect("finite times")
-                    .then(a.cmp(&b))
-            })
-            .expect("devices >= 1");
+            .min_by(|&a, &b| fetch_free[a].total_cmp(&fetch_free[b]).then(a.cmp(&b)))
+            .unwrap_or(0);
         let start = fetch_free[d].max(link_free);
         // Same contention term as the event-driven scheduler: the
         // heap there holds one event per device minus the one just

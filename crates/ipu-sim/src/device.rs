@@ -97,11 +97,6 @@ pub fn run_batch_on_device(
     }
 }
 
-/// Sums a sequence of batch reports into aggregate device time.
-pub fn total_device_seconds(reports: &[BatchReport]) -> f64 {
-    reports.iter().map(BatchReport::device_seconds).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

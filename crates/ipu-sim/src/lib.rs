@@ -28,6 +28,8 @@
 //!   the multi-IPU shared-queue driver with prefetch overlap and
 //!   host-link contention (§4.4).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod batch;
 pub mod cluster;
 pub mod cost;

@@ -153,7 +153,7 @@ fn schedule_stealing(unit_instr: &[u64], threads: usize, jitter: bool) -> TileRe
         qi += 1;
         // The earliest-idle thread grabs the unit; any thread whose
         // idle time falls inside the dequeue window grabs it too.
-        let t0 = *t.iter().min().expect("threads > 0");
+        let t0 = t.iter().copied().min().unwrap_or(0);
         let mut first = true;
         for ti in t.iter_mut() {
             if *ti < t0 + STEAL_WINDOW_INSTR {

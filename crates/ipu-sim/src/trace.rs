@@ -129,6 +129,9 @@ impl ChromeTrace {
 
     /// Serializes to pretty-printed Chrome trace JSON.
     pub fn to_json(&self) -> String {
+        // Every field is a string, a number, a map or a list of them:
+        // nothing here can fail to serialize.
+        #[allow(clippy::expect_used)]
         serde_json::to_string_pretty(self).expect("trace serialization is infallible")
     }
 

@@ -27,6 +27,8 @@
 //!   bit-identical to the in-core run for any window size.
 //! * [`error`] — typed partitioner/pipeline errors.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod driver;
 pub mod error;
 pub mod graph;

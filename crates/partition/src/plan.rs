@@ -133,12 +133,7 @@ pub fn partition_batches(
     // Index tiebreak keeps the (previously stability-provided) order
     // of equal loads while allowing the cheaper unstable sort.
     order.sort_unstable_by_key(|&i| (std::cmp::Reverse(partitions[i].est_load), i));
-    let mut batches: Vec<Batch> = Vec::new();
-    for (rank, &pi) in order.iter().enumerate() {
-        let p = &partitions[pi];
-        if rank % spec.tiles == 0 {
-            batches.push(Batch::default());
-        }
+    let tile_of = |p: &Partition| {
         let mut tile = TileAssignment {
             units: Vec::new(),
             transfer_bytes: p.seq_bytes,
@@ -159,9 +154,14 @@ pub fn partition_batches(
         });
         tile.units.clear();
         tile.units.extend(decorated.into_iter().map(|(_, ui)| ui));
-        batches.last_mut().expect("batch exists").tiles.push(tile);
-    }
-    batches
+        tile
+    };
+    order
+        .chunks(spec.tiles.max(1))
+        .map(|chunk| Batch {
+            tiles: chunk.iter().map(|&pi| tile_of(&partitions[pi])).collect(),
+        })
+        .collect()
 }
 
 /// Wall-clock split of one planning run, for the host phase spans in

@@ -206,6 +206,8 @@ impl Dataset {
                 protein_family_workload(&mut rng, self.protein_seq_count(), 6)
             }
             _ => {
+                // `read_params` describes every kind but the two above.
+                #[allow(clippy::expect_used)]
                 let p = self.read_params().expect("DNA pipeline dataset");
                 reads::simulate_workload(&mut rng, &p, self.max_comparisons)
             }

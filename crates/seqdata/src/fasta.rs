@@ -62,97 +62,6 @@ pub fn write_fasta<W: Write>(writer: &mut W, records: &[Record]) -> io::Result<(
     Ok(())
 }
 
-/// One FASTQ record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FastqRecord {
-    /// Header line without the leading `@`.
-    pub id: String,
-    /// Raw ASCII sequence.
-    pub seq: Vec<u8>,
-    /// Phred+33 quality string, same length as `seq`.
-    pub qual: Vec<u8>,
-}
-
-impl FastqRecord {
-    /// Mean Phred quality of the record (0.0 for empty reads).
-    pub fn mean_quality(&self) -> f64 {
-        if self.qual.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self
-            .qual
-            .iter()
-            .map(|&q| (q.saturating_sub(33)) as u64)
-            .sum();
-        sum as f64 / self.qual.len() as f64
-    }
-
-    /// Drops the qualities, keeping a FASTA record.
-    pub fn into_fasta(self) -> Record {
-        Record {
-            id: self.id,
-            seq: self.seq,
-        }
-    }
-}
-
-/// Parses FASTQ records (4-line form) from a reader.
-pub fn read_fastq<R: BufRead>(reader: R) -> io::Result<Vec<FastqRecord>> {
-    let mut lines = reader.lines();
-    let mut records = Vec::new();
-    while let Some(header) = lines.next() {
-        let header = header?;
-        if header.trim().is_empty() {
-            continue;
-        }
-        let id = header
-            .strip_prefix('@')
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "FASTQ header must start with @")
-            })?
-            .to_string();
-        let seq = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "missing sequence"))??;
-        let plus = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "missing separator"))??;
-        if !plus.starts_with('+') {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "separator must start with +",
-            ));
-        }
-        let qual = lines
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "missing qualities"))??;
-        if qual.len() != seq.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "quality and sequence lengths differ",
-            ));
-        }
-        records.push(FastqRecord {
-            id,
-            seq: seq.into_bytes(),
-            qual: qual.into_bytes(),
-        });
-    }
-    Ok(records)
-}
-
-/// Writes FASTQ records.
-pub fn write_fastq<W: Write>(writer: &mut W, records: &[FastqRecord]) -> io::Result<()> {
-    for rec in records {
-        writeln!(writer, "@{}", rec.id)?;
-        writer.write_all(&rec.seq)?;
-        writer.write_all(b"\n+\n")?;
-        writer.write_all(&rec.qual)?;
-        writer.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
 /// Encodes parsed records into a [`SeqSet`], rejecting bad symbols.
 pub fn records_to_seqset(records: &[Record], alphabet: Alphabet) -> Result<SeqSet, AlignError> {
     let mut set = SeqSet::new(alphabet);
@@ -162,19 +71,10 @@ pub fn records_to_seqset(records: &[Record], alphabet: Alphabet) -> Result<SeqSe
     Ok(set)
 }
 
-/// Decodes a [`SeqSet`] back into FASTA records named `seq<N>`.
-pub fn seqset_to_records(set: &SeqSet) -> Vec<Record> {
-    set.iter()
-        .map(|(id, s)| Record {
-            id: format!("seq{id}"),
-            seq: set.alphabet.decode(s),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = ">read1 first\nACGT\nACGT\n>read2\nTTTT\n";
 
@@ -185,6 +85,8 @@ mod tests {
         assert_eq!(recs[0].id, "read1 first");
         assert_eq!(recs[0].seq, b"ACGTACGT".to_vec());
         assert_eq!(recs[1].seq, b"TTTT".to_vec());
+        let crlf = ">read1 first\r\nACGT\r\nACGT\r\n\r\n>read2\r\nTTTT\r\n";
+        assert_eq!(read_fasta(crlf.as_bytes()).unwrap(), recs);
     }
 
     #[test]
@@ -218,42 +120,7 @@ mod tests {
         let set = records_to_seqset(&recs, Alphabet::Dna).unwrap();
         assert_eq!(set.len(), 2);
         assert_eq!(set.get(0), &[0, 1, 2, 3, 0, 1, 2, 3][..]);
-        let back = seqset_to_records(&set);
-        assert_eq!(back[0].seq, b"ACGTACGT".to_vec());
-        assert_eq!(back[1].id, "seq1");
-    }
-
-    const FASTQ: &str = "@r1 first\nACGT\n+\nIIII\n@r2\nTT\n+\n!I\n";
-
-    #[test]
-    fn fastq_roundtrip() {
-        let recs = read_fastq(FASTQ.as_bytes()).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].id, "r1 first");
-        assert_eq!(recs[0].seq, b"ACGT".to_vec());
-        assert_eq!(recs[0].qual, b"IIII".to_vec());
-        let mut buf = Vec::new();
-        write_fastq(&mut buf, &recs).unwrap();
-        let back = read_fastq(&buf[..]).unwrap();
-        assert_eq!(back, recs);
-    }
-
-    #[test]
-    fn fastq_mean_quality() {
-        let recs = read_fastq(FASTQ.as_bytes()).unwrap();
-        // 'I' = Phred 40, '!' = Phred 0.
-        assert!((recs[0].mean_quality() - 40.0).abs() < 1e-9);
-        assert!((recs[1].mean_quality() - 20.0).abs() < 1e-9);
-        let fasta = recs[0].clone().into_fasta();
-        assert_eq!(fasta.seq, b"ACGT".to_vec());
-    }
-
-    #[test]
-    fn fastq_rejects_malformed() {
-        assert!(read_fastq("ACGT\n".as_bytes()).is_err()); // no @
-        assert!(read_fastq("@r\nACGT\nIIII\nIIII\n".as_bytes()).is_err()); // no +
-        assert!(read_fastq("@r\nACGT\n+\nIII\n".as_bytes()).is_err()); // bad qual len
-        assert!(read_fastq("@r\nACGT\n+\n".as_bytes()).is_err()); // truncated
+        assert_eq!(set.alphabet.decode(set.get(1)), b"TTTT".to_vec());
     }
 
     #[test]
@@ -263,5 +130,100 @@ mod tests {
             seq: b"ACQT".to_vec(),
         }];
         assert!(records_to_seqset(&recs, Alphabet::Dna).is_err());
+    }
+
+    /// One line of a hostile FASTA file, without its line end: a
+    /// header, DNA or protein-like data (lower case, `N`, symbols no
+    /// alphabet has), nothing, whitespace, an embedded NUL, invalid
+    /// UTF-8, or arbitrary bytes.
+    fn hostile_line() -> impl Strategy<Value = Vec<u8>> {
+        (0u8..8, prop::collection::vec(any::<u8>(), 0..24)).prop_map(|(kind, raw)| {
+            let pick = |alphabet: &[u8]| -> Vec<u8> {
+                raw.iter()
+                    .map(|&b| alphabet[b as usize % alphabet.len()])
+                    .collect()
+            };
+            let mut line = match kind {
+                0 => [b">".as_slice(), &pick(b"abc r1/_ \t")].concat(),
+                1 => pick(b"ACGTNacgt"),
+                2 => pick(b"ARNDCQEGHILKMFPSTWYVBZX*-"),
+                3 => Vec::new(),
+                4 => pick(b" \t"),
+                5 => [pick(b"ACGT"), vec![0], pick(b"ACGT")].concat(),
+                6 => [pick(b"ACGT"), vec![0xff, 0xc3]].concat(),
+                _ => raw,
+            };
+            line.retain(|&b| b != b'\n');
+            line
+        })
+    }
+
+    /// Parses `bytes` and encodes the records under `alphabet`: every
+    /// failure must be a typed error, never a panic.
+    fn parse_and_encode(bytes: &[u8], alphabet: Alphabet) -> Option<Vec<Record>> {
+        match read_fasta(bytes) {
+            Ok(records) => {
+                match records_to_seqset(&records, alphabet) {
+                    Ok(set) => assert_eq!(set.len(), records.len()),
+                    Err(e) => assert!(matches!(e, AlignError::InvalidSymbol { .. }), "{e:?}"),
+                }
+                Some(records)
+            }
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                None
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes never panic the reader or the encoder.
+        #[test]
+        fn arbitrary_bytes_are_ok_or_typed_errors(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+                parse_and_encode(&bytes, alphabet);
+            }
+        }
+
+        /// Structured hostile files (data before the header, empty
+        /// records, NUL, invalid UTF-8) are `Ok` or typed errors, and
+        /// a CRLF file parses to exactly the records of its LF twin.
+        #[test]
+        fn hostile_files_parse_like_their_lf_twin(
+            lines in prop::collection::vec(hostile_line(), 0..12),
+            final_newline: bool,
+        ) {
+            let mut lf = lines.join(&b'\n');
+            let mut crlf = lines.join(b"\r\n".as_slice());
+            if final_newline {
+                lf.push(b'\n');
+                crlf.extend_from_slice(b"\r\n");
+            }
+            for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+                let want = parse_and_encode(&lf, alphabet);
+                prop_assert_eq!(parse_and_encode(&crlf, alphabet), want);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_records_and_nul_are_typed() {
+        let recs = read_fasta(">a\n>b\nAC\n".as_bytes()).unwrap();
+        assert_eq!(recs[0].seq, Vec::<u8>::new());
+        assert_eq!(records_to_seqset(&recs, Alphabet::Dna).unwrap().len(), 2);
+        let recs = read_fasta(">a\nAC\0GT\n".as_bytes()).unwrap();
+        assert_eq!(
+            records_to_seqset(&recs, Alphabet::Dna).unwrap_err(),
+            AlignError::InvalidSymbol {
+                byte: 0,
+                position: 2
+            }
+        );
+        let err = read_fasta(&b">a\nAC\xffGT\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -16,6 +16,8 @@
 //! would, and emit the same detached sequences-plus-seeds workload
 //! representation the IPU tiles consume.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod datasets;
 pub mod fasta;
 pub mod gen;

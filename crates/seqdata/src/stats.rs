@@ -20,7 +20,9 @@ pub struct Distribution {
 impl Distribution {
     /// Computes the summary of `values` (empty input gives zeros).
     pub fn of(values: &[f64]) -> Self {
-        if values.is_empty() {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) else {
             return Self {
                 p10: 0.0,
                 avg: 0.0,
@@ -28,9 +30,7 @@ impl Distribution {
                 min: 0.0,
                 max: 0.0,
             };
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        };
         let pct = |p: f64| -> f64 {
             let idx = (p * (sorted.len() - 1) as f64).round() as usize;
             sorted[idx]
@@ -39,8 +39,8 @@ impl Distribution {
             p10: pct(0.10),
             avg: sorted.iter().sum::<f64>() / sorted.len() as f64,
             p90: pct(0.90),
-            min: sorted[0],
-            max: *sorted.last().expect("nonempty"),
+            min,
+            max,
         }
     }
 }

@@ -205,6 +205,10 @@ struct FalsePhase {
 
 impl ReadsGen {
     fn new(ds: &Dataset) -> Self {
+        // `KindGen::new` builds a `ReadsGen` only for the kinds other
+        // than Simulated85 and Metaclust500k: exactly the kinds
+        // `read_params` describes.
+        #[allow(clippy::expect_used)]
         let p = ds.read_params().expect("read-simulation dataset");
         let mut rng = StdRng::seed_from_u64(ds.seed);
         let genome = random_genome(&mut rng, p.genome_len, p.low_complexity);
@@ -338,6 +342,8 @@ impl ReadsGen {
         let n_reads = self.lens.len();
         let k = self.p.seed_k;
         loop {
+            // Set above on the first call; never taken back.
+            #[allow(clippy::expect_used)]
             let fs = self.false_state.as_mut().expect("initialized above");
             if !(fs.want > 0 && fs.attempts < fs.want * 20) {
                 return false;
@@ -451,6 +457,9 @@ impl Iterator for WindowIter {
             }
             for (gid, _len, bytes) in self.step.seqs.drain(..) {
                 if let std::collections::hash_map::Entry::Vacant(e) = local.entry(gid) {
+                    // `Dataset::windows` builds its `StepBuf` with
+                    // `need_bytes`, so every step carries its payloads.
+                    #[allow(clippy::expect_used)]
                     let lid = workload
                         .seqs
                         .push(bytes.expect("window pass generates payloads"));

@@ -3,13 +3,13 @@
 //! The `Aligner` facade makes every backend pair a differential
 //! oracle for every other. This suite pins that down in three layers:
 //!
-//! 1. **Cell accounting** — every (AlignerKind × KernelKind ×
-//!    ScoreKind) cell of the request grid is either smoke-run or
+//! 1. **Cell accounting** — every (AlignerKind × KernelKind) cell of
+//!    the request grid is either smoke-run or
 //!    explicitly skipped with a typed `InvalidConfig` reason, and the
 //!    totals are asserted so a refactor that silently drops a
 //!    backend/kernel combination fails loudly.
 //! 2. **Differential properties** — score-identical pairs (xdrop2 ≡
-//!    xdrop3, f32 ≡ i32, env ≡ programmatic) are pinned bit-equal by
+//!    xdrop3, env ≡ programmatic) are pinned bit-equal by
 //!    proptest; the score-compatible pair (logan ≤ exact, equal when
 //!    its window covers the live band) by its one-sided law.
 //! 3. **Metamorphic properties** — reverse-complement symmetry,
@@ -23,9 +23,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xdrop_ipu::core::aligner::{
-    logan_band_width, AlignRequest, Aligner, AlignerKind, Direction, ScoreKind,
-};
+use xdrop_ipu::core::aligner::{logan_band_width, AlignRequest, Aligner, AlignerKind, Direction};
 use xdrop_ipu::core::hirschberg::hirschberg;
 use xdrop_ipu::core::kernel::KernelKind;
 use xdrop_ipu::core::ksw2::{affine_extend_full, Ksw2Params};
@@ -79,7 +77,7 @@ fn fixture_pair() -> (Vec<u8>, Vec<u8>) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Cell accounting: the full (engine × kernel × score type) grid
+// 1. Cell accounting: the full (engine × kernel) grid
 // ---------------------------------------------------------------------------
 
 /// Band policies a cell is smoked under. Only the paper's
@@ -100,7 +98,7 @@ fn policies_for(kind: AlignerKind) -> &'static [BandPolicy] {
 
 /// Every cell of the request grid is either run or skipped with a
 /// typed reason — and the split is exactly the documented one:
-/// 16 cells total, 11 runnable, 5 skipped (DESIGN.md §15).
+/// 8 cells total, 6 runnable, 2 skipped (DESIGN.md §15).
 #[test]
 fn matrix_covers_every_cell_with_skip_accounting() {
     let (h, v) = fixture_pair();
@@ -112,59 +110,55 @@ fn matrix_covers_every_cell_with_skip_accounting() {
     let mut total_cells = 0usize;
     for kind in AlignerKind::ALL {
         for kernel in KernelKind::ALL {
-            for score in ScoreKind::ALL {
-                total_cells += 1;
-                let cell = format!("{}×{}×{}", kind.name(), kernel.name(), score.name());
-                match kind.cell_support(kernel, score) {
-                    Err(_) => {
-                        // A skipped cell must fail loudly as a typed
-                        // config error, never silently fall back.
-                        let req = AlignRequest::new(kind, 10).kernel(kernel).score(score);
-                        match aligner.align(&h, &v, &scorer, &req) {
-                            Err(AlignError::InvalidConfig(_)) => skipped_cells += 1,
-                            other => panic!("cell {cell}: expected InvalidConfig, got {other:?}"),
-                        }
+            total_cells += 1;
+            let cell = format!("{}×{}", kind.name(), kernel.name());
+            match kind.cell_support(kernel) {
+                Err(_) => {
+                    // A skipped cell must fail loudly as a typed
+                    // config error, never silently fall back.
+                    let req = AlignRequest::new(kind, 10).kernel(kernel);
+                    match aligner.align(&h, &v, &scorer, &req) {
+                        Err(AlignError::InvalidConfig(_)) => skipped_cells += 1,
+                        other => panic!("cell {cell}: expected InvalidConfig, got {other:?}"),
                     }
-                    Ok(()) => {
-                        run_cells += 1;
-                        for policy in policies_for(kind) {
-                            for direction in Direction::ALL {
-                                run_subcells += 1;
-                                let req = AlignRequest::new(kind, 10)
-                                    .kernel(kernel)
-                                    .score(score)
-                                    .policy(*policy)
-                                    .direction(direction);
-                                let out =
-                                    aligner.align(&h, &v, &scorer, &req).unwrap_or_else(|e| {
-                                        panic!("cell {cell} {policy:?} {direction:?}: {e:?}")
-                                    });
-                                assert!(
-                                    out.score() > 0,
-                                    "cell {cell} {policy:?} {direction:?}: no score"
-                                );
-                            }
+                }
+                Ok(()) => {
+                    run_cells += 1;
+                    for policy in policies_for(kind) {
+                        for direction in Direction::ALL {
+                            run_subcells += 1;
+                            let req = AlignRequest::new(kind, 10)
+                                .kernel(kernel)
+                                .policy(*policy)
+                                .direction(direction);
+                            let out = aligner.align(&h, &v, &scorer, &req).unwrap_or_else(|e| {
+                                panic!("cell {cell} {policy:?} {direction:?}: {e:?}")
+                            });
+                            assert!(
+                                out.score() > 0,
+                                "cell {cell} {policy:?} {direction:?}: no score"
+                            );
                         }
                     }
                 }
             }
         }
     }
-    // The documented grid: 4 engines × 2 kernels × 2 score types.
-    assert_eq!(total_cells, 4 * 2 * 2);
-    // XDrop2 + LoganBand run everywhere (2×2×2); XDrop3 is
-    // scalar-only but score-generic (2); Ksw2 is scalar+i32 only (1).
+    // The documented grid: 4 engines × 2 kernels.
+    assert_eq!(total_cells, 4 * 2);
+    // XDrop2 + LoganBand run on both kernels (2×2); XDrop3 and Ksw2
+    // are scalar-only (1 each).
     assert_eq!(
         run_cells,
-        8 + 2 + 1,
+        4 + 1 + 1,
         "runnable cells changed — update DESIGN.md §15"
     );
     assert_eq!(skipped_cells, total_cells - run_cells);
-    assert_eq!((total_cells, run_cells, skipped_cells), (16, 11, 5));
+    assert_eq!((total_cells, run_cells, skipped_cells), (8, 6, 2));
     // Sub-cell smoke: XDrop2 cells sweep 3 policies × 2 directions,
     // everything else its intrinsic policy × 2 directions.
-    assert_eq!(run_subcells, 4 * 6 + 4 * 2 + 2 * 2 + 2);
-    assert_eq!(run_subcells, 38);
+    assert_eq!(run_subcells, 2 * 6 + 2 * 2 + 2 + 2);
+    assert_eq!(run_subcells, 20);
 }
 
 /// The skip rules and `AlignRequest::validate` agree cell by cell.
@@ -172,17 +166,14 @@ fn matrix_covers_every_cell_with_skip_accounting() {
 fn validate_agrees_with_cell_support() {
     for kind in AlignerKind::ALL {
         for kernel in KernelKind::ALL {
-            for score in ScoreKind::ALL {
-                let req = AlignRequest::new(kind, 10).kernel(kernel).score(score);
-                assert_eq!(
-                    req.validate().is_ok(),
-                    kind.cell_support(kernel, score).is_ok(),
-                    "{} × {} × {}",
-                    kind.name(),
-                    kernel.name(),
-                    score.name()
-                );
-            }
+            let req = AlignRequest::new(kind, 10).kernel(kernel);
+            assert_eq!(
+                req.validate().is_ok(),
+                kind.cell_support(kernel).is_ok(),
+                "{} × {}",
+                kind.name(),
+                kernel.name()
+            );
         }
     }
 }
@@ -199,44 +190,23 @@ proptest! {
     /// rule in different memory layouts — results AND work statistics
     /// (cells computed, antidiagonals, live band width) match
     /// bit-for-bit under a sufficient band, for every kernel of the
-    /// banded core and both score cell types.
+    /// banded core.
     #[test]
     fn xdrop2_and_xdrop3_bit_identical((h, v) in related_pair(), x in 0i32..50) {
         let scorer = sc();
         let mut a = Aligner::new();
-        for score in ScoreKind::ALL {
-            let r3 = AlignRequest::new(AlignerKind::XDrop3, x)
-                .kernel(KernelKind::Scalar)
-                .score(score);
-            let three = a.align(&h, &v, &scorer, &r3).unwrap();
-            for kernel in KernelKind::ALL {
-                let r2 = AlignRequest::new(AlignerKind::XDrop2, x)
-                    .kernel(kernel)
-                    .score(score)
-                    .policy(BandPolicy::Grow(8));
-                let two = a.align(&h, &v, &scorer, &r2).unwrap();
-                prop_assert_eq!(two.output.result, three.output.result,
-                    "{:?} {:?}", kernel, score);
-                prop_assert_eq!(two.output.stats.cells_computed, three.output.stats.cells_computed);
-                prop_assert_eq!(two.output.stats.antidiagonals, three.output.stats.antidiagonals);
-                prop_assert_eq!(two.output.stats.delta_w, three.output.stats.delta_w);
-                prop_assert_eq!(two.output.stats.cells_dropped, three.output.stats.cells_dropped);
-            }
-        }
-    }
-
-    /// Score-type invariance: the f32 dual-issue cells must produce
-    /// exactly the integer results for every engine that defines both.
-    #[test]
-    fn f32_cells_match_i32_cells((h, v) in related_pair(), x in 0i32..50) {
-        let scorer = sc();
-        let mut a = Aligner::new();
-        for kind in [AlignerKind::XDrop2, AlignerKind::XDrop3, AlignerKind::LoganBand] {
-            let base = AlignRequest::new(kind, x).kernel(KernelKind::Scalar);
-            let i = a.align(&h, &v, &scorer, &base.score(ScoreKind::I32)).unwrap();
-            let f = a.align(&h, &v, &scorer, &base.score(ScoreKind::F32)).unwrap();
-            prop_assert_eq!(i.output.result, f.output.result, "{}", kind.name());
-            prop_assert_eq!(i.output.stats, f.output.stats, "{}", kind.name());
+        let r3 = AlignRequest::new(AlignerKind::XDrop3, x).kernel(KernelKind::Scalar);
+        let three = a.align(&h, &v, &scorer, &r3).unwrap();
+        for kernel in KernelKind::ALL {
+            let r2 = AlignRequest::new(AlignerKind::XDrop2, x)
+                .kernel(kernel)
+                .policy(BandPolicy::Grow(8));
+            let two = a.align(&h, &v, &scorer, &r2).unwrap();
+            prop_assert_eq!(two.output.result, three.output.result, "{:?}", kernel);
+            prop_assert_eq!(two.output.stats.cells_computed, three.output.stats.cells_computed);
+            prop_assert_eq!(two.output.stats.antidiagonals, three.output.stats.antidiagonals);
+            prop_assert_eq!(two.output.stats.delta_w, three.output.stats.delta_w);
+            prop_assert_eq!(two.output.stats.cells_dropped, three.output.stats.cells_dropped);
         }
     }
 

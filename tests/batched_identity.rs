@@ -13,8 +13,7 @@
 //! through the `i16`-overflow rerun, masked tail widths and the
 //! arena's re-pitch boundaries. The kernel dispatch
 //! (`kernel::align_views`, `XDropParams::kernel` and the
-//! `XDROP_KERNEL` knob) is pinned to the scalar reference for both
-//! score cell types as well.
+//! `XDROP_KERNEL` knob) is pinned to the scalar reference as well.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,7 +22,6 @@ use xdrop_ipu::core::aligner::logan_band_width;
 use xdrop_ipu::core::alphabet::PROTEIN_CODES;
 use xdrop_ipu::core::batched::{self, SweepBackend, BURST_ROUNDS};
 use xdrop_ipu::core::kernel::{self, KernelKind, KERNEL_ENV};
-use xdrop_ipu::core::scorety::ScoreTy;
 use xdrop_ipu::core::scoring::{Blosum62, MatchMismatch, Scorer};
 use xdrop_ipu::core::seqview::{Fwd, Rev, SeqView};
 use xdrop_ipu::core::stats::AlignOutput;
@@ -68,18 +66,13 @@ impl Runner for Scalar {
         v: &VV,
         sc: &S,
     ) -> Result<AlignOutput> {
-        xdrop2::align_views_ty(h, v, sc, self.0, self.1, &mut Workspace::<i32>::new())
+        xdrop2::align_views(h, v, sc, self.0, self.1, &mut Workspace::new())
     }
 }
 
 /// The one-pair kernel ([`batched::align_views`]) at a backend in the
 /// caller's workspace.
-struct OnePair<'w>(
-    XDropParams,
-    BandPolicy,
-    SweepBackend,
-    &'w mut Workspace<i32>,
-);
+struct OnePair<'w>(XDropParams, BandPolicy, SweepBackend, &'w mut Workspace);
 
 impl Runner for OnePair<'_> {
     fn run<S: Scorer, HV: SeqView, VV: SeqView>(
@@ -112,7 +105,7 @@ impl TaskSpec {
         params: XDropParams,
         policy: BandPolicy,
         backend: SweepBackend,
-        ws: &mut Workspace<i32>,
+        ws: &mut Workspace,
     ) -> Result<AlignOutput> {
         self.with(&mut OnePair(params, policy, backend, ws))
     }
@@ -272,7 +265,7 @@ fn check_batch(
 /// Runs the scalar reference and one kernel on the same inputs and
 /// asserts the outcomes are identical down to the last stats field
 /// (or the same error).
-fn assert_identical<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
+fn assert_identical<S: Scorer, HV: SeqView, VV: SeqView>(
     kind: KernelKind,
     h: &HV,
     v: &VV,
@@ -280,17 +273,8 @@ fn assert_identical<T: ScoreTy, S: Scorer, HV: SeqView, VV: SeqView>(
     params: XDropParams,
     policy: BandPolicy,
 ) -> std::result::Result<(), TestCaseError> {
-    let mut ws = Workspace::<T>::new();
-    let reference = xdrop2::align_views_ty(h, v, scorer, params, policy, &mut ws);
-    let got = kernel::align_views(
-        kind,
-        h,
-        v,
-        scorer,
-        params,
-        policy,
-        &mut Workspace::<T>::new(),
-    );
+    let reference = xdrop2::align_views(h, v, scorer, params, policy, &mut Workspace::new());
+    let got = kernel::align_views(kind, h, v, scorer, params, policy, &mut Workspace::new());
     assert_lane_identical(0, policy, &reference, &got)
 }
 
@@ -315,26 +299,6 @@ proptest! {
         check_batch(&dna, p, db)?;
         check_batch(&protein, p, db)?;
     }
-
-    /// The f32 cell type reaches the batched kernel through the
-    /// generic dispatch (where it runs the scalar reference: the
-    /// `i16` lanes stand in for `i32` cells only) and stays
-    /// bit-identical.
-    #[test]
-    fn batched_kernel_dispatch_is_identical_for_f32(
-        batch in task_batch(DNA),
-        x in 0i32..40,
-        db in 1usize..16,
-    ) {
-        let sc = MatchMismatch::dna_default();
-        let p = XDropParams::new(x);
-        for policy in [BandPolicy::Grow(db), BandPolicy::Saturate(db)] {
-            for spec in batch.iter().take(4) {
-                let (h, v) = (&Fwd(&spec.h[..]), &Fwd(&spec.v[..]));
-                assert_identical::<f32, _, _, _>(KernelKind::Batched, h, v, &sc, p, policy)?;
-            }
-        }
-    }
 }
 
 proptest! {
@@ -342,7 +306,7 @@ proptest! {
 
     /// The kernel dispatch: `Batched` (the one-pair `i16` sweep) is
     /// bit-identical to `Scalar` across all three band policies, in
-    /// both extension directions, for i32 cells.
+    /// both extension directions.
     #[test]
     fn kernel_bit_identity(
         (h, v) in related_pair(),
@@ -358,24 +322,8 @@ proptest! {
         ];
         for policy in policies {
             let kind = KernelKind::Batched;
-            assert_identical::<i32, _, _, _>(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
-            assert_identical::<i32, _, _, _>(kind, &Rev(&h), &Rev(&v), &sc, p, policy)?;
-        }
-    }
-
-    /// Same property for the f32 dual-issue cell type, which the
-    /// batched kernel hands to the scalar reference.
-    #[test]
-    fn kernel_bit_identity_f32(
-        (h, v) in related_pair(),
-        x in 0i32..60,
-        db in 1usize..12,
-    ) {
-        let sc = MatchMismatch::dna_default();
-        let p = XDropParams::new(x);
-        for policy in [BandPolicy::Grow(db), BandPolicy::Saturate(db)] {
-            let kind = KernelKind::Batched;
-            assert_identical::<f32, _, _, _>(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
+            assert_identical(kind, &Fwd(&h), &Fwd(&v), &sc, p, policy)?;
+            assert_identical(kind, &Rev(&h), &Rev(&v), &sc, p, policy)?;
         }
     }
 
@@ -672,7 +620,7 @@ fn one_pair_window_edges_match_the_scalar_reference() {
     // and on one reused across all cases (stale rows and windows).
     let mut errors = 0;
     for backend in SweepBackend::supported() {
-        let mut reused = Workspace::<i32>::new();
+        let mut reused = Workspace::new();
         for (i, (spec, params, policy)) in cases.iter().enumerate() {
             let want = spec.scalar(*params, *policy);
             errors += usize::from(want.is_err());
