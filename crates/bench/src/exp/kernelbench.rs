@@ -84,10 +84,10 @@ pub struct BenchFile {
     /// What `KernelKind::auto()` picked on the producing host.
     pub detected_kernel: String,
     /// The widest SIMD capability `kernel::host_simd()` detected on
-    /// the producing host (`"avx512bw"`, `"avx2"`, `"sse4.1"`,
-    /// `"sse2"`, `"neon"`, or `"generic"`). Readers gate
-    /// absolute-speedup expectations on this, not on core counts:
-    /// the batched kernel's win is lane-level and single-threaded.
+    /// the producing host (`"avx512bw"`, `"avx2"`, `"sse2"`, or
+    /// `"generic"`). Readers gate absolute-speedup expectations on
+    /// this, not on core counts: the batched kernel's win is
+    /// lane-level and single-threaded.
     pub host_simd: String,
     /// The kernel measurements.
     pub rows: Vec<Row>,

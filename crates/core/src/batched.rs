@@ -149,7 +149,8 @@ const HIGH_GUARD: i32 = i16::MAX as i32 - MAX_STEP;
 /// Lower guard of the live-value band: `DROP16 + MAX_STEP`.
 const LOW_GUARD: i32 = DROP16 as i32 + MAX_STEP;
 
-/// Which register width the fused `sweep_row` pass runs at.
+/// Which register width the fused `sweep_row` pass runs at. There is
+/// no 256-bit backend: an AVX2 sweep did not beat SSE2 (DESIGN.md §14.1).
 ///
 /// All backends execute the identical per-cell arithmetic (saturating
 /// `i16` adds, `max` chains, and the X-Drop classification are
@@ -162,15 +163,12 @@ const LOW_GUARD: i32 = DROP16 as i32 + MAX_STEP;
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum SweepBackend {
     /// The portable scalar body (`sweep_row_generic`), lanes as far
-    /// as the autovectorizer allows.
+    /// as the autovectorizer allows — the only backend off x86-64.
     #[default]
     Generic,
     /// Explicit 128-bit SSE2 lanes (8 × `i16`) — x86-64 baseline,
-    /// always available there.
+    /// always available there, and what an AVX2-only host runs.
     Sse2,
-    /// Explicit 256-bit AVX2 lanes (16 × `i16`) with
-    /// `vpmovmskb`-based classify counting.
-    Avx2,
     /// Explicit 512-bit AVX-512BW lanes (32 × `i16`): k-register
     /// masked compare/select classify and masked tail loads/stores,
     /// so ragged row widths need no scalar epilogue.
@@ -179,20 +177,17 @@ pub enum SweepBackend {
 
 impl SweepBackend {
     /// Every backend, narrowest first (bench/report ordering).
-    pub const ALL: [SweepBackend; 4] = [
+    pub const ALL: [SweepBackend; 3] = [
         SweepBackend::Generic,
         SweepBackend::Sse2,
-        SweepBackend::Avx2,
         SweepBackend::Avx512,
     ];
 
-    /// Stable lower-case name (`generic` / `sse2` / `avx2` /
-    /// `avx512`).
+    /// Stable lower-case name (`generic` / `sse2` / `avx512`).
     pub fn name(self) -> &'static str {
         match self {
             SweepBackend::Generic => "generic",
             SweepBackend::Sse2 => "sse2",
-            SweepBackend::Avx2 => "avx2",
             SweepBackend::Avx512 => "avx512",
         }
     }
@@ -203,8 +198,6 @@ impl SweepBackend {
             SweepBackend::Generic => true,
             #[cfg(target_arch = "x86_64")]
             SweepBackend::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
-            SweepBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
             SweepBackend::Avx512 => std::arch::is_x86_feature_detected!("avx512bw"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -569,10 +562,10 @@ const LOW_GUARD16: i16 = LOW_GUARD as i16;
 ///
 /// `lo_w`/`hi_w` are the first/last kept slots (the next round's live
 /// interval) **when the backend's classify masks expose positions for
-/// free** (the k-register AVX-512 path); the narrow backends leave
-/// the `usize::MAX` sentinel and the reduce step recovers the bounds
-/// with [`live_bounds`]' end scans, which are O(1) on the typical
-/// almost-fully-live row.
+/// free** (the k-register AVX-512 path); the generic and SSE2 backends
+/// leave the `usize::MAX` sentinel and the reduce step recovers the
+/// bounds with [`live_bounds`]' end scans, which are O(1) on the
+/// typical almost-fully-live row.
 #[derive(Debug, Clone, Copy)]
 struct RowSweep {
     /// Row maximum over stored values ([`NEG_INF16`] if none kept).
@@ -633,7 +626,7 @@ trait SubSource: Copy {
     fn row<'a>(self, vs: &'a [u8], hs: &'a [u8], sub: &'a mut [i16]) -> Self::Row<'a>;
 }
 
-/// One round's substitution scores, read by every register width.
+/// One round's substitution scores, read by every backend.
 ///
 /// # Safety
 ///
@@ -648,9 +641,6 @@ trait SubRow: Copy {
     /// Cells `w .. w + 8`.
     #[cfg(target_arch = "x86_64")]
     unsafe fn sse2(self, w: usize) -> std::arch::x86_64::__m128i;
-    /// Cells `w .. w + 16`; needs AVX2.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn avx2(self, w: usize) -> std::arch::x86_64::__m256i;
     /// Cells `w + j` for every set bit `j` of `k`, zero elsewhere;
     /// needs AVX-512BW.
     #[cfg(target_arch = "x86_64")]
@@ -720,20 +710,6 @@ impl SubRow for Compare<'_> {
                 _mm_and_si128(eq, _mm_set1_epi16(self.mat)),
                 _mm_andnot_si128(eq, _mm_set1_epi16(self.mis)),
             )
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn avx2(self, w: usize) -> std::arch::x86_64::__m256i {
-        use std::arch::x86_64::*;
-        // SAFETY: the caller keeps `w + 16 ≤ len`.
-        unsafe {
-            let v16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(self.vs.as_ptr().add(w).cast()));
-            let h16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(self.hs.as_ptr().add(w).cast()));
-            let eq = _mm256_cmpeq_epi16(v16, h16);
-            _mm256_blendv_epi8(_mm256_set1_epi16(self.mis), _mm256_set1_epi16(self.mat), eq)
         }
     }
 
@@ -809,14 +785,6 @@ impl SubRow for Gathered<'_> {
     unsafe fn sse2(self, w: usize) -> std::arch::x86_64::__m128i {
         // SAFETY: the caller keeps `w + 8 ≤ len`.
         unsafe { std::arch::x86_64::_mm_loadu_si128(self.0.as_ptr().add(w).cast()) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn avx2(self, w: usize) -> std::arch::x86_64::__m256i {
-        // SAFETY: the caller keeps `w + 16 ≤ len`.
-        unsafe { std::arch::x86_64::_mm256_loadu_si256(self.0.as_ptr().add(w).cast()) }
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -970,85 +938,9 @@ fn hmax_epi16(v: std::arch::x86_64::__m128i) -> i16 {
     }
 }
 
-/// One row of the fused sweep over explicit 256-bit AVX2 lanes —
-/// the SSE2 algorithm at twice the width, sixteen cells per step,
-/// with the pruned-cell count taken per step from `vpmovmskb` of the
-/// classify mask (two set bits per pruned `i16` lane) instead of the
-/// segmented `i16` counter, so there is no flush cadence to get
-/// wrong. The tail (`width & 15` cells) keeps the scalar epilogue.
-///
-/// Bit-identity: saturating adds, `max` chains, compares, and
-/// byte-blend selects are all lanewise-exact, so the row bytes and
-/// reductions equal [`sweep_row_generic`]'s.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn sweep_row_avx2<R: SubRow>(
-    r1s: &[i16],
-    r2s: &[i16],
-    sub: R,
-    orow: &mut [i16],
-    width: usize,
-    gap16: i16,
-    thr16: i16,
-) -> RowSweep {
-    use std::arch::x86_64::*;
-    debug_assert!(r1s.len() > width && r2s.len() >= width);
-    debug_assert!(sub.len() >= width && orow.len() >= width + 2);
-    let mut acc = RowSweep::new();
-    let vect = width & !15;
-    // SAFETY (in addition to the caller-proved AVX2 availability):
-    // every 32 B load ends at index `w + 16` of `r2s` (length ≥
-    // `width ≥ vect ≥ w + 16`) or `w + 17` of `r1s` (length ≥
-    // `width + 1`), and the substitution loads end at cell `w + 16 ≤
-    // width ≤ sub.len()`; the 32 B store writes `orow[w + 1 .. w + 17]`
-    // (length ≥ `width + 2 ≥ w + 18`).
-    unsafe {
-        let vgap = _mm256_set1_epi16(gap16);
-        let vthr = _mm256_set1_epi16(thr16);
-        let vdrop = _mm256_set1_epi16(DROP16);
-        let vneg = _mm256_set1_epi16(NEG_INF16);
-        let vlow = _mm256_set1_epi16(LOW_GUARD16);
-        let mut vmx = vneg;
-        let mut vlowacc = _mm256_setzero_si256();
-        let mut dropped = 0u32;
-        let mut w = 0usize;
-        while w < vect {
-            let diag =
-                _mm256_adds_epi16(_mm256_loadu_si256(r2s.as_ptr().add(w).cast()), sub.avx2(w));
-            let up = _mm256_adds_epi16(_mm256_loadu_si256(r1s.as_ptr().add(w).cast()), vgap);
-            let lft = _mm256_adds_epi16(_mm256_loadu_si256(r1s.as_ptr().add(w + 1).cast()), vgap);
-            let r = _mm256_max_epi16(diag, _mm256_max_epi16(lft, up));
-            let alive = _mm256_cmpgt_epi16(r, vdrop);
-            let below = _mm256_cmpgt_epi16(vthr, r); // r < thr16
-            let kept = _mm256_andnot_si256(below, alive);
-            let stored = _mm256_blendv_epi8(vneg, r, kept);
-            _mm256_storeu_si256(orow.as_mut_ptr().add(w + 1).cast(), stored);
-            let pruned = _mm256_and_si256(alive, below);
-            // Each pruned i16 lane contributes two set mask bytes.
-            dropped += (_mm256_movemask_epi8(pruned) as u32).count_ones() / 2;
-            vmx = _mm256_max_epi16(vmx, stored);
-            // kept & (r ≤ LOW_GUARD) ≡ kept & !(r > LOW_GUARD).
-            vlowacc = _mm256_or_si256(
-                vlowacc,
-                _mm256_andnot_si256(_mm256_cmpgt_epi16(r, vlow), kept),
-            );
-            w += 16;
-        }
-        acc.dropped = u64::from(dropped);
-        acc.mx = hmax_epi16(_mm_max_epi16(
-            _mm256_castsi256_si128(vmx),
-            _mm256_extracti128_si256(vmx, 1),
-        ));
-        acc.low_hit = _mm256_movemask_epi8(vlowacc) != 0;
-    }
-    sweep_row_generic(r1s, r2s, sub, orow, vect, width, gap16, thr16, &mut acc);
-    acc
-}
-
 /// One row of the fused sweep over explicit 512-bit AVX-512BW lanes,
-/// thirty-two cells per step, using the native facilities the
-/// narrower backends emulate:
+/// thirty-two cells per step, using the native facilities the SSE2
+/// backend emulates:
 ///
 /// * the live/drop classify is two k-register compares
 ///   (`vpcmpgtw`/`vpcmpw`) combined with mask arithmetic — no wide
@@ -1173,8 +1065,6 @@ fn sweep_row<R: SubRow>(
         SweepBackend::Avx512 => unsafe {
             sweep_row_avx512(r1s, r2s, sub, orow, width, gap16, thr16)
         },
-        // SAFETY: as above — AVX2 was runtime-detected.
-        SweepBackend::Avx2 => unsafe { sweep_row_avx2(r1s, r2s, sub, orow, width, gap16, thr16) },
         SweepBackend::Sse2 => sweep_row_sse2(r1s, r2s, sub, orow, width, gap16, thr16),
         SweepBackend::Generic => sweep_row_portable(r1s, r2s, sub, orow, width, gap16, thr16),
     }
@@ -1226,33 +1116,6 @@ unsafe fn row_argmax_avx512(row: &[i16], mx: i16) -> usize {
     unreachable!("live max present")
 }
 
-/// [`row_argmax_generic`] over 256-bit `vpcmpeqw` + `vpmovmskb` (two
-/// mask bits per `i16` lane; the position is `tzcnt/2`). The
-/// sub-16-cell tail falls back to the scalar body.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn row_argmax_avx2(row: &[i16], mx: i16) -> usize {
-    use std::arch::x86_64::*;
-    let width = row.len();
-    let vect = width & !15;
-    // SAFETY: each 32 B load ends at `row[w + 16]` with
-    // `w + 16 ≤ vect ≤ width`; AVX2 is caller-detected.
-    unsafe {
-        let vmx = _mm256_set1_epi16(mx);
-        let mut w = 0usize;
-        while w < vect {
-            let vals = _mm256_loadu_si256(row.as_ptr().add(w).cast());
-            let eq = _mm256_movemask_epi8(_mm256_cmpeq_epi16(vals, vmx)) as u32;
-            if eq != 0 {
-                return w + eq.trailing_zeros() as usize / 2;
-            }
-            w += 16;
-        }
-    }
-    vect + row_argmax_generic(&row[vect..], mx)
-}
-
 /// The first-maximum argmax scan at the selected backend. Soundness
 /// of the intrinsic paths follows from the same `clamp_to_host`
 /// guarantee as [`sweep_row`]'s.
@@ -1262,8 +1125,6 @@ fn row_argmax(backend: SweepBackend, row: &[i16], mx: i16) -> usize {
     match backend {
         // SAFETY: `clamp_to_host` admitted the backend.
         SweepBackend::Avx512 => unsafe { row_argmax_avx512(row, mx) },
-        // SAFETY: as above.
-        SweepBackend::Avx2 => unsafe { row_argmax_avx2(row, mx) },
         SweepBackend::Sse2 | SweepBackend::Generic => row_argmax_generic(row, mx),
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -1283,13 +1144,14 @@ fn row_argmax(backend: SweepBackend, row: &[i16], mx: i16) -> usize {
 /// after the re-pitch is exact.
 ///
 /// This is the dispatcher: the burst body itself lives in
-/// [`lane_burst_impl`] and is compiled once **per backend** behind a
-/// matching `#[target_feature]` wrapper. Multiversioning the whole
-/// burst (rather than just the row sweep) is what lets LLVM inline
-/// the intrinsic sweeps into the round loop and hoist their broadcast
-/// constants across rounds — at the ~40-cell row widths the X-Drop
-/// band typically settles into, those per-row fixed costs are a
-/// double-digit fraction of the kernel.
+/// [`lane_burst_impl`] and is compiled once **per backend** — SSE2
+/// and generic at the baseline target features, AVX-512BW behind the
+/// `#[target_feature]` wrapper [`lane_burst_avx512`]. Multiversioning
+/// the whole burst (rather than just the row sweep) is what lets LLVM
+/// inline the intrinsic sweeps into the round loop and hoist their
+/// broadcast constants across rounds — at the ~40-cell row widths the
+/// X-Drop band typically settles into, those per-row fixed costs are
+/// a double-digit fraction of the kernel.
 fn lane_burst<Q: SubSource>(
     lane: &mut Lane,
     arena: &mut LaneArena,
@@ -1303,8 +1165,6 @@ fn lane_burst<Q: SubSource>(
         // SAFETY: `clamp_to_host` admitted the backend, so the
         // required target features were runtime-detected.
         SweepBackend::Avx512 => unsafe { lane_burst_avx512(lane, arena, scores, params, policy) },
-        // SAFETY: as above — AVX2 was runtime-detected.
-        SweepBackend::Avx2 => unsafe { lane_burst_avx2(lane, arena, scores, params, policy) },
         SweepBackend::Sse2 => {
             lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Sse2)
         }
@@ -1331,19 +1191,6 @@ unsafe fn lane_burst_avx512<Q: SubSource>(
     policy: BandPolicy,
 ) -> Option<usize> {
     lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Avx512)
-}
-
-/// [`lane_burst_impl`] compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_burst_avx2<Q: SubSource>(
-    lane: &mut Lane,
-    arena: &mut LaneArena,
-    scores: LaneScores<Q>,
-    params: XDropParams,
-    policy: BandPolicy,
-) -> Option<usize> {
-    lane_burst_impl(lane, arena, scores, params, policy, SweepBackend::Avx2)
 }
 
 /// The burst body shared by every backend; see [`lane_burst`].
@@ -1717,6 +1564,26 @@ mod tests {
         let s: Vec<u8> = (0..2000).map(|i| (i % 4) as u8).collect();
         let out = lane(&s, &s, XDropParams::new(4), BandPolicy::Grow(4));
         assert_eq!(out.expect("no rerun").result.best_score, 2000);
+    }
+
+    /// `clamp_to_host` walks `ALL` by discriminant: every request lands
+    /// on a supported backend at or below it, a supported request is
+    /// kept, and `detect` is the widest supported backend.
+    #[test]
+    fn clamp_to_host_is_supported_and_at_or_below_the_request() {
+        for (i, &want) in SweepBackend::ALL.iter().enumerate() {
+            assert_eq!(want as usize, i, "ALL is in declaration order");
+            let got = want.clamp_to_host();
+            assert!(got.is_supported(), "{want:?} clamps to unsupported {got:?}");
+            assert!(got as usize <= i, "{want:?} clamps up to {got:?}");
+            if want.is_supported() {
+                assert_eq!(got, want);
+            }
+        }
+        assert_eq!(
+            SweepBackend::supported().last(),
+            Some(&SweepBackend::detect())
+        );
     }
 
     /// An overflowing pair reruns in the reused workspace, and every

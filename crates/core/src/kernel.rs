@@ -53,11 +53,10 @@ pub enum KernelKind {
 }
 
 /// The widest SIMD capability detected on this host, as a stable
-/// lower-case string: `"avx512bw"`, `"avx2"`, `"sse4.1"`, `"sse2"`
-/// (x86-64), `"neon"` (aarch64), or `"generic"`. This is the
-/// *capability report* — what the hardware offers — as recorded in
-/// `BENCH_xdrop.json`'s host section and the trace meta events; which
-/// backend the default kernel runs is
+/// lower-case string: `"avx512bw"`, `"avx2"`, `"sse2"` (x86-64), or
+/// `"generic"`. This is the *capability report* — what the hardware
+/// offers — as recorded in `BENCH_xdrop.json`'s host section and the
+/// trace meta events; which backend the default kernel runs is
 /// [`crate::batched::SweepBackend::detect`].
 pub fn host_simd() -> &'static str {
     #[cfg(target_arch = "x86_64")]
@@ -66,21 +65,11 @@ pub fn host_simd() -> &'static str {
             "avx512bw"
         } else if std::arch::is_x86_feature_detected!("avx2") {
             "avx2"
-        } else if std::arch::is_x86_feature_detected!("sse4.1") {
-            "sse4.1"
         } else {
             "sse2"
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            "neon"
-        } else {
-            "generic"
-        }
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         "generic"
     }
@@ -88,12 +77,11 @@ pub fn host_simd() -> &'static str {
 
 /// Ordinal tier of [`host_simd`], for numeric consumers (the trace
 /// meta event's args can only carry numbers): `4` = avx512bw,
-/// `3` = avx2, `2` = sse4.1/neon, `1` = sse2, `0` = generic.
+/// `3` = avx2, `1` = sse2, `0` = generic.
 pub fn host_simd_tier() -> u32 {
     match host_simd() {
         "avx512bw" => 4,
         "avx2" => 3,
-        "sse4.1" | "neon" => 2,
         "sse2" => 1,
         _ => 0,
     }

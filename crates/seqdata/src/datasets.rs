@@ -79,6 +79,16 @@ impl DatasetKind {
     }
 }
 
+/// How a [`Dataset`] is synthesized ([`Dataset::source`]).
+pub(crate) enum Source {
+    /// Independent mutated pairs (`Simulated85`).
+    Pairs,
+    /// Homologous protein families (`Metaclust500k`).
+    Families,
+    /// Reads sampled from a simulated genome with these parameters.
+    Reads(ReadSimParams),
+}
+
 /// A reproducible dataset instance: kind + scale + RNG seed.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Dataset {
@@ -147,10 +157,14 @@ impl Dataset {
         ((500_000.0 * self.scale) as usize).max(8)
     }
 
-    /// Read-simulation parameters for the pipeline-derived DNA
-    /// datasets (genome length carries the scale).
-    pub(crate) fn read_params(&self) -> Option<ReadSimParams> {
+    /// How this dataset is synthesized: the one place that maps each
+    /// kind to its generator, with the read-simulation parameters of
+    /// the pipeline-derived DNA datasets (genome length carries the
+    /// scale).
+    pub(crate) fn source(&self) -> Source {
         let p = match self.kind {
+            DatasetKind::Simulated85 => return Source::Pairs,
+            DatasetKind::Metaclust500k => return Source::Families,
             DatasetKind::Ecoli => ReadSimParams {
                 genome_len: (4_600_000.0 * self.scale) as usize,
                 coverage: 29.0,
@@ -190,27 +204,19 @@ impl Dataset {
                 low_complexity: Some(reads::LowComplexity::genomic()),
                 false_pair_rate: 0.10,
             },
-            _ => return None,
         };
-        Some(p)
+        Source::Reads(p)
     }
 
     /// Synthesizes the workload.
     pub fn generate(&self) -> Workload {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        match self.kind {
-            DatasetKind::Simulated85 => {
+        match self.source() {
+            Source::Pairs => {
                 gen::generate_pair_workload(&mut rng, &PairSpec::simulated85(), self.pair_count())
             }
-            DatasetKind::Metaclust500k => {
-                protein_family_workload(&mut rng, self.protein_seq_count(), 6)
-            }
-            _ => {
-                // `read_params` describes every kind but the two above.
-                #[allow(clippy::expect_used)]
-                let p = self.read_params().expect("DNA pipeline dataset");
-                reads::simulate_workload(&mut rng, &p, self.max_comparisons)
-            }
+            Source::Families => protein_family_workload(&mut rng, self.protein_seq_count(), 6),
+            Source::Reads(p) => reads::simulate_workload(&mut rng, &p, self.max_comparisons),
         }
     }
 }

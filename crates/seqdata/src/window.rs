@@ -30,7 +30,7 @@
 //! batch planning and graph partitioning need (they read lengths
 //! only; see [`Workload::skeleton`]).
 
-use crate::datasets::{protein_family_step, Dataset, DatasetKind};
+use crate::datasets::{protein_family_step, Dataset, Source};
 use crate::gen::{generate_pair, mutate_mapped, PairSpec};
 use crate::reads::{find_seed_parts, random_genome, sample_len, ReadSimParams};
 use rand::rngs::StdRng;
@@ -204,12 +204,7 @@ struct FalsePhase {
 }
 
 impl ReadsGen {
-    fn new(ds: &Dataset) -> Self {
-        // `KindGen::new` builds a `ReadsGen` only for the kinds other
-        // than Simulated85 and Metaclust500k: exactly the kinds
-        // `read_params` describes.
-        #[allow(clippy::expect_used)]
-        let p = ds.read_params().expect("read-simulation dataset");
+    fn new(ds: &Dataset, p: ReadSimParams) -> Self {
         let mut rng = StdRng::seed_from_u64(ds.seed);
         let genome = random_genome(&mut rng, p.genome_len, p.low_complexity);
         let n_reads = ((p.coverage * p.genome_len as f64) / p.read_len_mean).ceil() as usize;
@@ -395,8 +390,8 @@ enum KindGen {
 
 impl KindGen {
     fn new(ds: &Dataset) -> (Self, Alphabet) {
-        match ds.kind {
-            DatasetKind::Simulated85 => (
+        match ds.source() {
+            Source::Pairs => (
                 KindGen::Pairs(PairsGen {
                     rng: StdRng::seed_from_u64(ds.seed),
                     spec: PairSpec::simulated85(),
@@ -405,7 +400,7 @@ impl KindGen {
                 }),
                 Alphabet::Dna,
             ),
-            DatasetKind::Metaclust500k => (
+            Source::Families => (
                 KindGen::Families(FamiliesGen {
                     rng: StdRng::seed_from_u64(ds.seed),
                     remaining: ds.protein_seq_count(),
@@ -414,7 +409,10 @@ impl KindGen {
                 }),
                 Alphabet::Protein,
             ),
-            _ => (KindGen::Reads(Box::new(ReadsGen::new(ds))), Alphabet::Dna),
+            Source::Reads(p) => (
+                KindGen::Reads(Box::new(ReadsGen::new(ds, p))),
+                Alphabet::Dna,
+            ),
         }
     }
 
@@ -547,6 +545,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::DatasetKind;
 
     /// Stitches windows back into one workload (global ids) and
     /// checks it equals the in-core oracle, payloads included.
